@@ -224,7 +224,7 @@ def _cmd_rip(args) -> int:
     X = gaussian_matrix(args.d, args.m, args.gamma**2, stream.substream(TAG_DATA))
     W = gaussian_matrix(args.d, n, args.sigma**2, stream.substream(TAG_WEIGHTS))
     A = build_features(X, W, args.features)
-    A_norm = A.entries / np.sqrt(args.m)
+    A_norm = A / np.sqrt(args.m)
     estimates = []
     for s in range(1, s_max + 1):
         if args.method == "mc":

@@ -3,7 +3,11 @@ interpolation-threshold statistics, and risk-bound validation.
 
 Trials are pure functions of (master seed, trial index); the harness may fan
 them out over a thread pool and always aggregates in trial order, so output
-bytes are independent of the worker count.
+bytes are independent of the worker count -- provided the BLAS thread pools
+are pinned to one thread before numpy loads, as ``rfcond.cli`` and the test
+suite do.  A multithreaded BLAS may split a reduction differently from call to
+call, so a library caller with ``workers > 1`` and unpinned BLAS can see
+results that differ in the last bits.
 """
 
 from __future__ import annotations
@@ -29,9 +33,8 @@ from .sampling import (
     split_stream,
 )
 from .solvers import (
-    ORIGIN_MIN_NORM,
+    FLAG_SINGULAR_GRAM,
     CoefficientVector,
-    Diagnostics,
     best_s_term_error,
     bpdn,
     least_squares,
@@ -189,6 +192,15 @@ def _training_outputs(config: ExperimentConfig, target: TargetFunction,
     return clean + e, model
 
 
+def _risk_at_test_points(config: ExperimentConfig, target: TargetFunction,
+                         W: np.ndarray, coeff: CoefficientVector, stream) -> float:
+    """Monte Carlo risk mean |f(z) - f#(z)|^2 over n_test fresh points
+    z ~ N(0, gamma^2 I_d) drawn from the test substream of `stream`."""
+    Z = gaussian_matrix(config.d, config.n_test, config.gamma**2, stream.substream(TAG_TEST))
+    preds = evaluate_model(W, coeff, Z, config.feature_kind)
+    return float(np.mean(np.abs(target.evaluate(Z) - preds) ** 2))
+
+
 def _sweep_trial(config: ExperimentConfig, trial: int) -> list[SweepRow]:
     base = split_stream(config.seed, trial)
     target = sample_target(config.target_kind, config.d, config.sigma,
@@ -200,37 +212,22 @@ def _sweep_trial(config: ExperimentConfig, trial: int) -> list[SweepRow]:
         X = gaussian_matrix(config.d, config.m, config.gamma**2, cell.substream(TAG_DATA))
         W = gaussian_matrix(config.d, n, config.sigma**2, cell.substream(TAG_WEIGHTS))
         A = build_features(X, W, config.feature_kind)
-        y, _ = _training_outputs(config, target, X, cell)
+        y, noise = _training_outputs(config, target, X, cell)
 
-        # The SVD route resolves the threshold region where lambda_min sits far
-        # below the eigensolver round-off floor of the squared Gram.
         side = SIDE_COLUMNS if n <= config.m else SIDE_ROWS
         spec = gram_spectrum_via_svd(A, side)
 
+        # A singular row Gram keeps the trial with the flagged pseudoinverse
+        # fit; its infinite condition number is in the spectral summary.
         if n < config.m:
-            coeff = least_squares(A.entries, y)
+            coeff = least_squares(A, y)
         else:
-            try:
-                coeff = min_norm_interpolate(A.entries, y)
-            except NumericalFailureError:
-                # Singular row Gram: keep the trial, fall back to the
-                # pseudoinverse fit; the infinite condition number is already
-                # recorded in the spectral summary.
-                sol, _, _, _ = np.linalg.lstsq(A.entries, y.astype(np.complex128),
-                                               rcond=None)
-                coeff = CoefficientVector(
-                    sol, ORIGIN_MIN_NORM,
-                    Diagnostics(residual_norm=float(np.linalg.norm(A.entries @ sol - y)),
-                                flags=("singular_gram_pseudoinverse",)))
-
-        preds_stream = cell.substream(TAG_TEST)
-        Z = gaussian_matrix(config.d, config.n_test, config.gamma**2, preds_stream)
-        preds = evaluate_model(W, coeff, Z, config.feature_kind)
-        risk = float(np.mean(np.abs(target.evaluate(Z) - preds) ** 2))
+            coeff = min_norm_interpolate(A, y)
+        risk = _risk_at_test_points(config, target, W, coeff, cell)
 
         bound = None
         if config.compute_bounds and target.rho_norm is not None and n != config.m:
-            E = config.noise.bound
+            E = noise.bound
             if n < config.m:
                 bound = risk_bound_ls(n, config.m, config.d, config.gamma, config.sigma,
                                       config.delta, config.eta, target.rho_norm, E,
@@ -339,7 +336,7 @@ def run_spectrum_density(config: ExperimentConfig) -> list[DensityStudyEntry]:
             X = gaussian_matrix(config.d, m, config.gamma**2, stream.substream(TAG_DATA))
             W = gaussian_matrix(config.d, n, config.sigma**2, stream.substream(TAG_WEIGHTS))
             A = build_features(X, W, config.feature_kind)
-            return singular_values(A.entries / math.sqrt(max(m, n)))
+            return singular_values(A / math.sqrt(max(m, n)))
 
         pooled = np.concatenate(_map_trials(one_trial, config.trials, config.workers))
         curve = spectral_density(pooled, normalization="max_one")
@@ -414,6 +411,9 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
     """Risk-bound coverage for the three training pipelines at the configured
     parameter points.  Bound values use the configured proof constants; the
     hypothesis checks are reported for both strict and permissive modes."""
+    if config.noise_snr is not None:
+        raise InvalidArgumentError(
+            "bound validation needs a fixed noise model; snr noise is not supported")
     target = sample_target(config.target_kind, config.d, config.sigma,
                            split_stream(config.seed, 0).substream(TAG_TARGET),
                            config.feature_kind, config.planted_s, config.bump_width)
@@ -447,20 +447,19 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
 
             theta = None
             if name == "least_squares":
-                coeff = least_squares(A.entries, y)
+                coeff = least_squares(A, y)
             elif name == "min_norm":
-                coeff = min_norm_interpolate(A.entries, y)
+                coeff = min_norm_interpolate(A, y)
+                if FLAG_SINGULAR_GRAM in coeff.diagnostics.flags:
+                    raise NumericalFailureError(
+                        "row Gram AA* is numerically singular; interpolation unavailable")
             else:
                 xi = bp_noise_parameter(eps, rho, E)
-                coeff = bpdn(A.entries, y, xi, config.tol, config.max_iter)
+                coeff = bpdn(A, y, xi, config.tol, config.max_iter)
                 coeff = prune_top_s(coeff, s)
                 theta = best_s_term_error(best_phi_coeffs(target, W), s, 1)
-
-            Z = gaussian_matrix(config.d, config.n_test, config.gamma**2,
-                                stream.substream(TAG_TEST))
-            preds = evaluate_model(W, coeff, Z, FOURIER)
-            risk = float(np.mean(np.abs(target.evaluate(Z) - preds) ** 2))
-            return {"risk": risk, "theta": theta}
+            return {"risk": _risk_at_test_points(config, target, W, coeff, stream),
+                    "theta": theta}
 
         results = _map_trials(one_trial, config.trials, config.workers)
 

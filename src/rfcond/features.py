@@ -7,9 +7,6 @@ real-valued targets read off the real part of predictions downstream.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidArgumentError
@@ -17,57 +14,6 @@ from .sampling import TAG_DATA, TAG_WEIGHTS, RngStream, gaussian_matrix
 
 FOURIER = "fourier"
 RELU = "relu"
-_KIND_CODES = {FOURIER: 0, RELU: 1}
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
-
-_UNIT_MODULUS_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class FeatureMeta:
-    """Provenance of a feature matrix; fields are None when unknown (e.g. A built
-    from externally supplied X, W, or reloaded from a binary dump)."""
-
-    d: int | None
-    m: int
-    n: int
-    gamma: float | None = None
-    sigma: float | None = None
-    seed: int | None = None
-    stream_id: int | None = None
-
-
-@dataclass
-class FeatureMatrix:
-    entries: np.ndarray
-    kind: str
-    meta: FeatureMeta
-
-    def __post_init__(self):
-        if self.kind not in _KIND_CODES:
-            raise InvalidArgumentError(f"unknown feature kind {self.kind!r}")
-        if self.entries.ndim != 2:
-            raise InvalidArgumentError("feature entries must be a 2-d array")
-        m, n = self.entries.shape
-        if m < 1 or n < 1:
-            raise InvalidArgumentError("feature matrix must be at least 1x1")
-        if (m, n) != (self.meta.m, self.meta.n):
-            raise InvalidArgumentError(
-                f"entries shape {(m, n)} does not match meta ({self.meta.m}, {self.meta.n})"
-            )
-        if self.kind == FOURIER:
-            dev = np.abs(np.abs(self.entries) - 1.0).max()
-            if dev > _UNIT_MODULUS_TOL:
-                raise InvalidArgumentError(f"fourier entries must have unit modulus (max dev {dev:.3e})")
-        else:
-            if np.iscomplexobj(self.entries) and np.abs(self.entries.imag).max() > 0:
-                raise InvalidArgumentError("relu entries must be real")
-            if self.entries.real.min() < 0:
-                raise InvalidArgumentError("relu entries must be non-negative")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
 
 
 def _check_dims(X: np.ndarray, W: np.ndarray) -> None:
@@ -77,31 +23,27 @@ def _check_dims(X: np.ndarray, W: np.ndarray) -> None:
         raise InvalidArgumentError(
             f"X and W must share the ambient dimension d: got {X.shape[0]} vs {W.shape[0]}"
         )
+    if min(X.shape + W.shape) < 1:
+        raise InvalidArgumentError("X and W must be at least 1x1")
 
 
-def fourier_features(X: np.ndarray, W: np.ndarray, meta: FeatureMeta | None = None) -> FeatureMatrix:
+def fourier_features(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     """a_{j,k} = exp(i <x_j, w_k>) for X d x m, W d x N."""
     _check_dims(X, W)
-    entries = np.exp(1j * (X.T @ W))
-    if meta is None:
-        meta = FeatureMeta(d=X.shape[0], m=X.shape[1], n=W.shape[1])
-    return FeatureMatrix(entries, FOURIER, meta)
+    return np.exp(1j * (X.T @ W))
 
 
-def relu_features(X: np.ndarray, W: np.ndarray, meta: FeatureMeta | None = None) -> FeatureMatrix:
+def relu_features(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     """a_{j,k} = max(0, <x_j, w_k>)."""
     _check_dims(X, W)
-    entries = np.maximum(0.0, X.T @ W)
-    if meta is None:
-        meta = FeatureMeta(d=X.shape[0], m=X.shape[1], n=W.shape[1])
-    return FeatureMatrix(entries, RELU, meta)
+    return np.maximum(0.0, X.T @ W)
 
 
-def build_features(X: np.ndarray, W: np.ndarray, kind: str, meta: FeatureMeta | None = None) -> FeatureMatrix:
+def build_features(X: np.ndarray, W: np.ndarray, kind: str) -> np.ndarray:
     if kind == FOURIER:
-        return fourier_features(X, W, meta)
+        return fourier_features(X, W)
     if kind == RELU:
-        return relu_features(X, W, meta)
+        return relu_features(X, W)
     raise InvalidArgumentError(f"unknown feature kind {kind!r}")
 
 
@@ -113,7 +55,7 @@ def random_features(
     sigma: float,
     stream: RngStream,
     kind: str = FOURIER,
-) -> tuple[np.ndarray, np.ndarray, FeatureMatrix]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample X ~ N(0, gamma^2 I_d) and W ~ N(0, sigma^2 I_d), then build A.
 
     Data and weights come from fixed substreams of `stream`, so one stream per
@@ -121,46 +63,4 @@ def random_features(
     """
     X = gaussian_matrix(d, m, gamma**2, stream.substream(TAG_DATA))
     W = gaussian_matrix(d, n, sigma**2, stream.substream(TAG_WEIGHTS))
-    meta = FeatureMeta(d=d, m=m, n=n, gamma=gamma, sigma=sigma,
-                       seed=stream.seed, stream_id=stream.stream_id)
-    return X, W, build_features(X, W, kind, meta)
-
-
-def normalized(A: FeatureMatrix, mode: str) -> np.ndarray:
-    """Scaled copy of the entries: by_rows -> A/sqrt(m), by_cols -> A/sqrt(N)."""
-    m, n = A.entries.shape
-    if mode == "by_rows":
-        return A.entries / np.sqrt(m)
-    if mode == "by_cols":
-        return A.entries / np.sqrt(n)
-    raise InvalidArgumentError(f"unknown normalization mode {mode!r}")
-
-
-def dump_entries(A: FeatureMatrix, path) -> None:
-    """Binary debug dump: 24-byte header (m, N, kind code as little-endian int64)
-    followed by row-major interleaved (re, im) float64 entries."""
-    m, n = A.entries.shape
-    header = struct.pack("<3q", m, n, _KIND_CODES[A.kind])
-    payload = np.ascontiguousarray(A.entries.astype(np.complex128)).astype("<c16").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-
-
-def load_entries(path) -> FeatureMatrix:
-    """Inverse of :func:`dump_entries`."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 24:
-        raise InvalidArgumentError("feature dump shorter than its 24-byte header")
-    m, n, code = struct.unpack("<3q", raw[:24])
-    if code not in _CODE_KINDS:
-        raise InvalidArgumentError(f"unknown feature kind code {code}")
-    expected = 24 + 16 * m * n
-    if len(raw) != expected:
-        raise InvalidArgumentError(f"feature dump has {len(raw)} bytes, expected {expected}")
-    entries = np.frombuffer(raw, dtype="<c16", offset=24).reshape(m, n).astype(np.complex128)
-    kind = _CODE_KINDS[code]
-    if kind == RELU:
-        entries = entries.real.copy()
-    return FeatureMatrix(entries, kind, FeatureMeta(d=None, m=m, n=n))
+    return X, W, build_features(X, W, kind)

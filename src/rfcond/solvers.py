@@ -8,7 +8,6 @@ complex soft-thresholding certified by an explicit duality gap.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -17,7 +16,6 @@ from .errors import (
     ConvergenceError,
     InfeasibleProblemError,
     InvalidArgumentError,
-    NumericalFailureError,
 )
 
 ORIGIN_LEAST_SQUARES = "least_squares"
@@ -26,6 +24,8 @@ ORIGIN_RIDGE = "ridge"
 ORIGIN_BPDN = "bpdn"
 ORIGIN_PLANTED = "planted"
 ORIGIN_BEST_PHI = "best_phi"
+
+FLAG_SINGULAR_GRAM = "singular_gram_pseudoinverse"
 
 
 @dataclass(frozen=True)
@@ -75,20 +75,16 @@ def least_squares(A: np.ndarray, y: np.ndarray) -> CoefficientVector:
 
 def min_norm_interpolate(A: np.ndarray, y: np.ndarray) -> CoefficientVector:
     """Smallest-l2 interpolant c = A*(AA*)^{-1} y for m <= N, computed via the
-    SVD pseudoinverse so c lies in the row space of A."""
+    SVD pseudoinverse so c lies in the row space of A.  When the row Gram AA*
+    is numerically singular the result is the minimal-norm least-squares
+    solution, flagged FLAG_SINGULAR_GRAM, and need not interpolate."""
     A, y = _as_matrix_vector(A, y)
     m, n = A.shape
     if m > n:
         raise InvalidArgumentError(f"min_norm_interpolate requires m <= N, got {m} > {n}")
-    c, _, rank, sv = np.linalg.lstsq(A, y, rcond=None)
-    if rank < m:
-        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-        raise NumericalFailureError(
-            "row Gram AA* is numerically singular; interpolation unavailable",
-            matrix_hash=hashlib.sha256(np.ascontiguousarray(A).tobytes()).hexdigest()[:16],
-            condition_estimate=cond,
-        )
-    diag = Diagnostics(residual_norm=_residual_norm(A, c, y))
+    c, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
+    flags = () if rank == m else (FLAG_SINGULAR_GRAM,)
+    diag = Diagnostics(residual_norm=_residual_norm(A, c, y), flags=flags)
     return CoefficientVector(c, ORIGIN_MIN_NORM, diag)
 
 

@@ -2,9 +2,11 @@
 restricted isometry constants, and singular-value density estimation.
 
 The two normalized Grams share their nonzero spectrum: eig((1/m)A*A) and
-eig((1/N)AA*) differ only by the normalization and zero padding, so the
-eigendecomposition always runs on the smaller Gram and is mapped to the
-requested side.
+eig((1/N)AA*) are the squared singular values of A scaled by 1/m or 1/N, up
+to zero padding.  Gram spectra and condition numbers therefore come from one
+thin SVD of A rather than from an eigensolver on a formed Gram, whose
+round-off floor is squared (Trefethen & Bau, Numerical Linear Algebra,
+Lecture 31).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from math import comb
 import numpy as np
 
 from .errors import EnumerationBudgetError, InvalidArgumentError, NumericalFailureError
-from .features import FeatureMatrix
 from .sampling import RngStream
 
 RANK_TOL = 1e-12  # relative floor under which the smallest singular value counts as zero
@@ -57,10 +58,6 @@ def _matrix_hash(M: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(M).tobytes()).hexdigest()[:16]
 
 
-def _entries(A) -> np.ndarray:
-    return A.entries if isinstance(A, FeatureMatrix) else np.asarray(A)
-
-
 def _hermitian_eigvals(G: np.ndarray) -> np.ndarray:
     G = 0.5 * (G + G.conj().T)
     try:
@@ -71,49 +68,20 @@ def _hermitian_eigvals(G: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def gram_spectrum(A: FeatureMatrix | np.ndarray, side: str) -> SpectralSummary:
-    """Full spectrum of the normalized Gram on the requested side.
+def gram_spectrum_via_svd(A: np.ndarray, side: str) -> SpectralSummary:
+    """Full spectrum of the normalized Gram on the requested side, from the
+    singular values of A.
 
     side="columns" is (1/m)A*A, side="rows" is (1/N)AA*; when the requested
     Gram is the larger one its zero eigenvalues are appended analytically.
+    The SVD resolves eigenvalues down to (eps * sigma_max)^2 instead of the
+    eps * lambda_max of an eigensolver on the formed Gram, which matters near
+    the interpolation threshold.  The condition number sigma_max / sigma_min is
+    infinite when the Gram is zero-padded or sigma_min <= RANK_TOL * sigma_max.
     """
     if side not in (SIDE_COLUMNS, SIDE_ROWS):
         raise InvalidArgumentError(f"unknown side {side!r}")
-    M = _entries(A)
-    m, n = M.shape
-    if n <= m:
-        raw = _hermitian_eigvals(M.conj().T @ M)  # spectrum of A*A
-        small = n
-    else:
-        raw = _hermitian_eigvals(M @ M.conj().T)  # same nonzeros as A*A
-        small = m
-    raw = np.sort(raw)
-    if side == SIDE_COLUMNS:
-        eigs = raw / m
-        pad = n - small
-    else:
-        eigs = raw / n
-        pad = m - small
-    if pad > 0:
-        eigs = np.concatenate([np.zeros(pad), eigs])
-    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-    cond = float(np.sqrt(lam_max / lam_min)) if lam_min > 0 else float("inf")
-    return SpectralSummary(eigenvalues=eigs, lambda_min=lam_min, lambda_max=lam_max,
-                           cond_number=cond, side=side)
-
-
-def gram_spectrum_via_svd(A: FeatureMatrix | np.ndarray, side: str) -> SpectralSummary:
-    """SpectralSummary computed from singular values of the normalized matrix.
-
-    Mathematically identical to :func:`gram_spectrum`, but the SVD resolves
-    eigenvalues down to (eps * sigma_max)^2 instead of eps * lambda_max, which
-    matters near the interpolation threshold where lambda_min is far below the
-    eigensolver's round-off floor.  The condition flag follows the singular
-    value contract: infinite below the relative rank tolerance.
-    """
-    if side not in (SIDE_COLUMNS, SIDE_ROWS):
-        raise InvalidArgumentError(f"unknown side {side!r}")
-    M = _entries(A)
+    M = np.asarray(A)
     m, n = M.shape
     norm = m if side == SIDE_COLUMNS else n
     s = singular_values(M) / np.sqrt(norm)
@@ -130,9 +98,9 @@ def gram_spectrum_via_svd(A: FeatureMatrix | np.ndarray, side: str) -> SpectralS
                            cond_number=cond, side=side)
 
 
-def singular_values(A: FeatureMatrix | np.ndarray) -> np.ndarray:
+def singular_values(A: np.ndarray) -> np.ndarray:
     """min(m, N) singular values in ascending order."""
-    M = _entries(A)
+    M = np.asarray(A)
     try:
         s = np.linalg.svd(M, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -140,15 +108,6 @@ def singular_values(A: FeatureMatrix | np.ndarray) -> np.ndarray:
             f"SVD failed: {exc}", matrix_hash=_matrix_hash(M)
         ) from exc
     return np.sort(s)
-
-
-def condition_number(A: FeatureMatrix | np.ndarray) -> float:
-    """sigma_max / sigma_min; inf (never an exception) below the rank tolerance."""
-    s = singular_values(A)
-    smin, smax = float(s[0]), float(s[-1])
-    if smax == 0.0 or smin <= RANK_TOL * smax:
-        return float("inf")
-    return smax / smin
 
 
 def _support_deviation(M: np.ndarray, cols: np.ndarray) -> float:
@@ -163,7 +122,7 @@ def _support_deviation(M: np.ndarray, cols: np.ndarray) -> float:
 def rip_constant_exact(A_normalized: np.ndarray, s: int,
                        budget: int = DEFAULT_ENUMERATION_BUDGET) -> RipEstimate:
     """Exact s-th restricted isometry constant by lexicographic support enumeration."""
-    M = _entries(A_normalized)
+    M = np.asarray(A_normalized)
     n = M.shape[1]
     if not 1 <= s <= n:
         raise InvalidArgumentError(f"s must be in [1, {n}], got {s}")
@@ -186,7 +145,7 @@ def rip_constant_lower_mc(A_normalized: np.ndarray, s: int, trials: int,
     Supports are drawn sequentially from one generator, so growing `trials`
     with the same stream extends the sample set (the estimate is monotone).
     """
-    M = _entries(A_normalized)
+    M = np.asarray(A_normalized)
     n = M.shape[1]
     if not 1 <= s <= n:
         raise InvalidArgumentError(f"s must be in [1, {n}], got {s}")
@@ -239,16 +198,3 @@ def spectral_density(values, bandwidth: float | str = "auto",
         dens = dens / np.trapezoid(dens, grid)
     return DensityCurve(grid=grid, density=dens, bandwidth=h, normalization=normalization)
 
-
-def write_spectrum_csv(summary: SpectralSummary, path) -> None:
-    from .io import write_csv
-
-    rows = [(i, float(v)) for i, v in enumerate(summary.eigenvalues)]
-    write_csv(path, ["index", "eigenvalue"], rows)
-
-
-def write_density_csv(curve: DensityCurve, path) -> None:
-    from .io import write_csv
-
-    rows = [(float(g), float(d)) for g, d in zip(curve.grid, curve.density)]
-    write_csv(path, ["grid", "value"], rows)

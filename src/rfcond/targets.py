@@ -1,4 +1,4 @@
-"""Synthetic regression targets with known structure and risk evaluation.
+"""Synthetic regression targets with known structure and model predictions.
 
 Three families:
 
@@ -18,13 +18,13 @@ Three families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedTargetError
 from .features import FOURIER, build_features
-from .sampling import NOISE_NONE, NoiseModel, RngStream, gaussian_matrix
+from .sampling import RngStream, gaussian_matrix
 from .solvers import ORIGIN_BEST_PHI, ORIGIN_PLANTED, CoefficientVector, Diagnostics
 
 KIND_LINEAR = "linear"
@@ -45,7 +45,7 @@ class TargetFunction:
             return self.params["b"] @ Z
         if self.kind == KIND_PLANTED:
             A = build_features(Z, self.params["W0"], self.params["feature_kind"])
-            return A.entries @ self.params["c0"]
+            return A @ self.params["c0"]
         if self.kind == KIND_BUMP:
             a = self.params["a"]
             return np.exp(-np.sum(Z**2, axis=0) / (2.0 * a**2))
@@ -122,22 +122,6 @@ def sample_target(kind: str, d: int, sigma: float, stream: RngStream,
     raise InvalidArgumentError(f"unknown target kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class RiskReport:
-    empirical_risk: float
-    bound_value: float | None
-    n_test: int
-    noise: NoiseModel
-    seeds: tuple[int, ...]
-    regime: str | None = None
-
-    def __post_init__(self):
-        if self.empirical_risk < 0:
-            raise InvalidArgumentError("empirical risk cannot be negative")
-        if self.n_test < 1:
-            raise InvalidArgumentError("n_test must be >= 1")
-
-
 def best_phi_coeffs(target: TargetFunction, W: np.ndarray) -> CoefficientVector:
     """Monte Carlo discretization of the target's integral representation:
     c*_k = alpha(w_k) / (N rho(w_k)); every entry obeys |c*_k| <= ||f||_rho / N."""
@@ -164,23 +148,7 @@ def evaluate_model(W: np.ndarray, c: CoefficientVector | np.ndarray, Z: np.ndarr
             f"coefficient length {values.shape[0]} does not match {W.shape[1]} weights"
         )
     A = build_features(np.asarray(Z), W, kind)
-    return A.entries @ values
-
-
-def empirical_risk(target: TargetFunction, W: np.ndarray,
-                   c: CoefficientVector | np.ndarray, n_test: int,
-                   data_variance: float, stream: RngStream,
-                   kind: str = FOURIER, noise: NoiseModel = NOISE_NONE) -> RiskReport:
-    """Monte Carlo risk (1/n) sum |f(z_j) - f#(z_j)|^2 on fresh test points
-    drawn from the training data law N(0, data_variance I)."""
-    if n_test < 1:
-        raise InvalidArgumentError("n_test must be >= 1")
-    d = np.asarray(W).shape[0]
-    Z = gaussian_matrix(d, n_test, data_variance, stream)
-    preds = evaluate_model(W, c, Z, kind)
-    risk = float(np.mean(np.abs(target.evaluate(Z) - preds) ** 2))
-    return RiskReport(empirical_risk=risk, bound_value=None, n_test=n_test,
-                      noise=noise, seeds=(stream.seed, stream.stream_id))
+    return A @ values
 
 
 def worst_case_theta(s: int, N: int, f_rho_norm: float) -> float:

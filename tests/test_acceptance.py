@@ -32,7 +32,6 @@ from rfcond.solvers import (
 from rfcond.spectral import (
     SIDE_COLUMNS,
     SIDE_ROWS,
-    gram_spectrum,
     gram_spectrum_via_svd,
     rip_constant_exact,
     rip_constant_lower_mc,
@@ -88,7 +87,7 @@ def test_03_concentration_trend():
         for t in range(50):
             _, _, A = random_features(d, m, n, gs, 1.0,
                                       split_stream(606, t).substream(idx))
-            spec = gram_spectrum(A, SIDE_COLUMNS)
+            spec = gram_spectrum_via_svd(A, SIDE_COLUMNS)
             devs.append(np.abs(spec.eigenvalues - 1.0).max())
         medians.append(float(np.median(devs)))
     band_halfwidth = 1.25 * 0.5 + 0.5**2
@@ -146,7 +145,7 @@ def test_06_rip_oracle_equivalence():
     for instance in range(20):
         n = 4 + instance % 7  # N in 4..10
         _, _, A = random_features(3, 30, n, 1.0, 1.0, split_stream(900, instance))
-        An = A.entries / np.sqrt(30)
+        An = A / np.sqrt(30)
         values = []
         for s in range(1, n + 1):
             values.append(rip_constant_exact(An, s).value)
@@ -183,8 +182,8 @@ def test_07_solver_oracles():
     ok &= gap_ls <= 1e-6 * np.linalg.norm(least_squares(A_tall, y_tall).values)
     _, _, A_wide = random_features(3, 8, 40, 1.0, 1.0, split_stream(77, 0))
     y_wide = gen.normal(size=8) + 1j * gen.normal(size=8)
-    mn = min_norm_interpolate(A_wide.entries, y_wide).values
-    gap_mn = np.linalg.norm(ridge(A_wide.entries, y_wide, 1e-10).values - mn)
+    mn = min_norm_interpolate(A_wide, y_wide).values
+    gap_mn = np.linalg.norm(ridge(A_wide, y_wide, 1e-10).values - mn)
     ok &= gap_mn <= 1e-6 * np.linalg.norm(mn)
     details.append("ridgeless ok")
 
@@ -196,13 +195,13 @@ def test_07_solver_oracles():
     c0[11] = -0.8 + 0.3j
     E = 0.05
     e = noise_vector(m, NoiseModel("bounded_uniform", E), split_stream(0, 1))
-    y = A.entries @ c0 + e
-    sol = bpdn(A.entries, y, xi=E, tolerance=1e-6)
+    y = A @ c0 + e
+    sol = bpdn(A, y, xi=E, tolerance=1e-6)
     ok &= sol.diagnostics.duality_gap <= 1e-6
     radius = E * np.sqrt(m)
-    feasible = [c0, least_squares(A.entries, y).values]
+    feasible = [c0, least_squares(A, y).values]
     for v in feasible:
-        assert np.linalg.norm(A.entries @ v - y) <= radius + 1e-9
+        assert np.linalg.norm(A @ v - y) <= radius + 1e-9
         ok &= np.abs(sol.values).sum() <= np.abs(v).sum() + 1e-6
     details.append(f"bpdn gap={sol.diagnostics.duality_gap:.1e}")
 

@@ -46,6 +46,15 @@ def test_invalid_config_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_validate_snr_noise_exits_2(tmp_path, capsys):
+    rc = cli.main(["validate", "--d", "3", "--m", "50", "--n-grid", "10",
+                   "--target", "bump:1.4142135623730951", "--noise", "snr:0.1",
+                   "--trials", "2", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    assert "snr" in capsys.readouterr().err
+    assert not (tmp_path / "validate.json").exists()
+
+
 def test_theory_prints_regime_report(capsys):
     rc = cli.main(["theory", "--m", "100", "--n-grid", "10", "--d", "3",
                    "--eta", "0.5", "--permissive-constants"])

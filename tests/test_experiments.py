@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from rfcond.errors import InvalidArgumentError
+from rfcond.errors import InvalidArgumentError, NumericalFailureError
 from rfcond.experiments import (
+    _TAG_GRID,
     SCALING_LABELS,
     ExperimentConfig,
     _solve_scaling,
@@ -14,8 +15,9 @@ from rfcond.experiments import (
     run_spectrum_density,
     run_threshold_study,
 )
-from rfcond.sampling import NOISE_NONE, NoiseModel
-from rfcond.theory import TheoryConstants
+from rfcond.sampling import TAG_DATA, gaussian_matrix, split_stream
+from rfcond.targets import gaussian_bump_target
+from rfcond.theory import TheoryConstants, risk_bound_ls, risk_bound_minnorm
 
 
 def _sweep_config(**overrides):
@@ -84,6 +86,25 @@ def test_sweep_bound_column_filled_for_bump_target():
         assert row.bound_value > 0
 
 
+def test_sweep_bounds_use_resolved_snr_noise_level():
+    # With snr noise the training outputs carry Gaussian noise of level
+    # r * std(clean), so the bound must use E = 2 r std(clean), not 0.
+    snr, permissive = 0.5, TheoryConstants(permissive=True)
+    cfg = _sweep_config(target_kind="gaussian_bump", compute_bounds=True,
+                        n_grid=(5, 40), sigma=1.0, noise_snr=snr,
+                        constants=permissive)
+    target = gaussian_bump_target(np.sqrt(2.0), 1.0, cfg.d)
+    for row in run_double_descent_sweep(cfg).rows:
+        cell = split_stream(cfg.seed, row.trial).substream(_TAG_GRID, row.N)
+        X = gaussian_matrix(cfg.d, cfg.m, cfg.gamma**2, cell.substream(TAG_DATA))
+        E = 2.0 * snr * float(np.std(target.evaluate(X)))
+        assert E > 0
+        bound = risk_bound_ls if row.N < cfg.m else risk_bound_minnorm
+        expected = bound(row.N, cfg.m, cfg.d, cfg.gamma, cfg.sigma, cfg.delta,
+                         cfg.eta, target.rho_norm, E, permissive).value
+        assert row.bound_value == pytest.approx(expected, rel=1e-12)
+
+
 def test_scaling_resolution():
     m = 150
     assert _solve_scaling("N=m", m) == (150, 150)
@@ -148,6 +169,23 @@ def test_bound_validation_structure():
 def test_bound_validation_rejects_targets_without_rho_norm():
     cfg = ExperimentConfig(d=3, m=50, n_grid=(10,), target_kind="linear", trials=2)
     with pytest.raises(InvalidArgumentError):
+        run_bound_validation(cfg)
+
+
+def test_bound_validation_rejects_snr_noise():
+    cfg = ExperimentConfig(d=3, m=50, n_grid=(10,), target_kind="gaussian_bump",
+                           noise_snr=0.1, trials=2)
+    with pytest.raises(InvalidArgumentError, match="snr"):
+        run_bound_validation(cfg)
+
+
+def test_bound_validation_raises_on_singular_row_gram():
+    # Data points within 1e-16 of the origin: every row of A rounds to the
+    # all-ones vector, so the row Gram has numerical rank 1 < m.
+    cfg = ExperimentConfig(d=3, m=4, n_grid=(10,), gamma=1e-16,
+                           target_kind="gaussian_bump", trials=1, n_test=10,
+                           pipelines=("min_norm",))
+    with pytest.raises(NumericalFailureError, match="singular"):
         run_bound_validation(cfg)
 
 

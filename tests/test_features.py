@@ -1,68 +1,62 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from rfcond.errors import InvalidArgumentError
 from rfcond.features import (
     FOURIER,
     RELU,
-    FeatureMatrix,
-    FeatureMeta,
-    dump_entries,
+    build_features,
     fourier_features,
-    load_entries,
-    normalized,
     random_features,
     relu_features,
 )
 from rfcond.sampling import split_stream
-from rfcond.spectral import SIDE_COLUMNS, SIDE_ROWS, gram_spectrum
+from rfcond.spectral import SIDE_COLUMNS, SIDE_ROWS, gram_spectrum_via_svd
 
 
 def test_zero_data_gives_all_ones():
     X = np.zeros((3, 4))
     W = np.ones((3, 5))
     A = fourier_features(X, W)
-    assert np.allclose(A.entries, 1.0)
+    assert np.allclose(A, 1.0)
 
 
 def test_quarter_period_phase():
     X = np.array([[np.pi / 2]])
     W = np.array([[1.0]])
     A = fourier_features(X, W)
-    assert A.entries[0, 0] == pytest.approx(1j, abs=1e-15)
+    assert A[0, 0] == pytest.approx(1j, abs=1e-15)
 
 
 def test_unit_modulus_everywhere():
     _, _, A = random_features(4, 30, 50, 1.3, 0.7, split_stream(3, 0))
-    assert np.abs(np.abs(A.entries) - 1.0).max() <= 1e-12
+    assert np.abs(np.abs(A) - 1.0).max() <= 1e-12
 
 
 def test_frobenius_energy_is_m_times_n():
     _, _, A = random_features(3, 12, 20, 1.0, 1.0, split_stream(4, 1))
-    energy = np.linalg.norm(A.entries, "fro") ** 2
+    energy = np.linalg.norm(A, "fro") ** 2
     assert energy == pytest.approx(12 * 20, rel=1e-9)
 
 
 def test_relu_zero_data_gives_zero_matrix():
     A = relu_features(np.zeros((2, 3)), np.ones((2, 4)))
-    assert np.all(A.entries == 0.0)
+    assert np.all(A == 0.0)
 
 
 def test_relu_clips_negative_inner_products():
     X = np.array([[1.0, -1.0]])  # inner products -3 and 3 against w = -3
     W = np.array([[-3.0]])
     A = relu_features(X, W)
-    assert A.entries[0, 0] == 0.0
-    assert A.entries[1, 0] == 3.0
+    assert A[0, 0] == 0.0
+    assert A[1, 0] == 3.0
 
 
 def test_relu_mirror_identity():
     gen = np.random.default_rng(0)
     X = gen.normal(size=(3, 6))
     W = gen.normal(size=(3, 8))
-    mirrored = relu_features(X, W).entries + relu_features(-X, W).entries
+    mirrored = relu_features(X, W) + relu_features(-X, W)
     assert np.allclose(mirrored, np.abs(X.T @ W))
 
 
@@ -73,58 +67,13 @@ def test_dimension_mismatch_raises():
         relu_features(np.zeros((3, 4)), np.zeros((2, 4)))
 
 
-def test_normalized_by_rows_example():
-    entries = np.ones((4, 1), dtype=complex)
-    A = FeatureMatrix(entries, FOURIER, FeatureMeta(d=1, m=4, n=1))
-    out = normalized(A, "by_rows")
-    assert np.allclose(out, 0.5)
-    assert np.allclose(A.entries, 1.0)  # original untouched
-
-
-def test_normalized_by_cols_single_column_is_identity():
-    entries = np.ones((4, 1), dtype=complex)
-    A = FeatureMatrix(entries, FOURIER, FeatureMeta(d=1, m=4, n=1))
-    assert np.allclose(normalized(A, "by_cols"), entries)
-
-
-@given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8),
-       st.integers(min_value=0, max_value=2**32))
-def test_normalized_scales_frobenius_norm(m, n, trial):
-    _, _, A = random_features(2, m, n, 1.0, 1.0, split_stream(99, trial))
-    scaled = normalized(A, "by_rows")
-    assert np.linalg.norm(scaled, "fro") == pytest.approx(
-        np.linalg.norm(A.entries, "fro") / np.sqrt(m), rel=1e-12)
-
-
-def test_invariant_checks_reject_bad_matrices():
-    with pytest.raises(InvalidArgumentError):
-        FeatureMatrix(2.0 * np.ones((2, 2), dtype=complex), FOURIER,
-                      FeatureMeta(d=1, m=2, n=2))
-    with pytest.raises(InvalidArgumentError):
-        FeatureMatrix(-np.ones((2, 2)), RELU, FeatureMeta(d=1, m=2, n=2))
-    with pytest.raises(InvalidArgumentError):
-        FeatureMatrix(np.ones((2, 3), dtype=complex), FOURIER,
-                      FeatureMeta(d=1, m=2, n=2))
-
-
-def test_binary_dump_round_trip(tmp_path):
-    _, _, A = random_features(3, 5, 7, 1.0, 0.5, split_stream(6, 2))
-    path = tmp_path / "features.bin"
-    dump_entries(A, path)
-    assert path.stat().st_size == 24 + 16 * 5 * 7
-    back = load_entries(path)
-    assert back.kind == FOURIER
-    assert np.array_equal(back.entries, A.entries)
-
-
-def test_binary_dump_round_trip_relu(tmp_path):
-    gen = np.random.default_rng(1)
-    A = relu_features(gen.normal(size=(2, 4)), gen.normal(size=(2, 3)))
-    path = tmp_path / "relu.bin"
-    dump_entries(A, path)
-    back = load_entries(path)
-    assert back.kind == RELU
-    assert np.array_equal(back.entries, A.entries)
+def test_empty_inputs_raise():
+    for X, W in ((np.zeros((3, 0)), np.zeros((3, 4))),
+                 (np.zeros((3, 4)), np.zeros((3, 0))),
+                 (np.zeros((0, 4)), np.zeros((0, 4)))):
+        for kind in (FOURIER, RELU):
+            with pytest.raises(InvalidArgumentError, match="at least 1x1"):
+                build_features(X, W, kind)
 
 
 def test_row_column_gram_symmetry_under_role_swap():
@@ -136,11 +85,11 @@ def test_row_column_gram_symmetry_under_role_swap():
     mins_a, maxs_a, mins_b, maxs_b = [], [], [], []
     for t in range(trials):
         _, _, A = random_features(3, m, n, gamma, sigma, split_stream(100, t))
-        spec = gram_spectrum(A, SIDE_COLUMNS)
+        spec = gram_spectrum_via_svd(A, SIDE_COLUMNS)
         mins_a.append(spec.lambda_min)
         maxs_a.append(spec.lambda_max)
         _, _, B = random_features(3, n, m, sigma, gamma, split_stream(200, t))
-        spec = gram_spectrum(B, SIDE_ROWS)
+        spec = gram_spectrum_via_svd(B, SIDE_ROWS)
         mins_b.append(spec.lambda_min)
         maxs_b.append(spec.lambda_max)
     for a, b in ((mins_a, mins_b), (maxs_a, maxs_b)):

@@ -4,20 +4,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rfcond.errors import EnumerationBudgetError, InvalidArgumentError
-from rfcond.features import FOURIER, FeatureMatrix, FeatureMeta, random_features
+from rfcond.features import random_features
 from rfcond.sampling import split_stream
 from rfcond.spectral import (
     SIDE_COLUMNS,
     SIDE_ROWS,
-    condition_number,
-    gram_spectrum,
     gram_spectrum_via_svd,
     rip_constant_exact,
     rip_constant_lower_mc,
     singular_values,
     spectral_density,
-    write_density_csv,
-    write_spectrum_csv,
 )
 
 
@@ -28,7 +24,7 @@ def _random_fourier(d, m, n, seed, gamma=1.0, sigma=1.0):
 
 def test_single_fourier_column_has_unit_eigenvalue():
     A = _random_fourier(3, 20, 1, 1)
-    spec = gram_spectrum(A, SIDE_COLUMNS)
+    spec = gram_spectrum_via_svd(A, SIDE_COLUMNS)
     assert spec.eigenvalues.shape == (1,)
     assert spec.lambda_min == pytest.approx(1.0, abs=1e-12)
     assert spec.cond_number == pytest.approx(1.0, abs=1e-12)
@@ -36,18 +32,14 @@ def test_single_fourier_column_has_unit_eigenvalue():
 
 def test_orthogonal_equal_norm_columns_give_flat_spectrum():
     entries = np.sqrt(3) * np.eye(4, dtype=complex)[:, :3]
-    A = FeatureMatrix(np.exp(1j * np.zeros((4, 3))), FOURIER, FeatureMeta(d=1, m=4, n=3))
-    # Fourier constraint forces unit modulus; use the raw-array entry point
-    # for the orthogonal-columns case instead.
-    spec = gram_spectrum(entries, SIDE_COLUMNS)
+    spec = gram_spectrum_via_svd(entries, SIDE_COLUMNS)
     assert np.allclose(spec.eigenvalues, spec.eigenvalues[0])
-    assert A.kind == FOURIER
 
 
 def test_both_sides_share_nonzero_spectrum():
     A = _random_fourier(2, 6, 9, 2)
-    cols = gram_spectrum(A, SIDE_COLUMNS)
-    rows = gram_spectrum(A, SIDE_ROWS)
+    cols = gram_spectrum_via_svd(A, SIDE_COLUMNS)
+    rows = gram_spectrum_via_svd(A, SIDE_ROWS)
     assert cols.eigenvalues.shape == (9,)
     assert rows.eigenvalues.shape == (6,)
     # zero padding on the larger side
@@ -72,25 +64,28 @@ def test_singular_values_square_against_gram_oracle():
 
 
 def test_condition_number_examples():
-    assert condition_number(np.eye(4)) == pytest.approx(1.0)
-    assert condition_number(np.diag([1.0, 10.0])) == pytest.approx(10.0)
-    assert condition_number(np.zeros((3, 3))) == float("inf")
+    def cond(M):
+        return gram_spectrum_via_svd(M, SIDE_COLUMNS).cond_number
+
+    assert cond(np.eye(4)) == pytest.approx(1.0)
+    assert cond(np.diag([1.0, 10.0])) == pytest.approx(10.0)
+    assert cond(np.zeros((3, 3))) == float("inf")
     rank_def = np.outer(np.ones(4), np.ones(3))
-    assert condition_number(rank_def) == float("inf")
+    assert cond(rank_def) == float("inf")
 
 
 def test_gram_spectrum_matches_singular_values_cross_oracle():
     A = _random_fourier(3, 15, 8, 5)
-    spec = gram_spectrum(A, SIDE_COLUMNS)
-    sv = singular_values(A.entries)
-    assert np.all(spec.eigenvalues >= -1e-9)
-    rel = np.abs(np.sort(sv**2 / 15) - spec.eigenvalues) / spec.eigenvalues[-1]
+    eigs = np.sort(np.linalg.eigvalsh(A.conj().T @ A) / 15)
+    sv = singular_values(A)
+    assert np.all(eigs >= -1e-9)
+    rel = np.abs(np.sort(sv**2 / 15) - eigs) / eigs[-1]
     assert rel.max() <= 1e-8
 
 
 def test_rip_s1_is_zero_for_unit_norm_columns():
     A = _random_fourier(2, 25, 6, 7)
-    est = rip_constant_exact(A.entries / np.sqrt(25), 1)
+    est = rip_constant_exact(A / np.sqrt(25), 1)
     assert est.method == "exact_enumeration"
     assert est.supports_evaluated == 6
     assert est.value <= 1e-10
@@ -98,7 +93,7 @@ def test_rip_s1_is_zero_for_unit_norm_columns():
 
 def test_rip_full_support_equals_operator_norm():
     A = _random_fourier(2, 30, 7, 8)
-    An = A.entries / np.sqrt(30)
+    An = A / np.sqrt(30)
     est = rip_constant_exact(An, 7)
     op = np.linalg.norm(An.conj().T @ An - np.eye(7), 2)
     assert est.value == pytest.approx(op, abs=1e-10)
@@ -106,7 +101,7 @@ def test_rip_full_support_equals_operator_norm():
 
 def test_rip_nondecreasing_in_sparsity():
     A = _random_fourier(3, 30, 8, 9)
-    An = A.entries / np.sqrt(30)
+    An = A / np.sqrt(30)
     values = [rip_constant_exact(An, s).value for s in range(1, 9)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -114,12 +109,12 @@ def test_rip_nondecreasing_in_sparsity():
 def test_rip_budget_error_advises_randomized():
     A = _random_fourier(2, 10, 30, 10)
     with pytest.raises(EnumerationBudgetError, match="randomized"):
-        rip_constant_exact(A.entries / np.sqrt(10), 15, budget=1000)
+        rip_constant_exact(A / np.sqrt(10), 15, budget=1000)
 
 
 def test_rip_mc_is_lower_bound_and_saturates_on_tiny_instances():
     A = _random_fourier(2, 12, 5, 11)
-    An = A.entries / np.sqrt(12)
+    An = A / np.sqrt(12)
     for s in (1, 2, 3):
         exact = rip_constant_exact(An, s)
         mc = rip_constant_lower_mc(An, s, 400, split_stream(0, 0))
@@ -131,7 +126,7 @@ def test_rip_mc_is_lower_bound_and_saturates_on_tiny_instances():
 
 def test_rip_mc_monotone_in_trials_with_shared_prefix():
     A = _random_fourier(3, 15, 9, 12)
-    An = A.entries / np.sqrt(15)
+    An = A / np.sqrt(15)
     stream = split_stream(5, 1)
     v10 = rip_constant_lower_mc(An, 3, 10, stream).value
     v50 = rip_constant_lower_mc(An, 3, 50, stream).value
@@ -140,7 +135,7 @@ def test_rip_mc_monotone_in_trials_with_shared_prefix():
 
 def test_rip_invariant_under_column_permutation():
     A = _random_fourier(2, 20, 6, 13)
-    An = A.entries / np.sqrt(20)
+    An = A / np.sqrt(20)
     base = rip_constant_exact(An, 3).value
     gen = np.random.default_rng(3)
     for _ in range(4):
@@ -152,20 +147,21 @@ def test_band_membership_caps_full_rip_constant():
     # If every eigenvalue of (1/m)A*A lies in [1-t, 1+t] then delta_N <= t by
     # definition; the exact enumerator must agree to round-off.
     A = _random_fourier(3, 40, 5, 14)
-    spec = gram_spectrum(A, SIDE_COLUMNS)
+    spec = gram_spectrum_via_svd(A, SIDE_COLUMNS)
     t = max(spec.lambda_max - 1.0, 1.0 - spec.lambda_min)
-    est = rip_constant_exact(A.entries / np.sqrt(40), 5)
+    est = rip_constant_exact(A / np.sqrt(40), 5)
     assert est.value <= t + 1e-10
 
 
 def test_svd_route_agrees_with_eigendecomposition_route():
     A = _random_fourier(3, 12, 7, 16)
-    for side in (SIDE_COLUMNS, SIDE_ROWS):
-        a = gram_spectrum(A, side)
+    oracles = {SIDE_COLUMNS: np.linalg.eigvalsh(A.conj().T @ A) / 12,
+               SIDE_ROWS: np.linalg.eigvalsh(A @ A.conj().T) / 7}
+    for side, a in oracles.items():
         b = gram_spectrum_via_svd(A, side)
-        assert a.eigenvalues.shape == b.eigenvalues.shape
-        scale = max(a.lambda_max, 1e-12)
-        assert np.abs(a.eigenvalues - b.eigenvalues).max() / scale <= 1e-8
+        assert a.shape == b.eigenvalues.shape
+        scale = max(a[-1], 1e-12)
+        assert np.abs(a - b.eigenvalues).max() / scale <= 1e-8
     # the un-padded side is finite; the padded side is flagged infinite
     assert gram_spectrum_via_svd(A, SIDE_COLUMNS).cond_number < float("inf")
     assert gram_spectrum_via_svd(A, SIDE_ROWS).cond_number == float("inf")
@@ -205,21 +201,11 @@ def test_density_validation():
 def test_gram_eigenvalues_consistent_with_singular_values(m, n, trial):
     _, _, A = random_features(2, m, n, 1.0, 1.0, split_stream(321, trial))
     side = SIDE_COLUMNS if n <= m else SIDE_ROWS
-    spec = gram_spectrum(A, side)
-    sv = singular_values(A.entries)
+    sv = singular_values(A)
     norm = m if side == SIDE_COLUMNS else n
-    assert np.all(spec.eigenvalues >= -1e-9)
-    scale = max(spec.eigenvalues[-1], 1e-12)
-    assert np.abs(np.sort(sv**2 / norm) - spec.eigenvalues).max() / scale <= 1e-8
+    G = A.conj().T @ A if side == SIDE_COLUMNS else A @ A.conj().T
+    eigs = np.sort(np.linalg.eigvalsh(G) / norm)
+    assert np.all(eigs >= -1e-9)
+    scale = max(eigs[-1], 1e-12)
+    assert np.abs(np.sort(sv**2 / norm) - eigs).max() / scale <= 1e-8
 
-
-def test_csv_exports(tmp_path):
-    A = _random_fourier(2, 10, 4, 15)
-    spec = gram_spectrum(A, SIDE_COLUMNS)
-    write_spectrum_csv(spec, tmp_path / "spec.csv")
-    lines = (tmp_path / "spec.csv").read_text().splitlines()
-    assert lines[0] == "index,eigenvalue"
-    assert len(lines) == 5
-    curve = spectral_density(spec.eigenvalues)
-    write_density_csv(curve, tmp_path / "dens.csv")
-    assert (tmp_path / "dens.csv").read_text().splitlines()[0] == "grid,value"

@@ -7,9 +7,7 @@ from rfcond.features import FOURIER
 from rfcond.sampling import gaussian_matrix, split_stream
 from rfcond.solvers import best_s_term_error
 from rfcond.targets import (
-    RiskReport,
     best_phi_coeffs,
-    empirical_risk,
     evaluate_model,
     gaussian_bump_target,
     linear_target,
@@ -25,6 +23,12 @@ from rfcond.theory import min_features_for_accuracy
 
 def _bump(a=np.sqrt(2.0), sigma=1.0, d=3):
     return gaussian_bump_target(a, sigma, d)
+
+
+def _mc_risk(target, W, c, n_test, data_variance, stream):
+    """Monte Carlo risk mean |f(z) - f#(z)|^2 over z ~ N(0, data_variance I)."""
+    Z = gaussian_matrix(np.asarray(W).shape[0], n_test, data_variance, stream)
+    return float(np.mean(np.abs(target.evaluate(Z) - evaluate_model(W, c, Z)) ** 2))
 
 
 def test_bump_requires_finite_rho_norm():
@@ -95,10 +99,9 @@ def test_evaluate_model_is_linear_in_coefficients():
 
 def test_risk_of_planted_model_on_its_own_target_is_zero():
     t = sample_target("planted", 2, 1.0, split_stream(36, 0), FOURIER, planted_s=3)
-    rep = empirical_risk(t, t.params["W0"], planted_coefficients(t), 500, 1.0,
-                         split_stream(36, 1))
-    assert rep.empirical_risk <= 1e-20
-    assert rep.n_test == 500
+    risk = _mc_risk(t, t.params["W0"], planted_coefficients(t), 500, 1.0,
+                    split_stream(36, 1))
+    assert risk <= 1e-20
 
 
 def test_constant_offset_model_has_unit_risk():
@@ -110,8 +113,8 @@ def test_constant_offset_model_has_unit_risk():
     W = np.hstack([t.params["W0"], np.zeros((d, 1))])
     c = np.concatenate([t.params["c0"], [1.0]])
     n_test = 10_000
-    rep = empirical_risk(t, W, c, n_test, 1.0, split_stream(37, 0))
-    assert abs(rep.empirical_risk - 1.0) <= 3.0 / np.sqrt(n_test)
+    risk = _mc_risk(t, W, c, n_test, 1.0, split_stream(37, 0))
+    assert abs(risk - 1.0) <= 3.0 / np.sqrt(n_test)
 
 
 def test_zero_model_risk_matches_quadrature_oracle():
@@ -119,8 +122,8 @@ def test_zero_model_risk_matches_quadrature_oracle():
     t = _bump(a=a, d=d)
     W = gaussian_matrix(d, 10, 1.0, split_stream(38, 0))
     n_test = 20_000
-    rep = empirical_risk(t, W, np.zeros(10, dtype=complex), n_test, gamma**2,
-                         split_stream(38, 1))
+    risk = _mc_risk(t, W, np.zeros(10, dtype=complex), n_test, gamma**2,
+                    split_stream(38, 1))
 
     def density(x):
         return np.exp(-x**2 / gamma**2 / 2.0) / np.sqrt(2 * np.pi * gamma**2)
@@ -130,14 +133,7 @@ def test_zero_model_risk_matches_quadrature_oracle():
     # second moment of |f|^2 for the standard error
     one_dim4, _ = quad(lambda x: np.exp(-2 * x**2 / a**2) * density(x), -np.inf, np.inf)
     se = np.sqrt(max(one_dim4**d - expected**2, 0.0) / n_test)
-    assert abs(rep.empirical_risk - expected) <= 3 * se
-
-
-def test_risk_report_validation():
-    with pytest.raises(InvalidArgumentError):
-        RiskReport(-0.1, None, 10, None, (0, 0))
-    with pytest.raises(InvalidArgumentError):
-        RiskReport(0.1, None, 0, None, (0, 0))
+    assert abs(risk - expected) <= 3 * se
 
 
 def test_worst_case_theta_examples():
