@@ -197,4 +197,3 @@ def spectral_density(values, bandwidth: float | str = "auto",
     else:
         dens = dens / np.trapezoid(dens, grid)
     return DensityCurve(grid=grid, density=dens, bandwidth=h, normalization=normalization)
-

@@ -208,4 +208,3 @@ def test_gram_eigenvalues_consistent_with_singular_values(m, n, trial):
     assert np.all(eigs >= -1e-9)
     scale = max(eigs[-1], 1e-12)
     assert np.abs(np.sort(sv**2 / norm) - eigs).max() / scale <= 1e-8
-
