@@ -17,8 +17,6 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import (
     ConvergenceError,
     EnumerationBudgetError,
@@ -32,16 +30,17 @@ from .experiments import (
     ExperimentConfig,
     run_bound_validation,
     run_double_descent_sweep,
+    run_rip_study,
     run_spectrum_density,
     run_threshold_study,
 )
-from .features import FOURIER, RELU, build_features
+from .features import FOURIER, RELU
 from .io import json_report, write_csv, write_json
-from .sampling import NOISE_NONE, TAG_DATA, TAG_SUPPORTS, TAG_WEIGHTS, NoiseModel, gaussian_matrix, split_stream
-from .spectral import DEFAULT_ENUMERATION_BUDGET, rip_constant_exact, rip_constant_lower_mc
+from .sampling import NOISE_NONE, NoiseModel
+from .spectral import DEFAULT_ENUMERATION_BUDGET
 from .svg import write_line_chart
 from .targets import KIND_BUMP, KIND_LINEAR, KIND_PLANTED
-from .theory import DEFAULT_CONSTANTS, TheoryConstants, check_regime_conditions
+from .theory import TheoryConstants, check_regime_conditions
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -147,7 +146,7 @@ def _cmd_sweep(args) -> int:
     config = _build_config(args)
     result = run_double_descent_sweep(config)
     out = Path(args.out)
-    write_csv(out / "sweep.csv", SWEEP_COLUMNS, [r.as_tuple() for r in result.rows])
+    write_csv(out / "sweep.csv", SWEEP_COLUMNS, [dataclasses.astuple(r) for r in result.rows])
     write_json(out / "sweep_summary.json",
                {"config": config.config_dict(), "summary": result.summary})
     ns = [float(n) for n in result.summary["n_grid"]]
@@ -208,7 +207,10 @@ def _cmd_validate(args) -> int:
 
 def _cmd_theory(args) -> int:
     constants = TheoryConstants(permissive=args.permissive_constants)
-    n = _parse_n_grid(args.n_grid)[0]
+    grid = _parse_n_grid(args.n_grid)
+    if len(grid) != 1:
+        raise InvalidArgumentError(f"theory takes a single N, got {len(grid)} values")
+    n = grid[0]
     report = check_regime_conditions(args.m, n, args.d, args.gamma, args.sigma,
                                      args.eta, constants)
     sys.stdout.write(json_report(report.as_dict()))
@@ -216,38 +218,9 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_rip(args) -> int:
-    n = _parse_n_grid(args.n_grid)[0]
-    s_max = args.s if args.s is not None else n
-    if not 1 <= s_max <= n:
-        raise InvalidArgumentError(f"--s must be in [1, {n}]")
-    stream = split_stream(args.seed, 0)
-    X = gaussian_matrix(args.d, args.m, args.gamma**2, stream.substream(TAG_DATA))
-    W = gaussian_matrix(args.d, n, args.sigma**2, stream.substream(TAG_WEIGHTS))
-    A = build_features(X, W, args.features)
-    A_norm = A / np.sqrt(args.m)
-    estimates = []
-    for s in range(1, s_max + 1):
-        if args.method == "mc":
-            est = rip_constant_lower_mc(A_norm, s, args.rip_trials,
-                                        stream.substream(TAG_SUPPORTS, s))
-        else:
-            try:
-                est = rip_constant_exact(A_norm, s, args.budget)
-            except EnumerationBudgetError:
-                if args.method == "exact":
-                    raise
-                est = rip_constant_lower_mc(A_norm, s, args.rip_trials,
-                                            stream.substream(TAG_SUPPORTS, s))
-        estimates.append({"s": est.s, "value": est.value, "method": est.method,
-                          "supports_evaluated": est.supports_evaluated})
+    report = run_rip_study(_build_config(args), args.method, args.budget, args.rip_trials)
     out = Path(args.out)
-    write_json(out / "rip.json", {
-        "config": {"d": args.d, "m": args.m, "N": n, "gamma": args.gamma,
-                   "sigma": args.sigma, "features": args.features,
-                   "seed": args.seed, "method": args.method,
-                   "budget": args.budget, "rip_trials": args.rip_trials},
-        "estimates": estimates,
-    })
+    write_json(out / "rip.json", report)
     print(f"wrote {out / 'rip.json'}")
     return EXIT_OK
 

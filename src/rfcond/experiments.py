@@ -1,5 +1,7 @@
 """Experiment harness: double-descent sweeps, singular-value density studies,
-interpolation-threshold statistics, and risk-bound validation.
+interpolation-threshold statistics, risk-bound validation, and the restricted
+isometry study of one instance.  Every protocol samples its instances with
+`random_features`.
 
 Trials are pure functions of (master seed, trial index); the harness may fan
 them out over a thread pool and always aggregates in trial order, so output
@@ -14,20 +16,22 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalFailureError
+from .errors import EnumerationBudgetError, InvalidArgumentError, NumericalFailureError
 from .features import FOURIER, RELU, build_features
 from .sampling import (
     NOISE_NONE,
     TAG_DATA,
     TAG_NOISE,
+    TAG_SUPPORTS,
     TAG_TARGET,
     TAG_TEST,
     TAG_WEIGHTS,
     NoiseModel,
+    RngStream,
     gaussian_matrix,
     noise_vector,
     split_stream,
@@ -46,11 +50,12 @@ from .spectral import (
     SIDE_ROWS,
     DensityCurve,
     gram_spectrum_via_svd,
+    rip_constant_exact,
+    rip_constant_lower_mc,
     singular_values,
     spectral_density,
 )
 from .targets import (
-    KIND_BUMP,
     KIND_LINEAR,
     TargetFunction,
     best_phi_coeffs,
@@ -60,6 +65,7 @@ from .targets import (
 )
 from .theory import (
     DEFAULT_CONSTANTS,
+    BoundResult,
     TheoryConstants,
     bp_noise_parameter,
     epsilon_bound,
@@ -78,6 +84,9 @@ _TAG_PIPELINE = 103
 
 SCALING_LABELS = ("N=m", "N=m log m", "N=m log^3 m", "m=N log N", "m=N log^3 N")
 
+# Training pipelines, each with the tag of its validation streams.
+_PIPE_TAGS = {"least_squares": 1, "min_norm": 2, "bpdn_pruned": 3}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -95,7 +104,6 @@ class ExperimentConfig:
     trials: int = 10
     seed: int = 0
     tol: float = 1e-6
-    max_iter: int = 100_000
     n_test: int = 1000
     delta: float = 0.05
     eta: float = 0.5
@@ -125,7 +133,7 @@ class ExperimentConfig:
         if unknown:
             raise InvalidArgumentError(f"unknown scaling labels {sorted(unknown)}")
         if self.pipelines is not None:
-            bad = set(self.pipelines) - {"least_squares", "min_norm", "bpdn_pruned"}
+            bad = set(self.pipelines) - set(_PIPE_TAGS)
             if bad:
                 raise InvalidArgumentError(f"unknown pipelines {sorted(bad)}")
 
@@ -160,14 +168,18 @@ class SweepRow:
     empirical_risk: float
     bound_value: float | None
 
-    def as_tuple(self) -> tuple:
-        return (self.N, self.m, self.d, self.trial, self.cond_number,
-                self.lambda_min, self.lambda_max, self.train_residual,
-                self.empirical_risk, self.bound_value)
+
+SWEEP_COLUMNS = [f.name for f in fields(SweepRow)]
 
 
-SWEEP_COLUMNS = ["N", "m", "d", "trial", "cond_number", "lambda_min", "lambda_max",
-                 "train_residual", "empirical_risk", "bound_value"]
+def random_features(d: int, m: int, n: int, gamma: float, sigma: float, stream: RngStream,
+                    kind: str = FOURIER) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The instance sampler of every protocol: X ~ N(0, gamma^2 I_d) (d x m) and
+    W ~ N(0, sigma^2 I_d) (d x n) from fixed substreams of `stream`, so one
+    stream reproduces the whole instance, and the m x n feature matrix A."""
+    X = gaussian_matrix(d, m, gamma**2, stream.substream(TAG_DATA))
+    W = gaussian_matrix(d, n, sigma**2, stream.substream(TAG_WEIGHTS))
+    return X, W, build_features(X, W, kind)
 
 
 def _map_trials(fn, trials: int, workers: int) -> list:
@@ -177,28 +189,45 @@ def _map_trials(fn, trials: int, workers: int) -> list:
         return list(pool.map(fn, range(trials)))
 
 
-def _resolve_noise(config: ExperimentConfig, clean: np.ndarray) -> NoiseModel:
+def _train_and_test(config: ExperimentConfig, target: TargetFunction, pipeline: str,
+                    X: np.ndarray, W: np.ndarray, A: np.ndarray, stream,
+                    xi: float | None = None,
+                    s: int | None = None) -> tuple[CoefficientVector, float, NoiseModel]:
+    """(fit, test risk, noise model): fit `pipeline` to the target plus noise
+    from the noise substream of `stream` at X (bpdn_pruned: BPDN at level `xi`,
+    pruned to `s` terms), then take the Monte Carlo risk mean |f(z) - f#(z)|^2
+    over n_test points z ~ N(0, gamma^2 I_d) from the test substream.  snr
+    noise resolves to a Gaussian of level snr * std(clean outputs)."""
+    clean = target.evaluate(X)
+    noise = config.noise
     if config.noise_snr is not None:
         level = config.noise_snr * float(np.std(clean))
-        return NoiseModel("gaussian", level) if level > 0 else NOISE_NONE
-    return config.noise
-
-
-def _training_outputs(config: ExperimentConfig, target: TargetFunction,
-                      X: np.ndarray, cell) -> tuple[np.ndarray, NoiseModel]:
-    clean = target.evaluate(X)
-    model = _resolve_noise(config, clean)
-    e = noise_vector(X.shape[1], model, cell.substream(TAG_NOISE))
-    return clean + e, model
-
-
-def _risk_at_test_points(config: ExperimentConfig, target: TargetFunction,
-                         W: np.ndarray, coeff: CoefficientVector, stream) -> float:
-    """Monte Carlo risk mean |f(z) - f#(z)|^2 over n_test fresh points
-    z ~ N(0, gamma^2 I_d) drawn from the test substream of `stream`."""
+        noise = NoiseModel("gaussian", level) if level > 0 else NOISE_NONE
+    y = clean + noise_vector(X.shape[1], noise, stream.substream(TAG_NOISE))
+    if pipeline == "least_squares":
+        coeff = least_squares(A, y)
+    elif pipeline == "min_norm":
+        coeff = min_norm_interpolate(A, y)
+    else:
+        coeff = prune_top_s(bpdn(A, y, xi, config.tol), s)
     Z = gaussian_matrix(config.d, config.n_test, config.gamma**2, stream.substream(TAG_TEST))
     preds = evaluate_model(W, coeff, Z, config.feature_kind)
-    return float(np.mean(np.abs(target.evaluate(Z) - preds) ** 2))
+    return coeff, float(np.mean(np.abs(target.evaluate(Z) - preds) ** 2)), noise
+
+
+def _risk_bound(config: ExperimentConfig, pipeline: str, n: int, rho: float, E: float,
+                constants: TheoryConstants, s: int | None = None,
+                eps: float | None = None, theta: float | None = None) -> BoundResult:
+    """The paper's risk bound for `pipeline` at N = n; the pruned sparse
+    pipeline also needs s, epsilon and the best s-term error theta."""
+    if pipeline == "least_squares":
+        return risk_bound_ls(n, config.m, config.d, config.gamma, config.sigma,
+                             config.delta, config.eta, rho, E, constants)
+    if pipeline == "min_norm":
+        return risk_bound_minnorm(n, config.m, config.d, config.gamma, config.sigma,
+                                  config.delta, config.eta, rho, E, constants)
+    return risk_bound_bp(n, config.m, s, config.delta, eps, rho, E, theta, constants,
+                         d=config.d, gamma=config.gamma, sigma=config.sigma)
 
 
 def _sweep_trial(config: ExperimentConfig, trial: int) -> list[SweepRow]:
@@ -209,33 +238,20 @@ def _sweep_trial(config: ExperimentConfig, trial: int) -> list[SweepRow]:
     rows = []
     for n in config.n_grid:
         cell = base.substream(_TAG_GRID, n)
-        X = gaussian_matrix(config.d, config.m, config.gamma**2, cell.substream(TAG_DATA))
-        W = gaussian_matrix(config.d, n, config.sigma**2, cell.substream(TAG_WEIGHTS))
-        A = build_features(X, W, config.feature_kind)
-        y, noise = _training_outputs(config, target, X, cell)
-
+        X, W, A = random_features(config.d, config.m, n, config.gamma, config.sigma,
+                                  cell, config.feature_kind)
         side = SIDE_COLUMNS if n <= config.m else SIDE_ROWS
         spec = gram_spectrum_via_svd(A, side)
 
         # A singular row Gram keeps the trial with the flagged pseudoinverse
         # fit; its infinite condition number is in the spectral summary.
-        if n < config.m:
-            coeff = least_squares(A, y)
-        else:
-            coeff = min_norm_interpolate(A, y)
-        risk = _risk_at_test_points(config, target, W, coeff, cell)
+        pipeline = "least_squares" if n < config.m else "min_norm"
+        coeff, risk, noise = _train_and_test(config, target, pipeline, X, W, A, cell)
 
         bound = None
         if config.compute_bounds and target.rho_norm is not None and n != config.m:
-            E = noise.bound
-            if n < config.m:
-                bound = risk_bound_ls(n, config.m, config.d, config.gamma, config.sigma,
-                                      config.delta, config.eta, target.rho_norm, E,
-                                      config.constants).value
-            else:
-                bound = risk_bound_minnorm(n, config.m, config.d, config.gamma,
-                                           config.sigma, config.delta, config.eta,
-                                           target.rho_norm, E, config.constants).value
+            bound = _risk_bound(config, pipeline, n, target.rho_norm, noise.bound,
+                                config.constants).value
 
         rows.append(SweepRow(N=n, m=config.m, d=config.d, trial=trial,
                              cond_number=spec.cond_number,
@@ -333,9 +349,8 @@ def run_spectrum_density(config: ExperimentConfig) -> list[DensityStudyEntry]:
 
         def one_trial(t: int, m=m, n=n, idx=idx) -> np.ndarray:
             stream = split_stream(config.seed, t).substream(_TAG_SCALING, idx)
-            X = gaussian_matrix(config.d, m, config.gamma**2, stream.substream(TAG_DATA))
-            W = gaussian_matrix(config.d, n, config.sigma**2, stream.substream(TAG_WEIGHTS))
-            A = build_features(X, W, config.feature_kind)
+            _, _, A = random_features(config.d, m, n, config.gamma, config.sigma, stream,
+                                      config.feature_kind)
             return singular_values(A / math.sqrt(max(m, n)))
 
         pooled = np.concatenate(_map_trials(one_trial, config.trials, config.workers))
@@ -354,9 +369,8 @@ def run_threshold_study(config: ExperimentConfig) -> dict:
     for n in config.n_grid:
         def one_trial(t: int, n=n) -> tuple[float, float]:
             stream = split_stream(config.seed, t).substream(_TAG_GRID, n)
-            X = gaussian_matrix(config.d, n, config.gamma**2, stream.substream(TAG_DATA))
-            W = gaussian_matrix(config.d, n, config.sigma**2, stream.substream(TAG_WEIGHTS))
-            A = build_features(X, W, config.feature_kind)
+            _, _, A = random_features(config.d, n, n, config.gamma, config.sigma, stream,
+                                      config.feature_kind)
             spec = gram_spectrum_via_svd(A, SIDE_COLUMNS)
             return spec.lambda_min, spec.lambda_max
 
@@ -427,61 +441,37 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
     permissive = config.constants.as_permissive()
     E = config.noise.bound
     rho = target.rho_norm
-    pipe_tags = {"least_squares": 1, "min_norm": 2, "bpdn_pruned": 3}
     pipelines = []
     for name, n in _validation_pipelines(config):
         s = min(config.s, n) if config.s is not None else None
         eps = epsilon_bound(n, config.m, config.d, config.gamma, config.sigma, config.delta)
+        xi = bp_noise_parameter(eps, rho, E)
 
-        def one_trial(t: int, name=name, n=n, s=s, eps=eps) -> dict:
+        def one_trial(t: int, name=name, n=n, s=s, xi=xi) -> tuple[float, float | None]:
             stream = split_stream(config.seed, t).substream(_TAG_PIPELINE, n,
-                                                            pipe_tags[name])
-            X = gaussian_matrix(config.d, config.m, config.gamma**2,
-                                stream.substream(TAG_DATA))
-            W = gaussian_matrix(config.d, n, config.sigma**2,
-                                stream.substream(TAG_WEIGHTS))
-            A = build_features(X, W, FOURIER)
-            clean = target.evaluate(X)
-            e = noise_vector(config.m, config.noise, stream.substream(TAG_NOISE))
-            y = clean + e
-
-            theta = None
-            if name == "least_squares":
-                coeff = least_squares(A, y)
-            elif name == "min_norm":
-                coeff = min_norm_interpolate(A, y)
-                if FLAG_SINGULAR_GRAM in coeff.diagnostics.flags:
-                    raise NumericalFailureError(
-                        "row Gram AA* is numerically singular; interpolation unavailable")
-            else:
-                xi = bp_noise_parameter(eps, rho, E)
-                coeff = bpdn(A, y, xi, config.tol, config.max_iter)
-                coeff = prune_top_s(coeff, s)
-                theta = best_s_term_error(best_phi_coeffs(target, W), s, 1)
-            return {"risk": _risk_at_test_points(config, target, W, coeff, stream),
-                    "theta": theta}
+                                                            _PIPE_TAGS[name])
+            X, W, A = random_features(config.d, config.m, n, config.gamma, config.sigma,
+                                      stream, FOURIER)
+            coeff, risk, _ = _train_and_test(config, target, name, X, W, A, stream, xi, s)
+            if FLAG_SINGULAR_GRAM in coeff.diagnostics.flags:
+                raise NumericalFailureError(
+                    "row Gram AA* is numerically singular; interpolation unavailable")
+            theta = (best_s_term_error(best_phi_coeffs(target, W), s, 1)
+                     if name == "bpdn_pruned" else None)
+            return risk, theta
 
         results = _map_trials(one_trial, config.trials, config.workers)
 
-        def bound_for(mode_constants, trial_result, name=name, n=n, s=s, eps=eps):
-            if name == "least_squares":
-                return risk_bound_ls(n, config.m, config.d, config.gamma, config.sigma,
-                                     config.delta, config.eta, rho, E, mode_constants)
-            if name == "min_norm":
-                return risk_bound_minnorm(n, config.m, config.d, config.gamma,
-                                          config.sigma, config.delta, config.eta,
-                                          rho, E, mode_constants)
-            return risk_bound_bp(n, config.m, s, config.delta, eps, rho, E,
-                                 trial_result["theta"], mode_constants,
-                                 d=config.d, gamma=config.gamma, sigma=config.sigma)
+        def bound_for(constants, result, name=name, n=n, s=s, eps=eps):
+            return _risk_bound(config, name, n, rho, E, constants, s, eps, result[1])
 
         trial_rows = []
         covered = 0
         for t, res in enumerate(results):
             b = bound_for(permissive, res)
-            ok = res["risk"] <= b.value
+            ok = res[0] <= b.value
             covered += ok
-            trial_rows.append({"trial": t, "empirical_risk": res["risk"],
+            trial_rows.append({"trial": t, "empirical_risk": res[0],
                                "bound_value": b.value, "covered": bool(ok)})
         rep_strict = bound_for(strict, results[0])
         rep_perm = bound_for(permissive, results[0])
@@ -490,7 +480,7 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
             "eta": config.eta, "delta": config.delta, "epsilon": eps,
             "noise_bound": E,
             "coverage": covered / config.trials,
-            "mean_risk": float(np.mean([r["risk"] for r in results])),
+            "mean_risk": float(np.mean([r[0] for r in results])),
             "conditions": {
                 "strict": rep_strict.as_dict(),
                 "permissive": rep_perm.as_dict(),
@@ -501,4 +491,47 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
         "config": config.config_dict(),
         "target": target_to_json(target),
         "pipelines": pipelines,
+    }
+
+
+def run_rip_study(config: ExperimentConfig, method: str, budget: int,
+                  rip_trials: int) -> dict:
+    """Restricted isometry constants delta_s, s = 1..config.s (default N), of
+    one normalized instance A / sqrt(m) at the grid's single N.  "exact"
+    enumerates every support within `budget`; "mc" lower-bounds delta_s from
+    `rip_trials` random supports; "auto" enumerates and falls back to the
+    random lower bound once the budget is exceeded."""
+    if len(config.n_grid) != 1:
+        raise InvalidArgumentError(
+            f"the rip study takes a single N, got {len(config.n_grid)} values")
+    if method not in ("auto", "exact", "mc"):
+        raise InvalidArgumentError(f"unknown rip method {method!r}")
+    n = config.n_grid[0]
+    s_max = config.s if config.s is not None else n
+    if not 1 <= s_max <= n:
+        raise InvalidArgumentError(f"s must be in [1, {n}]")
+    stream = split_stream(config.seed, 0)
+    _, _, A = random_features(config.d, config.m, n, config.gamma, config.sigma, stream,
+                              config.feature_kind)
+    A_norm = A / np.sqrt(config.m)
+    estimates = []
+    for s in range(1, s_max + 1):
+        est = None
+        if method != "mc":
+            try:
+                est = rip_constant_exact(A_norm, s, budget)
+            except EnumerationBudgetError:
+                if method == "exact":
+                    raise
+        if est is None:
+            est = rip_constant_lower_mc(A_norm, s, rip_trials,
+                                        stream.substream(TAG_SUPPORTS, s))
+        estimates.append({"s": est.s, "value": est.value, "method": est.method,
+                          "supports_evaluated": est.supports_evaluated})
+    return {
+        "config": {"d": config.d, "m": config.m, "N": n, "gamma": config.gamma,
+                   "sigma": config.sigma, "features": config.feature_kind,
+                   "seed": config.seed, "method": method,
+                   "budget": budget, "rip_trials": rip_trials},
+        "estimates": estimates,
     }

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .sampling import TAG_DATA, TAG_WEIGHTS, RngStream, gaussian_matrix
 
 FOURIER = "fourier"
 RELU = "relu"
@@ -45,22 +44,3 @@ def build_features(X: np.ndarray, W: np.ndarray, kind: str) -> np.ndarray:
     if kind == RELU:
         return relu_features(X, W)
     raise InvalidArgumentError(f"unknown feature kind {kind!r}")
-
-
-def random_features(
-    d: int,
-    m: int,
-    n: int,
-    gamma: float,
-    sigma: float,
-    stream: RngStream,
-    kind: str = FOURIER,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample X ~ N(0, gamma^2 I_d) and W ~ N(0, sigma^2 I_d), then build A.
-
-    Data and weights come from fixed substreams of `stream`, so one stream per
-    trial reproduces the whole instance.
-    """
-    X = gaussian_matrix(d, m, gamma**2, stream.substream(TAG_DATA))
-    W = gaussian_matrix(d, n, sigma**2, stream.substream(TAG_WEIGHTS))
-    return X, W, build_features(X, W, kind)

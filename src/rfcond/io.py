@@ -18,6 +18,15 @@ import numpy as np
 REPORT_VERSION = "rfcond-report/1"
 
 
+def _nonfinite_name(x: float) -> str | None:
+    """"nan", "inf" or "-inf" for a non-finite float; None for a finite one."""
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return None
+
+
 def fmt_value(x) -> str:
     if x is None:
         return ""
@@ -26,12 +35,7 @@ def fmt_value(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return repr(x)
+        return _nonfinite_name(float(x)) or repr(float(x))
     return str(x)
 
 
@@ -61,12 +65,7 @@ def jsonable(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
+        return _nonfinite_name(float(obj)) or float(obj)
     return obj
 
 

@@ -18,13 +18,6 @@ from .errors import (
     InvalidArgumentError,
 )
 
-ORIGIN_LEAST_SQUARES = "least_squares"
-ORIGIN_MIN_NORM = "min_norm"
-ORIGIN_RIDGE = "ridge"
-ORIGIN_BPDN = "bpdn"
-ORIGIN_PLANTED = "planted"
-ORIGIN_BEST_PHI = "best_phi"
-
 FLAG_SINGULAR_GRAM = "singular_gram_pseudoinverse"
 
 
@@ -39,7 +32,6 @@ class Diagnostics:
 @dataclass(frozen=True)
 class CoefficientVector:
     values: np.ndarray
-    origin: str
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
 
     def __len__(self) -> int:
@@ -70,7 +62,7 @@ def least_squares(A: np.ndarray, y: np.ndarray) -> CoefficientVector:
     c, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
     flags = () if rank == n else ("rank_deficient_pseudoinverse",)
     diag = Diagnostics(residual_norm=_residual_norm(A, c, y), flags=flags)
-    return CoefficientVector(c, ORIGIN_LEAST_SQUARES, diag)
+    return CoefficientVector(c, diag)
 
 
 def min_norm_interpolate(A: np.ndarray, y: np.ndarray) -> CoefficientVector:
@@ -85,7 +77,7 @@ def min_norm_interpolate(A: np.ndarray, y: np.ndarray) -> CoefficientVector:
     c, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
     flags = () if rank == m else (FLAG_SINGULAR_GRAM,)
     diag = Diagnostics(residual_norm=_residual_norm(A, c, y), flags=flags)
-    return CoefficientVector(c, ORIGIN_MIN_NORM, diag)
+    return CoefficientVector(c, diag)
 
 
 def ridge(A: np.ndarray, y: np.ndarray, lam: float) -> CoefficientVector:
@@ -105,7 +97,7 @@ def ridge(A: np.ndarray, y: np.ndarray, lam: float) -> CoefficientVector:
         G = A @ A.conj().T + m * lam * np.eye(m)
         c = A.conj().T @ np.linalg.solve(G, y)
     diag = Diagnostics(residual_norm=_residual_norm(A, c, y))
-    return CoefficientVector(c, ORIGIN_RIDGE, diag)
+    return CoefficientVector(c, diag)
 
 
 def _soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
@@ -149,7 +141,7 @@ def bpdn(A: np.ndarray, y: np.ndarray, xi: float, tolerance: float = 1e-6,
     if np.linalg.norm(y) <= radius:
         diag = Diagnostics(residual_norm=float(np.linalg.norm(y)), iterations=0,
                            duality_gap=0.0)
-        return CoefficientVector(np.zeros(n, dtype=np.complex128), ORIGIN_BPDN, diag)
+        return CoefficientVector(np.zeros(n, dtype=np.complex128), diag)
 
     c_feas, *_ = np.linalg.lstsq(A, y, rcond=None)
     min_residual = float(np.linalg.norm(A @ c_feas - y))
@@ -178,7 +170,7 @@ def bpdn(A: np.ndarray, y: np.ndarray, xi: float, tolerance: float = 1e-6,
             if feas <= tolerance and gap <= tolerance:
                 diag = Diagnostics(residual_norm=_residual_norm(A, c, y),
                                    iterations=it, duality_gap=gap)
-                return CoefficientVector(c, ORIGIN_BPDN, diag)
+                return CoefficientVector(c, diag)
     raise ConvergenceError(
         f"bpdn did not certify optimality in {max_iter} iterations "
         f"(gap {gap:.3e}, feasibility {feas:.3e})",

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InvalidArgumentError, UnsupportedTargetError
 from .features import FOURIER, build_features
 from .sampling import RngStream, gaussian_matrix
-from .solvers import ORIGIN_BEST_PHI, ORIGIN_PLANTED, CoefficientVector, Diagnostics
+from .solvers import CoefficientVector
 
 KIND_LINEAR = "linear"
 KIND_PLANTED = "planted"
@@ -127,15 +127,13 @@ def best_phi_coeffs(target: TargetFunction, W: np.ndarray) -> CoefficientVector:
     c*_k = alpha(w_k) / (N rho(w_k)); every entry obeys |c*_k| <= ||f||_rho / N."""
     ratio = target.alpha_over_rho(np.asarray(W))
     n = ratio.shape[0]
-    return CoefficientVector(np.asarray(ratio, dtype=np.complex128) / n,
-                             ORIGIN_BEST_PHI, Diagnostics())
+    return CoefficientVector(np.asarray(ratio, dtype=np.complex128) / n)
 
 
 def planted_coefficients(target: TargetFunction) -> CoefficientVector:
     if target.kind != KIND_PLANTED:
         raise UnsupportedTargetError("only planted targets carry native coefficients")
-    return CoefficientVector(np.asarray(target.params["c0"], dtype=np.complex128),
-                             ORIGIN_PLANTED, Diagnostics())
+    return CoefficientVector(np.asarray(target.params["c0"], dtype=np.complex128))
 
 
 def evaluate_model(W: np.ndarray, c: CoefficientVector | np.ndarray, Z: np.ndarray,

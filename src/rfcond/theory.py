@@ -237,10 +237,14 @@ def min_features_for_accuracy(epsilon: float, delta: float) -> int:
     return math.ceil(value)
 
 
-def _failure_probability(small: int, big: int) -> float:
-    """small^(-log^2(small) * log(3 big)); underflows cleanly to 0."""
-    t = math.log(small) ** 3 * math.log(3.0 * big)
+def _exp_neg(t: float) -> float:
+    """exp(-t), underflowing cleanly to 0 once it is below the smallest float."""
     return math.exp(-t) if t < 745.0 else 0.0
+
+
+def _failure_probability(small: int, big: int) -> float:
+    """small^(-log^2(small) * log(3 big))."""
+    return _exp_neg(math.log(small) ** 3 * math.log(3.0 * big))
 
 
 def check_regime_conditions(m: int, N: int, d: int, gamma: float, sigma: float,
@@ -373,8 +377,7 @@ def check_bp_conditions(m: int, N: int, s: int, d: int, gamma: float, sigma: flo
     lhs_main = m / math.log(3.0 * m)
     rhs_main = C * s * math.log(2.0 * s) ** 2 * math.log(N)
     lhs_sparse = _exp_power(2.0 * gamma**2 * sigma**2 + 1.0, 0.5 * d) / 105.0
-    t = math.log(2.0 * s) ** 2 * math.log(3.0 * m) * math.log(N)
-    floor = math.exp(-t) if t < 745.0 else 0.0
+    floor = _exp_neg(math.log(2.0 * s) ** 2 * math.log(3.0 * m) * math.log(N))
     return (
         ConditionCheck("sample_complexity", lhs_main, rhs_main, lhs_main >= rhs_main),
         ConditionCheck("sparsity_uncertainty", lhs_sparse, float(s), lhs_sparse >= s),

@@ -18,9 +18,9 @@ from rfcond.experiments import (
     run_bound_validation,
     run_double_descent_sweep,
     run_spectrum_density,
+    random_features,
     run_threshold_study,
 )
-from rfcond.features import random_features
 from rfcond.sampling import NoiseModel, noise_vector, split_stream
 from rfcond.solvers import (
     best_s_term_error,

@@ -89,6 +89,34 @@ def test_rip_auto_falls_back_to_randomized(tmp_path):
     assert values == sorted(values)
 
 
+def test_rip_mc_lower_bounds_the_exact_constants(tmp_path):
+    base = ["rip", "--d", "2", "--m", "10", "--n-grid", "8", "--s", "4", "--seed", "3",
+            "--rip-trials", "25"]
+    payloads = {}
+    for method in ("mc", "exact"):
+        out = tmp_path / method
+        assert cli.main(base + ["--method", method, "--out", str(out)]) == 0
+        payloads[method] = json.loads((out / "rip.json").read_text())
+    mc, exact = payloads["mc"]["estimates"], payloads["exact"]["estimates"]
+    assert [e["s"] for e in mc] == [1, 2, 3, 4]
+    assert {e["method"] for e in mc} == {"randomized_lower_bound"}
+    assert {e["supports_evaluated"] for e in mc} == {25}
+    assert {e["method"] for e in exact} == {"exact_enumeration"}
+    for lower, full in zip(mc, exact):
+        assert lower["value"] <= full["value"]
+
+
+@pytest.mark.parametrize("command", ["rip", "theory"])
+def test_single_n_commands_reject_a_multi_value_grid(command, tmp_path, capsys):
+    rc = cli.main([command, "--d", "2", "--m", "10", "--n-grid", "6,8",
+                   "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "single N" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "rip.json").exists()
+
+
 def test_sweep_outputs_are_byte_identical_across_runs_and_workers(tmp_path):
     args = ["sweep", "--d", "3", "--m", "15", "--n-grid", "5:30:5",
             "--sigma", "0.5", "--trials", "3", "--seed", "9", "--n-test", "100"]

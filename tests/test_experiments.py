@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -39,9 +40,9 @@ def test_config_validation():
 
 
 def test_sweep_is_deterministic_and_worker_independent():
-    rows_a = [r.as_tuple() for r in run_double_descent_sweep(_sweep_config()).rows]
-    rows_b = [r.as_tuple() for r in run_double_descent_sweep(_sweep_config()).rows]
-    rows_c = [r.as_tuple() for r in
+    rows_a = [dataclasses.astuple(r) for r in run_double_descent_sweep(_sweep_config()).rows]
+    rows_b = [dataclasses.astuple(r) for r in run_double_descent_sweep(_sweep_config()).rows]
+    rows_c = [dataclasses.astuple(r) for r in
               run_double_descent_sweep(_sweep_config(workers=4)).rows]
     assert rows_a == rows_b
     assert rows_a == rows_c

@@ -7,9 +7,9 @@ from rfcond.features import (
     RELU,
     build_features,
     fourier_features,
-    random_features,
     relu_features,
 )
+from rfcond.experiments import random_features
 from rfcond.sampling import split_stream
 from rfcond.spectral import SIDE_COLUMNS, SIDE_ROWS, gram_spectrum_via_svd
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rfcond.errors import ConvergenceError, InfeasibleProblemError, InvalidArgumentError
-from rfcond.features import random_features
+from rfcond.experiments import random_features
 from rfcond.sampling import NoiseModel, noise_vector, split_stream
 from rfcond.solvers import (
     FLAG_SINGULAR_GRAM,
@@ -27,7 +27,7 @@ def _random_complex(gen, m, n):
 
 
 def _coeff(values):
-    return CoefficientVector(np.asarray(values, dtype=complex), "planted", Diagnostics())
+    return CoefficientVector(np.asarray(values, dtype=complex), Diagnostics())
 
 
 def test_least_squares_constant_column_returns_mean():

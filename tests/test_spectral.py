@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rfcond.errors import EnumerationBudgetError, InvalidArgumentError
-from rfcond.features import random_features
+from rfcond.experiments import random_features
 from rfcond.sampling import split_stream
 from rfcond.spectral import (
     SIDE_COLUMNS,
