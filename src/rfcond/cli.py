@@ -97,48 +97,64 @@ def _parse_target(text: str) -> tuple[str, int, float | None]:
     raise InvalidArgumentError(f"unknown target kind {kind!r}")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d", type=int, default=3, help="data dimension")
-    p.add_argument("--m", type=int, default=100, help="number of samples")
-    p.add_argument("--n-grid", default="100", help="feature counts, a:b:step or comma list")
-    p.add_argument("--gamma", type=float, default=1.0, help="data std dev")
-    p.add_argument("--sigma", type=float, default=1.0, help="weight std dev")
-    p.add_argument("--features", choices=[FOURIER, RELU], default=FOURIER)
-    p.add_argument("--noise", default="none", help="none | bounded:E | gaussian:nu | snr:ratio")
-    p.add_argument("--target", default="linear", help="linear | planted:s | bump:a")
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--s", type=int, default=None, help="pruning size for sparse pipelines")
-    p.add_argument("--pipelines", default=None,
-                   help="comma list of least_squares,min_norm,bpdn_pruned (default: all)")
-    p.add_argument("--n-test", type=int, default=1000)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--permissive-constants", action="store_true",
-                   help="treat the universal condition constant as 1")
-    p.add_argument("--bounds", action="store_true",
-                   help="attach risk-bound values to sweep rows")
+# Every option of every command, written once: flag -> argparse keywords.
+# A command offers only the flags it reads; _build_config takes the default
+# of a flag the command does not offer from this table.
+_FLAGS = {
+    "d": dict(type=int, default=3, help="data dimension"),
+    "m": dict(type=int, default=100, help="number of samples"),
+    "n-grid": dict(default="100", help="feature counts, a:b:step or comma list"),
+    "gamma": dict(type=float, default=1.0, help="data std dev"),
+    "sigma": dict(type=float, default=1.0, help="weight std dev"),
+    "features": dict(choices=[FOURIER, RELU], default=FOURIER, help="feature map"),
+    "noise": dict(default="none", help="none | bounded:E | gaussian:nu | snr:ratio"),
+    "target": dict(default="linear", help="linear | planted:s | bump:a"),
+    "trials": dict(type=int, default=10, help="Monte Carlo trials"),
+    "seed": dict(type=int, default=0, help="master seed"),
+    "tol": dict(type=float, default=1e-6, help="BPDN feasibility and duality-gap tolerance"),
+    "eta": dict(type=float, default=0.5, help="eigenvalue band parameter"),
+    "delta": dict(type=float, default=0.05, help="failure probability of the bounds"),
+    "s": dict(type=int, default=None,
+              help="sparsity: bpdn_pruned pruning size (validate), largest s (rip)"),
+    "pipelines": dict(default=None,
+                      help="comma list of least_squares,min_norm,bpdn_pruned (default: all)"),
+    "n-test": dict(type=int, default=1000, help="test points of the Monte Carlo risk"),
+    "workers": dict(type=int, default=1, help="threads running trials"),
+    "out": dict(default="out", help="output directory"),
+    "permissive-constants": dict(action="store_true", default=False,
+                                 help="treat the universal condition constant as 1"),
+    "bounds": dict(action="store_true", default=False,
+                   help="attach risk-bound values to sweep rows"),
+    "scalings": dict(default="all",
+                     help="semicolon-separated subset of: " + "; ".join(SCALING_LABELS)),
+    "method": dict(choices=["auto", "exact", "mc"], default="auto",
+                   help="exact, mc (random supports), or auto (exact within budget, else mc)"),
+    "budget": dict(type=int, default=DEFAULT_ENUMERATION_BUDGET,
+                   help="largest number of supports to enumerate"),
+    "rip-trials": dict(type=int, default=200, help="random supports per s"),
+}
 
 
 def _build_config(args) -> ExperimentConfig:
-    noise, snr = _parse_noise(args.noise)
-    target_kind, planted_s, bump_width = _parse_target(args.target)
-    constants = TheoryConstants(permissive=args.permissive_constants)
-    pipelines = None
-    if args.pipelines is not None:
-        pipelines = tuple(p.strip() for p in args.pipelines.split(","))
+    opt = {name: getattr(args, name.replace("-", "_"), spec["default"])
+           for name, spec in _FLAGS.items()}
+    noise, snr = _parse_noise(opt["noise"])
+    target_kind, planted_s, bump_width = _parse_target(opt["target"])
+    pipelines, scalings = None, SCALING_LABELS
+    if opt["pipelines"] is not None:
+        pipelines = tuple(p.strip() for p in opt["pipelines"].split(","))
+    if opt["scalings"] != "all":
+        scalings = tuple(s.strip() for s in opt["scalings"].split(";"))
     return ExperimentConfig(
-        d=args.d, m=args.m, n_grid=_parse_n_grid(args.n_grid),
-        gamma=args.gamma, sigma=args.sigma, feature_kind=args.features,
+        d=opt["d"], m=opt["m"], n_grid=_parse_n_grid(opt["n-grid"]),
+        gamma=opt["gamma"], sigma=opt["sigma"], feature_kind=opt["features"],
         noise=noise, noise_snr=snr,
         target_kind=target_kind, planted_s=planted_s, bump_width=bump_width,
-        trials=args.trials, seed=args.seed, tol=args.tol,
-        n_test=args.n_test, delta=args.delta, eta=args.eta, s=args.s,
-        compute_bounds=args.bounds, constants=constants, workers=args.workers,
-        pipelines=pipelines,
+        trials=opt["trials"], seed=opt["seed"], tol=opt["tol"],
+        n_test=opt["n-test"], delta=opt["delta"], eta=opt["eta"], s=opt["s"],
+        compute_bounds=opt["bounds"],
+        constants=TheoryConstants(permissive=opt["permissive-constants"]),
+        workers=opt["workers"], scalings=scalings, pipelines=pipelines,
     )
 
 
@@ -163,9 +179,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     config = _build_config(args)
-    if args.scalings != "all":
-        labels = tuple(s.strip() for s in args.scalings.split(";"))
-        config = dataclasses.replace(config, scalings=labels)
     entries = run_spectrum_density(config)
     out = Path(args.out)
     rows = [(e.label, float(g), float(v))
@@ -206,13 +219,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    constants = TheoryConstants(permissive=args.permissive_constants)
-    grid = _parse_n_grid(args.n_grid)
-    if len(grid) != 1:
-        raise InvalidArgumentError(f"theory takes a single N, got {len(grid)} values")
-    n = grid[0]
-    report = check_regime_conditions(args.m, n, args.d, args.gamma, args.sigma,
-                                     args.eta, constants)
+    config = _build_config(args)
+    if len(config.n_grid) != 1:
+        raise InvalidArgumentError(f"theory takes a single N, got {len(config.n_grid)} values")
+    report = check_regime_conditions(config.m, config.n_grid[0], config.d, config.gamma,
+                                     config.sigma, config.eta, config.constants)
     sys.stdout.write(json_report(report.as_dict()))
     return EXIT_OK
 
@@ -225,6 +236,25 @@ def _cmd_rip(args) -> int:
     return EXIT_OK
 
 
+# command -> (handler, help, the flags it offers)
+_COMMANDS = {
+    "sweep": (_cmd_sweep, "double-descent sweep over the N grid",
+              "d m n-grid gamma sigma features noise target trials seed n-test eta delta "
+              "permissive-constants bounds workers out"),
+    "spectrum": (_cmd_spectrum, "singular value densities under log scalings",
+                 "d m gamma sigma features trials seed workers out scalings"),
+    "threshold": (_cmd_threshold, "interpolation threshold statistics at m=N",
+                  "d n-grid gamma sigma features trials seed workers out"),
+    "validate": (_cmd_validate, "risk-bound coverage experiments",
+                 "d m n-grid gamma sigma features noise target trials seed n-test eta delta "
+                 "permissive-constants tol s pipelines workers out"),
+    "theory": (_cmd_theory, "print the regime condition report as JSON",
+               "d m n-grid gamma sigma eta permissive-constants workers out"),
+    "rip": (_cmd_rip, "restricted isometry constants of one instance",
+            "d m n-grid gamma sigma features seed s workers out method budget rip-trials"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rfcond",
@@ -232,38 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "random feature regression",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sweep", help="double-descent sweep over the N grid")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_sweep)
-
-    p = sub.add_parser("spectrum", help="singular value densities under log scalings")
-    _add_common(p)
-    p.add_argument("--scalings", default="all",
-                   help="semicolon-separated subset of: " + "; ".join(SCALING_LABELS))
-    p.set_defaults(fn=_cmd_spectrum)
-
-    p = sub.add_parser("threshold", help="interpolation threshold statistics at m=N")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_threshold)
-
-    p = sub.add_parser("validate", help="risk-bound coverage experiments")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_validate)
-
-    p = sub.add_parser("theory", help="print the regime condition report as JSON")
-    _add_common(p)
-    p.add_argument("--report", action="store_true", default=True,
-                   help="print the report to stdout (the only mode; accepted "
-                        "for interface stability)")
-    p.set_defaults(fn=_cmd_theory)
-
-    p = sub.add_parser("rip", help="restricted isometry constants of one instance")
-    _add_common(p)
-    p.add_argument("--method", choices=["auto", "exact", "mc"], default="auto")
-    p.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET)
-    p.add_argument("--rip-trials", type=int, default=200)
-    p.set_defaults(fn=_cmd_rip)
+    for command, (fn, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in flags.split():
+            p.add_argument(f"--{name}", **_FLAGS[name])
+        p.set_defaults(fn=fn)
     return parser
 
 

@@ -8,14 +8,13 @@ class InvalidArgumentError(ValueError):
 class NumericalFailureError(RuntimeError):
     """A dense linear-algebra routine failed or hit a rank deficiency.
 
-    Carries enough context (matrix hash, condition estimate) to reproduce
-    the failing instance from logs.
+    Carries the hash of the failing matrix, when there is one, so the
+    instance can be matched across logs.
     """
 
-    def __init__(self, message, matrix_hash=None, condition_estimate=None):
+    def __init__(self, message, matrix_hash=None):
         super().__init__(message)
         self.matrix_hash = matrix_hash
-        self.condition_estimate = condition_estimate
 
 
 class EnumerationBudgetError(RuntimeError):

@@ -354,7 +354,7 @@ def run_spectrum_density(config: ExperimentConfig) -> list[DensityStudyEntry]:
             return singular_values(A / math.sqrt(max(m, n)))
 
         pooled = np.concatenate(_map_trials(one_trial, config.trials, config.workers))
-        curve = spectral_density(pooled, normalization="max_one")
+        curve = spectral_density(pooled)
         entries.append(DensityStudyEntry(label=label, m=m, n=n, curve=curve,
                                          sv_min=float(pooled.min()),
                                          sv_max=float(pooled.max())))
@@ -365,6 +365,8 @@ def run_threshold_study(config: ExperimentConfig) -> dict:
     """Interpolation threshold statistics at m = N for each N in the grid:
     Monte Carlo means of the extreme eigenvalues of (1/N)A*A against their
     closed-form expectation bounds, plus the Markov small-eigenvalue check."""
+    if config.trials < 2:
+        raise InvalidArgumentError("the threshold study needs trials >= 2 for standard errors")
     cells = []
     for n in config.n_grid:
         def one_trial(t: int, n=n) -> tuple[float, float]:
@@ -437,8 +439,7 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
     if config.feature_kind != FOURIER:
         raise InvalidArgumentError("bound validation is defined for fourier features")
 
-    strict = config.constants.as_strict()
-    permissive = config.constants.as_permissive()
+    strict, permissive = TheoryConstants(permissive=False), TheoryConstants(permissive=True)
     E = config.noise.bound
     rho = target.rho_norm
     pipelines = []

@@ -19,6 +19,8 @@ from .errors import (
 )
 
 FLAG_SINGULAR_GRAM = "singular_gram_pseudoinverse"
+# bpdn returned c = 0 without iterating: ||y|| <= xi sqrt(m), so zero is feasible.
+FLAG_ZERO_FEASIBLE = "zero_feasible_no_iterations"
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,9 @@ def bpdn(A: np.ndarray, y: np.ndarray, xi: float, tolerance: float = 1e-6,
     """Basis pursuit denoising: min ||c||_1 subject to ||Ac - y||_2 <= xi sqrt(m).
 
     Primal-dual hybrid gradient on the conic form; stops once the constraint
-    violation and the duality gap are both below `tolerance`.
+    violation and the duality gap are both below `tolerance`.  When c = 0 is
+    feasible it is optimal and is returned at iteration 0, flagged
+    FLAG_ZERO_FEASIBLE.
     """
     A, y = _as_matrix_vector(A, y)
     m, n = A.shape
@@ -140,7 +144,7 @@ def bpdn(A: np.ndarray, y: np.ndarray, xi: float, tolerance: float = 1e-6,
 
     if np.linalg.norm(y) <= radius:
         diag = Diagnostics(residual_norm=float(np.linalg.norm(y)), iterations=0,
-                           duality_gap=0.0)
+                           duality_gap=0.0, flags=(FLAG_ZERO_FEASIBLE,))
         return CoefficientVector(np.zeros(n, dtype=np.complex128), diag)
 
     c_feas, *_ = np.linalg.lstsq(A, y, rcond=None)

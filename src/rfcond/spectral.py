@@ -51,7 +51,6 @@ class DensityCurve:
     grid: np.ndarray
     density: np.ndarray
     bandwidth: float
-    normalization: str  # "max_one" | "integral_one"
 
 
 def _matrix_hash(M: np.ndarray) -> str:
@@ -144,6 +143,8 @@ def rip_constant_lower_mc(A_normalized: np.ndarray, s: int, trials: int,
 
     Supports are drawn sequentially from one generator, so growing `trials`
     with the same stream extends the sample set (the estimate is monotone).
+    A repeated support is not evaluated again; `supports_evaluated` counts
+    the distinct supports drawn.
     """
     M = np.asarray(A_normalized)
     n = M.shape[1]
@@ -153,11 +154,14 @@ def rip_constant_lower_mc(A_normalized: np.ndarray, s: int, trials: int,
         raise InvalidArgumentError("trials must be >= 1")
     gen = stream.generator()
     best = 0.0
+    seen = set()
     for _ in range(trials):
         cols = np.sort(gen.choice(n, size=s, replace=False))
-        best = max(best, _support_deviation(M, cols))
+        if cols.tobytes() not in seen:
+            seen.add(cols.tobytes())
+            best = max(best, _support_deviation(M, cols))
     return RipEstimate(s=s, value=best, method="randomized_lower_bound",
-                       supports_evaluated=trials)
+                       supports_evaluated=len(seen))
 
 
 def _silverman_bandwidth(values: np.ndarray) -> float:
@@ -174,26 +178,14 @@ def _silverman_bandwidth(values: np.ndarray) -> float:
     return h
 
 
-def spectral_density(values, bandwidth: float | str = "auto",
-                     normalization: str = "max_one") -> DensityCurve:
-    """Gaussian-kernel density of `values` on a 512-point grid over
-    [min - 3h, max + 3h]."""
+def spectral_density(values) -> DensityCurve:
+    """Gaussian-kernel density of `values` with Silverman's bandwidth h on a
+    512-point grid over [min - 3h, max + 3h], scaled to a maximum of 1."""
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         raise InvalidArgumentError("values must be non-empty")
-    if normalization not in ("max_one", "integral_one"):
-        raise InvalidArgumentError(f"unknown normalization {normalization!r}")
-    if bandwidth == "auto":
-        h = _silverman_bandwidth(v)
-    else:
-        h = float(bandwidth)
-        if h <= 0:
-            raise InvalidArgumentError("bandwidth must be positive")
+    h = _silverman_bandwidth(v)
     grid = np.linspace(v.min() - 3 * h, v.max() + 3 * h, 512)
     z = (grid[:, None] - v[None, :]) / h
     dens = np.exp(-0.5 * z**2).sum(axis=1) / (v.size * h * np.sqrt(2 * np.pi))
-    if normalization == "max_one":
-        dens = dens / dens.max()
-    else:
-        dens = dens / np.trapezoid(dens, grid)
-    return DensityCurve(grid=grid, density=dens, bandwidth=h, normalization=normalization)
+    return DensityCurve(grid=grid, density=dens / dens.max(), bandwidth=h)

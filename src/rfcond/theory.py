@@ -12,7 +12,7 @@ All logarithms are natural; every ">=" condition passes at exact equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
 
@@ -20,8 +20,16 @@ from .errors import InvalidArgumentError
 ETA_MAX = (math.sqrt(89.0) - 5.0) / 8.0
 
 # Prefactor of the underparameterized least-squares risk bound; explicit in
-# the theorem statement, unlike the configurable proof constants below.
+# the theorem statement.
 LS_PREFACTOR = 16.0
+
+# Constants the proofs leave symbolic: the chaining constant c_tilde1 (finite
+# bound 37.97, asymptotic 15.38), C-tilde of the min-norm risk bound, and C'
+# and C'' of the sparse-regression risk bound.
+C_TILDE1 = 37.97
+C_MIN_NORM = 16.0
+C_PRIME = 10.0
+C_DPRIME = 10.0
 
 REGIME_UNDER = "under"
 REGIME_OVER = "over"
@@ -43,55 +51,24 @@ def _exp_power(base: float, exponent: float) -> float:
 
 @dataclass(frozen=True)
 class TheoryConstants:
-    """Configurable constants left symbolic by the proofs.
+    """Mode of the universal condition constant C.
 
-    c_tilde1 is the chaining constant (finite bound 37.97, asymptotic 15.38);
-    the universal condition constant C defaults to C2(eta) = 4 c_tilde1^2 / eta^2.
+    Strict mode uses the proof-grade C2(eta) = 4 C_TILDE1^2 / eta^2.
     Permissive mode replaces C by 1 for desk-scale empirical validation, where
     the proof-grade constants are unreachable; it never alters bound values.
     """
 
-    c_tilde1: float = 37.97
-    c_min_norm: float = 16.0   # C-tilde in the min-norm risk bound
-    c_prime: float = 10.0      # C' in the sparse-regression risk bound
-    c_dprime: float = 10.0     # C'' in the sparse-regression risk bound
-    c_universal: float | None = None  # explicit override for the condition constant
     permissive: bool = False
 
-    def __post_init__(self):
-        if not 15.38 <= self.c_tilde1 <= 37.97:
-            raise InvalidArgumentError("c_tilde1 must lie in [15.38, 37.97]")
-        for name in ("c_min_norm", "c_prime", "c_dprime"):
-            if getattr(self, name) <= 0:
-                raise InvalidArgumentError(f"{name} must be positive")
-        if self.c_universal is not None and self.c_universal <= 0:
-            raise InvalidArgumentError("c_universal must be positive")
-
-    def c1_of(self, eta: float, s: int) -> float:
-        """Bound on the sample-count constant C1."""
-        return (200.0 * eta + 355.0) / eta + 200.0 / (s * eta**2)
-
-    def c2_of(self, eta: float) -> float:
-        """Chaining constant C2 = 4 c_tilde1^2 / eta^2."""
-        return 4.0 * self.c_tilde1**2 / eta**2
-
     def universal(self, eta: float) -> float:
-        """Condition constant C at a given eta, honoring mode and override."""
+        """Condition constant C at a given eta in this mode."""
         if self.permissive:
             return 1.0
-        if self.c_universal is not None:
-            return self.c_universal
-        return self.c2_of(eta)
+        return 4.0 * C_TILDE1**2 / eta**2
 
     @property
     def mode(self) -> str:
         return MODE_PERMISSIVE if self.permissive else MODE_STRICT
-
-    def as_permissive(self) -> "TheoryConstants":
-        return replace(self, permissive=True)
-
-    def as_strict(self) -> "TheoryConstants":
-        return replace(self, permissive=False)
 
 
 DEFAULT_CONSTANTS = TheoryConstants()
@@ -345,9 +322,9 @@ def risk_bound_minnorm(N: int, m: int, d: int, gamma: float, sigma: float, delta
     eps = epsilon_bound(N, m, d, gamma, sigma, delta)
     K = K_eta(eta)
     root_log = math.sqrt(math.log(1.0 / delta))
-    value = (constants.c_min_norm * root_log
+    value = (C_MIN_NORM * root_log
              * (1.0 / math.sqrt(m) + K * math.sqrt(m) * eps**2) * f_rho_norm**2
-             + constants.c_min_norm * math.sqrt(m) * K * root_log * E_noise**2)
+             + C_MIN_NORM * math.sqrt(m) * K * root_log * E_noise**2)
     regime = check_regime_conditions(m, N, d, gamma, sigma, eta, constants)
     floor = _failure_probability(m, N)
     conditions = (
@@ -400,9 +377,9 @@ def risk_bound_bp(N: int, m: int, s: int, delta: float, epsilon: float,
     if s < 1:
         raise InvalidArgumentError("s must be >= 1")
     root_log = math.sqrt(math.log(1.0 / delta))
-    value = (constants.c_prime * (1.0 + N / math.sqrt(m) * root_log)
+    value = (C_PRIME * (1.0 + N / math.sqrt(m) * root_log)
              * (epsilon**2 * f_rho_norm**2 + E_noise**2)
-             + constants.c_dprime * (1.0 + N / (math.sqrt(m) * s) * root_log)
+             + C_DPRIME * (1.0 + N / (math.sqrt(m) * s) * root_log)
              * theta_s1**2)
     if d is not None and gamma is not None and sigma is not None:
         conditions = check_bp_conditions(m, N, s, d, gamma, sigma, delta, constants)

@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import pytest
 
@@ -100,7 +101,7 @@ def test_rip_mc_lower_bounds_the_exact_constants(tmp_path):
     mc, exact = payloads["mc"]["estimates"], payloads["exact"]["estimates"]
     assert [e["s"] for e in mc] == [1, 2, 3, 4]
     assert {e["method"] for e in mc} == {"randomized_lower_bound"}
-    assert {e["supports_evaluated"] for e in mc} == {25}
+    assert all(e["supports_evaluated"] <= min(25, comb(8, e["s"])) for e in mc)
     assert {e["method"] for e in exact} == {"exact_enumeration"}
     for lower, full in zip(mc, exact):
         assert lower["value"] <= full["value"]
@@ -140,6 +141,45 @@ def test_spectrum_csv_schema(tmp_path):
     assert lines[0] == "scaling,grid,value"
     assert lines[1].startswith("N=m,")
     assert (tmp_path / "spectrum.svg").exists()
+
+
+OFFERED = {
+    "sweep": "d m n-grid gamma sigma features noise target trials seed n-test eta delta "
+             "permissive-constants bounds workers out",
+    "spectrum": "d m gamma sigma features trials seed workers out scalings",
+    "threshold": "d n-grid gamma sigma features trials seed workers out",
+    "validate": "d m n-grid gamma sigma features noise target trials seed n-test eta delta "
+                "permissive-constants tol s pipelines workers out",
+    "theory": "d m n-grid gamma sigma eta permissive-constants workers out",
+    "rip": "d m n-grid gamma sigma features seed s workers out method budget rip-trials",
+}
+
+
+def test_each_command_offers_exactly_the_flags_it_reads():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    offered = {name: {opt[2:] for action in p._actions for opt in action.option_strings
+                      if opt.startswith("--") and opt != "--help"}
+               for name, p in sub.choices.items()}
+    assert offered == {name: set(flags.split()) for name, flags in OFFERED.items()}
+    assert sum(len(flags) for flags in offered.values()) == 77
+
+
+@pytest.mark.parametrize("argv", [
+    ["theory", "--trials", "3"], ["rip", "--noise", "none"], ["spectrum", "--n-grid", "7"],
+    ["threshold", "--m", "5"], ["sweep", "--tol", "1e-3"], ["validate", "--bounds"],
+    ["theory", "--report"],
+])
+def test_unoffered_flag_exits_2(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + ["--out", str(tmp_path)])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_theory_rejects_zero_workers(capsys):
+    rc = cli.main(["theory", "--m", "100", "--n-grid", "10", "--workers", "0"])
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().out == ""
 
 
 def test_threshold_report_written(tmp_path):

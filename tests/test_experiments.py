@@ -141,6 +141,11 @@ def test_threshold_study_structure_and_markov_invariant():
         assert cell["markov_fraction"] <= cell["markov_cap"] + 3 * cell["markov_binomial_se"]
 
 
+def test_threshold_study_needs_two_trials():
+    with pytest.raises(InvalidArgumentError, match="trials >= 2"):
+        run_threshold_study(ExperimentConfig(d=2, m=5, n_grid=(5,), trials=1))
+
+
 def test_threshold_study_conditioning_worsens_with_n():
     cfg = ExperimentConfig(d=2, m=20, n_grid=(5, 10, 20), trials=200, seed=22)
     report = run_threshold_study(cfg)

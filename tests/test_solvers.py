@@ -10,6 +10,7 @@ from rfcond.experiments import random_features
 from rfcond.sampling import NoiseModel, noise_vector, split_stream
 from rfcond.solvers import (
     FLAG_SINGULAR_GRAM,
+    FLAG_ZERO_FEASIBLE,
     CoefficientVector,
     Diagnostics,
     best_s_term_error,
@@ -184,6 +185,19 @@ def test_bpdn_zero_is_optimal_when_ball_contains_origin():
     assert np.all(c.values == 0)
     assert c.diagnostics.duality_gap == 0.0
     assert c.diagnostics.iterations == 0
+
+
+def test_bpdn_flags_only_the_zero_feasible_shortcut():
+    gen = np.random.default_rng(12)
+    A = _random_complex(gen, 10, 20)
+    y = 0.1 * gen.normal(size=10)
+    radius_ratio = float(np.linalg.norm(y)) / np.sqrt(10)
+    inside = bpdn(A, y, xi=1.01 * radius_ratio)
+    assert inside.diagnostics.flags == (FLAG_ZERO_FEASIBLE,)
+    below = bpdn(A, y, xi=0.5 * radius_ratio)
+    assert below.diagnostics.iterations > 0
+    assert below.diagnostics.flags == ()
+    assert np.any(below.values != 0)
 
 
 def test_bpdn_zero_slack_inverts_square_systems():

@@ -124,6 +124,16 @@ def test_rip_mc_is_lower_bound_and_saturates_on_tiny_instances():
         assert mc.value == pytest.approx(exact.value, abs=1e-12)
 
 
+def test_rip_mc_counts_distinct_supports():
+    A = _random_fourier(2, 12, 8, 13)
+    An = A / np.sqrt(12)
+    # one support exists at s = N; eight at s = 1
+    full = rip_constant_lower_mc(An, 8, 5, split_stream(0, 0))
+    assert full.supports_evaluated == 1
+    assert full.value == pytest.approx(rip_constant_exact(An, 8).value, abs=1e-12)
+    assert rip_constant_lower_mc(An, 1, 25, split_stream(0, 0)).supports_evaluated <= 8
+
+
 def test_rip_mc_monotone_in_trials_with_shared_prefix():
     A = _random_fourier(3, 15, 9, 12)
     An = A / np.sqrt(15)
@@ -171,7 +181,7 @@ def test_svd_route_agrees_with_eigendecomposition_route():
 
 
 def test_density_single_value_is_symmetric_peak():
-    curve = spectral_density([2.0], normalization="max_one")
+    curve = spectral_density([2.0])
     peak = curve.grid[np.argmax(curve.density)]
     half_step = 0.5 * (curve.grid[1] - curve.grid[0])
     assert abs(peak - 2.0) <= half_step * (1 + 1e-9)
@@ -179,21 +189,9 @@ def test_density_single_value_is_symmetric_peak():
     assert np.allclose(curve.density, curve.density[::-1], atol=1e-9)
 
 
-def test_density_integral_one_mode():
-    gen = np.random.default_rng(0)
-    curve = spectral_density(gen.normal(size=500), normalization="integral_one")
-    integral = np.trapezoid(curve.density, curve.grid)
-    assert integral == pytest.approx(1.0, abs=1e-3)
-    assert np.all(curve.density >= 0)
-
-
 def test_density_validation():
     with pytest.raises(InvalidArgumentError):
         spectral_density([])
-    with pytest.raises(InvalidArgumentError):
-        spectral_density([1.0], bandwidth=-1.0)
-    with pytest.raises(InvalidArgumentError):
-        spectral_density([1.0], normalization="sum_one")
 
 
 @given(st.integers(min_value=2, max_value=7), st.integers(min_value=2, max_value=7),

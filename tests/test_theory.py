@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rfcond.errors import InvalidArgumentError
 from rfcond.theory import (
+    C_PRIME,
     ETA_MAX,
     K_eta,
     TheoryConstants,
@@ -241,8 +242,7 @@ def test_bp_bound_reduces_to_first_term_when_dense():
     n, m, s = 64, 200, 64
     delta, eps, rho, E = 0.05, 0.4, 2.0, 0.1
     res = risk_bound_bp(n, m, s, delta, eps, rho, E, 0.0)
-    constants = TheoryConstants()
-    expected = (constants.c_prime
+    expected = (C_PRIME
                 * (1 + n / math.sqrt(m) * math.sqrt(math.log(1 / delta)))
                 * (eps**2 * rho**2 + E**2))
     assert res.value == pytest.approx(expected, rel=1e-12)
@@ -271,17 +271,11 @@ def test_bounds_monotone_in_signal_and_noise(f1, f2, e1, e2):
 
 
 def test_constants_validation_and_modes():
-    with pytest.raises(InvalidArgumentError):
-        TheoryConstants(c_tilde1=5.0)
-    with pytest.raises(InvalidArgumentError):
-        TheoryConstants(c_prime=-1.0)
     c = TheoryConstants()
     assert c.mode == "strict"
     assert c.universal(0.5) == pytest.approx(4 * 37.97**2 / 0.25, rel=1e-12)
-    assert c.c1_of(0.5, 10) == pytest.approx((200 * 0.5 + 355) / 0.5 + 200 / (10 * 0.25),
-                                             rel=1e-12)
-    assert c.as_permissive().universal(0.5) == 1.0
-    assert TheoryConstants(c_universal=7.0).universal(0.1) == 7.0
+    assert PERMISSIVE.mode == "permissive"
+    assert PERMISSIVE.universal(0.5) == 1.0
 
 
 def test_strict_constants_make_desk_scale_unreachable():
