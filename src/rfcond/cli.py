@@ -158,13 +158,26 @@ def _build_config(args) -> ExperimentConfig:
     )
 
 
+def _config_block(args) -> dict:
+    """The `config` block of every report: the command's offered flags, less
+    --workers and --out, with their parsed values.  Read back as flags (true: a
+    bare flag; false, null: left out; else --flag value), it replays the run."""
+    return {name: getattr(args, name.replace("-", "_"))
+            for name in _COMMANDS[args.command][2].split() if name not in ("workers", "out")}
+
+
+def _write_report(args, name: str, payload: dict) -> Path:
+    """Write the JSON report `name` under --out, its config block first."""
+    path = Path(args.out) / name
+    write_json(path, {"config": _config_block(args), **payload})
+    return path
+
+
 def _cmd_sweep(args) -> int:
-    config = _build_config(args)
-    result = run_double_descent_sweep(config)
+    result = run_double_descent_sweep(_build_config(args))
     out = Path(args.out)
     write_csv(out / "sweep.csv", SWEEP_COLUMNS, [dataclasses.astuple(r) for r in result.rows])
-    write_json(out / "sweep_summary.json",
-               {"config": config.config_dict(), "summary": result.summary})
+    _write_report(args, "sweep_summary.json", {"summary": result.summary})
     ns = [float(n) for n in result.summary["n_grid"]]
     write_line_chart(
         out / "sweep.svg",
@@ -178,14 +191,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    config = _build_config(args)
-    entries = run_spectrum_density(config)
+    entries = run_spectrum_density(_build_config(args))
     out = Path(args.out)
     rows = [(e.label, float(g), float(v))
             for e in entries for g, v in zip(e.curve.grid, e.curve.density)]
     write_csv(out / "density.csv", ["scaling", "grid", "value"], rows)
-    write_json(out / "spectrum_summary.json", {
-        "config": config.config_dict(),
+    _write_report(args, "spectrum_summary.json", {
         "scalings": [{"label": e.label, "m": e.m, "N": e.n,
                       "sv_min": e.sv_min, "sv_max": e.sv_max,
                       "bandwidth": e.curve.bandwidth} for e in entries],
@@ -201,20 +212,14 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    config = _build_config(args)
-    report = run_threshold_study(config)
-    out = Path(args.out)
-    write_json(out / "threshold.json", report)
-    print(f"wrote {out / 'threshold.json'}")
+    report = run_threshold_study(_build_config(args))
+    print(f"wrote {_write_report(args, 'threshold.json', report)}")
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
-    config = _build_config(args)
-    report = run_bound_validation(config)
-    out = Path(args.out)
-    write_json(out / "validate.json", report)
-    print(f"wrote {out / 'validate.json'}")
+    report = run_bound_validation(_build_config(args))
+    print(f"wrote {_write_report(args, 'validate.json', report)}")
     return EXIT_OK
 
 
@@ -230,9 +235,7 @@ def _cmd_theory(args) -> int:
 
 def _cmd_rip(args) -> int:
     report = run_rip_study(_build_config(args), args.method, args.budget, args.rip_trials)
-    out = Path(args.out)
-    write_json(out / "rip.json", report)
-    print(f"wrote {out / 'rip.json'}")
+    print(f"wrote {_write_report(args, 'rip.json', report)}")
     return EXIT_OK
 
 
@@ -240,7 +243,7 @@ def _cmd_rip(args) -> int:
 _COMMANDS = {
     "sweep": (_cmd_sweep, "double-descent sweep over the N grid",
               "d m n-grid gamma sigma features noise target trials seed n-test eta delta "
-              "permissive-constants bounds workers out"),
+              "bounds workers out"),
     "spectrum": (_cmd_spectrum, "singular value densities under log scalings",
                  "d m gamma sigma features trials seed workers out scalings"),
     "threshold": (_cmd_threshold, "interpolation threshold statistics at m=N",

@@ -56,6 +56,7 @@ from .spectral import (
     spectral_density,
 )
 from .targets import (
+    KIND_BUMP,
     KIND_LINEAR,
     TargetFunction,
     best_phi_coeffs,
@@ -127,6 +128,9 @@ class ExperimentConfig:
             raise InvalidArgumentError("trials must be >= 1")
         if self.workers < 1:
             raise InvalidArgumentError("workers must be >= 1")
+        if not all(v >= 0 and math.isfinite(v * v)
+                   for v in (self.gamma, self.sigma, self.noise_snr or 0.0)):
+            raise InvalidArgumentError("gamma, sigma, noise_snr must be >= 0 with finite squares")
         if self.feature_kind not in (FOURIER, RELU):
             raise InvalidArgumentError(f"unknown feature kind {self.feature_kind!r}")
         unknown = set(self.scalings) - set(SCALING_LABELS)
@@ -136,23 +140,6 @@ class ExperimentConfig:
             bad = set(self.pipelines) - set(_PIPE_TAGS)
             if bad:
                 raise InvalidArgumentError(f"unknown pipelines {sorted(bad)}")
-
-    def config_dict(self) -> dict:
-        # The worker count is an execution detail, not an experiment
-        # parameter; leaving it out keeps report bytes worker-independent.
-        return {
-            "d": self.d, "m": self.m, "n_grid": list(self.n_grid),
-            "gamma": self.gamma, "sigma": self.sigma,
-            "feature_kind": self.feature_kind,
-            "noise": {"kind": self.noise.kind, "level": self.noise.level},
-            "noise_snr": self.noise_snr,
-            "target_kind": self.target_kind, "planted_s": self.planted_s,
-            "bump_width": self.bump_width,
-            "trials": self.trials, "seed": self.seed, "tol": self.tol,
-            "n_test": self.n_test, "delta": self.delta, "eta": self.eta,
-            "s": self.s,
-            "constants_mode": self.constants.mode,
-        }
 
 
 @dataclass(frozen=True)
@@ -249,7 +236,7 @@ def _sweep_trial(config: ExperimentConfig, trial: int) -> list[SweepRow]:
         coeff, risk, noise = _train_and_test(config, target, pipeline, X, W, A, cell)
 
         bound = None
-        if config.compute_bounds and target.rho_norm is not None and n != config.m:
+        if config.compute_bounds and n != config.m:
             bound = _risk_bound(config, pipeline, n, target.rho_norm, noise.bound,
                                 config.constants).value
 
@@ -284,6 +271,9 @@ def run_double_descent_sweep(config: ExperimentConfig) -> SweepResult:
     """Figure-1 protocol: for each N and trial, build features, train (least
     squares below the threshold, min-norm at and above it), and record the
     conditioning of the relevant normalized Gram plus the test risk."""
+    if config.compute_bounds and config.target_kind != KIND_BUMP:
+        raise InvalidArgumentError(
+            "sweep --bounds needs a target with finite rho-norm (gaussian_bump)")
     per_trial = _map_trials(lambda t: _sweep_trial(config, t), config.trials, config.workers)
     rows = [per_trial[t][ni]
             for ni in range(len(config.n_grid))
@@ -406,7 +396,7 @@ def run_threshold_study(config: ExperimentConfig) -> dict:
             "markov_binomial_se": binom_se,
             "markov_ok": bool(fraction <= markov_cap + 3.0 * binom_se),
         })
-    return {"config": config.config_dict(), "cells": cells}
+    return {"cells": cells}
 
 
 def _validation_pipelines(config: ExperimentConfig) -> list[tuple[str, int]]:
@@ -425,8 +415,9 @@ def _validation_pipelines(config: ExperimentConfig) -> list[tuple[str, int]]:
 
 def run_bound_validation(config: ExperimentConfig) -> dict:
     """Risk-bound coverage for the three training pipelines at the configured
-    parameter points.  Bound values use the configured proof constants; the
-    hypothesis checks are reported for both strict and permissive modes."""
+    parameter points.  Bound values never depend on the constants mode, and the
+    hypothesis checks of both the strict and the permissive mode are always
+    reported, so `config.constants` is not read."""
     if config.noise_snr is not None:
         raise InvalidArgumentError(
             "bound validation needs a fixed noise model; snr noise is not supported")
@@ -488,11 +479,7 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
             },
             "trials": trial_rows,
         })
-    return {
-        "config": config.config_dict(),
-        "target": target_to_json(target),
-        "pipelines": pipelines,
-    }
+    return {"target": target_to_json(target), "pipelines": pipelines}
 
 
 def run_rip_study(config: ExperimentConfig, method: str, budget: int,
@@ -529,10 +516,4 @@ def run_rip_study(config: ExperimentConfig, method: str, budget: int,
                                         stream.substream(TAG_SUPPORTS, s))
         estimates.append({"s": est.s, "value": est.value, "method": est.method,
                           "supports_evaluated": est.supports_evaluated})
-    return {
-        "config": {"d": config.d, "m": config.m, "N": n, "gamma": config.gamma,
-                   "sigma": config.sigma, "features": config.feature_kind,
-                   "seed": config.seed, "method": method,
-                   "budget": budget, "rip_trials": rip_trials},
-        "estimates": estimates,
-    }
+    return {"estimates": estimates}

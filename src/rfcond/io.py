@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-REPORT_VERSION = "rfcond-report/1"
+REPORT_VERSION = "rfcond-report/2"
 
 
 def _nonfinite_name(x: float) -> str | None:

@@ -79,8 +79,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("none", "bounded_uniform", "gaussian"):
             raise InvalidArgumentError(f"unknown noise kind {self.kind!r}")
-        if self.level < 0:
-            raise InvalidArgumentError("noise level must be non-negative")
+        if not (self.level >= 0 and np.isfinite(self.level)):
+            raise InvalidArgumentError("noise level must be finite and non-negative")
         if self.kind == "none" and self.level != 0:
             raise InvalidArgumentError("noise kind 'none' requires level 0")
 

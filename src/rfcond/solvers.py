@@ -16,6 +16,7 @@ from .errors import (
     ConvergenceError,
     InfeasibleProblemError,
     InvalidArgumentError,
+    NumericalFailureError,
 )
 
 FLAG_SINGULAR_GRAM = "singular_gram_pseudoinverse"
@@ -54,6 +55,14 @@ def _residual_norm(A: np.ndarray, c: np.ndarray, y: np.ndarray) -> float:
     return float(np.linalg.norm(A @ c - y))
 
 
+def _lstsq(A: np.ndarray, y: np.ndarray):
+    """np.linalg.lstsq; its LinAlgError (as on non-finite A) is a NumericalFailureError."""
+    try:
+        return np.linalg.lstsq(A, y, rcond=None)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"least-squares solve failed: {exc}") from exc
+
+
 def least_squares(A: np.ndarray, y: np.ndarray) -> CoefficientVector:
     """argmin ||Ac - y||_2 for m >= N via SVD; falls back to the minimal-norm
     pseudoinverse solution (flagged) when A is numerically rank-deficient."""
@@ -61,7 +70,7 @@ def least_squares(A: np.ndarray, y: np.ndarray) -> CoefficientVector:
     m, n = A.shape
     if m < n:
         raise InvalidArgumentError(f"least_squares requires m >= N, got {m} < {n}")
-    c, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
+    c, _, rank, _ = _lstsq(A, y)
     flags = () if rank == n else ("rank_deficient_pseudoinverse",)
     diag = Diagnostics(residual_norm=_residual_norm(A, c, y), flags=flags)
     return CoefficientVector(c, diag)
@@ -76,7 +85,7 @@ def min_norm_interpolate(A: np.ndarray, y: np.ndarray) -> CoefficientVector:
     m, n = A.shape
     if m > n:
         raise InvalidArgumentError(f"min_norm_interpolate requires m <= N, got {m} > {n}")
-    c, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
+    c, _, rank, _ = _lstsq(A, y)
     flags = () if rank == m else (FLAG_SINGULAR_GRAM,)
     diag = Diagnostics(residual_norm=_residual_norm(A, c, y), flags=flags)
     return CoefficientVector(c, diag)
@@ -147,7 +156,7 @@ def bpdn(A: np.ndarray, y: np.ndarray, xi: float, tolerance: float = 1e-6,
                            duality_gap=0.0, flags=(FLAG_ZERO_FEASIBLE,))
         return CoefficientVector(np.zeros(n, dtype=np.complex128), diag)
 
-    c_feas, *_ = np.linalg.lstsq(A, y, rcond=None)
+    c_feas, *_ = _lstsq(A, y)
     min_residual = float(np.linalg.norm(A @ c_feas - y))
     if min_residual > radius + tolerance:
         raise InfeasibleProblemError(

@@ -87,12 +87,17 @@ def planted_target(W0: np.ndarray, c0: np.ndarray, feature_kind: str = FOURIER) 
 def gaussian_bump_target(a: float, sigma: float, d: int) -> TargetFunction:
     if a <= 0 or sigma <= 0 or d < 1:
         raise InvalidArgumentError("gaussian_bump needs a > 0, sigma > 0, d >= 1")
+    try:
+        rho_norm = float((a**2 * sigma**2) ** (d / 2.0))
+    except OverflowError:
+        rho_norm = np.inf
+    if not np.isfinite(rho_norm):  # also catches a non-finite a or a^2
+        raise InvalidArgumentError(f"gaussian_bump needs finite a, a^2, rho-norm; got a = {a!r}")
     if a**2 < 1.0 / sigma**2:
         raise InvalidArgumentError(
             f"gaussian_bump needs a^2 >= 1/sigma^2 for a finite rho-norm "
             f"(got a^2 = {a**2:.4g} < {1.0 / sigma**2:.4g})"
         )
-    rho_norm = float((a**2 * sigma**2) ** (d / 2.0))
     return TargetFunction(KIND_BUMP, {"a": a, "sigma": sigma, "d": d}, rho_norm)
 
 

@@ -61,7 +61,7 @@ def test_theory_prints_regime_report(capsys):
                    "--eta", "0.5", "--permissive-constants"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["version"] == "rfcond-report/1"
+    assert payload["version"] == "rfcond-report/2"
     assert payload["regime"] == "under"
     assert {c["name"] for c in payload["conditions"]} == {
         "sample_complexity_simplified", "sample_complexity_tight",
@@ -145,7 +145,7 @@ def test_spectrum_csv_schema(tmp_path):
 
 OFFERED = {
     "sweep": "d m n-grid gamma sigma features noise target trials seed n-test eta delta "
-             "permissive-constants bounds workers out",
+             "bounds workers out",
     "spectrum": "d m gamma sigma features trials seed workers out scalings",
     "threshold": "d n-grid gamma sigma features trials seed workers out",
     "validate": "d m n-grid gamma sigma features noise target trials seed n-test eta delta "
@@ -161,19 +161,43 @@ def test_each_command_offers_exactly_the_flags_it_reads():
                       if opt.startswith("--") and opt != "--help"}
                for name, p in sub.choices.items()}
     assert offered == {name: set(flags.split()) for name, flags in OFFERED.items()}
-    assert sum(len(flags) for flags in offered.values()) == 77
+    assert sum(len(flags) for flags in offered.values()) == 76
 
 
 @pytest.mark.parametrize("argv", [
     ["theory", "--trials", "3"], ["rip", "--noise", "none"], ["spectrum", "--n-grid", "7"],
     ["threshold", "--m", "5"], ["sweep", "--tol", "1e-3"], ["validate", "--bounds"],
-    ["theory", "--report"],
+    ["theory", "--report"], ["sweep", "--permissive-constants"],
 ])
 def test_unoffered_flag_exits_2(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(argv + ["--out", str(tmp_path)])
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+_SMALL_SWEEP = ["sweep", "--n-grid", "5", "--trials", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    _SMALL_SWEEP + ["--sigma", "1e200"],
+    ["threshold", "--d", "2", "--n-grid", "5", "--trials", "2", "--gamma", "1e160"],
+    ["validate", "--d", "12", "--m", "5", "--n-grid", "3,10", "--target", "bump:1e30",
+     "--trials", "1"],
+    _SMALL_SWEEP + ["--noise", "bounded:inf"],
+    _SMALL_SWEEP + ["--gamma", "-1"],
+    ["theory", "--gamma", "nan", "--n-grid", "10"],
+    _SMALL_SWEEP + ["--noise", "gaussian:nan"],
+    _SMALL_SWEEP + ["--noise", "snr:nan"],
+], ids=["sigma-1e200", "gamma-1e160", "bump-1e30", "bounded-inf", "gamma-negative",
+        "theory-gamma-nan", "gaussian-nan", "snr-nan"])
+def test_non_finite_or_overflowing_input_exits_2(argv, tmp_path, capsys):
+    rc = cli.main(argv + ["--out", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "error" in captured.err
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
 
 
 def test_theory_rejects_zero_workers(capsys):
@@ -187,7 +211,7 @@ def test_threshold_report_written(tmp_path):
                    "--seed", "4", "--out", str(tmp_path)])
     assert rc == 0
     payload = json.loads((tmp_path / "threshold.json").read_text())
-    assert payload["version"] == "rfcond-report/1"
+    assert payload["version"] == "rfcond-report/2"
     assert len(payload["cells"]) == 2
 
 

@@ -87,6 +87,13 @@ def test_sweep_bound_column_filled_for_bump_target():
         assert row.bound_value > 0
 
 
+@pytest.mark.parametrize("target_kind", ["linear", "planted"])
+def test_sweep_bounds_reject_targets_without_rho_norm(target_kind):
+    cfg = _sweep_config(target_kind=target_kind, compute_bounds=True, eta=0.9)
+    with pytest.raises(InvalidArgumentError, match="rho-norm"):
+        run_double_descent_sweep(cfg)
+
+
 def test_sweep_bounds_use_resolved_snr_noise_level():
     # With snr noise the training outputs carry Gaussian noise of level
     # r * std(clean), so the bound must use E = 2 r std(clean), not 0.

@@ -9,6 +9,7 @@ regenerates them and states the numeric difference in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -35,24 +36,24 @@ GOLDEN = {
     "sweep": {
         "sweep.csv": "02073b3979fdadbe99dd2735a53fda58a5e82085674e3b36619ef89e17a73297",
         "sweep.svg": "c24516076dd3c38b792c73974cc3531592953d73c703d2496a97255684e2ce08",
-        "sweep_summary.json": "12ac84bf7e93e26bf3165f3d110513ad26a4f731f653458d917bc99ecc951fb7",
+        "sweep_summary.json": "e0176f29a7ec6732a822db295d3959f4439a66817f593fdaedaab9dc2e5d7a5c",
     },
     "spectrum": {
         "density.csv": "f5f68bb47c8ce17898a9ecd9912952fb9819071006ad1fef310611799c76283b",
         "spectrum.svg": "3d43fcdaaf34ad29101f215fbd98c89759f04b835bafffc1cd76496997f7f73e",
-        "spectrum_summary.json": "4cca3acff8f09b6be40e0842396b7a187fe0e1bd21d6be1d64cd5efef2f5bca3",
+        "spectrum_summary.json": "fc908398b0aa4d2506a28a4ec52e651e335ebb1c6bef39bb968e49aacf37f5af",
     },
     "threshold": {
-        "threshold.json": "c2da85a686aaab08a4d52d60d26b815b358a22bbc09596f05b0fbef9982effb3",
+        "threshold.json": "e65fa6cf2777af4adbc9acffedb2c5e783dfc42ad53eaee236c91f2945649737",
     },
     "validate": {
-        "validate.json": "a247a5c191d5aaf20292b88b44f251f21b88795a735ff09bed6c67ad971971e0",
+        "validate.json": "7e451d0c5c1007093cc7a8142b3539a263d80ffc2822886ae32f74606e081b57",
     },
     "theory": {
-        "stdout": "320ff288797694fe1424e91b7e0bf592bf47a4ae1630e510e7641119a8e9e756",
+        "stdout": "7a294e1eb65e1848c877a3365c114d044f9c04c0d706a3f471e4c97b6042bb35",
     },
     "rip": {
-        "rip.json": "1fe4124466b87acaf6501413726e74d7f46656f55c1e5263a0748fd8ee2f0ba0",
+        "rip.json": "9c5a9054c6b2f91191a0649c02f348f50a9d38442301e5406711b68fa39f74a0",
     },
 }
 
@@ -69,3 +70,32 @@ def test_golden_output(name, tmp_path, capsys):
     if name == "theory":
         digests["stdout"] = _sha256(capsys.readouterr().out.encode())
     assert digests == GOLDEN[name]
+
+
+# command -> the JSON report that carries its config block
+REPORTS = {"sweep": "sweep_summary.json", "spectrum": "spectrum_summary.json",
+           "threshold": "threshold.json", "validate": "validate.json", "rip": "rip.json"}
+
+
+def _replay_argv(command: str, config: dict) -> list[str]:
+    """The command line a config block stands for: true is a bare flag, false
+    and null are left out, any other value is --flag value."""
+    argv = [command]
+    for flag, value in config.items():
+        if value is True:
+            argv.append(f"--{flag}")
+        elif value is not False and value is not None:
+            argv += [f"--{flag}", str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("name", list(REPORTS))
+def test_config_block_replays_the_run(name, tmp_path):
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert main(COMMANDS[name] + ["--workers", "1", "--out", str(first)]) == 0
+    config = json.loads((first / REPORTS[name]).read_text(encoding="utf-8"))["config"]
+    assert main(_replay_argv(name, config) + ["--workers", "1", "--out", str(replay)]) == 0
+    files = sorted(p.name for p in first.glob("*"))
+    assert files == sorted(p.name for p in replay.glob("*"))
+    for fname in files:
+        assert (first / fname).read_bytes() == (replay / fname).read_bytes(), fname

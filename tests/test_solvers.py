@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rfcond.errors import ConvergenceError, InfeasibleProblemError, InvalidArgumentError
+from rfcond.errors import (
+    ConvergenceError,
+    InfeasibleProblemError,
+    InvalidArgumentError,
+    NumericalFailureError,
+)
 from rfcond.experiments import random_features
 from rfcond.sampling import NoiseModel, noise_vector, split_stream
 from rfcond.solvers import (
@@ -29,6 +34,18 @@ def _random_complex(gen, m, n):
 
 def _coeff(values):
     return CoefficientVector(np.asarray(values, dtype=complex), Diagnostics())
+
+
+@pytest.mark.parametrize("solver, shape", [
+    (least_squares, (6, 3)),
+    (min_norm_interpolate, (3, 6)),
+    (lambda A, y: bpdn(A, y, 0.01), (3, 6)),
+], ids=["least_squares", "min_norm_interpolate", "bpdn"])
+def test_nan_entry_raises_numerical_failure(solver, shape):
+    A = np.ones(shape, dtype=complex)
+    A[1, 2] = np.nan
+    with pytest.raises(NumericalFailureError, match="least-squares solve failed"):
+        solver(A, np.arange(1.0, shape[0] + 1))
 
 
 def test_least_squares_constant_column_returns_mean():
