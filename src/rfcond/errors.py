@@ -6,15 +6,7 @@ class InvalidArgumentError(ValueError):
 
 
 class NumericalFailureError(RuntimeError):
-    """A dense linear-algebra routine failed or hit a rank deficiency.
-
-    Carries the hash of the failing matrix, when there is one, so the
-    instance can be matched across logs.
-    """
-
-    def __init__(self, message, matrix_hash=None):
-        super().__init__(message)
-        self.matrix_hash = matrix_hash
+    """A dense linear-algebra routine failed or hit a rank deficiency."""
 
 
 class EnumerationBudgetError(RuntimeError):

@@ -131,6 +131,8 @@ class ExperimentConfig:
         if not all(v >= 0 and math.isfinite(v * v)
                    for v in (self.gamma, self.sigma, self.noise_snr or 0.0)):
             raise InvalidArgumentError("gamma, sigma, noise_snr must be >= 0 with finite squares")
+        if any(v > 0 and v * v == 0 for v in (self.gamma, self.sigma)):
+            raise InvalidArgumentError("a positive gamma or sigma must have a nonzero square")
         if self.feature_kind not in (FOURIER, RELU):
             raise InvalidArgumentError(f"unknown feature kind {self.feature_kind!r}")
         unknown = set(self.scalings) - set(SCALING_LABELS)
@@ -179,11 +181,13 @@ def _map_trials(fn, trials: int, workers: int) -> list:
 def _train_and_test(config: ExperimentConfig, target: TargetFunction, pipeline: str,
                     X: np.ndarray, W: np.ndarray, A: np.ndarray, stream,
                     xi: float | None = None,
-                    s: int | None = None) -> tuple[CoefficientVector, float, NoiseModel]:
-    """(fit, test risk, noise model): fit `pipeline` to the target plus noise
-    from the noise substream of `stream` at X (bpdn_pruned: BPDN at level `xi`,
-    pruned to `s` terms), then take the Monte Carlo risk mean |f(z) - f#(z)|^2
-    over n_test points z ~ N(0, gamma^2 I_d) from the test substream.  snr
+                    s: int | None = None) -> tuple[CoefficientVector, np.ndarray, NoiseModel]:
+    """(fit, squared test errors, noise model): fit `pipeline` to the target
+    plus noise from the noise substream of `stream` at X (bpdn_pruned: BPDN at
+    level `xi`, pruned to `s` terms), then evaluate |f(z) - f#(z)|^2 at n_test
+    points z ~ N(0, gamma^2 I_d) from the test substream; their mean is the
+    Monte Carlo risk.  The predictions stream through the test points in
+    blocks (`evaluate_model`), so memory does not grow with n_test * N.  snr
     noise resolves to a Gaussian of level snr * std(clean outputs)."""
     clean = target.evaluate(X)
     noise = config.noise
@@ -199,7 +203,7 @@ def _train_and_test(config: ExperimentConfig, target: TargetFunction, pipeline: 
         coeff = prune_top_s(bpdn(A, y, xi, config.tol), s)
     Z = gaussian_matrix(config.d, config.n_test, config.gamma**2, stream.substream(TAG_TEST))
     preds = evaluate_model(W, coeff, Z, config.feature_kind)
-    return coeff, float(np.mean(np.abs(target.evaluate(Z) - preds) ** 2)), noise
+    return coeff, np.abs(target.evaluate(Z) - preds) ** 2, noise
 
 
 def _risk_bound(config: ExperimentConfig, pipeline: str, n: int, rho: float, E: float,
@@ -233,7 +237,7 @@ def _sweep_trial(config: ExperimentConfig, trial: int) -> list[SweepRow]:
         # A singular row Gram keeps the trial with the flagged pseudoinverse
         # fit; its infinite condition number is in the spectral summary.
         pipeline = "least_squares" if n < config.m else "min_norm"
-        coeff, risk, noise = _train_and_test(config, target, pipeline, X, W, A, cell)
+        coeff, sq_err, noise = _train_and_test(config, target, pipeline, X, W, A, cell)
 
         bound = None
         if config.compute_bounds and n != config.m:
@@ -244,7 +248,7 @@ def _sweep_trial(config: ExperimentConfig, trial: int) -> list[SweepRow]:
                              cond_number=spec.cond_number,
                              lambda_min=spec.lambda_min, lambda_max=spec.lambda_max,
                              train_residual=coeff.diagnostics.residual_norm,
-                             empirical_risk=risk, bound_value=bound))
+                             empirical_risk=float(np.mean(sq_err)), bound_value=bound))
     return rows
 
 
@@ -417,7 +421,11 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
     """Risk-bound coverage for the three training pipelines at the configured
     parameter points.  Bound values never depend on the constants mode, and the
     hypothesis checks of both the strict and the permissive mode are always
-    reported, so `config.constants` is not read."""
+    reported, so `config.constants` is not read.  Each trial's risk carries its
+    Monte Carlo standard error std(|f - f#|^2) / sqrt(n_test)."""
+    if config.n_test < 2:
+        raise InvalidArgumentError(
+            "bound validation needs n_test >= 2 for the risk's standard error")
     if config.noise_snr is not None:
         raise InvalidArgumentError(
             "bound validation needs a fixed noise model; snr noise is not supported")
@@ -439,23 +447,25 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
         eps = epsilon_bound(n, config.m, config.d, config.gamma, config.sigma, config.delta)
         xi = bp_noise_parameter(eps, rho, E)
 
-        def one_trial(t: int, name=name, n=n, s=s, xi=xi) -> tuple[float, float | None]:
+        def one_trial(t: int, name=name, n=n, s=s,
+                      xi=xi) -> tuple[float, float, float | None]:
             stream = split_stream(config.seed, t).substream(_TAG_PIPELINE, n,
                                                             _PIPE_TAGS[name])
             X, W, A = random_features(config.d, config.m, n, config.gamma, config.sigma,
                                       stream, FOURIER)
-            coeff, risk, _ = _train_and_test(config, target, name, X, W, A, stream, xi, s)
+            coeff, sq_err, _ = _train_and_test(config, target, name, X, W, A, stream, xi, s)
             if FLAG_SINGULAR_GRAM in coeff.diagnostics.flags:
                 raise NumericalFailureError(
                     "row Gram AA* is numerically singular; interpolation unavailable")
             theta = (best_s_term_error(best_phi_coeffs(target, W), s, 1)
                      if name == "bpdn_pruned" else None)
-            return risk, theta
+            risk_se = float(np.std(sq_err, ddof=1) / math.sqrt(sq_err.size))
+            return float(np.mean(sq_err)), risk_se, theta
 
         results = _map_trials(one_trial, config.trials, config.workers)
 
         def bound_for(constants, result, name=name, n=n, s=s, eps=eps):
-            return _risk_bound(config, name, n, rho, E, constants, s, eps, result[1])
+            return _risk_bound(config, name, n, rho, E, constants, s, eps, result[2])
 
         trial_rows = []
         covered = 0
@@ -463,7 +473,7 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
             b = bound_for(permissive, res)
             ok = res[0] <= b.value
             covered += ok
-            trial_rows.append({"trial": t, "empirical_risk": res[0],
+            trial_rows.append({"trial": t, "empirical_risk": res[0], "risk_se": res[1],
                                "bound_value": b.value, "covered": bool(ok)})
         rep_strict = bound_for(strict, results[0])
         rep_perm = bound_for(permissive, results[0])

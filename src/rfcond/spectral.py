@@ -11,7 +11,6 @@ Lecture 31).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -53,18 +52,12 @@ class DensityCurve:
     bandwidth: float
 
 
-def _matrix_hash(M: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(M).tobytes()).hexdigest()[:16]
-
-
 def _hermitian_eigvals(G: np.ndarray) -> np.ndarray:
     G = 0.5 * (G + G.conj().T)
     try:
         return np.linalg.eigvalsh(G)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(
-            f"eigendecomposition failed: {exc}", matrix_hash=_matrix_hash(G)
-        ) from exc
+        raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
 
 
 def gram_spectrum_via_svd(A: np.ndarray, side: str) -> SpectralSummary:
@@ -103,9 +96,7 @@ def singular_values(A: np.ndarray) -> np.ndarray:
     try:
         s = np.linalg.svd(M, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(
-            f"SVD failed: {exc}", matrix_hash=_matrix_hash(M)
-        ) from exc
+        raise NumericalFailureError(f"SVD failed: {exc}") from exc
     return np.sort(s)
 
 

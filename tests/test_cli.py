@@ -56,6 +56,15 @@ def test_validate_snr_noise_exits_2(tmp_path, capsys):
     assert not (tmp_path / "validate.json").exists()
 
 
+def test_validate_needs_two_test_points_for_the_risk_se(tmp_path, capsys):
+    rc = cli.main(["validate", "--d", "3", "--m", "50", "--n-grid", "10",
+                   "--target", "bump:1.4142135623730951", "--n-test", "1",
+                   "--trials", "2", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    assert "n_test >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "validate.json").exists()
+
+
 def test_theory_prints_regime_report(capsys):
     rc = cli.main(["theory", "--m", "100", "--n-grid", "10", "--d", "3",
                    "--eta", "0.5", "--permissive-constants"])
@@ -189,8 +198,10 @@ _SMALL_SWEEP = ["sweep", "--n-grid", "5", "--trials", "1"]
     ["theory", "--gamma", "nan", "--n-grid", "10"],
     _SMALL_SWEEP + ["--noise", "gaussian:nan"],
     _SMALL_SWEEP + ["--noise", "snr:nan"],
+    ["sweep", "--target", "bump:1", "--sigma", "1e-200", "--n-grid", "5", "--trials", "1"],
+    _SMALL_SWEEP + ["--gamma", "1e-200"],
 ], ids=["sigma-1e200", "gamma-1e160", "bump-1e30", "bounded-inf", "gamma-negative",
-        "theory-gamma-nan", "gaussian-nan", "snr-nan"])
+        "theory-gamma-nan", "gaussian-nan", "snr-nan", "sigma-1e-200", "gamma-1e-200"])
 def test_non_finite_or_overflowing_input_exits_2(argv, tmp_path, capsys):
     rc = cli.main(argv + ["--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG

@@ -47,7 +47,7 @@ GOLDEN = {
         "threshold.json": "e65fa6cf2777af4adbc9acffedb2c5e783dfc42ad53eaee236c91f2945649737",
     },
     "validate": {
-        "validate.json": "7e451d0c5c1007093cc7a8142b3539a263d80ffc2822886ae32f74606e081b57",
+        "validate.json": "359ae52f6de71d4835bde579cc735b9164269630ba2ac35a7aff3ccebc748546",
     },
     "theory": {
         "stdout": "7a294e1eb65e1848c877a3365c114d044f9c04c0d706a3f471e4c97b6042bb35",

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from rfcond import targets
 from rfcond.errors import InvalidArgumentError, UnsupportedTargetError
-from rfcond.features import FOURIER
+from rfcond.features import FOURIER, RELU, build_features
 from rfcond.sampling import gaussian_matrix, split_stream
 from rfcond.solvers import best_s_term_error
 from rfcond.targets import (
@@ -11,11 +12,7 @@ from rfcond.targets import (
     evaluate_model,
     gaussian_bump_target,
     linear_target,
-    planted_coefficients,
-    planted_target,
     sample_target,
-    target_from_json,
-    target_to_json,
     worst_case_theta,
 )
 from rfcond.theory import min_features_for_accuracy
@@ -80,7 +77,7 @@ def test_evaluate_model_zero_coefficients():
 def test_planted_target_matches_its_own_model():
     t = sample_target("planted", 3, 1.0, split_stream(34, 0), FOURIER, planted_s=4)
     W0 = t.params["W0"]
-    c0 = planted_coefficients(t)
+    c0 = t.params["c0"]
     Z = gaussian_matrix(3, 50, 1.0, split_stream(34, 1))
     preds = evaluate_model(W0, c0, Z)
     assert np.abs(preds - t.evaluate(Z)).max() <= 1e-10
@@ -97,9 +94,54 @@ def test_evaluate_model_is_linear_in_coefficients():
     assert np.abs(lhs - rhs).max() <= 1e-10
 
 
+def _instance(n_test, n_features, kind, d=12):
+    W = gaussian_matrix(d, n_features, 1.0, split_stream(42, 0))
+    Z = gaussian_matrix(d, n_test, 1.0, split_stream(42, 1))
+    gen = np.random.default_rng(n_test)
+    c = gen.normal(size=n_features)
+    if kind == FOURIER:
+        c = c + 1j * gen.normal(size=n_features)
+    return W, Z, c
+
+
+# n_test -> N: with N = 16384 the entry budget gives 64-row blocks, the block
+# height of the validate workload (N = 15000); n_test = 1000 takes a smaller N
+# to keep the one-shot reference small, and still gets four blocks.
+_BLOCKED_CASES = {1: 16384, 63: 16384, 64: 16384, 65: 16384, 129: 16384, 1000: 4096}
+
+
+@pytest.mark.parametrize("kind", [FOURIER, RELU])
+@pytest.mark.parametrize("n_test", list(_BLOCKED_CASES))
+def test_evaluate_model_blocks_match_one_shot_bitwise(kind, n_test):
+    W, Z, c = _instance(n_test, _BLOCKED_CASES[n_test], kind)
+    assert np.array_equal(evaluate_model(W, c, Z, kind), build_features(Z, W, kind) @ c)
+
+
+@pytest.mark.parametrize("n_test, n_features, n_blocks",
+                         [(1, 15000, 1), (65, 15000, 2), (129, 15000, 3), (1000, 15000, 16),
+                          (1000, 500, 1), (17, 100000, 2)])
+def test_evaluate_model_blocks_stay_in_budget_and_cover_z_once(monkeypatch, n_test,
+                                                                n_features, n_blocks):
+    W, Z, c = _instance(n_test, n_features, RELU, d=2)
+    blocks = []
+
+    def recording_build_features(X, W, kind):
+        blocks.append(X)
+        return np.zeros((X.shape[1], W.shape[1]))
+
+    monkeypatch.setattr(targets, "build_features", recording_build_features)
+    assert evaluate_model(W, c, Z, RELU).shape == (n_test,)
+    rows = [b.shape[1] for b in blocks]
+    assert all(r * n_features <= targets._BLOCK_ENTRIES for r in rows)
+    assert all(r % 8 == 0 for r in rows[:-1])
+    assert rows[-1] > 1 or n_test == 1
+    assert np.array_equal(np.hstack(blocks), Z)
+    assert len(blocks) == n_blocks
+
+
 def test_risk_of_planted_model_on_its_own_target_is_zero():
     t = sample_target("planted", 2, 1.0, split_stream(36, 0), FOURIER, planted_s=3)
-    risk = _mc_risk(t, t.params["W0"], planted_coefficients(t), 500, 1.0,
+    risk = _mc_risk(t, t.params["W0"], t.params["c0"], 500, 1.0,
                     split_stream(36, 1))
     assert risk <= 1e-20
 
@@ -174,17 +216,3 @@ def test_feature_count_rule_reaches_target_accuracy():
     frac = hits / trials
     se = np.sqrt(delta * (1 - delta) / trials)
     assert frac >= 1 - delta - 3 * se
-
-
-def test_target_json_round_trips():
-    cases = [
-        (linear_target(np.array([0.5, -1.5])), 2),
-        (sample_target("planted", 3, 1.0, split_stream(41, 0), FOURIER, planted_s=2), 3),
-        (_bump(), 3),
-    ]
-    for t, d in cases:
-        back = target_from_json(target_to_json(t))
-        assert back.kind == t.kind
-        assert back.rho_norm == t.rho_norm
-        Z = gaussian_matrix(d, 5, 1.0, split_stream(41, 1))
-        assert np.allclose(back.evaluate(Z), t.evaluate(Z))
