@@ -422,7 +422,10 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
     parameter points.  Bound values never depend on the constants mode, and the
     hypothesis checks of both the strict and the permissive mode are always
     reported, so `config.constants` is not read.  Each trial's risk carries its
-    Monte Carlo standard error std(|f - f#|^2) / sqrt(n_test)."""
+    Monte Carlo standard error std(|f - f#|^2) / sqrt(n_test).  Next to the
+    coverage, `bound_over_risk` is the smallest bound / risk over the trials
+    (inf when every risk is 0): coverage against a bound many orders above the
+    risk says little about the bound."""
     if config.n_test < 2:
         raise InvalidArgumentError(
             "bound validation needs n_test >= 2 for the risk's standard error")
@@ -482,6 +485,9 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
             "eta": config.eta, "delta": config.delta, "epsilon": eps,
             "noise_bound": E,
             "coverage": covered / config.trials,
+            "bound_over_risk": min((r["bound_value"] / r["empirical_risk"]
+                                    for r in trial_rows if r["empirical_risk"] > 0),
+                                   default=math.inf),
             "mean_risk": float(np.mean([r[0] for r in results])),
             "conditions": {
                 "strict": rep_strict.as_dict(),

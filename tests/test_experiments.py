@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rfcond import experiments
 from rfcond.errors import InvalidArgumentError, NumericalFailureError
 from rfcond.experiments import (
     _TAG_GRID,
@@ -16,6 +17,7 @@ from rfcond.experiments import (
     run_spectrum_density,
     run_threshold_study,
 )
+from rfcond.io import json_report
 from rfcond.sampling import TAG_DATA, gaussian_matrix, split_stream
 from rfcond.targets import gaussian_bump_target
 from rfcond.theory import TheoryConstants, risk_bound_ls, risk_bound_minnorm
@@ -178,6 +180,25 @@ def test_bound_validation_structure():
             assert t["bound_value"] >= 0
     assert report["target"]["kind"] == "gaussian_bump"
 
+
+
+def test_bound_over_risk_is_the_smallest_ratio_and_inf_at_zero_risk(monkeypatch):
+    cfg = ExperimentConfig(d=5, m=60, n_grid=(6, 200), target_kind="gaussian_bump",
+                           trials=3, seed=32, s=3, n_test=100)
+    for p in run_bound_validation(cfg)["pipelines"]:
+        ratios = [t["bound_value"] / t["empirical_risk"] for t in p["trials"]]
+        assert p["bound_over_risk"] == min(ratios)
+        assert p["coverage"] == 1.0 and p["bound_over_risk"] > 1.0
+    train_and_test = experiments._train_and_test
+
+    def exact_fit(*args, **kwargs):
+        coeff, sq_err, noise = train_and_test(*args, **kwargs)
+        return coeff, np.zeros_like(sq_err), noise
+
+    monkeypatch.setattr(experiments, "_train_and_test", exact_fit)
+    report = run_bound_validation(cfg)
+    assert [p["bound_over_risk"] for p in report["pipelines"]] == [math.inf] * 3
+    assert json.loads(json_report(report))["pipelines"][0]["bound_over_risk"] == "inf"
 
 def test_bound_validation_rejects_targets_without_rho_norm():
     cfg = ExperimentConfig(d=3, m=50, n_grid=(10,), target_kind="linear", trials=2)

@@ -47,7 +47,7 @@ GOLDEN = {
         "threshold.json": "e65fa6cf2777af4adbc9acffedb2c5e783dfc42ad53eaee236c91f2945649737",
     },
     "validate": {
-        "validate.json": "359ae52f6de71d4835bde579cc735b9164269630ba2ac35a7aff3ccebc748546",
+        "validate.json": "51bd044d02837871a4742d9d482048bbc4c02461a940d61907f82b17a1112bec",
     },
     "theory": {
         "stdout": "7a294e1eb65e1848c877a3365c114d044f9c04c0d706a3f471e4c97b6042bb35",

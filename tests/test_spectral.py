@@ -1,12 +1,18 @@
+from itertools import combinations
+from math import ceil, comb
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rfcond.errors import EnumerationBudgetError, InvalidArgumentError
+from rfcond import cli
+from rfcond.errors import EnumerationBudgetError, InvalidArgumentError, NumericalFailureError
 from rfcond.experiments import random_features
+from rfcond.features import FOURIER, RELU
 from rfcond.sampling import split_stream
 from rfcond.spectral import (
+    _STACK,
     SIDE_COLUMNS,
     SIDE_ROWS,
     gram_spectrum_via_svd,
@@ -151,6 +157,104 @@ def test_rip_invariant_under_column_permutation():
     for _ in range(4):
         perm = gen.permutation(6)
         assert rip_constant_exact(An[:, perm], 3).value == pytest.approx(base, abs=1e-12)
+
+
+def _loop_support_deviation(M, cols):
+    """The per-support reference: one Gram and one eigvalsh call per support."""
+    sub = M[:, cols]
+    G = sub.conj().T @ sub
+    G[np.diag_indices_from(G)] -= 1.0
+    eigs = np.linalg.eigvalsh(0.5 * (G + G.conj().T))
+    return float(max(-eigs[0], eigs[-1]))
+
+
+def _loop_rip_exact(M, s):
+    best = 0.0
+    for cols in combinations(range(M.shape[1]), s):
+        best = max(best, _loop_support_deviation(M, np.asarray(cols)))
+    return best
+
+
+def _loop_rip_mc(M, s, trials, stream):
+    gen = stream.generator()
+    best, seen = 0.0, set()
+    for _ in range(trials):
+        cols = np.sort(gen.choice(M.shape[1], size=s, replace=False))
+        if cols.tobytes() not in seen:
+            seen.add(cols.tobytes())
+            best = max(best, _loop_support_deviation(M, cols))
+    return best, len(seen)
+
+
+# (N, s): s = 1 and s = N; C(N, s) below, equal to, one above and a multiple of _STACK.
+_STACK_CASES = [(8, 1), (8, 8), (8, 3), (10, 4), (_STACK, 1), (_STACK, _STACK - 1),
+                (_STACK + 1, 1), (_STACK + 1, _STACK), (2 * _STACK, 1),
+                (2 * _STACK, 2 * _STACK - 1)]
+
+
+@pytest.mark.parametrize("kind", [FOURIER, RELU])
+def test_rip_stacks_match_per_support_loop_bitwise(kind):
+    for n, s in _STACK_CASES:
+        _, _, A = random_features(3, 30, n, 1.0, 1.0, split_stream(n, s), kind)
+        M = A / np.sqrt(30)
+        est = rip_constant_exact(M, s)
+        assert (est.value, est.supports_evaluated) == (_loop_rip_exact(M, s), comb(n, s)), (n, s)
+    _, _, A = random_features(3, 30, 12, 1.0, 1.0, split_stream(5, 0), kind)
+    M = A / np.sqrt(30)
+    # distinct draws: at most N at s = 1, one at s = N, more than one stack at s = 4, 5
+    for s, trials in [(1, 25), (4, 150), (12, 5), (5, 3 * _STACK)]:
+        mc = rip_constant_lower_mc(M, s, trials, split_stream(7, s))
+        ref = _loop_rip_mc(M, s, trials, split_stream(7, s))
+        assert (mc.value, mc.supports_evaluated) == ref, (s, trials)
+        assert s not in (4, 5) or mc.supports_evaluated > _STACK
+
+
+def _recording_eigvalsh(monkeypatch):
+    stacks = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(G):
+        stacks.append(G.shape[0])
+        return eigvalsh(G)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return stacks
+
+
+@pytest.mark.parametrize("n, s", [(8, 1), (8, 3), (_STACK, 1), (_STACK + 1, 1),
+                                  (12, 4), (14, 5)])
+def test_rip_enumeration_makes_one_eigvalsh_call_per_stack(n, s, monkeypatch):
+    An = _random_fourier(2, 30, n, 21) / np.sqrt(30)
+    stacks = _recording_eigvalsh(monkeypatch)
+    rip_constant_exact(An, s)
+    assert len(stacks) == ceil(comb(n, s) / _STACK)
+    assert max(stacks) <= _STACK
+    assert sum(stacks) == comb(n, s)
+
+
+def test_rip_eigensolver_failure_exits_3(tmp_path, capsys, monkeypatch):
+    def failing(G):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    An = _random_fourier(2, 30, 8, 22) / np.sqrt(30)
+    with pytest.raises(NumericalFailureError, match="eigendecomposition failed"):
+        rip_constant_exact(An, 2)
+    rc = cli.main(["rip", "--d", "2", "--m", "30", "--n-grid", "8", "--s", "3",
+                   "--method", "exact", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_NUMERICAL
+    assert "eigendecomposition failed" in capsys.readouterr().err
+    assert not (tmp_path / "rip.json").exists()
+
+
+def test_rip_non_finite_entry_raises_numerical_failure():
+    An = _random_fourier(2, 30, 8, 23) / np.sqrt(30)
+    An[4, 5] = np.nan
+    with pytest.raises(NumericalFailureError, match="non-finite"):
+        rip_constant_exact(An, 2)
+    # at s = N the eigensolver itself gives up on the NaN Gram
+    with pytest.raises(NumericalFailureError):
+        rip_constant_lower_mc(An, 8, 3, split_stream(0, 0))
 
 
 def test_band_membership_caps_full_rip_constant():
