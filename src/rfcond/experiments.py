@@ -345,7 +345,8 @@ def run_spectrum_density(config: ExperimentConfig) -> list[DensityStudyEntry]:
             stream = split_stream(config.seed, t).substream(_TAG_SCALING, idx)
             _, _, A = random_features(config.d, m, n, config.gamma, config.sigma, stream,
                                       config.feature_kind)
-            return singular_values(A / math.sqrt(max(m, n)))
+            A /= math.sqrt(max(m, n))
+            return singular_values(A)
 
         pooled = np.concatenate(_map_trials(one_trial, config.trials, config.workers))
         curve = spectral_density(pooled)

@@ -3,6 +3,11 @@
 Samples sit in rows, features in columns: A is m x N with
 a_{j,k} = phi(<x_j, w_k>).  Fourier features are kept complex end to end;
 real-valued targets read off the real part of predictions downstream.
+
+Each matrix costs one m x N allocation beyond the real phase X^T W: Fourier
+features are one complex array whose real and imaginary parts receive
+cos and sin of the phase (bit for bit numpy's exp(i * phase)), and ReLU
+features clip the phase in place.
 """
 
 from __future__ import annotations
@@ -26,16 +31,25 @@ def _check_dims(X: np.ndarray, W: np.ndarray) -> None:
         raise InvalidArgumentError("X and W must be at least 1x1")
 
 
+def _phase(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The m x N real phase X^T W, a fresh array the caller may overwrite."""
+    _check_dims(X, W)
+    return np.asarray(X.T @ W, dtype=np.float64)
+
+
 def fourier_features(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     """a_{j,k} = exp(i <x_j, w_k>) for X d x m, W d x N."""
-    _check_dims(X, W)
-    return np.exp(1j * (X.T @ W))
+    phase = _phase(X, W)
+    A = np.empty(phase.shape, np.complex128)
+    np.cos(phase, out=A.real)
+    np.sin(phase, out=A.imag)
+    return A
 
 
 def relu_features(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     """a_{j,k} = max(0, <x_j, w_k>)."""
-    _check_dims(X, W)
-    return np.maximum(0.0, X.T @ W)
+    phase = _phase(X, W)
+    return np.maximum(0.0, phase, out=phase)
 
 
 def build_features(X: np.ndarray, W: np.ndarray, kind: str) -> np.ndarray:

@@ -48,7 +48,7 @@ def _as_matrix_vector(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
         raise InvalidArgumentError("A must be a 2-d array")
     if y.shape[0] != A.shape[0]:
         raise InvalidArgumentError(f"y has length {y.shape[0]}, expected {A.shape[0]}")
-    return A.astype(np.complex128), y.astype(np.complex128)
+    return np.asarray(A, dtype=np.complex128), y.astype(np.complex128)
 
 
 def _residual_norm(A: np.ndarray, c: np.ndarray, y: np.ndarray) -> float:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,54 @@ def test_empty_inputs_raise():
         for kind in (FOURIER, RELU):
             with pytest.raises(InvalidArgumentError, match="at least 1x1"):
                 build_features(X, W, kind)
+
+
+def _bitwise_equal(a, b):
+    # array_equal plus the sign bit, so -0.0 and 0.0 count as different
+    return (a.dtype == b.dtype and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.view(np.float64)), np.signbit(b.view(np.float64))))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4])
+def test_features_equal_exp_and_maximum_bitwise(scale):
+    gen = np.random.default_rng(11)
+    d, n_points, n = 5, 96, 40
+    Z = gen.normal(size=(d, n_points)) * scale
+    W = gen.normal(size=(d, n))
+    # contiguous data, the column slices evaluate_model passes, a strided view
+    for X in (Z, Z[:, 8:72], Z[:, 1:64], Z[:, ::3]):
+        phase = X.T @ W
+        assert _bitwise_equal(fourier_features(X, W), np.exp(1j * phase))
+        assert _bitwise_equal(relu_features(X, W), np.maximum(0.0, phase))
+
+
+def test_integer_inputs_give_float_features():
+    # the phase is cast to float64 before it is written over in place
+    X = np.array([[1, -1]])
+    W = np.array([[-3]])
+    assert relu_features(X, W).tolist() == [[0.0], [3.0]]
+    assert _bitwise_equal(fourier_features(X, W), np.exp(1j * np.array([[-3.0], [3.0]])))
+
+
+def _peak_bytes(fn, X, W):
+    tracemalloc.start()
+    try:
+        fn(X, W)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_feature_construction_allocates_one_matrix_beyond_the_phase():
+    # Fourier: the real phase (8 bytes per entry) and one complex matrix (16);
+    # exp(1j * phase) needs a second complex temporary, 32 bytes per entry.
+    # ReLU: the phase, clipped in place (8).
+    gen = np.random.default_rng(12)
+    m, n = 64, 2048
+    X = gen.normal(size=(3, m))
+    W = gen.normal(size=(3, n))
+    assert _peak_bytes(fourier_features, X, W) <= 26 * m * n
+    assert _peak_bytes(relu_features, X, W) <= 10 * m * n
 
 
 def test_row_column_gram_symmetry_under_role_swap():
