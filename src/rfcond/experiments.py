@@ -532,5 +532,6 @@ def run_rip_study(config: ExperimentConfig, method: str, budget: int,
             est = rip_constant_lower_mc(A_norm, s, rip_trials,
                                         stream.substream(TAG_SUPPORTS, s))
         estimates.append({"s": est.s, "value": est.value, "method": est.method,
-                          "supports_evaluated": est.supports_evaluated})
+                          "supports_evaluated": est.supports_evaluated,
+                          "supports_pruned": est.supports_pruned})
     return {"estimates": estimates}

@@ -11,8 +11,12 @@ Lecture 31).
 Restricted isometry constants are the one place that forms Grams on purpose:
 delta_s is a maximum over column supports S of ||A_S* A_S - I||_2, and each
 s x s support Gram is small and well conditioned near I.  The supports are
-evaluated in stacks of `_STACK`, with one batched eigensolver call per stack,
-so memory stays O(_STACK * s * m) however many supports there are.
+evaluated in stacks of `_STACK`, so memory stays O(_STACK * s * m) however
+many supports there are.  Each support Gram G also gives the upper bound
+min(max row sum of |G|, ||G||_F) >= ||G||_2; a support whose bound is below
+the running maximum by more than a rounding margin cannot raise it and skips
+the eigensolver.  The rest of the stack goes to one batched eigensolver call,
+so the maximum is bit-for-bit the one full enumeration finds.
 """
 
 from __future__ import annotations
@@ -34,6 +38,13 @@ SIDE_ROWS = "rows"        # (1/N) A A*, m x m
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 _STACK = 64  # supports per batched eigvalsh call
+# A support is skipped when bound + _PRUNE_MARGIN * (1 + best) < best.  The
+# computed bound is within s*eps*bound of the exact min(||G||_inf, ||G||_F),
+# which is >= ||G||_2, and eigvalsh returns ||G||_2 to within O(s*eps*||G||_2)
+# (backward stable), so a skipped support's computed deviation stays below best
+# while the margin exceeds a few s*eps*best: 1e-9 covers s up to ~10^6.  The
+# "1 +" keeps every support when best is at round-off level (s = 1).
+_PRUNE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,10 +58,19 @@ class SpectralSummary:
 
 @dataclass(frozen=True)
 class RipEstimate:
+    """delta_s as the maximum of ||A_S* A_S - I||_2 over `supports_evaluated`
+    supports S.  Of these, `supports_pruned` were settled without an
+    eigensolve: their bound min(max row sum of |G|, ||G||_F) lay below the
+    running maximum by more than the rounding margin `_PRUNE_MARGIN * (1 +
+    best)`, so they could not change `value`, which is bit-for-bit the maximum
+    over every support.  The bound comes from the stacked Grams the
+    eigensolver would receive, so memory stays O(_STACK * s * m)."""
+
     s: int
     value: float
     method: str  # "exact_enumeration" | "randomized_lower_bound"
     supports_evaluated: int
+    supports_pruned: int
 
 
 @dataclass(frozen=True)
@@ -100,31 +120,45 @@ def singular_values(A: np.ndarray) -> np.ndarray:
     return np.sort(s)
 
 
-def _max_deviation(M: np.ndarray, supports: np.ndarray) -> float:
-    """max over the rows S of the (B, s) index array `supports` of
-    || A_S* A_S - I ||_2, from one batched eigendecomposition of the B
-    stacked s x s support Grams."""
+def _norm_bound(G: np.ndarray) -> np.ndarray:
+    """min(max row sum of |G|, ||G||_F) of each matrix in the stack G: an
+    upper bound on ||G||_2."""
+    a = np.abs(G)
+    return np.minimum(a.sum(axis=-1).max(axis=-1), np.sqrt((a * a).sum(axis=(-2, -1))))
+
+
+def _max_deviation(M: np.ndarray, supports: np.ndarray, best: float) -> tuple[float, int]:
+    """max(best, || A_S* A_S - I ||_2 over the rows S of the (B, s) index
+    array `supports`) and the number of supports whose norm bound settles them
+    below `best` without an eigensolve.  The others go to one batched
+    eigendecomposition of their stacked s x s support Grams."""
     sub = M.T[supports]  # (B, s, m): sub[b] = A_S^T for S = supports[b]
     G = sub.conj() @ np.swapaxes(sub, -1, -2)
     G -= np.eye(supports.shape[1])
     G = 0.5 * (G + np.swapaxes(G, -1, -2).conj())
+    keep = ~(_norm_bound(G) + _PRUNE_MARGIN * (1.0 + best) < best)  # a NaN bound is kept
+    n_keep = int(keep.sum())
+    if n_keep == 0:
+        return best, len(keep)
     try:
-        eigs = np.linalg.eigvalsh(G)
+        eigs = np.linalg.eigvalsh(G[keep])
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
     dev = float(np.maximum(-eigs[:, 0], eigs[:, -1]).max())
     if not np.isfinite(dev):
         raise NumericalFailureError("support Gram has non-finite eigenvalues")
-    return dev
+    return max(best, dev), len(keep) - n_keep
 
 
-def _max_over_stacks(M: np.ndarray, supports: Iterable) -> float:
-    """Largest support deviation, taking `supports` `_STACK` at a time."""
+def _max_over_stacks(M: np.ndarray, supports: Iterable) -> tuple[float, int]:
+    """Largest support deviation, taking `supports` `_STACK` at a time, and
+    the number of supports pruned against the running maximum."""
     supports = iter(supports)
-    best = 0.0
+    best, pruned = 0.0, 0
     while stack := list(islice(supports, _STACK)):
-        best = max(best, _max_deviation(M, np.array(stack)))
-    return best
+        best, k = _max_deviation(M, np.array(stack), best)
+        pruned += k
+    return best, pruned
 
 
 def rip_constant_exact(A_normalized: np.ndarray, s: int,
@@ -141,8 +175,9 @@ def rip_constant_exact(A_normalized: np.ndarray, s: int,
             f"C({n},{s}) = {total} supports exceeds budget {budget}; "
             "use rip_constant_lower_mc for a randomized lower bound"
         )
-    best = _max_over_stacks(M, combinations(range(n), s))
-    return RipEstimate(s=s, value=best, method="exact_enumeration", supports_evaluated=total)
+    best, pruned = _max_over_stacks(M, combinations(range(n), s))
+    return RipEstimate(s=s, value=best, method="exact_enumeration", supports_evaluated=total,
+                       supports_pruned=pruned)
 
 
 def rip_constant_lower_mc(A_normalized: np.ndarray, s: int, trials: int,
@@ -165,8 +200,9 @@ def rip_constant_lower_mc(A_normalized: np.ndarray, s: int, trials: int,
     for _ in range(trials):
         cols = np.sort(gen.choice(n, size=s, replace=False))
         distinct.setdefault(cols.tobytes(), cols)
-    return RipEstimate(s=s, value=_max_over_stacks(M, distinct.values()),
-                       method="randomized_lower_bound", supports_evaluated=len(distinct))
+    best, pruned = _max_over_stacks(M, distinct.values())
+    return RipEstimate(s=s, value=best, method="randomized_lower_bound",
+                       supports_evaluated=len(distinct), supports_pruned=pruned)
 
 
 def _silverman_bandwidth(values: np.ndarray) -> float:

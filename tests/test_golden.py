@@ -53,7 +53,7 @@ GOLDEN = {
         "stdout": "7a294e1eb65e1848c877a3365c114d044f9c04c0d706a3f471e4c97b6042bb35",
     },
     "rip": {
-        "rip.json": "9c5a9054c6b2f91191a0649c02f348f50a9d38442301e5406711b68fa39f74a0",
+        "rip.json": "1916d20e5099645154455d3857083970771924647481305872a0a11bef96fd1a",
     },
 }
 

@@ -13,6 +13,7 @@ from rfcond.features import FOURIER, RELU
 from rfcond.sampling import split_stream
 from rfcond.spectral import (
     _STACK,
+    _norm_bound,
     SIDE_COLUMNS,
     SIDE_ROWS,
     gram_spectrum_via_svd,
@@ -224,12 +225,74 @@ def _recording_eigvalsh(monkeypatch):
 @pytest.mark.parametrize("n, s", [(8, 1), (8, 3), (_STACK, 1), (_STACK + 1, 1),
                                   (12, 4), (14, 5)])
 def test_rip_enumeration_makes_one_eigvalsh_call_per_stack(n, s, monkeypatch):
+    # At most one call per stack: supports the norm bound settles are not eigensolved.
     An = _random_fourier(2, 30, n, 21) / np.sqrt(30)
     stacks = _recording_eigvalsh(monkeypatch)
-    rip_constant_exact(An, s)
-    assert len(stacks) == ceil(comb(n, s) / _STACK)
+    est = rip_constant_exact(An, s)
+    assert len(stacks) <= ceil(comb(n, s) / _STACK)
     assert max(stacks) <= _STACK
-    assert sum(stacks) == comb(n, s)
+    assert sum(stacks) + est.supports_pruned == comb(n, s) == est.supports_evaluated
+    assert (n, s) not in [(12, 4), (14, 5)] or est.supports_pruned > 0
+
+
+def _assert_pruning_matches_loop(M, s, trials):
+    """Exact and MC estimates equal the per-support loop bit for bit."""
+    est = rip_constant_exact(M, s)
+    assert est.value == _loop_rip_exact(M, s), s
+    mc = rip_constant_lower_mc(M, s, trials, split_stream(3, s))
+    assert (mc.value, mc.supports_evaluated) == _loop_rip_mc(M, s, trials, split_stream(3, s)), s
+    return est, mc
+
+
+def test_rip_pruning_keeps_exact_ties_bitwise():
+    # duplicated and negated columns: many supports share one deviation exactly
+    B = _random_fourier(2, 20, 4, 31) / np.sqrt(20)
+    M = np.concatenate([B, B, -B], axis=1)
+    pruned = 0
+    for s in (2, 3, 4):
+        est, mc = _assert_pruning_matches_loop(M, s, 3 * _STACK)
+        pruned += est.supports_pruned + mc.supports_pruned
+    assert pruned > 0
+
+
+def test_rip_pruning_with_column_norms_from_1e_minus_3_to_1e3():
+    _, _, A = random_features(3, 30, 12, 1.0, 1e3, split_stream(32, 0), RELU)
+    scale = np.random.default_rng(0).permutation(np.logspace(-3, 3, 12))
+    M = A * (scale / np.linalg.norm(A, axis=0))
+    pruned = 0
+    for s in (2, 3, 5):
+        est, mc = _assert_pruning_matches_loop(M, s, 3 * _STACK)
+        pruned += est.supports_pruned + mc.supports_pruned
+    assert pruned > 0
+
+
+def test_rip_prunes_nothing_at_round_off_level_and_at_s_equal_n():
+    # s = 1 Fourier deviations are ~1e-16; the margin keeps every support
+    M = _random_fourier(2, 30, 2 * _STACK + 1, 33) / np.sqrt(30)
+    est, mc = _assert_pruning_matches_loop(M, 1, 4 * _STACK)
+    assert est.supports_pruned == mc.supports_pruned == 0
+    for kind in (FOURIER, RELU):
+        _, _, A = random_features(3, 30, 9, 1.0, 1.0, split_stream(34, 0), kind)
+        est, mc = _assert_pruning_matches_loop(A / np.sqrt(30), 9, 3)
+        assert est.supports_pruned == mc.supports_pruned == 0
+
+
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=6),
+       st.sampled_from(["dense", "rank1", "diagonal"]),
+       st.integers(min_value=-12, max_value=12), st.integers(min_value=0, max_value=2**32))
+def test_norm_bound_is_at_least_the_eigvalsh_deviation(s, b, shape, log_scale, seed):
+    gen = np.random.default_rng(seed)
+    Z = gen.normal(size=(b, s, s)) + 1j * gen.normal(size=(b, s, s))
+    if shape == "rank1":
+        Z = Z[:, :, :1] @ np.swapaxes(Z[:, :, :1], -1, -2).conj()
+    elif shape == "diagonal":
+        Z = Z * np.eye(s)
+    G = 10.0**log_scale * 0.5 * (Z + np.swapaxes(Z, -1, -2).conj())
+    eigs = np.linalg.eigvalsh(G)
+    dev = np.maximum(-eigs[:, 0], eigs[:, -1])
+    bound = _norm_bound(G)
+    # equality cases (rank one: Frobenius; diagonal: row sum) differ by rounding only
+    assert np.all(dev <= bound * (1 + 16 * s * np.finfo(float).eps))
 
 
 def test_rip_eigensolver_failure_exits_3(tmp_path, capsys, monkeypatch):
