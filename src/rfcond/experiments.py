@@ -54,6 +54,7 @@ from .spectral import (
     rip_constant_lower_mc,
     singular_values,
     spectral_density,
+    spectrum_from_singular_values,
 )
 from .targets import (
     KIND_BUMP,
@@ -156,6 +157,7 @@ class SweepRow:
     train_residual: float
     empirical_risk: float
     bound_value: float | None
+    flags: str  # the fit's diagnostic flags joined by ";", empty when there are none
 
 
 SWEEP_COLUMNS = [f.name for f in fields(SweepRow)]
@@ -231,13 +233,13 @@ def _sweep_trial(config: ExperimentConfig, trial: int) -> list[SweepRow]:
         cell = base.substream(_TAG_GRID, n)
         X, W, A = random_features(config.d, config.m, n, config.gamma, config.sigma,
                                   cell, config.feature_kind)
-        side = SIDE_COLUMNS if n <= config.m else SIDE_ROWS
-        spec = gram_spectrum_via_svd(A, side)
-
         # A singular row Gram keeps the trial with the flagged pseudoinverse
-        # fit; its infinite condition number is in the spectral summary.
+        # fit; its infinite condition number is in the spectral summary, built
+        # from the singular values of the fit's own factorization of A.
         pipeline = "least_squares" if n < config.m else "min_norm"
         coeff, sq_err, noise = _train_and_test(config, target, pipeline, X, W, A, cell)
+        side = SIDE_COLUMNS if n <= config.m else SIDE_ROWS
+        spec = spectrum_from_singular_values(coeff.diagnostics.singular_values, A.shape, side)
 
         bound = None
         if config.compute_bounds and n != config.m:
@@ -248,7 +250,8 @@ def _sweep_trial(config: ExperimentConfig, trial: int) -> list[SweepRow]:
                              cond_number=spec.cond_number,
                              lambda_min=spec.lambda_min, lambda_max=spec.lambda_max,
                              train_residual=coeff.diagnostics.residual_norm,
-                             empirical_risk=float(np.mean(sq_err)), bound_value=bound))
+                             empirical_risk=float(np.mean(sq_err)), bound_value=bound,
+                             flags=";".join(coeff.diagnostics.flags)))
     return rows
 
 

@@ -30,6 +30,9 @@ class Diagnostics:
     iterations: int = 0
     duality_gap: float | None = None
     flags: tuple[str, ...] = ()
+    # Ascending singular values of A from the least-squares solve, so that a
+    # caller needing A's spectrum does not factor A again.
+    singular_values: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -70,9 +73,10 @@ def least_squares(A: np.ndarray, y: np.ndarray) -> CoefficientVector:
     m, n = A.shape
     if m < n:
         raise InvalidArgumentError(f"least_squares requires m >= N, got {m} < {n}")
-    c, _, rank, _ = _lstsq(A, y)
+    c, _, rank, sv = _lstsq(A, y)
     flags = () if rank == n else ("rank_deficient_pseudoinverse",)
-    diag = Diagnostics(residual_norm=_residual_norm(A, c, y), flags=flags)
+    diag = Diagnostics(residual_norm=_residual_norm(A, c, y), flags=flags,
+                       singular_values=sv[::-1])
     return CoefficientVector(c, diag)
 
 
@@ -85,9 +89,10 @@ def min_norm_interpolate(A: np.ndarray, y: np.ndarray) -> CoefficientVector:
     m, n = A.shape
     if m > n:
         raise InvalidArgumentError(f"min_norm_interpolate requires m <= N, got {m} > {n}")
-    c, _, rank, _ = _lstsq(A, y)
+    c, _, rank, sv = _lstsq(A, y)
     flags = () if rank == m else (FLAG_SINGULAR_GRAM,)
-    diag = Diagnostics(residual_norm=_residual_norm(A, c, y), flags=flags)
+    diag = Diagnostics(residual_norm=_residual_norm(A, c, y), flags=flags,
+                       singular_values=sv[::-1])
     return CoefficientVector(c, diag)
 
 
@@ -156,7 +161,7 @@ def bpdn(A: np.ndarray, y: np.ndarray, xi: float, tolerance: float = 1e-6,
                            duality_gap=0.0, flags=(FLAG_ZERO_FEASIBLE,))
         return CoefficientVector(np.zeros(n, dtype=np.complex128), diag)
 
-    c_feas, *_ = _lstsq(A, y)
+    c_feas, _, _, sv = _lstsq(A, y)
     min_residual = float(np.linalg.norm(A @ c_feas - y))
     if min_residual > radius + tolerance:
         raise InfeasibleProblemError(
@@ -164,7 +169,7 @@ def bpdn(A: np.ndarray, y: np.ndarray, xi: float, tolerance: float = 1e-6,
             f"{radius:.3e}"
         )
 
-    opnorm = float(np.linalg.norm(A, 2))
+    opnorm = float(sv[0])  # the largest singular value, from the solve above
     tau = sigma_step = 0.99 / opnorm
     c = np.zeros(n, dtype=np.complex128)
     c_bar = c.copy()

@@ -3,20 +3,26 @@ restricted isometry constants, and singular-value density estimation.
 
 The two normalized Grams share their nonzero spectrum: eig((1/m)A*A) and
 eig((1/N)AA*) are the squared singular values of A scaled by 1/m or 1/N, up
-to zero padding.  Gram spectra and condition numbers therefore come from one
-thin SVD of A rather than from an eigensolver on a formed Gram, whose
-round-off floor is squared (Trefethen & Bau, Numerical Linear Algebra,
-Lecture 31).
+to zero padding.  Every spectrum therefore comes from the singular values of
+A, taken from one factorization: `singular_values` runs one eigensolver on
+the smaller formed Gram (AA* or A*A), whose eigenvalues are accurate to about
+eps * cond^2 relative (Trefethen & Bau, Numerical Linear Algebra, Lecture
+31), and keeps them when lambda_min >= `_GRAM_GATE` * lambda_max, where that
+is at most about 2e-10; otherwise it takes the thin SVD of A, which resolves
+singular values down to eps * sigma_max.  A caller that has already factored
+A (the sweep's least-squares solve) passes those singular values to
+`spectrum_from_singular_values` instead.
 
-Restricted isometry constants are the one place that forms Grams on purpose:
-delta_s is a maximum over column supports S of ||A_S* A_S - I||_2, and each
-s x s support Gram is small and well conditioned near I.  The supports are
-evaluated in stacks of `_STACK`, so memory stays O(_STACK * s * m) however
-many supports there are.  Each support Gram G also gives the upper bound
-min(max row sum of |G|, ||G||_F) >= ||G||_2; a support whose bound is below
-the running maximum by more than a rounding margin cannot raise it and skips
-the eigensolver.  The rest of the stack goes to one batched eigensolver call,
-so the maximum is bit-for-bit the one full enumeration finds.
+Restricted isometry constants are the one place that forms Grams of column
+supports: delta_s is a maximum over column supports S of ||A_S* A_S - I||_2,
+and each s x s support Gram is small and well conditioned near I.  The
+supports are evaluated in stacks of `_STACK`, so memory stays
+O(_STACK * s * m) however many supports there are.  Each support Gram G also
+gives the upper bound min(max row sum of |G|, ||G||_F) >= ||G||_2; a support
+whose bound is below the running maximum by more than a rounding margin
+cannot raise it and skips the eigensolver.  The rest of the stack goes to one
+batched eigensolver call, so the maximum is bit-for-bit the one full
+enumeration finds.
 """
 
 from __future__ import annotations
@@ -32,6 +38,10 @@ from .errors import EnumerationBudgetError, InvalidArgumentError, NumericalFailu
 from .sampling import RngStream
 
 RANK_TOL = 1e-12  # relative floor under which the smallest singular value counts as zero
+# singular_values keeps the Gram's eigenvalues when lambda_min >= _GRAM_GATE *
+# lambda_max (sigma_max / sigma_min <= 1000): their relative error, about
+# eps * cond^2, then stays below 2e-10.
+_GRAM_GATE = 1e-6
 
 SIDE_COLUMNS = "columns"  # (1/m) A* A, N x N
 SIDE_ROWS = "rows"        # (1/N) A A*, m x m
@@ -81,22 +91,30 @@ class DensityCurve:
 
 
 def gram_spectrum_via_svd(A: np.ndarray, side: str) -> SpectralSummary:
-    """Full spectrum of the normalized Gram on the requested side, from the
-    singular values of A.
+    """Full spectrum of the normalized Gram on the requested side
+    (side="columns" is (1/m)A*A, side="rows" is (1/N)AA*) from
+    `singular_values(A)`: the smaller Gram's eigenvalues when lambda_min >=
+    `_GRAM_GATE` * lambda_max, accurate to about eps * cond^2 relative (at
+    most about 2e-10 at the gate), and the thin SVD's otherwise, which resolve
+    eigenvalues down to (eps * sigma_max)^2 near the interpolation threshold.
+    """
+    M = np.asarray(A)
+    return spectrum_from_singular_values(singular_values(M), M.shape, side)
 
-    side="columns" is (1/m)A*A, side="rows" is (1/N)AA*; when the requested
-    Gram is the larger one its zero eigenvalues are appended analytically.
-    The SVD resolves eigenvalues down to (eps * sigma_max)^2 instead of the
-    eps * lambda_max of an eigensolver on the formed Gram, which matters near
-    the interpolation threshold.  The condition number sigma_max / sigma_min is
+
+def spectrum_from_singular_values(s: np.ndarray, shape: tuple[int, int],
+                                  side: str) -> SpectralSummary:
+    """Spectrum of the normalized Gram on `side` of an m x N matrix of the
+    given shape with ascending singular values `s`.
+
+    When the requested Gram is the larger one its zero eigenvalues are
+    appended analytically.  The condition number sigma_max / sigma_min is
     infinite when the Gram is zero-padded or sigma_min <= RANK_TOL * sigma_max.
     """
     if side not in (SIDE_COLUMNS, SIDE_ROWS):
         raise InvalidArgumentError(f"unknown side {side!r}")
-    M = np.asarray(A)
-    m, n = M.shape
-    norm = m if side == SIDE_COLUMNS else n
-    s = singular_values(M) / np.sqrt(norm)
+    m, n = shape
+    s = s / np.sqrt(m if side == SIDE_COLUMNS else n)
     eigs = s**2
     pad = (n if side == SIDE_COLUMNS else m) - s.shape[0]
     if pad > 0:
@@ -111,12 +129,31 @@ def gram_spectrum_via_svd(A: np.ndarray, side: str) -> SpectralSummary:
 
 
 def singular_values(A: np.ndarray) -> np.ndarray:
-    """min(m, N) singular values in ascending order."""
+    """min(m, N) singular values in ascending order.
+
+    They are the square roots of the eigenvalues of the smaller Gram (AA* or
+    A*A) when those are finite and lambda_min >= `_GRAM_GATE` * lambda_max;
+    each is then within about eps * cond^2 relative of the SVD's (at most about
+    2e-10 at the gate).  Otherwise they come from the thin SVD of A; a failed
+    SVD or a non-finite result (as on non-finite A) raises
+    NumericalFailureError.
+    """
     M = np.asarray(A)
+    m, n = M.shape
+    with np.errstate(all="ignore"):  # an overflowing Gram fails the gate
+        G = M @ M.conj().T if m <= n else M.conj().T @ M
+        try:
+            lam = np.linalg.eigvalsh(G)
+        except np.linalg.LinAlgError:  # as on a non-finite Gram
+            lam = np.array([np.nan])  # fails the gate
+    if np.isfinite(lam).all() and lam[0] >= _GRAM_GATE * lam[-1]:
+        return np.sqrt(lam)
     try:
         s = np.linalg.svd(M, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"SVD failed: {exc}") from exc
+    if not np.isfinite(s).all():  # LAPACK returns NaN for an infinite entry
+        raise NumericalFailureError("SVD failed: non-finite singular values")
     return np.sort(s)
 
 

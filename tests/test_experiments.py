@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -5,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from rfcond import experiments
+from rfcond import cli, experiments
 from rfcond.errors import InvalidArgumentError, NumericalFailureError
 from rfcond.experiments import (
     _TAG_GRID,
     SCALING_LABELS,
     ExperimentConfig,
     _solve_scaling,
+    random_features,
     run_bound_validation,
     run_double_descent_sweep,
     run_spectrum_density,
@@ -19,6 +21,8 @@ from rfcond.experiments import (
 )
 from rfcond.io import json_report
 from rfcond.sampling import TAG_DATA, gaussian_matrix, split_stream
+from rfcond.solvers import FLAG_SINGULAR_GRAM, CoefficientVector, Diagnostics
+from rfcond.spectral import SIDE_COLUMNS, SIDE_ROWS, gram_spectrum_via_svd
 from rfcond.targets import gaussian_bump_target
 from rfcond.theory import TheoryConstants, risk_bound_ls, risk_bound_minnorm
 
@@ -113,6 +117,60 @@ def test_sweep_bounds_use_resolved_snr_noise_level():
         expected = bound(row.N, cfg.m, cfg.d, cfg.gamma, cfg.sigma, cfg.delta,
                          cfg.eta, target.rho_norm, E, permissive).value
         assert row.bound_value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["fourier", "relu"])
+def test_sweep_spectrum_matches_gram_spectrum_of_the_same_matrix(kind):
+    cfg = _sweep_config(feature_kind=kind, n_grid=(5, 19, 20, 21, 40))
+    for row in run_double_descent_sweep(cfg).rows:
+        cell = split_stream(cfg.seed, row.trial).substream(_TAG_GRID, row.N)
+        _, _, A = random_features(cfg.d, cfg.m, row.N, cfg.gamma, cfg.sigma, cell, kind)
+        spec = gram_spectrum_via_svd(A, SIDE_COLUMNS if row.N <= cfg.m else SIDE_ROWS)
+        for got, want in ((row.cond_number, spec.cond_number),
+                          (row.lambda_min, spec.lambda_min),
+                          (row.lambda_max, spec.lambda_max)):
+            assert got == pytest.approx(want, rel=1e-8)
+
+
+def test_sweep_factors_each_cell_once(monkeypatch):
+    calls = []
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("svd", "lstsq", "eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+    cfg = _sweep_config()
+    run_double_descent_sweep(cfg)
+    assert calls == ["lstsq"] * (len(cfg.n_grid) * cfg.trials)
+
+
+def test_sweep_csv_flags_column(tmp_path, monkeypatch):
+    # Rank-one features flag every fit: the least-squares cells below N = m
+    # and the min-norm cells from N = m on.
+    monkeypatch.setattr(experiments, "build_features",
+                        lambda X, W, kind: np.ones((X.shape[1], W.shape[1]), dtype=complex))
+    rc = cli.main(["sweep", "--d", "2", "--m", "6", "--n-grid", "3,6,9", "--trials", "1",
+                   "--n-test", "10", "--out", str(tmp_path)])
+    assert rc == 0
+    with open(tmp_path / "sweep.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["N"], r["flags"], r["cond_number"]) for r in rows] == [
+        ("3", "rank_deficient_pseudoinverse", "inf"),
+        ("6", FLAG_SINGULAR_GRAM, "inf"),
+        ("9", FLAG_SINGULAR_GRAM, "inf"),
+    ]
+
+    def two_flags(A, y):  # several flags are joined by ";"
+        diag = Diagnostics(flags=("a", "b"), singular_values=np.ones(A.shape[0]))
+        return CoefficientVector(np.zeros(A.shape[1], dtype=complex), diag)
+
+    monkeypatch.setattr(experiments, "min_norm_interpolate", two_flags)
+    rows = run_double_descent_sweep(_sweep_config(n_grid=(20, 40))).rows
+    assert {r.flags for r in rows} == {"a;b"}
 
 
 def test_scaling_resolution():

@@ -34,17 +34,17 @@ COMMANDS = {
 # command -> {output file name (or "stdout"): sha256}
 GOLDEN = {
     "sweep": {
-        "sweep.csv": "02073b3979fdadbe99dd2735a53fda58a5e82085674e3b36619ef89e17a73297",
+        "sweep.csv": "5d6361a6f21305e331756dc182abadd529c36c81b0f65d73c5cc8acb438ebe9f",
         "sweep.svg": "c24516076dd3c38b792c73974cc3531592953d73c703d2496a97255684e2ce08",
-        "sweep_summary.json": "e0176f29a7ec6732a822db295d3959f4439a66817f593fdaedaab9dc2e5d7a5c",
+        "sweep_summary.json": "766a6be64d75b8523f6a3a65e90d7b8b84f6f9b5f88203a21a136711557d0d2a",
     },
     "spectrum": {
-        "density.csv": "f5f68bb47c8ce17898a9ecd9912952fb9819071006ad1fef310611799c76283b",
+        "density.csv": "e8b8bf9619cdc04c03c9752bbfa95c07ec430b1cb2f8d4f5881789537d7bf9e9",
         "spectrum.svg": "3d43fcdaaf34ad29101f215fbd98c89759f04b835bafffc1cd76496997f7f73e",
-        "spectrum_summary.json": "fc908398b0aa4d2506a28a4ec52e651e335ebb1c6bef39bb968e49aacf37f5af",
+        "spectrum_summary.json": "5f0de01c791ca3b0f27b44d206bc29342a457a12fe58c7edf2fe6f297de1de4d",
     },
     "threshold": {
-        "threshold.json": "e65fa6cf2777af4adbc9acffedb2c5e783dfc42ad53eaee236c91f2945649737",
+        "threshold.json": "c3b93c56acdd925a7c2d92c24873713b276bece21d6153a833677ebd9ade8c8f",
     },
     "validate": {
         "validate.json": "51bd044d02837871a4742d9d482048bbc4c02461a940d61907f82b17a1112bec",

@@ -277,6 +277,43 @@ def test_bpdn_iteration_cap_reports_last_gap():
     assert info.value.iterations == 50
 
 
+@pytest.mark.parametrize("solver, shape", [(least_squares, (12, 5)),
+                                           (min_norm_interpolate, (5, 12))])
+def test_fits_keep_the_singular_values_of_their_solve(solver, shape):
+    gen = np.random.default_rng(15)
+    A = _random_complex(gen, *shape)
+    c = solver(A, gen.normal(size=shape[0]))
+    sv = c.diagnostics.singular_values
+    assert np.allclose(sv, np.sort(np.linalg.svd(A, compute_uv=False)), rtol=1e-12)
+    assert np.all(np.diff(sv) >= 0)
+    # not part of equality or repr: the fit's identity is its values and flags
+    assert c.diagnostics == Diagnostics(residual_norm=c.diagnostics.residual_norm)
+    assert "singular_values" not in repr(c.diagnostics)
+
+
+def test_bpdn_takes_its_step_from_the_feasibility_solve(monkeypatch):
+    factorizations = []
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def counting_svd(*args, **kwargs):
+        factorizations.append("svd")
+        return svd(*args, **kwargs)
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if ord in (2, -2) and np.ndim(x) == 2:
+            factorizations.append("matrix 2-norm")
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    gen = np.random.default_rng(12)
+    A = _random_complex(gen, 10, 20)
+    y = 0.1 * gen.normal(size=10)
+    c = bpdn(A, y, xi=0.5 * float(np.linalg.norm(y)) / np.sqrt(10))
+    assert c.diagnostics.iterations > 0
+    assert factorizations == []  # the step size comes from lstsq's singular values
+
+
 def test_prune_identity_and_ordering():
     c = _coeff([3.0, 1.0, 2.0])
     assert np.array_equal(prune_top_s(c, 3).values, c.values)

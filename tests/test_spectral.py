@@ -90,6 +90,71 @@ def test_gram_spectrum_matches_singular_values_cross_oracle():
     assert rel.max() <= 1e-8
 
 
+def _matrix_with_cond(m, n, cond, dtype, seed):
+    """An m x n matrix whose singular values run geometrically from 1 to `cond`."""
+    gen = np.random.default_rng(seed)
+    k = min(m, n)
+
+    def orthonormal(rows):
+        Z = gen.normal(size=(rows, k))
+        if dtype is complex:
+            Z = Z + 1j * gen.normal(size=(rows, k))
+        return np.linalg.qr(Z)[0]
+
+    return (orthonormal(m) * np.geomspace(1.0, cond, k)) @ orthonormal(n).conj().T
+
+
+def _counting_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls, svd
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("m, n", [(12, 40), (40, 12), (25, 25)])
+# sigma_max / sigma_min = 990 puts lambda_min / lambda_max just above _GRAM_GATE.
+@pytest.mark.parametrize("cond, rtol", [(1.0, 1e-12), (10.0, 1e-12), (990.0, 2e-10)])
+def test_gram_route_agrees_with_the_svd(m, n, dtype, cond, rtol, monkeypatch):
+    A = _matrix_with_cond(m, n, cond, dtype, seed=m + 7 * n)
+    calls, svd = _counting_svd(monkeypatch)
+    sv = singular_values(A)
+    assert calls == []  # the Gram's eigenvalues passed the gate
+    oracle = np.sort(svd(A, compute_uv=False))
+    assert sv.shape == oracle.shape
+    assert np.all(np.abs(sv - oracle) <= rtol * oracle)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("m, n", [(12, 40), (40, 12), (25, 25)])
+@pytest.mark.parametrize("cond", [1.1e3, 1e8])
+def test_ill_conditioned_input_gets_the_svd_values_exactly(m, n, dtype, cond):
+    A = _matrix_with_cond(m, n, cond, dtype, seed=m + 5 * n)
+    assert np.array_equal(singular_values(A), np.sort(np.linalg.svd(A, compute_uv=False)))
+
+
+def test_overflowing_gram_falls_back_to_the_svd_without_warnings():
+    A = 1e200 * _matrix_with_cond(6, 9, 2.0, complex, seed=3)
+    sv = singular_values(A)  # RuntimeWarnings are errors in this suite
+    assert np.array_equal(sv, np.sort(np.linalg.svd(A, compute_uv=False)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("shape", [(5, 9), (9, 5)])
+def test_non_finite_input_raises_numerical_failure(bad, shape):
+    A = _matrix_with_cond(*shape, 2.0, complex, seed=4)
+    A[2, 3] = bad
+    with pytest.raises(NumericalFailureError, match="SVD failed"):
+        singular_values(A)
+    with pytest.raises(NumericalFailureError, match="SVD failed"):
+        gram_spectrum_via_svd(A, SIDE_COLUMNS)
+
+
 def test_rip_s1_is_zero_for_unit_norm_columns():
     A = _random_fourier(2, 25, 6, 7)
     est = rip_constant_exact(A / np.sqrt(25), 1)
