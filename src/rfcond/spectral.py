@@ -4,14 +4,17 @@ restricted isometry constants, and singular-value density estimation.
 The two normalized Grams share their nonzero spectrum: eig((1/m)A*A) and
 eig((1/N)AA*) are the squared singular values of A scaled by 1/m or 1/N, up
 to zero padding.  Every spectrum therefore comes from the singular values of
-A, taken from one factorization: `singular_values` runs one eigensolver on
-the smaller formed Gram (AA* or A*A), whose eigenvalues are accurate to about
-eps * cond^2 relative (Trefethen & Bau, Numerical Linear Algebra, Lecture
-31), and keeps them when lambda_min >= `_GRAM_GATE` * lambda_max, where that
-is at most about 2e-10; otherwise it takes the thin SVD of A, which resolves
-singular values down to eps * sigma_max.  A caller that has already factored
-A (the sweep's least-squares solve) passes those singular values to
-`spectrum_from_singular_values` instead.
+A, taken from one factorization: for a non-square A, `singular_values` runs
+one eigensolver on the smaller formed Gram (AA* or A*A), whose eigenvalues
+are accurate to about eps * cond^2 relative (Trefethen & Bau, Numerical
+Linear Algebra, Lecture 31), and keeps them when lambda_min >= `_GRAM_GATE` *
+lambda_max, where that is at most about 2e-10; otherwise it takes the thin
+SVD of A, which resolves singular values down to eps * sigma_max.  A square A
+(N = m, the interpolation threshold, where the condition number peaks) goes
+straight to the SVD: its Gram is no smaller than A, so the Gram route would
+save little when it passes the gate and often fail it.  A caller that has
+already factored A (the sweep's least-squares solve) passes those singular
+values to `spectrum_from_singular_values` instead.
 
 Restricted isometry constants are the one place that forms Grams of column
 supports: delta_s is a maximum over column supports S of ||A_S* A_S - I||_2,
@@ -93,10 +96,11 @@ class DensityCurve:
 def gram_spectrum_via_svd(A: np.ndarray, side: str) -> SpectralSummary:
     """Full spectrum of the normalized Gram on the requested side
     (side="columns" is (1/m)A*A, side="rows" is (1/N)AA*) from
-    `singular_values(A)`: the smaller Gram's eigenvalues when lambda_min >=
-    `_GRAM_GATE` * lambda_max, accurate to about eps * cond^2 relative (at
-    most about 2e-10 at the gate), and the thin SVD's otherwise, which resolve
-    eigenvalues down to (eps * sigma_max)^2 near the interpolation threshold.
+    `singular_values(A)`: for non-square A, the smaller Gram's eigenvalues
+    when lambda_min >= `_GRAM_GATE` * lambda_max, accurate to about
+    eps * cond^2 relative (at most about 2e-10 at the gate), and otherwise the
+    thin SVD's, which resolve eigenvalues down to (eps * sigma_max)^2 near the
+    interpolation threshold.
     """
     M = np.asarray(A)
     return spectrum_from_singular_values(singular_values(M), M.shape, side)
@@ -131,23 +135,24 @@ def spectrum_from_singular_values(s: np.ndarray, shape: tuple[int, int],
 def singular_values(A: np.ndarray) -> np.ndarray:
     """min(m, N) singular values in ascending order.
 
-    They are the square roots of the eigenvalues of the smaller Gram (AA* or
-    A*A) when those are finite and lambda_min >= `_GRAM_GATE` * lambda_max;
-    each is then within about eps * cond^2 relative of the SVD's (at most about
-    2e-10 at the gate).  Otherwise they come from the thin SVD of A; a failed
-    SVD or a non-finite result (as on non-finite A) raises
-    NumericalFailureError.
+    For non-square A they are the square roots of the eigenvalues of the
+    smaller Gram (AA* or A*A) when those are finite and lambda_min >=
+    `_GRAM_GATE` * lambda_max; each is then within about eps * cond^2 relative
+    of the SVD's (at most about 2e-10 at the gate).  Otherwise, and always
+    for square A, they come from the thin SVD of A; a failed SVD or a
+    non-finite result (as on non-finite A) raises NumericalFailureError.
     """
     M = np.asarray(A)
     m, n = M.shape
-    with np.errstate(all="ignore"):  # an overflowing Gram fails the gate
-        G = M @ M.conj().T if m <= n else M.conj().T @ M
-        try:
-            lam = np.linalg.eigvalsh(G)
-        except np.linalg.LinAlgError:  # as on a non-finite Gram
-            lam = np.array([np.nan])  # fails the gate
-    if np.isfinite(lam).all() and lam[0] >= _GRAM_GATE * lam[-1]:
-        return np.sqrt(lam)
+    if m != n:
+        with np.errstate(all="ignore"):  # an overflowing Gram fails the gate
+            G = M @ M.conj().T if m < n else M.conj().T @ M
+            try:
+                lam = np.linalg.eigvalsh(G)
+            except np.linalg.LinAlgError:  # as on a non-finite Gram
+                lam = np.array([np.nan])  # fails the gate
+        if np.isfinite(lam).all() and lam[0] >= _GRAM_GATE * lam[-1]:
+            return np.sqrt(lam)
     try:
         s = np.linalg.svd(M, compute_uv=False)
     except np.linalg.LinAlgError as exc:

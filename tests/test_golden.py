@@ -39,12 +39,12 @@ GOLDEN = {
         "sweep_summary.json": "766a6be64d75b8523f6a3a65e90d7b8b84f6f9b5f88203a21a136711557d0d2a",
     },
     "spectrum": {
-        "density.csv": "e8b8bf9619cdc04c03c9752bbfa95c07ec430b1cb2f8d4f5881789537d7bf9e9",
+        "density.csv": "65e4a8c933fdcb6608c93322196c48921691dfb5e12e9648025af1f1400c34eb",
         "spectrum.svg": "3d43fcdaaf34ad29101f215fbd98c89759f04b835bafffc1cd76496997f7f73e",
-        "spectrum_summary.json": "5f0de01c791ca3b0f27b44d206bc29342a457a12fe58c7edf2fe6f297de1de4d",
+        "spectrum_summary.json": "acb532bb4bb7a6ba55a799d5a8bc314d644b19d26d57e504731db86b34f2854c",
     },
     "threshold": {
-        "threshold.json": "c3b93c56acdd925a7c2d92c24873713b276bece21d6153a833677ebd9ade8c8f",
+        "threshold.json": "e65fa6cf2777af4adbc9acffedb2c5e783dfc42ad53eaee236c91f2945649737",
     },
     "validate": {
         "validate.json": "51bd044d02837871a4742d9d482048bbc4c02461a940d61907f82b17a1112bec",

@@ -117,7 +117,7 @@ def _counting_svd(monkeypatch):
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("m, n", [(12, 40), (40, 12), (25, 25)])
+@pytest.mark.parametrize("m, n", [(12, 40), (40, 12)])
 # sigma_max / sigma_min = 990 puts lambda_min / lambda_max just above _GRAM_GATE.
 @pytest.mark.parametrize("cond, rtol", [(1.0, 1e-12), (10.0, 1e-12), (990.0, 2e-10)])
 def test_gram_route_agrees_with_the_svd(m, n, dtype, cond, rtol, monkeypatch):
@@ -136,6 +136,14 @@ def test_gram_route_agrees_with_the_svd(m, n, dtype, cond, rtol, monkeypatch):
 def test_ill_conditioned_input_gets_the_svd_values_exactly(m, n, dtype, cond):
     A = _matrix_with_cond(m, n, cond, dtype, seed=m + 5 * n)
     assert np.array_equal(singular_values(A), np.sort(np.linalg.svd(A, compute_uv=False)))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_square_input_gets_the_svd_values_exactly(dtype, monkeypatch):
+    A = _matrix_with_cond(25, 25, 1.0, dtype, seed=11)
+    want = np.sort(np.linalg.svd(A, compute_uv=False))
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)  # no Gram is formed or solved
+    assert np.array_equal(singular_values(A), want)
 
 
 def test_overflowing_gram_falls_back_to_the_svd_without_warnings():
