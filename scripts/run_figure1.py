@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Double descent of the condition number and the test risk.
+"""Double descent of the condition number and the population risk.
 
 Runs the three sweep panels (Fourier without noise, Fourier at 10% SNR, ReLU
 without noise) with d=3, m=100, data variance 1, weight variance 0.1, a random

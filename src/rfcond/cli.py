@@ -118,7 +118,8 @@ _FLAGS = {
               help="sparsity: bpdn_pruned pruning size (validate), largest s (rip)"),
     "pipelines": dict(default=None,
                       help="comma list of least_squares,min_norm,bpdn_pruned (default: all)"),
-    "n-test": dict(type=int, default=1000, help="test points of the Monte Carlo risk"),
+    "n-test": dict(type=int, default=1000,
+                   help="test points of the Monte Carlo risk, taken when nnz(c)^2 > n-test * N"),
     "workers": dict(type=int, default=1, help="threads running trials"),
     "out": dict(default="out", help="output directory"),
     "permissive-constants": dict(action="store_true", default=False,
@@ -182,7 +183,7 @@ def _cmd_sweep(args) -> int:
     write_line_chart(
         out / "sweep.svg",
         [("condition number (rescaled)", ns, result.summary["cond_curve_rescaled"]),
-         ("empirical risk (rescaled)", ns, result.summary["risk_curve_rescaled"])],
+         ("risk (rescaled)", ns, result.summary["risk_curve_rescaled"])],
         title="Double descent of conditioning and risk",
         x_label="number of features N", y_label="rescaled value",
     )

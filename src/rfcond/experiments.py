@@ -62,6 +62,7 @@ from .targets import (
     TargetFunction,
     best_phi_coeffs,
     evaluate_model,
+    population_risk,
     sample_target,
     target_to_json,
 )
@@ -88,6 +89,10 @@ SCALING_LABELS = ("N=m", "N=m log m", "N=m log^3 m", "m=N log N", "m=N log^3 N")
 
 # Training pipelines, each with the tag of its validation streams.
 _PIPE_TAGS = {"least_squares": 1, "min_norm": 2, "bpdn_pruned": 3}
+
+# How a reported risk was computed (`risk_method`).
+RISK_CLOSED_FORM = "closed_form"
+RISK_MONTE_CARLO = "monte_carlo"
 
 
 @dataclass(frozen=True)
@@ -127,6 +132,8 @@ class ExperimentConfig:
             raise InvalidArgumentError("n_grid must be strictly ascending")
         if self.trials < 1:
             raise InvalidArgumentError("trials must be >= 1")
+        if self.n_test < 1:
+            raise InvalidArgumentError("n_test must be >= 1")
         if self.workers < 1:
             raise InvalidArgumentError("workers must be >= 1")
         if not all(v >= 0 and math.isfinite(v * v)
@@ -156,11 +163,21 @@ class SweepRow:
     lambda_max: float
     train_residual: float
     empirical_risk: float
+    risk_method: str
     bound_value: float | None
     flags: str  # the fit's diagnostic flags joined by ";", empty when there are none
 
 
 SWEEP_COLUMNS = [f.name for f in fields(SweepRow)]
+
+
+@dataclass(frozen=True)
+class Risk:
+    """A trial's risk E|f - f#|^2: `se` is the Monte Carlo standard error,
+    None for the closed form."""
+    value: float
+    se: float | None
+    method: str
 
 
 def random_features(d: int, m: int, n: int, gamma: float, sigma: float, stream: RngStream,
@@ -183,14 +200,19 @@ def _map_trials(fn, trials: int, workers: int) -> list:
 def _train_and_test(config: ExperimentConfig, target: TargetFunction, pipeline: str,
                     X: np.ndarray, W: np.ndarray, A: np.ndarray, stream,
                     xi: float | None = None,
-                    s: int | None = None) -> tuple[CoefficientVector, np.ndarray, NoiseModel]:
-    """(fit, squared test errors, noise model): fit `pipeline` to the target
-    plus noise from the noise substream of `stream` at X (bpdn_pruned: BPDN at
-    level `xi`, pruned to `s` terms), then evaluate |f(z) - f#(z)|^2 at n_test
-    points z ~ N(0, gamma^2 I_d) from the test substream; their mean is the
-    Monte Carlo risk.  The predictions stream through the test points in
-    blocks (`evaluate_model`), so memory does not grow with n_test * N.  snr
-    noise resolves to a Gaussian of level snr * std(clean outputs)."""
+                    s: int | None = None) -> tuple[CoefficientVector, Risk, NoiseModel]:
+    """(fit, risk, noise model): fit `pipeline` to the target plus noise from
+    the noise substream of `stream` at X (bpdn_pruned: BPDN at level `xi`,
+    pruned to `s` terms), then take its risk E|f(z) - f#(z)|^2 over
+    z ~ N(0, gamma^2 I_d).  snr noise resolves to a Gaussian of level
+    snr * std(clean outputs).
+
+    The risk is `population_risk`'s closed form when nnz(c)^2 <= n_test * N,
+    where it costs less than the test features would.  Otherwise (the dense
+    min-norm fit at N >> n_test) it is the Monte Carlo mean of
+    |f(z) - f#(z)|^2 over n_test points from the test substream, with its
+    standard error; the predictions stream through the points in blocks
+    (`evaluate_model`), so memory does not grow with n_test * N."""
     clean = target.evaluate(X)
     noise = config.noise
     if config.noise_snr is not None:
@@ -203,9 +225,15 @@ def _train_and_test(config: ExperimentConfig, target: TargetFunction, pipeline: 
         coeff = min_norm_interpolate(A, y)
     else:
         coeff = prune_top_s(bpdn(A, y, xi, config.tol), s)
+    nnz = int(np.count_nonzero(coeff.values))
+    if nnz * nnz <= config.n_test * W.shape[1]:
+        value = population_risk(target, W, coeff, config.gamma, config.feature_kind)
+        return coeff, Risk(value, None, RISK_CLOSED_FORM), noise
     Z = gaussian_matrix(config.d, config.n_test, config.gamma**2, stream.substream(TAG_TEST))
     preds = evaluate_model(W, coeff, Z, config.feature_kind)
-    return coeff, np.abs(target.evaluate(Z) - preds) ** 2, noise
+    sq_err = np.abs(target.evaluate(Z) - preds) ** 2
+    se = float(np.std(sq_err, ddof=1) / math.sqrt(sq_err.size)) if sq_err.size > 1 else None
+    return coeff, Risk(float(np.mean(sq_err)), se, RISK_MONTE_CARLO), noise
 
 
 def _risk_bound(config: ExperimentConfig, pipeline: str, n: int, rho: float, E: float,
@@ -237,7 +265,7 @@ def _sweep_trial(config: ExperimentConfig, trial: int) -> list[SweepRow]:
         # fit; its infinite condition number is in the spectral summary, built
         # from the singular values of the fit's own factorization of A.
         pipeline = "least_squares" if n < config.m else "min_norm"
-        coeff, sq_err, noise = _train_and_test(config, target, pipeline, X, W, A, cell)
+        coeff, risk, noise = _train_and_test(config, target, pipeline, X, W, A, cell)
         side = SIDE_COLUMNS if n <= config.m else SIDE_ROWS
         spec = spectrum_from_singular_values(coeff.diagnostics.singular_values, A.shape, side)
 
@@ -250,7 +278,8 @@ def _sweep_trial(config: ExperimentConfig, trial: int) -> list[SweepRow]:
                              cond_number=spec.cond_number,
                              lambda_min=spec.lambda_min, lambda_max=spec.lambda_max,
                              train_residual=coeff.diagnostics.residual_norm,
-                             empirical_risk=float(np.mean(sq_err)), bound_value=bound,
+                             empirical_risk=risk.value, risk_method=risk.method,
+                             bound_value=bound,
                              flags=";".join(coeff.diagnostics.flags)))
     return rows
 
@@ -277,7 +306,7 @@ class SweepResult:
 def run_double_descent_sweep(config: ExperimentConfig) -> SweepResult:
     """Figure-1 protocol: for each N and trial, build features, train (least
     squares below the threshold, min-norm at and above it), and record the
-    conditioning of the relevant normalized Gram plus the test risk."""
+    conditioning of the relevant normalized Gram plus the risk."""
     if config.compute_bounds and config.target_kind != KIND_BUMP:
         raise InvalidArgumentError(
             "sweep --bounds needs a target with finite rho-norm (gaussian_bump)")
@@ -425,8 +454,10 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
     """Risk-bound coverage for the three training pipelines at the configured
     parameter points.  Bound values never depend on the constants mode, and the
     hypothesis checks of both the strict and the permissive mode are always
-    reported, so `config.constants` is not read.  Each trial's risk carries its
-    Monte Carlo standard error std(|f - f#|^2) / sqrt(n_test).  Next to the
+    reported, so `config.constants` is not read.  Each trial's risk is
+    computed as `_train_and_test` decides and says how (`risk_method`); a
+    Monte Carlo risk carries its standard error std(|f - f#|^2) / sqrt(n_test),
+    the closed form none (`risk_se` null).  Next to the
     coverage, `bound_over_risk` is the smallest bound / risk over the trials
     (inf when every risk is 0): coverage against a bound many orders above the
     risk says little about the bound."""
@@ -454,34 +485,33 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
         eps = epsilon_bound(n, config.m, config.d, config.gamma, config.sigma, config.delta)
         xi = bp_noise_parameter(eps, rho, E)
 
-        def one_trial(t: int, name=name, n=n, s=s,
-                      xi=xi) -> tuple[float, float, float | None]:
+        def one_trial(t: int, name=name, n=n, s=s, xi=xi) -> tuple[Risk, float | None]:
             stream = split_stream(config.seed, t).substream(_TAG_PIPELINE, n,
                                                             _PIPE_TAGS[name])
             X, W, A = random_features(config.d, config.m, n, config.gamma, config.sigma,
                                       stream, FOURIER)
-            coeff, sq_err, _ = _train_and_test(config, target, name, X, W, A, stream, xi, s)
+            coeff, risk, _ = _train_and_test(config, target, name, X, W, A, stream, xi, s)
             if FLAG_SINGULAR_GRAM in coeff.diagnostics.flags:
                 raise NumericalFailureError(
                     "row Gram AA* is numerically singular; interpolation unavailable")
             theta = (best_s_term_error(best_phi_coeffs(target, W), s, 1)
                      if name == "bpdn_pruned" else None)
-            risk_se = float(np.std(sq_err, ddof=1) / math.sqrt(sq_err.size))
-            return float(np.mean(sq_err)), risk_se, theta
+            return risk, theta
 
         results = _map_trials(one_trial, config.trials, config.workers)
 
         def bound_for(constants, result, name=name, n=n, s=s, eps=eps):
-            return _risk_bound(config, name, n, rho, E, constants, s, eps, result[2])
+            return _risk_bound(config, name, n, rho, E, constants, s, eps, result[1])
 
         trial_rows = []
         covered = 0
         for t, res in enumerate(results):
-            b = bound_for(permissive, res)
-            ok = res[0] <= b.value
+            risk, b = res[0], bound_for(permissive, res)
+            ok = risk.value <= b.value
             covered += ok
-            trial_rows.append({"trial": t, "empirical_risk": res[0], "risk_se": res[1],
-                               "bound_value": b.value, "covered": bool(ok)})
+            trial_rows.append({"trial": t, "empirical_risk": risk.value, "risk_se": risk.se,
+                               "risk_method": risk.method, "bound_value": b.value,
+                               "covered": bool(ok)})
         rep_strict = bound_for(strict, results[0])
         rep_perm = bound_for(permissive, results[0])
         pipelines.append({
@@ -492,7 +522,7 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
             "bound_over_risk": min((r["bound_value"] / r["empirical_risk"]
                                     for r in trial_rows if r["empirical_risk"] > 0),
                                    default=math.inf),
-            "mean_risk": float(np.mean([r[0] for r in results])),
+            "mean_risk": float(np.mean([r[0].value for r in results])),
             "conditions": {
                 "strict": rep_strict.as_dict(),
                 "permissive": rep_perm.as_dict(),

@@ -1,4 +1,5 @@
-"""Synthetic regression targets with known structure and model predictions.
+"""Synthetic regression targets with known structure, model predictions, and
+the population risk of a model in closed form (`population_risk`).
 
 Three families:
 
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, UnsupportedTargetError
-from .features import FOURIER, build_features
+from .errors import InvalidArgumentError, NumericalFailureError, UnsupportedTargetError
+from .features import FOURIER, RELU, build_features
 from .sampling import RngStream, gaussian_matrix
 from .solvers import CoefficientVector
 
@@ -32,8 +33,12 @@ KIND_PLANTED = "planted"
 KIND_BUMP = "gaussian_bump"
 
 # Largest test-feature block evaluate_model builds at once, in matrix entries
-# (16 MiB of complex128).
+# (16 MiB of complex128); population_risk builds its kernel in blocks of the
+# same size.
 _BLOCK_ENTRIES = 1 << 20
+# population_risk clips a negative value to 0 only within this fraction of
+# E|f|^2 + c*Kc, the size of the terms that cancel.
+_RISK_ROUNDING = 1e-12
 
 
 @dataclass(frozen=True)
@@ -174,6 +179,106 @@ def evaluate_model(W: np.ndarray, c: CoefficientVector | np.ndarray, Z: np.ndarr
         raise InvalidArgumentError("Z must be a d x n_test array with n_test >= 1")
     return np.concatenate([build_features(Z[:, i:j], W, kind) @ values
                            for i, j in _row_blocks(Z.shape[1], W.shape[1])])
+
+
+def _kernel(V1: np.ndarray, V2: np.ndarray, gamma: float, kind: str) -> np.ndarray:
+    """K_ij = E[phi(z, v1_i) conj(phi(z, v2_j))] over z ~ N(0, gamma^2 I_d).
+
+    Fourier features give the Gaussian kernel exp(-gamma^2 ||v1_i - v2_j||^2 / 2);
+    ReLU features the order-1 arc-cosine kernel (Cho & Saul, "Kernel Methods
+    for Deep Learning", NeurIPS 2009)
+    gamma^2 ||v1_i|| ||v2_j|| (sin t + (pi - t) cos t) / (2 pi), t the angle
+    between the two columns.  Both are real and symmetric."""
+    G = V1.T @ V2
+    sq1, sq2 = np.sum(V1**2, axis=0), np.sum(V2**2, axis=0)
+    if kind == FOURIER:
+        return np.exp(-0.5 * gamma**2 * np.maximum(sq1[:, None] + sq2 - 2.0 * G, 0.0))
+    norms = np.sqrt(sq1)[:, None] * np.sqrt(sq2)
+    # relu(<z, 0>) = 0 for every z, so a zero-norm column has a zero kernel
+    # row whatever the angle; dividing by its zero norm would give nan.
+    cos = np.clip(np.divide(G, norms, out=np.zeros_like(G), where=norms > 0), -1.0, 1.0)
+    return (gamma**2 / (2.0 * np.pi) * norms
+            * (np.sqrt(1.0 - cos**2) + (np.pi - np.arccos(cos)) * cos))
+
+
+def _quadratic_form(W: np.ndarray, c: np.ndarray, gamma: float, kind: str) -> float:
+    """c* K c over the kernel of the columns of W, built in the row blocks of
+    `_row_blocks`, so memory is O(block * N).  K is real and symmetric, so
+    c* K c = Re(c)^T K Re(c) + Im(c)^T K Im(c)."""
+    C = np.stack([c.real, c.imag], axis=1)
+    return sum(float(np.sum(C[i:j] * (_kernel(W[:, i:j], W, gamma, kind) @ C)))
+               for i, j in _row_blocks(W.shape[1], max(W.shape[1], 1)))
+
+
+def _target_moments(target: TargetFunction, W: np.ndarray, gamma: float,
+                    kind: str) -> tuple[float, np.ndarray]:
+    """(E|f|^2, g) over z ~ N(0, gamma^2 I_d), with g_k = E[f(z) conj(phi(z, w_k))]."""
+    d, g2 = W.shape[0], gamma**2
+    sq = np.sum(W**2, axis=0)
+    if target.kind == KIND_LINEAR:
+        b = target.params["b"]
+        bw = b @ W
+        g = -1j * g2 * bw * np.exp(-0.5 * g2 * sq) if kind == FOURIER else 0.5 * g2 * bw
+        return g2 * float(b @ b), g
+    if target.kind == KIND_BUMP:
+        # z's density times the bump is (1 + gamma^2/a^2)^(-d/2) times the
+        # density of N(0, s2 I_d), s2 = gamma^2 a^2 / (a^2 + gamma^2).
+        a2 = target.params["a"] ** 2
+        mass, s2 = (1.0 + g2 / a2) ** (-d / 2.0), g2 * a2 / (a2 + g2)
+        g = np.exp(-0.5 * s2 * sq) if kind == FOURIER else np.sqrt(s2 * sq / (2.0 * np.pi))
+        return (1.0 + 2.0 * g2 / a2) ** (-d / 2.0), mass * g
+    W0, c0 = target.params["W0"], np.asarray(target.params["c0"])
+    return _quadratic_form(W0, c0, gamma, kind), _kernel(W, W0, gamma, kind) @ c0
+
+
+def population_risk(target: TargetFunction, W: np.ndarray,
+                    c: CoefficientVector | np.ndarray, gamma: float,
+                    kind: str = FOURIER) -> float:
+    """The population risk E_z |f(z) - f#(z)|^2, z ~ N(0, gamma^2 I_d), of the
+    model f# = sum_k c_k phi(., w_k) in closed form:
+
+        E|f|^2 - 2 Re sum_k conj(c_k) E[f conj(phi_k)] + c* K c,
+
+    K the feature kernel of `_kernel`.  Every term is Gaussian: for the
+    linear target E f^2 = gamma^2 ||b||^2 and E[f conj(phi_k)] is
+    -i gamma^2 (b.w_k) exp(-gamma^2 ||w_k||^2 / 2) (Fourier) or
+    gamma^2 (b.w_k) / 2 (ReLU); the bump's moments follow by absorbing it into
+    z's density; a planted target gives the quadratic form u* K u over
+    [W0, W] with u = [c0; -c], taken here in its three blocks.  Only the
+    nonzero entries of c enter, so the cost is O(nnz(c)^2 d) and the memory
+    O(block * nnz(c)).
+
+    A negative value within `_RISK_ROUNDING` of E|f|^2 + c* K c is rounding
+    in the cancellation of a risk near 0 and returns 0; below that it raises
+    NumericalFailureError, as does a nan."""
+    values = np.asarray(c.values if isinstance(c, CoefficientVector) else c)
+    W = np.asarray(W, dtype=float)
+    if W.ndim != 2 or values.shape != (W.shape[1],):
+        raise InvalidArgumentError("population_risk needs W (d x N) and c of length N")
+    if kind not in (FOURIER, RELU):
+        raise InvalidArgumentError(f"unknown feature kind {kind!r}")
+    if not (gamma >= 0 and np.isfinite(gamma)):
+        raise InvalidArgumentError(f"gamma must be finite and >= 0, got {gamma!r}")
+    d = W.shape[0]
+    if target.kind == KIND_LINEAR and target.params["b"].shape != (d,):
+        raise InvalidArgumentError(f"linear target has dimension {target.params['b'].size}, "
+                                   f"W has {d}")
+    if target.kind == KIND_PLANTED and (target.params["W0"].shape[0] != d
+                                        or target.params["feature_kind"] != kind):
+        raise InvalidArgumentError("a planted target needs W0 of W's dimension and the "
+                                   "model's feature kind")
+    keep = np.flatnonzero(values)
+    W, values = W[:, keep], values[keep]
+    f2, g = _target_moments(target, W, gamma, kind)
+    cKc = _quadratic_form(W, values, gamma, kind)
+    risk = f2 - 2.0 * float(np.vdot(values, g).real) + cKc
+    if risk < 0 and -risk <= _RISK_ROUNDING * (f2 + cKc):
+        return 0.0
+    if not risk >= 0:
+        raise NumericalFailureError(
+            f"closed-form risk {risk!r} is negative beyond rounding "
+            f"(E|f|^2 = {f2!r}, c*Kc = {cKc!r})")
+    return risk
 
 
 def worst_case_theta(s: int, N: int, f_rho_norm: float) -> float:

@@ -221,7 +221,7 @@ def test_07_solver_oracles():
 
 def test_08_risk_bound_coverage():
     base = dict(gamma=1.0, sigma=1.0, target_kind="gaussian_bump", trials=100,
-                eta=0.5, delta=0.05, constants=PERMISSIVE)
+                eta=0.5, delta=0.05, constants=PERMISSIVE, workers=2)
     runs = [
         ("least_squares", ExperimentConfig(d=12, m=15000, n_grid=(16,), seed=1,
                                            n_test=1000, **base)),

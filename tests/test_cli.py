@@ -1,9 +1,10 @@
 import json
 from math import comb
 
+import numpy as np
 import pytest
 
-from rfcond import cli
+from rfcond import cli, targets
 from rfcond.errors import InvalidArgumentError
 from rfcond.sampling import NOISE_NONE
 
@@ -54,6 +55,16 @@ def test_validate_snr_noise_exits_2(tmp_path, capsys):
     assert rc == cli.EXIT_CONFIG
     assert "snr" in capsys.readouterr().err
     assert not (tmp_path / "validate.json").exists()
+
+
+def test_closed_form_risk_below_rounding_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(targets, "_target_moments",
+                        lambda target, W, gamma, kind: (-1e6, np.zeros(W.shape[1])))
+    rc = cli.main(["sweep", "--d", "2", "--m", "6", "--n-grid", "3", "--trials", "1",
+                   "--out", str(tmp_path)])
+    assert rc == cli.EXIT_NUMERICAL
+    assert "closed-form risk" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_validate_needs_two_test_points_for_the_risk_se(tmp_path, capsys):

@@ -19,6 +19,7 @@ from rfcond.experiments import (
     run_spectrum_density,
     run_threshold_study,
 )
+from rfcond.features import build_features
 from rfcond.io import json_report
 from rfcond.sampling import TAG_DATA, gaussian_matrix, split_stream
 from rfcond.solvers import FLAG_SINGULAR_GRAM, CoefficientVector, Diagnostics
@@ -148,6 +149,44 @@ def test_sweep_factors_each_cell_once(monkeypatch):
     assert calls == ["lstsq"] * (len(cfg.n_grid) * cfg.trials)
 
 
+def test_sweep_takes_the_closed_form_risk_and_builds_no_test_features(monkeypatch):
+    # At sweep sizes nnz(c)^2 <= n_test * N in every cell, so no test point is
+    # drawn: the only feature matrices built are the cells' training ones.
+    def no_test_points(*args, **kwargs):
+        raise AssertionError("evaluate_model called at sweep sizes")
+
+    built = []
+
+    def counting_build_features(X, W, kind):
+        built.append(X.shape)
+        return build_features(X, W, kind)
+
+    monkeypatch.setattr(experiments, "evaluate_model", no_test_points)
+    monkeypatch.setattr(experiments, "build_features", counting_build_features)
+    cfg = _sweep_config(n_test=1000)
+    rows = run_double_descent_sweep(cfg).rows
+    assert len(built) == len(cfg.n_grid) * cfg.trials
+    assert {r.risk_method for r in rows} == {experiments.RISK_CLOSED_FORM}
+
+
+def test_sweep_falls_back_to_monte_carlo_above_the_rule():
+    # n_test = 10 points cost less than the closed form once nnz(c)^2 > 10 N.
+    rows = run_double_descent_sweep(_sweep_config(n_test=10)).rows
+    assert {(r.N, r.risk_method) for r in rows} == {
+        (5, "closed_form"), (10, "closed_form"), (20, "monte_carlo"), (40, "monte_carlo")}
+
+
+def test_validate_reports_how_each_risk_was_computed():
+    # Least squares at N = 6 takes the closed form and has no standard error;
+    # the dense min-norm fit at N = 200 > n_test keeps the Monte Carlo risk.
+    cfg = ExperimentConfig(d=5, m=60, n_grid=(6, 200), target_kind="gaussian_bump",
+                           trials=2, seed=32, n_test=100)
+    methods = {p["name"]: {(t["risk_method"], t["risk_se"] is None) for t in p["trials"]}
+               for p in run_bound_validation(cfg)["pipelines"]}
+    assert methods == {"least_squares": {("closed_form", True)},
+                       "min_norm": {("monte_carlo", False)}}
+
+
 def test_sweep_csv_flags_column(tmp_path, monkeypatch):
     # Rank-one features flag every fit: the least-squares cells below N = m
     # and the min-norm cells from N = m on.
@@ -250,8 +289,8 @@ def test_bound_over_risk_is_the_smallest_ratio_and_inf_at_zero_risk(monkeypatch)
     train_and_test = experiments._train_and_test
 
     def exact_fit(*args, **kwargs):
-        coeff, sq_err, noise = train_and_test(*args, **kwargs)
-        return coeff, np.zeros_like(sq_err), noise
+        coeff, risk, noise = train_and_test(*args, **kwargs)
+        return coeff, dataclasses.replace(risk, value=0.0), noise
 
     monkeypatch.setattr(experiments, "_train_and_test", exact_fit)
     report = run_bound_validation(cfg)

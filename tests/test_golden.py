@@ -34,9 +34,9 @@ COMMANDS = {
 # command -> {output file name (or "stdout"): sha256}
 GOLDEN = {
     "sweep": {
-        "sweep.csv": "5d6361a6f21305e331756dc182abadd529c36c81b0f65d73c5cc8acb438ebe9f",
-        "sweep.svg": "c24516076dd3c38b792c73974cc3531592953d73c703d2496a97255684e2ce08",
-        "sweep_summary.json": "766a6be64d75b8523f6a3a65e90d7b8b84f6f9b5f88203a21a136711557d0d2a",
+        "sweep.csv": "294a0bde1ba511e18aa7b3a50dd22582ba937e15eb3e728482a1fccdb98d5733",
+        "sweep.svg": "ca4513dd965b23c83bf1661751e10a604daf29944ccc26b0ad1afcd4630b7d34",
+        "sweep_summary.json": "e3d9171a777d4d001a1aef007ef3dd6706aa2e698a860ad9d44529e1dd477f1d",
     },
     "spectrum": {
         "density.csv": "65e4a8c933fdcb6608c93322196c48921691dfb5e12e9648025af1f1400c34eb",
@@ -47,7 +47,7 @@ GOLDEN = {
         "threshold.json": "e65fa6cf2777af4adbc9acffedb2c5e783dfc42ad53eaee236c91f2945649737",
     },
     "validate": {
-        "validate.json": "51bd044d02837871a4742d9d482048bbc4c02461a940d61907f82b17a1112bec",
+        "validate.json": "24a64a618ffed6eccd99028096778d6e579fa666b91402d2977f3c4d3fe37ae0",
     },
     "theory": {
         "stdout": "7a294e1eb65e1848c877a3365c114d044f9c04c0d706a3f471e4c97b6042bb35",

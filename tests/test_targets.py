@@ -3,15 +3,16 @@ import pytest
 from scipy.integrate import quad
 
 from rfcond import targets
-from rfcond.errors import InvalidArgumentError, UnsupportedTargetError
+from rfcond.errors import InvalidArgumentError, NumericalFailureError, UnsupportedTargetError
 from rfcond.features import FOURIER, RELU, build_features
 from rfcond.sampling import gaussian_matrix, split_stream
-from rfcond.solvers import best_s_term_error
+from rfcond.solvers import CoefficientVector, best_s_term_error, least_squares, prune_top_s
 from rfcond.targets import (
     best_phi_coeffs,
     evaluate_model,
     gaussian_bump_target,
     linear_target,
+    population_risk,
     sample_target,
     worst_case_theta,
 )
@@ -197,22 +198,140 @@ def test_actual_tail_error_below_worst_case():
 
 def test_feature_count_rule_reaches_target_accuracy():
     # With N from the accuracy rule, the Monte Carlo discretization f* of the
-    # bump target lands within eps ||f||_rho in L2 in at least 1 - delta of
-    # the weight draws.
+    # bump target lands within eps ||f||_rho in L2 (the population risk, in
+    # closed form) in at least 1 - delta of the weight draws.
     eps, delta = 0.25, 0.2
     d, gamma, sigma = 2, 1.0, 1.0
     t = _bump(a=np.sqrt(2.0), sigma=sigma, d=d)
     n_features = min_features_for_accuracy(eps, delta)
     assert n_features == 125
-    trials, n_test = 200, 10_000
+    trials = 200
     hits = 0
     for trial in range(trials):
         stream = split_stream(40, trial)
         W = gaussian_matrix(d, n_features, sigma**2, stream.substream(1))
         c = best_phi_coeffs(t, W)
-        Z = gaussian_matrix(d, n_test, gamma**2, stream.substream(2))
-        err2 = np.mean(np.abs(t.evaluate(Z) - evaluate_model(W, c, Z)) ** 2)
+        err2 = population_risk(t, W, c, gamma, FOURIER)
         hits += np.sqrt(err2) <= eps * t.rho_norm
     frac = hits / trials
     se = np.sqrt(delta * (1 - delta) / trials)
     assert frac >= 1 - delta - 3 * se
+
+
+def _fitted_cell(kind, target_kind, n_features=10, m=40, d=3, gamma=1.3, sigma=0.7):
+    """(target, W, c): a least-squares fit of m noiseless samples with N < m
+    features, a cell well below the N = m peak."""
+    target = sample_target(target_kind, d, sigma, split_stream(50, 0), kind, planted_s=3)
+    X = gaussian_matrix(d, m, gamma**2, split_stream(50, 1))
+    W = gaussian_matrix(d, n_features, sigma**2, split_stream(50, 2))
+    return target, W, least_squares(build_features(X, W, kind), target.evaluate(X)).values
+
+
+def _mc_risk_and_se(target, W, c, gamma, kind, n_test=200_000):
+    Z = gaussian_matrix(W.shape[0], n_test, gamma**2, split_stream(51, 0))
+    sq_err = np.abs(target.evaluate(Z) - evaluate_model(W, c, Z, kind)) ** 2
+    return sq_err.mean(), sq_err.std(ddof=1) / np.sqrt(n_test)
+
+
+@pytest.mark.parametrize("kind", [FOURIER, RELU])
+@pytest.mark.parametrize("target_kind", ["linear", "gaussian_bump", "planted"])
+def test_population_risk_matches_monte_carlo(kind, target_kind):
+    # The planted Fourier case has complex c0, so a complex target.
+    gamma = 1.3
+    target, W, c = _fitted_cell(kind, target_kind, gamma=gamma)
+    risk = population_risk(target, W, c, gamma, kind)
+    mc, se = _mc_risk_and_se(target, W, c, gamma, kind)
+    assert risk > 0
+    assert abs(risk - mc) <= 4 * se
+
+
+@pytest.mark.parametrize("kind", [FOURIER, RELU])
+def test_population_risk_of_sparse_coefficients(kind):
+    # A pruned fit (nnz < N): the zero entries drop out exactly, and the
+    # value still matches Monte Carlo.
+    gamma = 1.3
+    target, W, c = _fitted_cell(kind, "gaussian_bump", n_features=30, m=80, gamma=gamma)
+    c = prune_top_s(CoefficientVector(c), 4).values
+    keep = np.flatnonzero(c)
+    assert keep.size == 4
+    risk = population_risk(target, W, c, gamma, kind)
+    assert risk == population_risk(target, W[:, keep], c[keep], gamma, kind)
+    mc, se = _mc_risk_and_se(target, W, c, gamma, kind)
+    assert abs(risk - mc) <= 4 * se
+
+
+def test_population_risk_of_zero_model_is_the_target_energy():
+    a, gamma, d = np.sqrt(2.0), 0.8, 3
+    W = gaussian_matrix(d, 5, 1.0, split_stream(52, 0))
+    risk = population_risk(_bump(a=a, d=d), W, np.zeros(5, dtype=complex), gamma)
+    assert risk == pytest.approx((1 + 2 * gamma**2 / a**2) ** (-d / 2), rel=1e-14)
+    b = np.array([0.5, -1.0, 2.0])
+    risk = population_risk(linear_target(b), W, np.zeros(5), gamma, RELU)
+    assert risk == pytest.approx(gamma**2 * b @ b, rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", [FOURIER, RELU])
+def test_population_risk_of_a_planted_model_on_its_own_target(kind):
+    # The true risk is 0; cancellation leaves at most rounding, never a
+    # negative value.
+    t = sample_target("planted", 3, 1.0, split_stream(53, 0), kind, planted_s=6)
+    risk = population_risk(t, t.params["W0"], t.params["c0"], 1.0, kind)
+    assert 0.0 <= risk <= 1e-12
+
+
+def test_population_risk_zero_weight_column():
+    # A ReLU feature with w = 0 is identically 0: its kernel row is 0, not
+    # nan, and its coefficient does not change the risk.  A Fourier feature
+    # with w = 0 is the constant 1, so it adds exactly 1 to the risk of the
+    # target's own planted model.
+    d = 2
+    t = sample_target("planted", d, 1.0, split_stream(54, 0), RELU, planted_s=3)
+    W = np.hstack([t.params["W0"], np.zeros((d, 1))])
+    kernel = targets._kernel(W, W, 1.0, RELU)
+    assert np.all(np.isfinite(kernel)) and np.all(kernel[-1] == 0) and np.all(kernel[:, -1] == 0)
+    c = np.concatenate([t.params["c0"] + 0.1, [5.0]])
+    assert population_risk(t, W, c, 1.0, RELU) == pytest.approx(
+        population_risk(t, W[:, :-1], c[:-1], 1.0, RELU), rel=1e-13)
+    t = sample_target("planted", d, 1.0, split_stream(54, 1), FOURIER, planted_s=3)
+    W = np.hstack([t.params["W0"], np.zeros((d, 1))])
+    c = np.concatenate([t.params["c0"], [1.0]])
+    assert population_risk(t, W, c, 1.0, FOURIER) == pytest.approx(1.0, abs=1e-12)
+
+
+def _moments_giving(monkeypatch, risk_over_scale):
+    """Make _target_moments return E|f|^2 = 1 and a cross moment that puts
+    the risk at risk_over_scale * (E|f|^2 + c*Kc)."""
+    def moments(target, W, gamma, kind):
+        scale = 1.0 + targets._quadratic_form(W, c, gamma, kind)
+        cross = (scale - risk_over_scale * scale) / 2.0
+        return 1.0, cross * c / np.vdot(c, c)
+
+    W = gaussian_matrix(2, 4, 1.0, split_stream(55, 0))
+    c = np.array([0.3 + 0.1j, -0.2j, 0.5, 0.1])
+    monkeypatch.setattr(targets, "_target_moments", moments)
+    return W, c
+
+
+def test_population_risk_clips_rounding_below_zero(monkeypatch):
+    W, c = _moments_giving(monkeypatch, -1e-13)
+    assert population_risk(_bump(d=2), W, c, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("risk_over_scale", [-1e-9, np.nan])
+def test_population_risk_raises_beyond_rounding(monkeypatch, risk_over_scale):
+    W, c = _moments_giving(monkeypatch, risk_over_scale)
+    with pytest.raises(NumericalFailureError, match="closed-form risk"):
+        population_risk(_bump(d=2), W, c, 1.0)
+
+
+def test_population_risk_validates_its_arguments():
+    W = np.zeros((3, 4))
+    with pytest.raises(InvalidArgumentError):
+        population_risk(_bump(), W, np.zeros(5), 1.0)
+    with pytest.raises(InvalidArgumentError):
+        population_risk(_bump(), W, np.zeros(4), 1.0, "tanh")
+    with pytest.raises(InvalidArgumentError):
+        population_risk(linear_target(np.ones(2)), W, np.zeros(4), 1.0)
+    planted = sample_target("planted", 3, 1.0, split_stream(56, 0), RELU)
+    with pytest.raises(InvalidArgumentError):
+        population_risk(planted, W, np.zeros(4), 1.0, FOURIER)
