@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -223,8 +223,10 @@ def _train_and_test(config: ExperimentConfig, target: TargetFunction, pipeline: 
         coeff = least_squares(A, y)
     elif pipeline == "min_norm":
         coeff = min_norm_interpolate(A, y)
-    else:
+    else:  # the residual of the pruned model, not of the BPDN solution
         coeff = prune_top_s(bpdn(A, y, xi, config.tol), s)
+        residual = float(np.linalg.norm(A @ coeff.values - y))
+        coeff = replace(coeff, diagnostics=replace(coeff.diagnostics, residual_norm=residual))
     nnz = int(np.count_nonzero(coeff.values))
     if nnz * nnz <= config.n_test * W.shape[1]:
         value = population_risk(target, W, coeff, config.gamma, config.feature_kind)
@@ -485,7 +487,7 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
         eps = epsilon_bound(n, config.m, config.d, config.gamma, config.sigma, config.delta)
         xi = bp_noise_parameter(eps, rho, E)
 
-        def one_trial(t: int, name=name, n=n, s=s, xi=xi) -> tuple[Risk, float | None]:
+        def one_trial(t: int, name=name, n=n, s=s, xi=xi) -> tuple[Risk, float | None, dict]:
             stream = split_stream(config.seed, t).substream(_TAG_PIPELINE, n,
                                                             _PIPE_TAGS[name])
             X, W, A = random_features(config.d, config.m, n, config.gamma, config.sigma,
@@ -496,7 +498,12 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
                     "row Gram AA* is numerically singular; interpolation unavailable")
             theta = (best_s_term_error(best_phi_coeffs(target, W), s, 1)
                      if name == "bpdn_pruned" else None)
-            return risk, theta
+            diag = coeff.diagnostics
+            fit = {"train_residual": diag.residual_norm,
+                   "nnz": int(np.count_nonzero(coeff.values)),
+                   "iterations": diag.iterations, "duality_gap": diag.duality_gap,
+                   "flags": list(diag.flags)}
+            return risk, theta, fit
 
         results = _map_trials(one_trial, config.trials, config.workers)
 
@@ -511,7 +518,7 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
             covered += ok
             trial_rows.append({"trial": t, "empirical_risk": risk.value, "risk_se": risk.se,
                                "risk_method": risk.method, "bound_value": b.value,
-                               "covered": bool(ok)})
+                               "covered": bool(ok), **res[2]})
         rep_strict = bound_for(strict, results[0])
         rep_perm = bound_for(permissive, results[0])
         pipelines.append({
@@ -566,5 +573,6 @@ def run_rip_study(config: ExperimentConfig, method: str, budget: int,
                                         stream.substream(TAG_SUPPORTS, s))
         estimates.append({"s": est.s, "value": est.value, "method": est.method,
                           "supports_evaluated": est.supports_evaluated,
-                          "supports_pruned": est.supports_pruned})
+                          "supports_pruned": est.supports_pruned,
+                          "supports_gathered": est.supports_gathered})
     return {"estimates": estimates}

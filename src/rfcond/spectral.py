@@ -18,21 +18,20 @@ values to `spectrum_from_singular_values` instead.
 
 Restricted isometry constants are the one place that forms Grams of column
 supports: delta_s is a maximum over column supports S of ||A_S* A_S - I||_2,
-and each s x s support Gram is small and well conditioned near I.  The
-supports are evaluated in stacks of `_STACK`, so memory stays
-O(_STACK * s * m) however many supports there are.  Each support Gram G also
-gives the upper bound min(max row sum of |G|, ||G||_F) >= ||G||_2; a support
-whose bound is below the running maximum by more than a rounding margin
-cannot raise it and skips the eigensolver.  The rest of the stack goes to one
-batched eigensolver call, so the maximum is bit-for-bit the one full
-enumeration finds.
+and each s x s support Gram is small and well conditioned near I.  The exact
+enumeration also forms B = |A*A - I| (symmetrized), N x N, once per call, and
+skips every subtree of supports whose row-sum bound from B cannot reach a
+running threshold (`_SupportWalk`).  The supports it does not skip are
+evaluated in stacks of `_STACK`: each support Gram G gives the upper bound
+min(max row sum of |G|, ||G||_F) >= ||G||_2, a support whose bound is below
+the running maximum by more than a rounding margin skips the eigensolver, and
+the rest of the stack goes to one batched eigensolver call.  Both skips keep
+that margin, so the maximum is bit-for-bit the one full enumeration finds.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import combinations, islice
 from math import comb
 
 import numpy as np
@@ -56,8 +55,15 @@ _STACK = 64  # supports per batched eigvalsh call
 # which is >= ||G||_2, and eigvalsh returns ||G||_2 to within O(s*eps*||G||_2)
 # (backward stable), so a skipped support's computed deviation stays below best
 # while the margin exceeds a few s*eps*best: 1e-9 covers s up to ~10^6.  The
-# "1 +" keeps every support when best is at round-off level (s = 1).
+# "1 +" keeps every support when best is at round-off level (s = 1).  The
+# exact enumeration skips a subtree by the same rule against its threshold;
+# the entries of B = |A*A - I| differ from those of the support Grams by at
+# most about m*eps*||a_i||*||a_j||, which the margin covers while
+# s*m*eps*max ||a_j||^2 stays below 1e-9 * (1 + threshold) (s*m up to ~10^6
+# for unit-norm columns).
 _PRUNE_MARGIN = 1e-9
+_BLOCK = 256  # support prefixes per block of the exact enumeration's walk
+_POWER_STEPS = 8  # power iterations behind the walk's seed threshold
 
 
 @dataclass(frozen=True)
@@ -72,18 +78,21 @@ class SpectralSummary:
 @dataclass(frozen=True)
 class RipEstimate:
     """delta_s as the maximum of ||A_S* A_S - I||_2 over `supports_evaluated`
-    supports S.  Of these, `supports_pruned` were settled without an
-    eigensolve: their bound min(max row sum of |G|, ||G||_F) lay below the
-    running maximum by more than the rounding margin `_PRUNE_MARGIN * (1 +
-    best)`, so they could not change `value`, which is bit-for-bit the maximum
-    over every support.  The bound comes from the stacked Grams the
-    eigensolver would receive, so memory stays O(_STACK * s * m)."""
+    supports S.  The Gram G = A_S* A_S - I of `supports_gathered` of them was
+    formed (all of them for the randomized bound).  `supports_pruned` were
+    settled without an eigensolve: the exact enumeration skipped them with a
+    subtree whose row-sum bound from |A*A - I| lay below its threshold, or
+    their own bound min(max row sum of |G|, ||G||_F) lay below the running
+    maximum, in both cases by more than the rounding margin
+    `_PRUNE_MARGIN * (1 + threshold)`.  So they could not change `value`,
+    which is bit-for-bit the maximum over every support."""
 
     s: int
     value: float
     method: str  # "exact_enumeration" | "randomized_lower_bound"
     supports_evaluated: int
     supports_pruned: int
+    supports_gathered: int
 
 
 @dataclass(frozen=True)
@@ -175,10 +184,11 @@ def _max_deviation(M: np.ndarray, supports: np.ndarray, best: float) -> tuple[fl
     below `best` without an eigensolve.  The others go to one batched
     eigendecomposition of their stacked s x s support Grams."""
     sub = M.T[supports]  # (B, s, m): sub[b] = A_S^T for S = supports[b]
-    G = sub.conj() @ np.swapaxes(sub, -1, -2)
-    G -= np.eye(supports.shape[1])
-    G = 0.5 * (G + np.swapaxes(G, -1, -2).conj())
-    keep = ~(_norm_bound(G) + _PRUNE_MARGIN * (1.0 + best) < best)  # a NaN bound is kept
+    with np.errstate(all="ignore"):  # a non-finite Gram fails below, not with a warning
+        G = sub.conj() @ np.swapaxes(sub, -1, -2)
+        G -= np.eye(supports.shape[1])
+        G = 0.5 * (G + np.swapaxes(G, -1, -2).conj())
+        keep = ~(_norm_bound(G) + _PRUNE_MARGIN * (1.0 + best) < best)  # a NaN bound is kept
     n_keep = int(keep.sum())
     if n_keep == 0:
         return best, len(keep)
@@ -192,21 +202,150 @@ def _max_deviation(M: np.ndarray, supports: np.ndarray, best: float) -> tuple[fl
     return max(best, dev), len(keep) - n_keep
 
 
-def _max_over_stacks(M: np.ndarray, supports: Iterable) -> tuple[float, int]:
-    """Largest support deviation, taking `supports` `_STACK` at a time, and
-    the number of supports pruned against the running maximum."""
-    supports = iter(supports)
-    best, pruned = 0.0, 0
-    while stack := list(islice(supports, _STACK)):
-        best, k = _max_deviation(M, np.array(stack), best)
-        pruned += k
-    return best, pruned
+class _Stacks:
+    """Supports evaluated `_STACK` at a time by `_max_deviation`, in the order
+    they are queued: the running maximum `best`, the supports `gathered` (whose
+    Grams were formed) and those of them their own norm bound `pruned`."""
+
+    def __init__(self, M: np.ndarray):
+        self.M = M
+        self.best = 0.0
+        self.gathered = self.pruned = 0
+        self.pending: list[np.ndarray] = []
+
+    def add(self, supports: np.ndarray | None = None) -> None:
+        """Queue the (B, s) index array `supports` and evaluate every full
+        stack; with no supports, evaluate the rest."""
+        if supports is not None:
+            self.pending.append(supports)
+        stack = np.concatenate(self.pending)
+        end = len(stack) - (0 if supports is None else len(stack) % _STACK)
+        for lo in range(0, end, _STACK):
+            self.best, k = _max_deviation(self.M, stack[lo:lo + _STACK], self.best)
+            self.pruned += k
+        self.gathered += end
+        self.pending = [stack[end:]]
+
+
+def _top_sums(B: np.ndarray, depth: int) -> np.ndarray:
+    """(depth, N, N) table T with T[k - 1, p, i] the sum of the k largest
+    B[i, l] over l >= p; a shorter pool is padded with zeros.  np.maximum and
+    np.minimum carry a NaN into every later slot, so it reaches the sums.
+    (np.sort would do, but its first call adds about 0.7 MB of resident code.)"""
+    n = B.shape[0]
+    tables = np.empty((depth, n, n))
+    top = np.zeros((depth, n))  # top[r, i]: the (r+1)-th largest B[i, l] over l >= p
+    for p in range(n - 1, -1, -1):
+        v = B[:, p]
+        for r in range(depth):
+            top[r], v = np.maximum(top[r], v), np.minimum(top[r], v)
+        tables[:, p] = np.cumsum(top, axis=0)
+    return tables
+
+
+def _seed_threshold(H: np.ndarray, B: np.ndarray, s: int) -> float:
+    """A lower bound on delta_s that needs no eigensolve.  From each start
+    column a greedy support of size s adds, one at a time, the column with the
+    largest row sum of B over the support so far.  For v after a few power
+    iterations on H_S, |v* H_S v| / v*v <= ||H_S||_2 <= delta_s; the largest
+    finite quotient is scaled by 1 - 1e-6 against rounding (0 if none)."""
+    n = B.shape[0]
+    support = np.arange(n)[:, None]
+    chosen = np.eye(n, dtype=bool)
+    rows = B.copy()
+    for _ in range(s - 1):
+        nxt = np.argmax(np.where(chosen, -np.inf, rows + np.diag(B)), axis=1)
+        support = np.column_stack([support, nxt])
+        chosen[np.arange(n), nxt] = True
+        rows += B[nxt]
+    HS = H[support[:, :, None], support[:, None, :]]
+    v = np.ones((n, s, 1), dtype=H.dtype)
+    for _ in range(_POWER_STEPS):
+        v = HS @ v
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+    q = np.abs((v.conj() * (HS @ v)).sum(axis=(1, 2))) / (np.abs(v) ** 2).sum(axis=(1, 2))
+    q = q[np.isfinite(q)]
+    return (1.0 - 1e-6) * float(q.max()) if q.size else 0.0
+
+
+class _SupportWalk:
+    """Depth-first walk over the supports of size s in lexicographic order,
+    one block of at most `_BLOCK` prefixes per prefix length.
+
+    A prefix S0 of length j < s leaves k = s - j indices to the pool
+    P = {l > max S0}.  For every completion S, each row i of |A_S* A_S - I|
+    sums to at most sum_{l in S0} B[i, l] plus the k largest B[i, l] over P,
+    with B = |H| and H = (G + G*)/2, G = A*A - I; so the maximum of that over
+    i in S0 | P bounds the per-support bound of every completion, and the
+    subtree is skipped when it is below the running threshold by more than
+    `_PRUNE_MARGIN` * (1 + threshold).  The threshold is the larger of
+    `_seed_threshold` and the maximum found so far; a NaN bound never skips.
+    The top-k tables cost `depth` * N^2 entries, B another N^2: lengths whose
+    k exceeds `depth`, the most the budget allows, are not bounded.  The
+    complete supports go to `_Stacks`."""
+
+    def __init__(self, M: np.ndarray, s: int, budget: int):
+        n = M.shape[1]
+        self.s, self.n = s, n
+        self.depth = max(0, min(s - 1, budget // (n * n) - 1))
+        self.threshold = 0.0
+        if self.depth:
+            with np.errstate(all="ignore"):  # non-finite entries give NaN bounds, kept
+                H = M.conj().T @ M
+                H[np.diag_indices(n)] -= 1.0
+                H = 0.5 * (H + H.conj().T)
+                self.B = np.abs(H)
+                self.tables = _top_sums(self.B, self.depth)
+                self.threshold = _seed_threshold(H, self.B, s)
+        self.stacks = _Stacks(M)
+
+    def descend(self, prefixes: np.ndarray, rows: np.ndarray | None) -> None:
+        """Visit every support extending a row of `prefixes`, one block of
+        prefixes of length j, whose B row sums over the prefix are `rows`
+        (None when no length is bounded)."""
+        j = prefixes.shape[1]
+        last = prefixes[:, -1] if j else np.full(len(prefixes), -1)
+        counts = self.n - self.s + j - last  # children c in last+1 .. n-s+j
+        ends = np.cumsum(counts)
+        for lo in range(0, int(ends[-1]), _BLOCK):
+            f = np.arange(lo, min(lo + _BLOCK, int(ends[-1])))
+            parent = np.searchsorted(ends, f, side="right")
+            child = last[parent] + 1 + f - (ends[parent] - counts[parent])
+            kids = np.column_stack([prefixes[parent], child])
+            if j + 1 == self.s:
+                self.stacks.add(kids)
+                continue
+            kid_rows = None if rows is None else rows[parent] + self.B[child]
+            threshold = max(self.threshold, self.stacks.best)
+            bound = self.prefix_bound(kids, kid_rows)
+            keep = ~(bound + _PRUNE_MARGIN * (1.0 + threshold) < threshold)  # NaN is kept
+            if keep.any():
+                self.descend(kids[keep], None if rows is None else kid_rows[keep])
+
+    def prefix_bound(self, prefixes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Upper bound on the max row sum of |A_S* A_S - I| over every
+        completion S of each prefix; +inf where the length is not bounded."""
+        k = self.s - prefixes.shape[1]
+        if k > self.depth:
+            return np.full(len(prefixes), np.inf)
+        p = prefixes[:, -1] + 1
+        rows_in = np.arange(self.n) >= p[:, None]  # i in P, or (below) in S0
+        np.put_along_axis(rows_in, prefixes, True, axis=1)
+        return np.where(rows_in, rows + self.tables[k - 1, p], -np.inf).max(axis=1)
+
+    def run(self) -> _Stacks:
+        self.descend(np.empty((1, 0), dtype=np.intp),
+                     np.zeros((1, self.n)) if self.depth else None)
+        self.stacks.add()
+        return self.stacks
 
 
 def rip_constant_exact(A_normalized: np.ndarray, s: int,
                        budget: int = DEFAULT_ENUMERATION_BUDGET) -> RipEstimate:
-    """Exact s-th restricted isometry constant by lexicographic support
-    enumeration, evaluated `_STACK` supports per eigensolver call."""
+    """Exact s-th restricted isometry constant: the maximum over every
+    support, found by `_SupportWalk`, which skips subtrees of the
+    lexicographic enumeration that cannot raise it and evaluates the rest
+    `_STACK` supports per eigensolver call."""
     M = np.asarray(A_normalized)
     n = M.shape[1]
     if not 1 <= s <= n:
@@ -217,9 +356,11 @@ def rip_constant_exact(A_normalized: np.ndarray, s: int,
             f"C({n},{s}) = {total} supports exceeds budget {budget}; "
             "use rip_constant_lower_mc for a randomized lower bound"
         )
-    best, pruned = _max_over_stacks(M, combinations(range(n), s))
-    return RipEstimate(s=s, value=best, method="exact_enumeration", supports_evaluated=total,
-                       supports_pruned=pruned)
+    stacks = _SupportWalk(M, s, budget).run()
+    return RipEstimate(s=s, value=stacks.best, method="exact_enumeration",
+                       supports_evaluated=total,
+                       supports_pruned=total - stacks.gathered + stacks.pruned,
+                       supports_gathered=stacks.gathered)
 
 
 def rip_constant_lower_mc(A_normalized: np.ndarray, s: int, trials: int,
@@ -242,9 +383,12 @@ def rip_constant_lower_mc(A_normalized: np.ndarray, s: int, trials: int,
     for _ in range(trials):
         cols = np.sort(gen.choice(n, size=s, replace=False))
         distinct.setdefault(cols.tobytes(), cols)
-    best, pruned = _max_over_stacks(M, distinct.values())
-    return RipEstimate(s=s, value=best, method="randomized_lower_bound",
-                       supports_evaluated=len(distinct), supports_pruned=pruned)
+    stacks = _Stacks(M)
+    stacks.add(np.array(list(distinct.values())))
+    stacks.add()
+    return RipEstimate(s=s, value=stacks.best, method="randomized_lower_bound",
+                       supports_evaluated=len(distinct), supports_pruned=stacks.pruned,
+                       supports_gathered=stacks.gathered)
 
 
 def _silverman_bandwidth(values: np.ndarray) -> float:

@@ -127,6 +127,21 @@ def test_rip_mc_lower_bounds_the_exact_constants(tmp_path):
         assert lower["value"] <= full["value"]
 
 
+def test_rip_json_reports_supports_gathered(tmp_path):
+    base = ["rip", "--d", "2", "--m", "30", "--n-grid", "14", "--s", "6", "--seed", "2",
+            "--rip-trials", "30"]
+    payloads = {}
+    for method in ("exact", "mc"):
+        assert cli.main(base + ["--method", method, "--out", str(tmp_path / method)]) == 0
+        payloads[method] = json.loads((tmp_path / method / "rip.json").read_text())["estimates"]
+    for e in payloads["exact"]:
+        assert e["supports_evaluated"] == comb(14, e["s"])
+        assert e["supports_gathered"] <= e["supports_evaluated"]
+        assert e["supports_pruned"] >= e["supports_evaluated"] - e["supports_gathered"]
+    assert any(e["supports_gathered"] < e["supports_evaluated"] for e in payloads["exact"])
+    assert all(e["supports_gathered"] == e["supports_evaluated"] for e in payloads["mc"])
+
+
 @pytest.mark.parametrize("command", ["rip", "theory"])
 def test_single_n_commands_reject_a_multi_value_grid(command, tmp_path, capsys):
     rc = cli.main([command, "--d", "2", "--m", "10", "--n-grid", "6,8",

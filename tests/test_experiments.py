@@ -22,7 +22,7 @@ from rfcond.experiments import (
 from rfcond.features import build_features
 from rfcond.io import json_report
 from rfcond.sampling import TAG_DATA, gaussian_matrix, split_stream
-from rfcond.solvers import FLAG_SINGULAR_GRAM, CoefficientVector, Diagnostics
+from rfcond.solvers import FLAG_SINGULAR_GRAM, FLAG_ZERO_FEASIBLE, CoefficientVector, Diagnostics
 from rfcond.spectral import SIDE_COLUMNS, SIDE_ROWS, gram_spectrum_via_svd
 from rfcond.targets import gaussian_bump_target
 from rfcond.theory import TheoryConstants, risk_bound_ls, risk_bound_minnorm
@@ -185,6 +185,44 @@ def test_validate_reports_how_each_risk_was_computed():
                for p in run_bound_validation(cfg)["pipelines"]}
     assert methods == {"least_squares": {("closed_form", True)},
                        "min_norm": {("monte_carlo", False)}}
+
+
+def test_validate_trials_report_fit_diagnostics():
+    # The golden validate point: least squares at N = 6, min-norm at N = 200 and
+    # pruned BPDN, whose level makes c = 0 feasible (the zero shortcut).
+    cfg = ExperimentConfig(d=5, m=60, n_grid=(6, 200), target_kind="gaussian_bump",
+                           bump_width=math.sqrt(2.0), s=3, trials=2, seed=5, n_test=100)
+    rows = {p["name"]: p["trials"] for p in run_bound_validation(cfg)["pipelines"]}
+    fit = {name: {(t["nnz"], t["iterations"], t["duality_gap"], tuple(t["flags"]))
+                  for t in trials} for name, trials in rows.items()}
+    assert fit == {"least_squares": {(6, 0, None, ())},
+                   "min_norm": {(200, 0, None, ())},
+                   "bpdn_pruned": {(0, 0, 0.0, (FLAG_ZERO_FEASIBLE,))}}
+    assert all(t["train_residual"] < 1e-10 for t in rows["min_norm"])
+    assert all(t["train_residual"] > 0 for t in rows["least_squares"] + rows["bpdn_pruned"])
+
+
+def test_pruned_bpdn_reports_the_residual_of_the_pruned_model(monkeypatch):
+    # A stand-in BPDN fit with three terms and its own residual; pruning to one
+    # term changes the residual, and the fit's other diagnostics stay.
+    def three_terms(A, y, xi, tolerance):
+        c = np.zeros(A.shape[1], dtype=complex)
+        c[:3] = [0.3, -2.0, 0.5j]
+        return CoefficientVector(c, Diagnostics(residual_norm=0.0, iterations=75,
+                                                duality_gap=1e-7))
+
+    monkeypatch.setattr(experiments, "bpdn", three_terms)
+    cfg = ExperimentConfig(d=2, m=12, n_grid=(20,), target_kind="gaussian_bump",
+                           bump_width=1.0)
+    target = gaussian_bump_target(1.0, cfg.sigma, cfg.d)
+    stream = split_stream(3, 0)
+    X, W, A = random_features(2, 12, 20, 1.0, 1.0, stream)
+    coeff, _, _ = experiments._train_and_test(cfg, target, "bpdn_pruned", X, W, A, stream,
+                                              xi=0.1, s=1)
+    assert np.count_nonzero(coeff.values) == 1
+    expected = np.linalg.norm(A @ coeff.values - target.evaluate(X))
+    assert coeff.diagnostics.residual_norm == pytest.approx(expected, rel=1e-12)
+    assert (coeff.diagnostics.iterations, coeff.diagnostics.duality_gap) == (75, 1e-7)
 
 
 def test_sweep_csv_flags_column(tmp_path, monkeypatch):

@@ -47,13 +47,13 @@ GOLDEN = {
         "threshold.json": "e65fa6cf2777af4adbc9acffedb2c5e783dfc42ad53eaee236c91f2945649737",
     },
     "validate": {
-        "validate.json": "24a64a618ffed6eccd99028096778d6e579fa666b91402d2977f3c4d3fe37ae0",
+        "validate.json": "d667f43944626697a21b15e3c89abf33d3f71f3e86f1763e841eb6d8b2f49345",
     },
     "theory": {
         "stdout": "7a294e1eb65e1848c877a3365c114d044f9c04c0d706a3f471e4c97b6042bb35",
     },
     "rip": {
-        "rip.json": "1916d20e5099645154455d3857083970771924647481305872a0a11bef96fd1a",
+        "rip.json": "962992b3338745f24a5105d79354c6141023a8a4b16dcc36b02b0ebe0366caed",
     },
 }
 

@@ -1,18 +1,20 @@
+from collections import Counter
 from itertools import combinations
 from math import ceil, comb
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfcond import cli
+from rfcond import cli, spectral
 from rfcond.errors import EnumerationBudgetError, InvalidArgumentError, NumericalFailureError
 from rfcond.experiments import random_features
 from rfcond.features import FOURIER, RELU
 from rfcond.sampling import split_stream
 from rfcond.spectral import (
     _STACK,
+    _SupportWalk,
     _norm_bound,
     SIDE_COLUMNS,
     SIDE_ROWS,
@@ -391,6 +393,145 @@ def test_rip_non_finite_entry_raises_numerical_failure():
     # at s = N the eigensolver itself gives up on the NaN Gram
     with pytest.raises(NumericalFailureError):
         rip_constant_lower_mc(An, 8, 3, split_stream(0, 0))
+
+
+def _tied_instance(kind, n, tie, seed):
+    """n columns in a seeded order; "duplicate" and "negate" repeat or negate
+    some of them, so that many supports share one deviation exactly."""
+    base = n if tie == "none" else (n + 1) // 2
+    _, _, A = random_features(2, 20, base, 1.0, 1.0, split_stream(seed, n), kind)
+    M = A / np.sqrt(20)
+    if tie != "none":
+        M = np.concatenate([M, M[:, : n - base] * (1.0 if tie == "duplicate" else -1.0)], axis=1)
+    return M[:, np.random.default_rng(seed).permutation(n)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([FOURIER, RELU]), st.integers(min_value=1, max_value=12),
+       st.sampled_from(["none", "duplicate", "negate"]), st.integers(min_value=0, max_value=2**32))
+def test_rip_walk_matches_per_support_loop_bitwise(kind, n, tie, seed):
+    M = _tied_instance(kind, n, tie, seed)
+    for s in range(1, n + 1):
+        est = rip_constant_exact(M, s)
+        assert est.value == _loop_rip_exact(M, s), s
+        assert est.supports_evaluated == comb(n, s)
+        assert est.supports_gathered <= comb(n, s) <= est.supports_pruned + est.supports_gathered
+
+
+def _leaf_bounds(M, B, S):
+    """Per-support bounds of support S: the max row sum of B's S x S block,
+    and `_norm_bound` of the support Gram the leaves form."""
+    sub = M[:, S]
+    G = sub.conj().T @ sub - np.eye(len(S))
+    G = 0.5 * (G + G.conj().T)
+    return B[np.ix_(S, S)].sum(axis=1).max(), _norm_bound(G[None])[0]
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_prefix_bound_is_at_least_every_completions_row_sum_bound(scaled):
+    n, s = 9, 4
+    _, _, A = random_features(3, 30, n, 1.0, 1.0, split_stream(35, 0), RELU)
+    M = A / np.sqrt(30)
+    if scaled:  # column norms from 1e-3 to 1e3
+        M = A * (np.logspace(-3, 3, n) / np.linalg.norm(A, axis=0))
+    walk = _SupportWalk(M, s, 10**6)
+    assert walk.depth == s - 1
+    checked = 0
+    for j in range(1, s):
+        for prefix in combinations(range(n - s + j), j):
+            rows = walk.B[list(prefix)].sum(axis=0)
+            bound = walk.prefix_bound(np.array([prefix]), rows[None])[0]
+            for rest in combinations(range(prefix[-1] + 1, n), s - j):
+                row_sum, leaf = _leaf_bounds(M, walk.B, np.array(prefix + rest))
+                assert max(row_sum, leaf) <= bound * (1 + 1e-12), (prefix, rest)
+                checked += 1
+    assert checked > comb(n, s)
+
+
+def test_rip_walk_holds_one_bounded_block_per_depth(monkeypatch):
+    held, blocks = Counter(), []
+    descend = _SupportWalk.descend
+
+    def recording(self, prefixes, rows):
+        depth = prefixes.shape[1]
+        held[depth] += 1
+        blocks.append((depth, len(prefixes), held[depth]))
+        try:
+            descend(self, prefixes, rows)
+        finally:
+            held[depth] -= 1
+
+    monkeypatch.setattr(_SupportWalk, "descend", recording)
+    M = _random_fourier(2, 30, 20, 36) / np.sqrt(30)
+    assert rip_constant_exact(M, 5).value == _loop_rip_exact(M, 5)
+    assert max(b[1] for b in blocks) <= spectral._BLOCK
+    assert max(b[2] for b in blocks) == 1
+    # small blocks: several per depth, still one held at a time
+    blocks.clear()
+    monkeypatch.setattr(spectral, "_BLOCK", 8)
+    M = _random_fourier(2, 30, 12, 37) / np.sqrt(30)
+    assert rip_constant_exact(M, 5).value == _loop_rip_exact(M, 5)
+    assert max(b[1] for b in blocks) <= 8 and max(b[2] for b in blocks) == 1
+    assert max(Counter(b[0] for b in blocks).values()) > 1
+
+
+@pytest.mark.parametrize("kind", [FOURIER, RELU])
+def test_rip_walk_edge_sizes(kind):
+    # N = 1, and s = N - 1 and s = N, where the walk is a chain of prefixes
+    _, _, A = random_features(2, 30, 1, 1.0, 1.0, split_stream(38, 0), kind)
+    est = rip_constant_exact(A / np.sqrt(30), 1)
+    assert (est.value, est.supports_evaluated, est.supports_gathered) == (
+        _loop_rip_exact(A / np.sqrt(30), 1), 1, 1)
+    _, _, A = random_features(2, 30, 9, 1.0, 1.0, split_stream(39, 0), kind)
+    M = A / np.sqrt(30)
+    for s in (8, 9):
+        est = rip_constant_exact(M, s)
+        assert est.value == _loop_rip_exact(M, s)
+        assert est.supports_evaluated == comb(9, s)
+    assert est.supports_gathered == 1  # s = N: the one support is never skipped
+
+
+def test_rip_walk_bounds_only_the_lengths_its_tables_fit_in_the_budget():
+    # N = 12, s = 3: B and the tables hold (1 + depth) * 144 entries
+    M = _random_fourier(2, 30, 12, 40) / np.sqrt(30)
+    ref = _loop_rip_exact(M, 3)
+    for budget, depth in [(comb(12, 3), 0), (300, 1), (10**6, 2)]:
+        assert _SupportWalk(M, 3, budget).depth == depth
+        est = rip_constant_exact(M, 3, budget)
+        assert est.value == ref
+        assert depth or est.supports_gathered == comb(12, 3)
+    assert est.supports_gathered < comb(12, 3)
+
+
+def test_rip_budget_error_comes_before_the_walk(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("the walk was started")
+
+    monkeypatch.setattr(spectral, "_SupportWalk", no_walk)
+    A = _random_fourier(2, 10, 30, 10)
+    with pytest.raises(EnumerationBudgetError):
+        rip_constant_exact(A / np.sqrt(10), 15, budget=1000)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_rip_walk_never_skips_a_non_finite_column(value):
+    # The bad column is first, in the middle or last; every s >= 2 reaches it.
+    for col in (0, 4, 8):
+        M = _random_fourier(2, 30, 9, 41) / np.sqrt(30)
+        M[3, col] = value
+        for s in range(2, 10):
+            with pytest.raises(NumericalFailureError):
+                rip_constant_exact(M, s)
+
+
+def test_seed_threshold_is_a_lower_bound_without_eigensolves(monkeypatch):
+    M = _random_fourier(2, 30, 16, 42) / np.sqrt(30)
+    exact = [rip_constant_exact(M, s).value for s in range(2, 7)]
+    stacks = _recording_eigvalsh(monkeypatch)
+    seeds = [_SupportWalk(M, s, 10**6).threshold for s in range(2, 7)]
+    assert stacks == []
+    assert all(0 < t <= v for t, v in zip(seeds, exact))
+    assert all(t >= 0.5 * v for t, v in zip(seeds, exact))
 
 
 def test_band_membership_caps_full_rip_constant():
