@@ -154,7 +154,6 @@ def _build_config(args) -> ExperimentConfig:
         trials=opt["trials"], seed=opt["seed"], tol=opt["tol"],
         n_test=opt["n-test"], delta=opt["delta"], eta=opt["eta"], s=opt["s"],
         compute_bounds=opt["bounds"],
-        constants=TheoryConstants(permissive=opt["permissive-constants"]),
         workers=opt["workers"], scalings=scalings, pipelines=pipelines,
     )
 
@@ -229,7 +228,8 @@ def _cmd_theory(args) -> int:
     if len(config.n_grid) != 1:
         raise InvalidArgumentError(f"theory takes a single N, got {len(config.n_grid)} values")
     report = check_regime_conditions(config.m, config.n_grid[0], config.d, config.gamma,
-                                     config.sigma, config.eta, config.constants)
+                                     config.sigma, config.eta,
+                                     TheoryConstants(permissive=args.permissive_constants))
     sys.stdout.write(json_report(report.as_dict()))
     return EXIT_OK
 

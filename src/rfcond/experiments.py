@@ -46,15 +46,12 @@ from .solvers import (
     prune_top_s,
 )
 from .spectral import (
-    SIDE_COLUMNS,
-    SIDE_ROWS,
     DensityCurve,
     gram_spectrum_via_svd,
     rip_constant_exact,
     rip_constant_lower_mc,
     singular_values,
     spectral_density,
-    spectrum_from_singular_values,
 )
 from .targets import (
     KIND_BUMP,
@@ -116,7 +113,6 @@ class ExperimentConfig:
     eta: float = 0.5
     s: int | None = None  # pruning size of the sparse pipeline
     compute_bounds: bool = False
-    constants: TheoryConstants = DEFAULT_CONSTANTS
     workers: int = 1
     scalings: tuple[str, ...] = SCALING_LABELS
     pipelines: tuple[str, ...] | None = None  # None = all regime-appropriate ones
@@ -268,13 +264,12 @@ def _sweep_trial(config: ExperimentConfig, trial: int) -> list[SweepRow]:
         # from the singular values of the fit's own factorization of A.
         pipeline = "least_squares" if n < config.m else "min_norm"
         coeff, risk, noise = _train_and_test(config, target, pipeline, X, W, A, cell)
-        side = SIDE_COLUMNS if n <= config.m else SIDE_ROWS
-        spec = spectrum_from_singular_values(coeff.diagnostics.singular_values, A.shape, side)
+        spec = gram_spectrum_via_svd(A, coeff.diagnostics.singular_values)
 
         bound = None
         if config.compute_bounds and n != config.m:
             bound = _risk_bound(config, pipeline, n, target.rho_norm, noise.bound,
-                                config.constants).value
+                                DEFAULT_CONSTANTS).value
 
         rows.append(SweepRow(N=n, m=config.m, d=config.d, trial=trial,
                              cond_number=spec.cond_number,
@@ -308,7 +303,7 @@ class SweepResult:
 def run_double_descent_sweep(config: ExperimentConfig) -> SweepResult:
     """Figure-1 protocol: for each N and trial, build features, train (least
     squares below the threshold, min-norm at and above it), and record the
-    conditioning of the relevant normalized Gram plus the risk."""
+    conditioning of the smaller normalized Gram plus the risk."""
     if config.compute_bounds and config.target_kind != KIND_BUMP:
         raise InvalidArgumentError(
             "sweep --bounds needs a target with finite rho-norm (gaussian_bump)")
@@ -402,7 +397,7 @@ def run_threshold_study(config: ExperimentConfig) -> dict:
             stream = split_stream(config.seed, t).substream(_TAG_GRID, n)
             _, _, A = random_features(config.d, n, n, config.gamma, config.sigma, stream,
                                       config.feature_kind)
-            spec = gram_spectrum_via_svd(A, SIDE_COLUMNS)
+            spec = gram_spectrum_via_svd(A)
             return spec.lambda_min, spec.lambda_max
 
         stats = _map_trials(one_trial, config.trials, config.workers)
@@ -456,13 +451,12 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
     """Risk-bound coverage for the three training pipelines at the configured
     parameter points.  Bound values never depend on the constants mode, and the
     hypothesis checks of both the strict and the permissive mode are always
-    reported, so `config.constants` is not read.  Each trial's risk is
-    computed as `_train_and_test` decides and says how (`risk_method`); a
-    Monte Carlo risk carries its standard error std(|f - f#|^2) / sqrt(n_test),
-    the closed form none (`risk_se` null).  Next to the
-    coverage, `bound_over_risk` is the smallest bound / risk over the trials
-    (inf when every risk is 0): coverage against a bound many orders above the
-    risk says little about the bound."""
+    reported.  Each trial's risk is computed as `_train_and_test` decides and
+    says how (`risk_method`); a Monte Carlo risk carries its standard error
+    std(|f - f#|^2) / sqrt(n_test), the closed form none (`risk_se` null).
+    Next to the coverage, `bound_over_risk` is the smallest bound / risk over
+    the trials (inf when every risk is 0): coverage against a bound many
+    orders above the risk says little about the bound."""
     if config.n_test < 2:
         raise InvalidArgumentError(
             "bound validation needs n_test >= 2 for the risk's standard error")

@@ -146,7 +146,9 @@ def bpdn(A: np.ndarray, y: np.ndarray, xi: float, tolerance: float = 1e-6,
     Primal-dual hybrid gradient on the conic form; stops once the constraint
     violation and the duality gap are both below `tolerance`.  When c = 0 is
     feasible it is optimal and is returned at iteration 0, flagged
-    FLAG_ZERO_FEASIBLE.
+    FLAG_ZERO_FEASIBLE.  Raises InfeasibleProblemError when no c comes within
+    `tolerance` of the constraint.  For A = 0 every c leaves the residual ||y||,
+    so c = 0 is optimal and is returned unflagged at iteration 0.
     """
     A, y = _as_matrix_vector(A, y)
     m, n = A.shape
@@ -170,10 +172,14 @@ def bpdn(A: np.ndarray, y: np.ndarray, xi: float, tolerance: float = 1e-6,
         )
 
     opnorm = float(sv[0])  # the largest singular value, from the solve above
-    tau = sigma_step = 0.99 / opnorm
     c = np.zeros(n, dtype=np.complex128)
-    c_bar = c.copy()
     u = np.zeros(m, dtype=np.complex128)
+    if opnorm == 0.0:  # A = 0, where PDHG has no step size
+        _, gap = _bpdn_gap(A, y, radius, c, u)
+        diag = Diagnostics(residual_norm=min_residual, iterations=0, duality_gap=gap)
+        return CoefficientVector(c, diag)
+    tau = sigma_step = 0.99 / opnorm
+    c_bar = c.copy()
     check_every = 25
     feas = gap = float("inf")
     for it in range(1, max_iter + 1):

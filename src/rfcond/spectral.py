@@ -1,20 +1,20 @@
 """Spectral analysis of feature Gram matrices: eigenvalues, condition numbers,
 restricted isometry constants, and singular-value density estimation.
 
-The two normalized Grams share their nonzero spectrum: eig((1/m)A*A) and
-eig((1/N)AA*) are the squared singular values of A scaled by 1/m or 1/N, up
-to zero padding.  Every spectrum therefore comes from the singular values of
-A, taken from one factorization: for a non-square A, `singular_values` runs
-one eigensolver on the smaller formed Gram (AA* or A*A), whose eigenvalues
-are accurate to about eps * cond^2 relative (Trefethen & Bau, Numerical
-Linear Algebra, Lecture 31), and keeps them when lambda_min >= `_GRAM_GATE` *
-lambda_max, where that is at most about 2e-10; otherwise it takes the thin
-SVD of A, which resolves singular values down to eps * sigma_max.  A square A
-(N = m, the interpolation threshold, where the condition number peaks) goes
-straight to the SVD: its Gram is no smaller than A, so the Gram route would
-save little when it passes the gate and often fail it.  A caller that has
-already factored A (the sweep's least-squares solve) passes those singular
-values to `spectrum_from_singular_values` instead.
+The paper bounds the conditioning of the normalized Gram on its smaller side:
+(1/m)A*A when N <= m and (1/N)AA* when N > m, in both regimes the smaller
+Gram over max(m, N).  Its eigenvalues are the squared singular values of A
+over max(m, N), so `gram_spectrum_via_svd` takes them from one factorization:
+the singular values a caller already has (the sweep's least-squares solve),
+or else `singular_values`.  For a non-square A that runs one eigensolver on
+the smaller formed Gram (AA* or A*A), whose eigenvalues are accurate to about
+eps * cond^2 relative (Trefethen & Bau, Numerical Linear Algebra, Lecture 31),
+and keeps them when lambda_min >= `_GRAM_GATE` * lambda_max, where that is at
+most about 2e-10; otherwise it takes the thin SVD of A, which resolves
+singular values down to eps * sigma_max.  A square A (N = m, the
+interpolation threshold, where the condition number peaks) goes straight to
+the SVD: its Gram is no smaller than A, so the Gram route would save little
+when it passes the gate and often fail it.
 
 Restricted isometry constants are the one place that forms Grams of column
 supports: delta_s is a maximum over column supports S of ||A_S* A_S - I||_2,
@@ -45,9 +45,6 @@ RANK_TOL = 1e-12  # relative floor under which the smallest singular value count
 # eps * cond^2, then stays below 2e-10.
 _GRAM_GATE = 1e-6
 
-SIDE_COLUMNS = "columns"  # (1/m) A* A, N x N
-SIDE_ROWS = "rows"        # (1/N) A A*, m x m
-
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 _STACK = 64  # supports per batched eigvalsh call
 # A support is skipped when bound + _PRUNE_MARGIN * (1 + best) < best.  The
@@ -71,8 +68,7 @@ class SpectralSummary:
     eigenvalues: np.ndarray  # ascending
     lambda_min: float
     lambda_max: float
-    cond_number: float       # sqrt(lambda_max / lambda_min); inf when rank-deficient
-    side: str
+    cond_number: float       # sigma_max / sigma_min; inf when sigma_min <= RANK_TOL * sigma_max
 
 
 @dataclass(frozen=True)
@@ -102,43 +98,28 @@ class DensityCurve:
     bandwidth: float
 
 
-def gram_spectrum_via_svd(A: np.ndarray, side: str) -> SpectralSummary:
-    """Full spectrum of the normalized Gram on the requested side
-    (side="columns" is (1/m)A*A, side="rows" is (1/N)AA*) from
-    `singular_values(A)`: for non-square A, the smaller Gram's eigenvalues
-    when lambda_min >= `_GRAM_GATE` * lambda_max, accurate to about
-    eps * cond^2 relative (at most about 2e-10 at the gate), and otherwise the
-    thin SVD's, which resolve eigenvalues down to (eps * sigma_max)^2 near the
-    interpolation threshold.
+def gram_spectrum_via_svd(A: np.ndarray, sv: np.ndarray | None = None) -> SpectralSummary:
+    """Spectrum of the smaller normalized Gram of the m x N matrix A, the one
+    over max(m, N): (1/m)A*A when N <= m, (1/N)AA* when N > m.
+
+    Its eigenvalues are the squares of the singular values of A divided by
+    sqrt(max(m, N)).  The singular values are `sv`, ascending, when the caller
+    has already factored A, and `singular_values(A)` otherwise.  The condition
+    number sigma_max / sigma_min is infinite when sigma_min <= RANK_TOL *
+    sigma_max.
     """
     M = np.asarray(A)
-    return spectrum_from_singular_values(singular_values(M), M.shape, side)
-
-
-def spectrum_from_singular_values(s: np.ndarray, shape: tuple[int, int],
-                                  side: str) -> SpectralSummary:
-    """Spectrum of the normalized Gram on `side` of an m x N matrix of the
-    given shape with ascending singular values `s`.
-
-    When the requested Gram is the larger one its zero eigenvalues are
-    appended analytically.  The condition number sigma_max / sigma_min is
-    infinite when the Gram is zero-padded or sigma_min <= RANK_TOL * sigma_max.
-    """
-    if side not in (SIDE_COLUMNS, SIDE_ROWS):
-        raise InvalidArgumentError(f"unknown side {side!r}")
-    m, n = shape
-    s = s / np.sqrt(m if side == SIDE_COLUMNS else n)
+    m, n = M.shape
+    if sv is None:
+        sv = singular_values(M)
+    elif len(sv) != min(m, n):
+        raise InvalidArgumentError(
+            f"{len(sv)} singular values given for a {m} x {n} matrix, expected {min(m, n)}")
+    s = sv / np.sqrt(max(m, n))
     eigs = s**2
-    pad = (n if side == SIDE_COLUMNS else m) - s.shape[0]
-    if pad > 0:
-        eigs = np.concatenate([np.zeros(pad), eigs])
-    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-    if s[0] > RANK_TOL * s[-1] and pad == 0:
-        cond = float(s[-1] / s[0])
-    else:
-        cond = float("inf")
-    return SpectralSummary(eigenvalues=eigs, lambda_min=lam_min, lambda_max=lam_max,
-                           cond_number=cond, side=side)
+    cond = float(s[-1] / s[0]) if s[0] > RANK_TOL * s[-1] else float("inf")
+    return SpectralSummary(eigenvalues=eigs, lambda_min=float(eigs[0]),
+                           lambda_max=float(eigs[-1]), cond_number=cond)
 
 
 def singular_values(A: np.ndarray) -> np.ndarray:

@@ -30,16 +30,12 @@ from rfcond.solvers import (
     ridge,
 )
 from rfcond.spectral import (
-    SIDE_COLUMNS,
-    SIDE_ROWS,
     gram_spectrum_via_svd,
     rip_constant_exact,
     rip_constant_lower_mc,
 )
 from rfcond.targets import best_phi_coeffs, gaussian_bump_target
-from rfcond.theory import K_eta, TheoryConstants, beta_overlap, eig_band, kappa_threshold, rip_bound_f
-
-PERMISSIVE = TheoryConstants(permissive=True)
+from rfcond.theory import K_eta, beta_overlap, eig_band, kappa_threshold, rip_bound_f
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -87,7 +83,7 @@ def test_03_concentration_trend():
         for t in range(50):
             _, _, A = random_features(d, m, n, gs, 1.0,
                                       split_stream(606, t).substream(idx))
-            spec = gram_spectrum_via_svd(A, SIDE_COLUMNS)
+            spec = gram_spectrum_via_svd(A)
             devs.append(np.abs(spec.eigenvalues - 1.0).max())
         medians.append(float(np.median(devs)))
     band_halfwidth = 1.25 * 0.5 + 0.5**2
@@ -221,7 +217,7 @@ def test_07_solver_oracles():
 
 def test_08_risk_bound_coverage():
     base = dict(gamma=1.0, sigma=1.0, target_kind="gaussian_bump", trials=100,
-                eta=0.5, delta=0.05, constants=PERMISSIVE, workers=2)
+                eta=0.5, delta=0.05, workers=2)
     runs = [
         ("least_squares", ExperimentConfig(d=12, m=15000, n_grid=(16,), seed=1,
                                            n_test=1000, **base)),
@@ -251,11 +247,11 @@ def test_09_ensemble_symmetry():
     mins_a, maxs_a, mins_b, maxs_b = [], [], [], []
     for t in range(trials):
         _, _, A = random_features(d, 200, 20, gamma, sigma, split_stream(500, t))
-        spec = gram_spectrum_via_svd(A, SIDE_COLUMNS)
+        spec = gram_spectrum_via_svd(A)
         mins_a.append(spec.lambda_min)
         maxs_a.append(spec.lambda_max)
         _, _, B = random_features(d, 20, 200, sigma, gamma, split_stream(600, t))
-        spec = gram_spectrum_via_svd(B, SIDE_ROWS)
+        spec = gram_spectrum_via_svd(B)
         mins_b.append(spec.lambda_min)
         maxs_b.append(spec.lambda_max)
     ok = True

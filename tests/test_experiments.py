@@ -23,7 +23,7 @@ from rfcond.features import build_features
 from rfcond.io import json_report
 from rfcond.sampling import TAG_DATA, gaussian_matrix, split_stream
 from rfcond.solvers import FLAG_SINGULAR_GRAM, FLAG_ZERO_FEASIBLE, CoefficientVector, Diagnostics
-from rfcond.spectral import SIDE_COLUMNS, SIDE_ROWS, gram_spectrum_via_svd
+from rfcond.spectral import gram_spectrum_via_svd
 from rfcond.targets import gaussian_bump_target
 from rfcond.theory import TheoryConstants, risk_bound_ls, risk_bound_minnorm
 
@@ -86,8 +86,7 @@ def test_sweep_with_snr_noise_and_relu_features():
 
 def test_sweep_bound_column_filled_for_bump_target():
     cfg = _sweep_config(target_kind="gaussian_bump", compute_bounds=True,
-                        n_grid=(5, 40), sigma=1.0,
-                        constants=TheoryConstants(permissive=True))
+                        n_grid=(5, 40), sigma=1.0)
     result = run_double_descent_sweep(cfg)
     for row in result.rows:
         assert row.bound_value is not None
@@ -106,8 +105,7 @@ def test_sweep_bounds_use_resolved_snr_noise_level():
     # r * std(clean), so the bound must use E = 2 r std(clean), not 0.
     snr, permissive = 0.5, TheoryConstants(permissive=True)
     cfg = _sweep_config(target_kind="gaussian_bump", compute_bounds=True,
-                        n_grid=(5, 40), sigma=1.0, noise_snr=snr,
-                        constants=permissive)
+                        n_grid=(5, 40), sigma=1.0, noise_snr=snr)
     target = gaussian_bump_target(np.sqrt(2.0), 1.0, cfg.d)
     for row in run_double_descent_sweep(cfg).rows:
         cell = split_stream(cfg.seed, row.trial).substream(_TAG_GRID, row.N)
@@ -126,7 +124,7 @@ def test_sweep_spectrum_matches_gram_spectrum_of_the_same_matrix(kind):
     for row in run_double_descent_sweep(cfg).rows:
         cell = split_stream(cfg.seed, row.trial).substream(_TAG_GRID, row.N)
         _, _, A = random_features(cfg.d, cfg.m, row.N, cfg.gamma, cfg.sigma, cell, kind)
-        spec = gram_spectrum_via_svd(A, SIDE_COLUMNS if row.N <= cfg.m else SIDE_ROWS)
+        spec = gram_spectrum_via_svd(A)
         for got, want in ((row.cond_number, spec.cond_number),
                           (row.lambda_min, spec.lambda_min),
                           (row.lambda_max, spec.lambda_max)):
@@ -300,8 +298,7 @@ def test_threshold_study_conditioning_worsens_with_n():
 def test_bound_validation_structure():
     cfg = ExperimentConfig(d=6, m=200, n_grid=(8, 400), gamma=1.0, sigma=1.0,
                            target_kind="gaussian_bump", trials=5, seed=30,
-                           s=3, n_test=300,
-                           constants=TheoryConstants(permissive=True))
+                           s=3, n_test=300)
     report = run_bound_validation(cfg)
     names = [p["name"] for p in report["pipelines"]]
     assert names == ["least_squares", "min_norm", "bpdn_pruned"]
@@ -360,7 +357,7 @@ def test_bound_validation_raises_on_singular_row_gram():
 
 def test_bound_validation_worker_independence():
     cfg = dict(d=4, m=60, n_grid=(6,), target_kind="gaussian_bump", trials=4,
-               seed=31, n_test=100, constants=TheoryConstants(permissive=True))
+               seed=31, n_test=100)
     a = run_bound_validation(ExperimentConfig(**cfg))
     b = run_bound_validation(ExperimentConfig(**cfg, workers=4))
     assert json.dumps(a["pipelines"], sort_keys=True) == \

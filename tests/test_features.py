@@ -13,7 +13,7 @@ from rfcond.features import (
 )
 from rfcond.experiments import random_features
 from rfcond.sampling import split_stream
-from rfcond.spectral import SIDE_COLUMNS, SIDE_ROWS, gram_spectrum_via_svd
+from rfcond.spectral import gram_spectrum_via_svd
 
 
 def test_zero_data_gives_all_ones():
@@ -135,11 +135,11 @@ def test_row_column_gram_symmetry_under_role_swap():
     mins_a, maxs_a, mins_b, maxs_b = [], [], [], []
     for t in range(trials):
         _, _, A = random_features(3, m, n, gamma, sigma, split_stream(100, t))
-        spec = gram_spectrum_via_svd(A, SIDE_COLUMNS)
+        spec = gram_spectrum_via_svd(A)
         mins_a.append(spec.lambda_min)
         maxs_a.append(spec.lambda_max)
         _, _, B = random_features(3, n, m, sigma, gamma, split_stream(200, t))
-        spec = gram_spectrum_via_svd(B, SIDE_ROWS)
+        spec = gram_spectrum_via_svd(B)
         mins_b.append(spec.lambda_min)
         maxs_b.append(spec.lambda_max)
     for a, b in ((mins_a, mins_b), (maxs_a, maxs_b)):

@@ -267,6 +267,22 @@ def test_bpdn_detects_infeasible_constraints():
         bpdn(A, y, xi=0.1)
 
 
+def test_bpdn_on_a_zero_matrix_returns_zero_within_tolerance():
+    # ||y|| = 1 exceeds the radius 1 - 1e-7 by less than the tolerance, and
+    # with A = 0 every c leaves the residual ||y||, so c = 0 is optimal.
+    c = bpdn(np.zeros((4, 3)), [1, 0, 0, 0], xi=(1 - 1e-7) / 2, tolerance=1e-6)
+    assert np.array_equal(c.values, np.zeros(3))
+    assert c.diagnostics.iterations == 0
+    assert c.diagnostics.residual_norm == 1.0
+    assert c.diagnostics.duality_gap == 0.0
+    assert c.diagnostics.flags == ()
+
+
+def test_bpdn_on_a_zero_matrix_detects_infeasible_constraints():
+    with pytest.raises(InfeasibleProblemError):
+        bpdn(np.zeros((4, 3)), [1, 0, 0, 0], xi=0.4, tolerance=1e-6)
+
+
 def test_bpdn_iteration_cap_reports_last_gap():
     gen = np.random.default_rng(14)
     A = _random_complex(gen, 10, 30)

@@ -16,8 +16,6 @@ from rfcond.spectral import (
     _STACK,
     _SupportWalk,
     _norm_bound,
-    SIDE_COLUMNS,
-    SIDE_ROWS,
     gram_spectrum_via_svd,
     rip_constant_exact,
     rip_constant_lower_mc,
@@ -33,7 +31,7 @@ def _random_fourier(d, m, n, seed, gamma=1.0, sigma=1.0):
 
 def test_single_fourier_column_has_unit_eigenvalue():
     A = _random_fourier(3, 20, 1, 1)
-    spec = gram_spectrum_via_svd(A, SIDE_COLUMNS)
+    spec = gram_spectrum_via_svd(A)
     assert spec.eigenvalues.shape == (1,)
     assert spec.lambda_min == pytest.approx(1.0, abs=1e-12)
     assert spec.cond_number == pytest.approx(1.0, abs=1e-12)
@@ -41,21 +39,8 @@ def test_single_fourier_column_has_unit_eigenvalue():
 
 def test_orthogonal_equal_norm_columns_give_flat_spectrum():
     entries = np.sqrt(3) * np.eye(4, dtype=complex)[:, :3]
-    spec = gram_spectrum_via_svd(entries, SIDE_COLUMNS)
+    spec = gram_spectrum_via_svd(entries)
     assert np.allclose(spec.eigenvalues, spec.eigenvalues[0])
-
-
-def test_both_sides_share_nonzero_spectrum():
-    A = _random_fourier(2, 6, 9, 2)
-    cols = gram_spectrum_via_svd(A, SIDE_COLUMNS)
-    rows = gram_spectrum_via_svd(A, SIDE_ROWS)
-    assert cols.eigenvalues.shape == (9,)
-    assert rows.eigenvalues.shape == (6,)
-    # zero padding on the larger side
-    assert np.all(np.abs(cols.eigenvalues[:3]) <= 1e-9)
-    nz = cols.eigenvalues[3:] * 6  # undo 1/m
-    assert np.allclose(np.sort(nz), np.sort(rows.eigenvalues * 9), atol=1e-8)
-    assert cols.cond_number == float("inf")
 
 
 def test_singular_values_identity_and_diagonal():
@@ -74,7 +59,7 @@ def test_singular_values_square_against_gram_oracle():
 
 def test_condition_number_examples():
     def cond(M):
-        return gram_spectrum_via_svd(M, SIDE_COLUMNS).cond_number
+        return gram_spectrum_via_svd(M).cond_number
 
     assert cond(np.eye(4)) == pytest.approx(1.0)
     assert cond(np.diag([1.0, 10.0])) == pytest.approx(10.0)
@@ -162,7 +147,7 @@ def test_non_finite_input_raises_numerical_failure(bad, shape):
     with pytest.raises(NumericalFailureError, match="SVD failed"):
         singular_values(A)
     with pytest.raises(NumericalFailureError, match="SVD failed"):
-        gram_spectrum_via_svd(A, SIDE_COLUMNS)
+        gram_spectrum_via_svd(A)
 
 
 def test_rip_s1_is_zero_for_unit_norm_columns():
@@ -538,27 +523,42 @@ def test_band_membership_caps_full_rip_constant():
     # If every eigenvalue of (1/m)A*A lies in [1-t, 1+t] then delta_N <= t by
     # definition; the exact enumerator must agree to round-off.
     A = _random_fourier(3, 40, 5, 14)
-    spec = gram_spectrum_via_svd(A, SIDE_COLUMNS)
+    spec = gram_spectrum_via_svd(A)
     t = max(spec.lambda_max - 1.0, 1.0 - spec.lambda_min)
     est = rip_constant_exact(A / np.sqrt(40), 5)
     assert est.value <= t + 1e-10
 
 
 def test_svd_route_agrees_with_eigendecomposition_route():
-    A = _random_fourier(3, 12, 7, 16)
-    oracles = {SIDE_COLUMNS: np.linalg.eigvalsh(A.conj().T @ A) / 12,
-               SIDE_ROWS: np.linalg.eigvalsh(A @ A.conj().T) / 7}
-    for side, a in oracles.items():
-        b = gram_spectrum_via_svd(A, side)
-        assert a.shape == b.eigenvalues.shape
-        scale = max(a[-1], 1e-12)
-        assert np.abs(a - b.eigenvalues).max() / scale <= 1e-8
-    # the un-padded side is finite; the padded side is flagged infinite
-    assert gram_spectrum_via_svd(A, SIDE_COLUMNS).cond_number < float("inf")
-    assert gram_spectrum_via_svd(A, SIDE_ROWS).cond_number == float("inf")
-    wide = _random_fourier(2, 4, 9, 17)
-    assert gram_spectrum_via_svd(wide, SIDE_COLUMNS).cond_number == float("inf")
-    assert gram_spectrum_via_svd(wide, SIDE_ROWS).cond_number < float("inf")
+    # The spectrum is that of the smaller Gram over max(m, N): (1/m)A*A for a
+    # tall or square A, (1/N)AA* for a wide one.
+    for m, n, seed in ((12, 7, 16), (10, 10, 18), (4, 9, 17)):
+        A = _random_fourier(3, m, n, seed)
+        G = A.conj().T @ A if n <= m else A @ A.conj().T
+        a = np.linalg.eigvalsh(G) / max(m, n)
+        b = gram_spectrum_via_svd(A)
+        assert a.shape == b.eigenvalues.shape == (min(m, n),)
+        assert np.abs(a - b.eigenvalues).max() / a[-1] <= 1e-8
+        assert b.lambda_min == b.eigenvalues[0] and b.lambda_max == b.eigenvalues[-1]
+        assert b.cond_number == pytest.approx(np.sqrt(a[-1] / a[0]), rel=1e-6)
+
+
+@pytest.mark.parametrize("m, n", [(12, 7), (7, 12), (9, 9)])
+def test_given_singular_values_give_the_same_spectrum(m, n):
+    # The sweep passes the singular values of its lstsq solve.
+    A = _random_fourier(3, m, n, m + n)
+    lstsq_sv = np.linalg.lstsq(A, np.ones(m), rcond=None)[3][::-1]
+    got, want = gram_spectrum_via_svd(A, lstsq_sv), gram_spectrum_via_svd(A)
+    assert np.all(np.abs(got.eigenvalues - want.eigenvalues) <= 1e-8 * want.eigenvalues)
+    for attr in ("lambda_min", "lambda_max", "cond_number"):
+        assert getattr(got, attr) == pytest.approx(getattr(want, attr), rel=1e-8)
+
+
+@pytest.mark.parametrize("length", [6, 8, 12])
+def test_wrong_number_of_singular_values_raises(length):
+    A = _random_fourier(2, 12, 7, 3)
+    with pytest.raises(InvalidArgumentError, match="expected 7"):
+        gram_spectrum_via_svd(A, np.ones(length))
 
 
 def test_density_single_value_is_symmetric_peak():
@@ -579,10 +579,9 @@ def test_density_validation():
        st.integers(min_value=0, max_value=2**32))
 def test_gram_eigenvalues_consistent_with_singular_values(m, n, trial):
     _, _, A = random_features(2, m, n, 1.0, 1.0, split_stream(321, trial))
-    side = SIDE_COLUMNS if n <= m else SIDE_ROWS
     sv = singular_values(A)
-    norm = m if side == SIDE_COLUMNS else n
-    G = A.conj().T @ A if side == SIDE_COLUMNS else A @ A.conj().T
+    norm = max(m, n)
+    G = A.conj().T @ A if n <= m else A @ A.conj().T
     eigs = np.sort(np.linalg.eigvalsh(G) / norm)
     assert np.all(eigs >= -1e-9)
     scale = max(eigs[-1], 1e-12)
