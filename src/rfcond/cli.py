@@ -40,7 +40,7 @@ from .sampling import NOISE_NONE, NoiseModel
 from .spectral import DEFAULT_ENUMERATION_BUDGET
 from .svg import write_line_chart
 from .targets import KIND_BUMP, KIND_LINEAR, KIND_PLANTED
-from .theory import TheoryConstants, check_regime_conditions
+from .theory import check_regime_conditions
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -228,8 +228,7 @@ def _cmd_theory(args) -> int:
     if len(config.n_grid) != 1:
         raise InvalidArgumentError(f"theory takes a single N, got {len(config.n_grid)} values")
     report = check_regime_conditions(config.m, config.n_grid[0], config.d, config.gamma,
-                                     config.sigma, config.eta,
-                                     TheoryConstants(permissive=args.permissive_constants))
+                                     config.sigma, config.eta, args.permissive_constants)
     sys.stdout.write(json_report(report.as_dict()))
     return EXIT_OK
 

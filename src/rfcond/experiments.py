@@ -64,9 +64,7 @@ from .targets import (
     target_to_json,
 )
 from .theory import (
-    DEFAULT_CONSTANTS,
     BoundResult,
-    TheoryConstants,
     bp_noise_parameter,
     epsilon_bound,
     interpolation_expectation_bounds,
@@ -220,32 +218,34 @@ def _train_and_test(config: ExperimentConfig, target: TargetFunction, pipeline: 
     elif pipeline == "min_norm":
         coeff = min_norm_interpolate(A, y)
     else:  # the residual of the pruned model, not of the BPDN solution
-        coeff = prune_top_s(bpdn(A, y, xi, config.tol), s)
-        residual = float(np.linalg.norm(A @ coeff.values - y))
-        coeff = replace(coeff, diagnostics=replace(coeff.diagnostics, residual_norm=residual))
+        fit = bpdn(A, y, xi, config.tol)
+        c = prune_top_s(fit.values, s)
+        coeff = CoefficientVector(c, replace(fit.diagnostics,
+                                             residual_norm=float(np.linalg.norm(A @ c - y))))
     nnz = int(np.count_nonzero(coeff.values))
     if nnz * nnz <= config.n_test * W.shape[1]:
-        value = population_risk(target, W, coeff, config.gamma, config.feature_kind)
+        value = population_risk(target, W, coeff.values, config.gamma, config.feature_kind)
         return coeff, Risk(value, None, RISK_CLOSED_FORM), noise
     Z = gaussian_matrix(config.d, config.n_test, config.gamma**2, stream.substream(TAG_TEST))
-    preds = evaluate_model(W, coeff, Z, config.feature_kind)
+    preds = evaluate_model(W, coeff.values, Z, config.feature_kind)
     sq_err = np.abs(target.evaluate(Z) - preds) ** 2
     se = float(np.std(sq_err, ddof=1) / math.sqrt(sq_err.size)) if sq_err.size > 1 else None
     return coeff, Risk(float(np.mean(sq_err)), se, RISK_MONTE_CARLO), noise
 
 
 def _risk_bound(config: ExperimentConfig, pipeline: str, n: int, rho: float, E: float,
-                constants: TheoryConstants, s: int | None = None,
-                eps: float | None = None, theta: float | None = None) -> BoundResult:
-    """The paper's risk bound for `pipeline` at N = n; the pruned sparse
-    pipeline also needs s, epsilon and the best s-term error theta."""
+                s: int | None = None, eps: float | None = None,
+                theta: float | None = None, permissive: bool = False) -> BoundResult:
+    """The paper's risk bound for `pipeline` at N = n, its hypotheses checked
+    in strict or `permissive` mode; the pruned sparse pipeline also needs s,
+    epsilon and the best s-term error theta."""
     if pipeline == "least_squares":
         return risk_bound_ls(n, config.m, config.d, config.gamma, config.sigma,
-                             config.delta, config.eta, rho, E, constants)
+                             config.delta, config.eta, rho, E, permissive)
     if pipeline == "min_norm":
         return risk_bound_minnorm(n, config.m, config.d, config.gamma, config.sigma,
-                                  config.delta, config.eta, rho, E, constants)
-    return risk_bound_bp(n, config.m, s, config.delta, eps, rho, E, theta, constants,
+                                  config.delta, config.eta, rho, E, permissive)
+    return risk_bound_bp(n, config.m, s, config.delta, eps, rho, E, theta, permissive,
                          d=config.d, gamma=config.gamma, sigma=config.sigma)
 
 
@@ -268,8 +268,7 @@ def _sweep_trial(config: ExperimentConfig, trial: int) -> list[SweepRow]:
 
         bound = None
         if config.compute_bounds and n != config.m:
-            bound = _risk_bound(config, pipeline, n, target.rho_norm, noise.bound,
-                                DEFAULT_CONSTANTS).value
+            bound = _risk_bound(config, pipeline, n, target.rho_norm, noise.bound).value
 
         rows.append(SweepRow(N=n, m=config.m, d=config.d, trial=trial,
                              cond_number=spec.cond_number,
@@ -434,6 +433,11 @@ def run_threshold_study(config: ExperimentConfig) -> dict:
 
 
 def _validation_pipelines(config: ExperimentConfig) -> list[tuple[str, int]]:
+    """The (pipeline, N) pairs to validate: least squares at N < m, min-norm
+    and, given s, pruned BPDN at N > m, less those `pipelines` leaves out.
+    Selecting none, or bpdn_pruned without s, raises InvalidArgumentError."""
+    if config.s is None and "bpdn_pruned" in (config.pipelines or ()):
+        raise InvalidArgumentError("the bpdn_pruned pipeline needs s, its pruning size")
     pipes = []
     for n in config.n_grid:
         if n < config.m:
@@ -444,14 +448,19 @@ def _validation_pipelines(config: ExperimentConfig) -> list[tuple[str, int]]:
                 pipes.append(("bpdn_pruned", n))
     if config.pipelines is not None:
         pipes = [p for p in pipes if p[0] in config.pipelines]
+    if not pipes:
+        raise InvalidArgumentError(
+            f"no pipeline to validate at m = {config.m}, N in {list(config.n_grid)}: "
+            "least_squares needs N < m, min_norm and bpdn_pruned N > m")
     return pipes
 
 
 def run_bound_validation(config: ExperimentConfig) -> dict:
     """Risk-bound coverage for the three training pipelines at the configured
-    parameter points.  Bound values never depend on the constants mode, and the
-    hypothesis checks of both the strict and the permissive mode are always
-    reported.  Each trial's risk is computed as `_train_and_test` decides and
+    parameter points.  Each trial builds its whole report row, with a bound
+    value that never depends on the mode of the hypotheses; the hypothesis
+    checks of both the strict and the permissive mode are reported at trial
+    0's theta.  Each trial's risk is computed as `_train_and_test` decides and
     says how (`risk_method`); a Monte Carlo risk carries its standard error
     std(|f - f#|^2) / sqrt(n_test), the closed form none (`risk_se` null).
     Next to the coverage, `bound_over_risk` is the smallest bound / risk over
@@ -463,6 +472,7 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
     if config.noise_snr is not None:
         raise InvalidArgumentError(
             "bound validation needs a fixed noise model; snr noise is not supported")
+    selected = _validation_pipelines(config)
     target = sample_target(config.target_kind, config.d, config.sigma,
                            split_stream(config.seed, 0).substream(TAG_TARGET),
                            config.feature_kind, config.planted_s, config.bump_width)
@@ -472,16 +482,16 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
     if config.feature_kind != FOURIER:
         raise InvalidArgumentError("bound validation is defined for fourier features")
 
-    strict, permissive = TheoryConstants(permissive=False), TheoryConstants(permissive=True)
     E = config.noise.bound
     rho = target.rho_norm
     pipelines = []
-    for name, n in _validation_pipelines(config):
+    for name, n in selected:
         s = min(config.s, n) if config.s is not None else None
         eps = epsilon_bound(n, config.m, config.d, config.gamma, config.sigma, config.delta)
         xi = bp_noise_parameter(eps, rho, E)
 
-        def one_trial(t: int, name=name, n=n, s=s, xi=xi) -> tuple[Risk, float | None, dict]:
+        def one_trial(t: int, name=name, n=n, s=s, eps=eps,
+                      xi=xi) -> tuple[dict, float | None]:
             stream = split_stream(config.seed, t).substream(_TAG_PIPELINE, n,
                                                             _PIPE_TAGS[name])
             X, W, A = random_features(config.d, config.m, n, config.gamma, config.sigma,
@@ -492,43 +502,30 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
                     "row Gram AA* is numerically singular; interpolation unavailable")
             theta = (best_s_term_error(best_phi_coeffs(target, W), s, 1)
                      if name == "bpdn_pruned" else None)
+            bound = _risk_bound(config, name, n, rho, E, s, eps, theta).value
             diag = coeff.diagnostics
-            fit = {"train_residual": diag.residual_norm,
-                   "nnz": int(np.count_nonzero(coeff.values)),
-                   "iterations": diag.iterations, "duality_gap": diag.duality_gap,
-                   "flags": list(diag.flags)}
-            return risk, theta, fit
+            return {"trial": t, "empirical_risk": risk.value, "risk_se": risk.se,
+                    "risk_method": risk.method, "bound_value": bound,
+                    "covered": bool(risk.value <= bound),
+                    "train_residual": diag.residual_norm,
+                    "nnz": int(np.count_nonzero(coeff.values)),
+                    "iterations": diag.iterations, "duality_gap": diag.duality_gap,
+                    "flags": list(diag.flags)}, theta
 
-        results = _map_trials(one_trial, config.trials, config.workers)
-
-        def bound_for(constants, result, name=name, n=n, s=s, eps=eps):
-            return _risk_bound(config, name, n, rho, E, constants, s, eps, result[1])
-
-        trial_rows = []
-        covered = 0
-        for t, res in enumerate(results):
-            risk, b = res[0], bound_for(permissive, res)
-            ok = risk.value <= b.value
-            covered += ok
-            trial_rows.append({"trial": t, "empirical_risk": risk.value, "risk_se": risk.se,
-                               "risk_method": risk.method, "bound_value": b.value,
-                               "covered": bool(ok), **res[2]})
-        rep_strict = bound_for(strict, results[0])
-        rep_perm = bound_for(permissive, results[0])
+        trial_rows, thetas = zip(*_map_trials(one_trial, config.trials, config.workers))
+        reports = [_risk_bound(config, name, n, rho, E, s, eps, thetas[0], permissive)
+                   for permissive in (False, True)]
         pipelines.append({
             "name": name, "m": config.m, "N": int(n), "s": s,
             "eta": config.eta, "delta": config.delta, "epsilon": eps,
             "noise_bound": E,
-            "coverage": covered / config.trials,
+            "coverage": sum(r["covered"] for r in trial_rows) / config.trials,
             "bound_over_risk": min((r["bound_value"] / r["empirical_risk"]
                                     for r in trial_rows if r["empirical_risk"] > 0),
                                    default=math.inf),
-            "mean_risk": float(np.mean([r[0].value for r in results])),
-            "conditions": {
-                "strict": rep_strict.as_dict(),
-                "permissive": rep_perm.as_dict(),
-            },
-            "trials": trial_rows,
+            "mean_risk": float(np.mean([r["empirical_risk"] for r in trial_rows])),
+            "conditions": {b.mode: b.as_dict() for b in reports},
+            "trials": list(trial_rows),
         })
     return {"target": target_to_json(target), "pipelines": pipelines}
 

@@ -8,7 +8,7 @@ complex soft-thresholding certified by an explicit duality gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,9 +39,6 @@ class Diagnostics:
 class CoefficientVector:
     values: np.ndarray
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
 
 
 def _as_matrix_vector(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,22 +199,20 @@ def bpdn(A: np.ndarray, y: np.ndarray, xi: float, tolerance: float = 1e-6,
     )
 
 
-def prune_top_s(c: CoefficientVector, s: int) -> CoefficientVector:
+def prune_top_s(values: np.ndarray, s: int) -> np.ndarray:
     """Keep the s largest-modulus entries (ties keep the lower index), zero the rest."""
-    n = len(c)
+    n = values.shape[0]
     if not 1 <= s <= n:
         raise InvalidArgumentError(f"s must be in [1, {n}], got {s}")
-    order = np.argsort(-np.abs(c.values), kind="stable")
-    keep = order[:s]
-    pruned = np.zeros_like(c.values)
-    pruned[keep] = c.values[keep]
-    return replace(c, values=pruned)
+    keep = np.argsort(-np.abs(values), kind="stable")[:s]
+    pruned = np.zeros_like(values)
+    pruned[keep] = values[keep]
+    return pruned
 
 
-def best_s_term_error(c: CoefficientVector | np.ndarray, s: int, p: int) -> float:
+def best_s_term_error(values: np.ndarray, s: int, p: int) -> float:
     """l^p norm of the N - s smallest-modulus entries (the best s-term
     approximation error)."""
-    values = c.values if isinstance(c, CoefficientVector) else np.asarray(c)
     n = values.shape[0]
     if not 1 <= s <= n:
         raise InvalidArgumentError(f"s must be in [1, {n}], got {s}")

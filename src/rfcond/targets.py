@@ -26,7 +26,6 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericalFailureError, UnsupportedTargetError
 from .features import FOURIER, RELU, build_features
 from .sampling import RngStream, gaussian_matrix
-from .solvers import CoefficientVector
 
 KIND_LINEAR = "linear"
 KIND_PLANTED = "planted"
@@ -136,12 +135,11 @@ def sample_target(kind: str, d: int, sigma: float, stream: RngStream,
     raise InvalidArgumentError(f"unknown target kind {kind!r}")
 
 
-def best_phi_coeffs(target: TargetFunction, W: np.ndarray) -> CoefficientVector:
+def best_phi_coeffs(target: TargetFunction, W: np.ndarray) -> np.ndarray:
     """Monte Carlo discretization of the target's integral representation:
     c*_k = alpha(w_k) / (N rho(w_k)); every entry obeys |c*_k| <= ||f||_rho / N."""
     ratio = target.alpha_over_rho(np.asarray(W))
-    n = ratio.shape[0]
-    return CoefficientVector(np.asarray(ratio, dtype=np.complex128) / n)
+    return np.asarray(ratio, dtype=np.complex128) / ratio.shape[0]
 
 
 def _row_blocks(n: int, n_features: int) -> list[tuple[int, int]]:
@@ -157,7 +155,7 @@ def _row_blocks(n: int, n_features: int) -> list[tuple[int, int]]:
     return [(i, j) for i, j in zip(cuts, cuts[1:]) if j > i]
 
 
-def evaluate_model(W: np.ndarray, c: CoefficientVector | np.ndarray, Z: np.ndarray,
+def evaluate_model(W: np.ndarray, c: np.ndarray, Z: np.ndarray,
                    kind: str = FOURIER) -> np.ndarray:
     """Model predictions f#(z_j) = sum_k c_k phi(z_j, w_k) at the columns of Z.
 
@@ -168,7 +166,7 @@ def evaluate_model(W: np.ndarray, c: CoefficientVector | np.ndarray, Z: np.ndarr
     kernel path of the one-shot product build_features(Z, W, kind) @ c: with
     OpenBLAS the predictions equal it bit for bit when N is a multiple of 8.
     """
-    values = c.values if isinstance(c, CoefficientVector) else np.asarray(c)
+    values = np.asarray(c)
     W = np.asarray(W)
     Z = np.asarray(Z)
     if values.shape[0] != W.shape[1]:
@@ -231,8 +229,7 @@ def _target_moments(target: TargetFunction, W: np.ndarray, gamma: float,
     return _quadratic_form(W0, c0, gamma, kind), _kernel(W, W0, gamma, kind) @ c0
 
 
-def population_risk(target: TargetFunction, W: np.ndarray,
-                    c: CoefficientVector | np.ndarray, gamma: float,
+def population_risk(target: TargetFunction, W: np.ndarray, c: np.ndarray, gamma: float,
                     kind: str = FOURIER) -> float:
     """The population risk E_z |f(z) - f#(z)|^2, z ~ N(0, gamma^2 I_d), of the
     model f# = sum_k c_k phi(., w_k) in closed form:
@@ -251,7 +248,7 @@ def population_risk(target: TargetFunction, W: np.ndarray,
     A negative value within `_RISK_ROUNDING` of E|f|^2 + c* K c is rounding
     in the cancellation of a risk near 0 and returns 0; below that it raises
     NumericalFailureError, as does a nan."""
-    values = np.asarray(c.values if isinstance(c, CoefficientVector) else c)
+    values = np.asarray(c)
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or values.shape != (W.shape[1],):
         raise InvalidArgumentError("population_risk needs W (d x N) and c of length N")

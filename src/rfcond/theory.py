@@ -49,29 +49,12 @@ def _exp_power(base: float, exponent: float) -> float:
     return math.exp(t)
 
 
-@dataclass(frozen=True)
-class TheoryConstants:
-    """Mode of the universal condition constant C.
-
-    Strict mode uses the proof-grade C2(eta) = 4 C_TILDE1^2 / eta^2.
-    Permissive mode replaces C by 1 for desk-scale empirical validation, where
-    the proof-grade constants are unreachable; it never alters bound values.
-    """
-
-    permissive: bool = False
-
-    def universal(self, eta: float) -> float:
-        """Condition constant C at a given eta in this mode."""
-        if self.permissive:
-            return 1.0
-        return 4.0 * C_TILDE1**2 / eta**2
-
-    @property
-    def mode(self) -> str:
-        return MODE_PERMISSIVE if self.permissive else MODE_STRICT
-
-
-DEFAULT_CONSTANTS = TheoryConstants()
+def _universal(eta: float, permissive: bool) -> float:
+    """Universal condition constant C at eta: the proof-grade
+    C2(eta) = 4 C_TILDE1^2 / eta^2, or 1 in permissive mode, for desk-scale
+    empirical validation where the proof-grade constants are unreachable.
+    Only the hypotheses use C; no bound value depends on the mode."""
+    return 1.0 if permissive else 4.0 * C_TILDE1**2 / eta**2
 
 
 @dataclass(frozen=True)
@@ -225,8 +208,7 @@ def _failure_probability(small: int, big: int) -> float:
 
 
 def check_regime_conditions(m: int, N: int, d: int, gamma: float, sigma: float,
-                            eta: float,
-                            constants: TheoryConstants = DEFAULT_CONSTANTS) -> RegimeReport:
+                            eta: float, permissive: bool = False) -> RegimeReport:
     """Evaluate the conditioning-theorem hypotheses at a parameter point.
 
     Regime follows the sign of m - N.  Both the simplified log^3 condition and
@@ -242,7 +224,7 @@ def check_regime_conditions(m: int, N: int, d: int, gamma: float, sigma: float,
 
     big, small = (m, N) if m > N else (N, m)
     regime = REGIME_UNDER if m > N else REGIME_OVER
-    C = constants.universal(eta)
+    C = _universal(eta, permissive)
 
     lhs_main = big / math.log(3.0 * big)
     rhs_simplified = C * eta**-2 * small * math.log(small) ** 3
@@ -263,7 +245,8 @@ def check_regime_conditions(m: int, N: int, d: int, gamma: float, sigma: float,
 
 @dataclass(frozen=True)
 class BoundResult:
-    """A risk bound value plus the hypotheses it rests on.
+    """A risk bound value plus the hypotheses it rests on, checked in strict
+    or permissive mode (`permissive`, which changes only the hypotheses).
 
     The value is always computed; `satisfied` is False (report-only mode)
     when any hypothesis fails at the given parameter point.
@@ -273,7 +256,11 @@ class BoundResult:
     epsilon: float | None
     conditions: tuple[ConditionCheck, ...]
     regime_report: RegimeReport | None
-    mode: str
+    permissive: bool
+
+    @property
+    def mode(self) -> str:
+        return MODE_PERMISSIVE if self.permissive else MODE_STRICT
 
     @property
     def satisfied(self) -> bool:
@@ -293,9 +280,27 @@ class BoundResult:
         }
 
 
+def _regime_bound(value: float, eps: float, N: int, m: int, d: int, gamma: float,
+                  sigma: float, delta: float, eta: float, permissive: bool,
+                  under: bool) -> BoundResult:
+    """`value` with the hypotheses of a regime risk bound: the regime report,
+    the regime the bound is stated for (m > N when `under`, else m < N) and
+    the delta floor small^(-log^2(small) log(3 big)).  The caller names the
+    regime, so at m = N both bounds report theirs unsatisfied."""
+    regime = check_regime_conditions(m, N, d, gamma, sigma, eta, permissive)
+    if under:
+        direction = ConditionCheck("regime_m_gt_N", float(m), float(N), m > N)
+        floor = _failure_probability(N, m)
+    else:
+        direction = ConditionCheck("regime_m_lt_N", float(N), float(m), m < N)
+        floor = _failure_probability(m, N)
+    conditions = (direction, ConditionCheck("delta_floor", delta, floor, delta >= floor))
+    return BoundResult(value, eps, conditions, regime, permissive)
+
+
 def risk_bound_ls(N: int, m: int, d: int, gamma: float, sigma: float, delta: float,
                   eta: float, f_rho_norm: float, E_noise: float,
-                  constants: TheoryConstants = DEFAULT_CONSTANTS) -> BoundResult:
+                  permissive: bool = False) -> BoundResult:
     """Underparameterized least-squares risk bound
     16 K(eta) (1 + N m^(-1/2) log^(1/2)(1/delta)) (eps^2 ||f||_rho^2 + E^2)."""
     _validate_delta(delta)
@@ -303,18 +308,13 @@ def risk_bound_ls(N: int, m: int, d: int, gamma: float, sigma: float, delta: flo
     value = (LS_PREFACTOR * K_eta(eta)
              * (1.0 + N / math.sqrt(m) * math.sqrt(math.log(1.0 / delta)))
              * (eps**2 * f_rho_norm**2 + E_noise**2))
-    regime = check_regime_conditions(m, N, d, gamma, sigma, eta, constants)
-    floor = _failure_probability(N, m)
-    conditions = (
-        ConditionCheck("regime_m_gt_N", float(m), float(N), m > N),
-        ConditionCheck("delta_floor", delta, floor, delta >= floor),
-    )
-    return BoundResult(value, eps, conditions, regime, constants.mode)
+    return _regime_bound(value, eps, N, m, d, gamma, sigma, delta, eta, permissive,
+                         under=True)
 
 
 def risk_bound_minnorm(N: int, m: int, d: int, gamma: float, sigma: float, delta: float,
                        eta: float, f_rho_norm: float, E_noise: float,
-                       constants: TheoryConstants = DEFAULT_CONSTANTS) -> BoundResult:
+                       permissive: bool = False) -> BoundResult:
     """Overparameterized min-norm interpolation risk bound
     C~ log^(1/2)(1/delta) (m^(-1/2) + K(eta) m^(1/2) eps^2) ||f||_rho^2
     + C~ m^(1/2) K(eta) log^(1/2)(1/delta) E^2."""
@@ -325,13 +325,8 @@ def risk_bound_minnorm(N: int, m: int, d: int, gamma: float, sigma: float, delta
     value = (C_MIN_NORM * root_log
              * (1.0 / math.sqrt(m) + K * math.sqrt(m) * eps**2) * f_rho_norm**2
              + C_MIN_NORM * math.sqrt(m) * K * root_log * E_noise**2)
-    regime = check_regime_conditions(m, N, d, gamma, sigma, eta, constants)
-    floor = _failure_probability(m, N)
-    conditions = (
-        ConditionCheck("regime_m_lt_N", float(N), float(m), m < N),
-        ConditionCheck("delta_floor", delta, floor, delta >= floor),
-    )
-    return BoundResult(value, eps, conditions, regime, constants.mode)
+    return _regime_bound(value, eps, N, m, d, gamma, sigma, delta, eta, permissive,
+                         under=False)
 
 
 def bp_noise_parameter(epsilon: float, f_rho_norm: float, E_noise: float) -> float:
@@ -342,7 +337,7 @@ def bp_noise_parameter(epsilon: float, f_rho_norm: float, E_noise: float) -> flo
 
 
 def check_bp_conditions(m: int, N: int, s: int, d: int, gamma: float, sigma: float,
-                        delta: float, constants: TheoryConstants = DEFAULT_CONSTANTS,
+                        delta: float, permissive: bool = False,
                         eta1: float = 0.4) -> tuple[ConditionCheck, ...]:
     """Hypotheses of the sparse-regression risk bound.  The universal constant
     is evaluated at eta1 = 0.4, the value used to reach the 4/sqrt(41)
@@ -350,7 +345,7 @@ def check_bp_conditions(m: int, N: int, s: int, d: int, gamma: float, sigma: flo
     _validate_delta(delta)
     if s < 1:
         raise InvalidArgumentError("s must be >= 1")
-    C = constants.universal(eta1)
+    C = _universal(eta1, permissive)
     lhs_main = m / math.log(3.0 * m)
     rhs_main = C * s * math.log(2.0 * s) ** 2 * math.log(N)
     lhs_sparse = _exp_power(2.0 * gamma**2 * sigma**2 + 1.0, 0.5 * d) / 105.0
@@ -364,7 +359,7 @@ def check_bp_conditions(m: int, N: int, s: int, d: int, gamma: float, sigma: flo
 
 def risk_bound_bp(N: int, m: int, s: int, delta: float, epsilon: float,
                   f_rho_norm: float, E_noise: float, theta_s1: float,
-                  constants: TheoryConstants = DEFAULT_CONSTANTS,
+                  permissive: bool = False,
                   d: int | None = None, gamma: float | None = None,
                   sigma: float | None = None) -> BoundResult:
     """Sparse-regression (pruned basis pursuit) risk bound
@@ -382,7 +377,7 @@ def risk_bound_bp(N: int, m: int, s: int, delta: float, epsilon: float,
              + C_DPRIME * (1.0 + N / (math.sqrt(m) * s) * root_log)
              * theta_s1**2)
     if d is not None and gamma is not None and sigma is not None:
-        conditions = check_bp_conditions(m, N, s, d, gamma, sigma, delta, constants)
+        conditions = check_bp_conditions(m, N, s, d, gamma, sigma, delta, permissive)
     else:
         conditions = ()
-    return BoundResult(value, epsilon, conditions, None, constants.mode)
+    return BoundResult(value, epsilon, conditions, None, permissive)

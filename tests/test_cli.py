@@ -76,6 +76,21 @@ def test_validate_needs_two_test_points_for_the_risk_se(tmp_path, capsys):
     assert not (tmp_path / "validate.json").exists()
 
 
+@pytest.mark.parametrize("extra, reason", [
+    (["--n-grid", "200", "--pipelines", "bpdn_pruned"], "bpdn_pruned pipeline needs s"),
+    (["--n-grid", "200", "--pipelines", "min_norm,bpdn_pruned"],
+     "bpdn_pruned pipeline needs s"),
+    (["--n-grid", "60"], "min_norm and bpdn_pruned N > m"),
+    (["--n-grid", "20", "--pipelines", "min_norm", "--s", "3"], "least_squares needs N < m"),
+])
+def test_validate_that_selects_no_pipeline_exits_2(extra, reason, tmp_path, capsys):
+    rc = cli.main(["validate", "--d", "5", "--m", "60", "--target", "bump:1.4142135623730951",
+                   "--trials", "1", "--out", str(tmp_path), *extra])
+    assert rc == cli.EXIT_CONFIG
+    assert reason in capsys.readouterr().err
+    assert not (tmp_path / "validate.json").exists()
+
+
 def test_theory_prints_regime_report(capsys):
     rc = cli.main(["theory", "--m", "100", "--n-grid", "10", "--d", "3",
                    "--eta", "0.5", "--permissive-constants"])

@@ -25,7 +25,7 @@ from rfcond.sampling import TAG_DATA, gaussian_matrix, split_stream
 from rfcond.solvers import FLAG_SINGULAR_GRAM, FLAG_ZERO_FEASIBLE, CoefficientVector, Diagnostics
 from rfcond.spectral import gram_spectrum_via_svd
 from rfcond.targets import gaussian_bump_target
-from rfcond.theory import TheoryConstants, risk_bound_ls, risk_bound_minnorm
+from rfcond.theory import risk_bound_ls, risk_bound_minnorm
 
 
 def _sweep_config(**overrides):
@@ -103,7 +103,7 @@ def test_sweep_bounds_reject_targets_without_rho_norm(target_kind):
 def test_sweep_bounds_use_resolved_snr_noise_level():
     # With snr noise the training outputs carry Gaussian noise of level
     # r * std(clean), so the bound must use E = 2 r std(clean), not 0.
-    snr, permissive = 0.5, TheoryConstants(permissive=True)
+    snr, permissive = 0.5, True
     cfg = _sweep_config(target_kind="gaussian_bump", compute_bounds=True,
                         n_grid=(5, 40), sigma=1.0, noise_snr=snr)
     target = gaussian_bump_target(np.sqrt(2.0), 1.0, cfg.d)

@@ -6,7 +6,7 @@ from rfcond import targets
 from rfcond.errors import InvalidArgumentError, NumericalFailureError, UnsupportedTargetError
 from rfcond.features import FOURIER, RELU, build_features
 from rfcond.sampling import gaussian_matrix, split_stream
-from rfcond.solvers import CoefficientVector, best_s_term_error, least_squares, prune_top_s
+from rfcond.solvers import best_s_term_error, least_squares, prune_top_s
 from rfcond.targets import (
     best_phi_coeffs,
     evaluate_model,
@@ -46,7 +46,7 @@ def test_best_phi_envelope_never_violated():
     t = _bump(d=3)
     W = gaussian_matrix(3, 100_000, 1.0, split_stream(31, 0))
     c = best_phi_coeffs(t, W)
-    assert np.abs(c.values).max() <= t.rho_norm / 100_000 + 1e-18
+    assert np.abs(c).max() <= t.rho_norm / 100_000 + 1e-18
     assert len(c) == 100_000
 
 
@@ -56,7 +56,7 @@ def test_constant_transform_ratio_gives_uniform_coefficients():
     assert t.rho_norm == pytest.approx(1.0)
     W = gaussian_matrix(3, 50, 1.0, split_stream(32, 0))
     c = best_phi_coeffs(t, W)
-    assert np.allclose(c.values, 1.0 / 50)
+    assert np.allclose(c, 1.0 / 50)
 
 
 def test_linear_target_has_no_transform_ratio():
@@ -251,7 +251,7 @@ def test_population_risk_of_sparse_coefficients(kind):
     # value still matches Monte Carlo.
     gamma = 1.3
     target, W, c = _fitted_cell(kind, "gaussian_bump", n_features=30, m=80, gamma=gamma)
-    c = prune_top_s(CoefficientVector(c), 4).values
+    c = prune_top_s(c, 4)
     keep = np.flatnonzero(c)
     assert keep.size == 4
     risk = population_risk(target, W, c, gamma, kind)

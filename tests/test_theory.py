@@ -10,7 +10,6 @@ from rfcond.theory import (
     C_PRIME,
     ETA_MAX,
     K_eta,
-    TheoryConstants,
     ball_radius,
     beta_overlap,
     bp_noise_parameter,
@@ -28,7 +27,7 @@ from rfcond.theory import (
     risk_bound_minnorm,
 )
 
-PERMISSIVE = TheoryConstants(permissive=True)
+PERMISSIVE = True
 
 etas = st.floats(min_value=1e-3, max_value=ETA_MAX - 1e-6)
 
@@ -271,15 +270,81 @@ def test_bounds_monotone_in_signal_and_noise(f1, f2, e1, e2):
 
 
 def test_constants_validation_and_modes():
-    c = TheoryConstants()
-    assert c.mode == "strict"
-    assert c.universal(0.5) == pytest.approx(4 * 37.97**2 / 0.25, rel=1e-12)
-    assert PERMISSIVE.mode == "permissive"
-    assert PERMISSIVE.universal(0.5) == 1.0
+    # A right-hand side is C times a mode-free factor: strict C = 4 c~1^2 / eta^2
+    # (eta1 = 0.4 for the sparse bound), permissive C = 1.
+    def rhs(report_or_checks, name):
+        checks = getattr(report_or_checks, "conditions", report_or_checks)
+        return {c.name: c.rhs for c in checks}[name]
+
+    strict = check_regime_conditions(100, 10, 3, 1.0, 1.0, 0.5)
+    permissive = check_regime_conditions(100, 10, 3, 1.0, 1.0, 0.5, PERMISSIVE)
+    name = "sample_complexity_simplified"
+    assert rhs(permissive, name) == pytest.approx(10 * math.log(10) ** 3 / 0.25, rel=1e-12)
+    assert rhs(strict, name) / rhs(permissive, name) == pytest.approx(
+        4 * 37.97**2 / 0.25, rel=1e-12)
+    bp = [check_bp_conditions(750, 150, 4, 12, 1.0, 1.0, 0.05, p) for p in (False, True)]
+    assert rhs(bp[0], "sample_complexity") / rhs(bp[1], "sample_complexity") == pytest.approx(
+        4 * 37.97**2 / 0.16, rel=1e-12)
+    for permissive, mode in ((False, "strict"), (True, "permissive")):
+        res = risk_bound_ls(10, 100, 3, 1.0, 1.0, 0.05, 0.5, 1.0, 0.0, permissive)
+        assert res.mode == res.as_dict()["mode"] == mode
+    assert risk_bound_bp(64, 200, 4, 0.05, 0.4, 2.0, 0.1, 0.0).mode == "strict"
+
+
+def _all_checks(res):
+    regime = () if res.regime_report is None else res.regime_report.conditions
+    return [(c.name, c.lhs, c.rhs) for c in (*res.conditions, *regime)]
+
+
+@pytest.mark.parametrize("bound, args, kwargs", [
+    (risk_bound_ls, (10, 100, 3, 1.0, 1.0, 0.05, 0.5, 2.0, 0.1), {}),
+    (risk_bound_minnorm, (400, 25, 3, 1.0, 1.0, 0.05, 0.5, 2.0, 0.1), {}),
+    (risk_bound_bp, (150, 750, 4, 0.05, 0.5, 2.0, 0.1, 0.3),
+     dict(d=12, gamma=1.0, sigma=1.0)),
+])
+def test_bound_values_do_not_depend_on_the_mode(bound, args, kwargs):
+    # The mode changes C, which only the sample-complexity hypotheses use.
+    strict = bound(*args, False, **kwargs)
+    permissive = bound(*args, True, **kwargs)
+    assert strict.value == permissive.value > 0
+    assert strict.epsilon == permissive.epsilon
+    checks = list(zip(_all_checks(strict), _all_checks(permissive)))
+    assert checks
+    for (name, lhs, rhs), (name_p, lhs_p, rhs_p) in checks:
+        assert (name, lhs) == (name_p, lhs_p)
+        if name.startswith("sample_complexity"):
+            assert rhs > rhs_p
+        else:
+            assert rhs == rhs_p
+    if strict.regime_report is not None:
+        s, p = strict.regime_report, permissive.regime_report
+        assert (s.regime, s.eta, s.band, s.failure_probability) == (
+            p.regime, p.eta, p.band, p.failure_probability)
+
+
+@pytest.mark.parametrize("m, N", [(10, 10), (10, 40), (40, 10)])
+def test_regime_bounds_keep_their_own_regime(m, N):
+    # Least squares is stated for m > N and min-norm for m < N, whatever the
+    # point: outside its regime (m = N included) a bound reports the regime
+    # check unsatisfied, and its delta floor keeps its own roles,
+    # small^(-log^2(small) log(3 big)) with small = N for least squares and
+    # small = m for min-norm.
+    def floor(small, big):
+        return math.exp(-math.log(small) ** 3 * math.log(3 * big))
+
+    ls = {c.name: c for c in risk_bound_ls(N, m, 3, 1.0, 1.0, 0.05, 0.5, 1.0, 0.0).conditions}
+    assert (ls["regime_m_gt_N"].lhs, ls["regime_m_gt_N"].rhs) == (m, N)
+    assert ls["regime_m_gt_N"].satisfied == (m > N)
+    assert ls["delta_floor"].rhs == pytest.approx(floor(N, m), rel=1e-12)
+    mn = {c.name: c
+          for c in risk_bound_minnorm(N, m, 3, 1.0, 1.0, 0.05, 0.5, 1.0, 0.0).conditions}
+    assert (mn["regime_m_lt_N"].lhs, mn["regime_m_lt_N"].rhs) == (N, m)
+    assert mn["regime_m_lt_N"].satisfied == (m < N)
+    assert mn["delta_floor"].rhs == pytest.approx(floor(m, N), rel=1e-12)
 
 
 def test_strict_constants_make_desk_scale_unreachable():
-    report = check_regime_conditions(15000, 16, 12, 1.0, 1.0, 0.5, TheoryConstants())
+    report = check_regime_conditions(15000, 16, 12, 1.0, 1.0, 0.5)
     assert not report.all_satisfied
     permissive = check_regime_conditions(15000, 16, 12, 1.0, 1.0, 0.5, PERMISSIVE)
     assert permissive.all_satisfied
