@@ -229,7 +229,7 @@ def _cmd_theory(args) -> int:
         raise InvalidArgumentError(f"theory takes a single N, got {len(config.n_grid)} values")
     report = check_regime_conditions(config.m, config.n_grid[0], config.d, config.gamma,
                                      config.sigma, config.eta, args.permissive_constants)
-    sys.stdout.write(json_report(report.as_dict()))
+    sys.stdout.write(json_report(dataclasses.asdict(report)))
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -61,7 +61,6 @@ from .targets import (
     evaluate_model,
     population_risk,
     sample_target,
-    target_to_json,
 )
 from .theory import (
     BoundResult,
@@ -99,7 +98,8 @@ class ExperimentConfig:
     sigma: float = 1.0
     feature_kind: str = FOURIER
     noise: NoiseModel = NOISE_NONE
-    noise_snr: float | None = None  # gaussian level derived per trial as snr * std(clean outputs)
+    # gaussian level snr * std(clean outputs), derived per trial; only with noise none
+    noise_snr: float | None = None
     target_kind: str = KIND_LINEAR
     planted_s: int = 2
     bump_width: float | None = None
@@ -133,6 +133,8 @@ class ExperimentConfig:
         if not all(v >= 0 and math.isfinite(v * v)
                    for v in (self.gamma, self.sigma, self.noise_snr or 0.0)):
             raise InvalidArgumentError("gamma, sigma, noise_snr must be >= 0 with finite squares")
+        if self.noise_snr is not None and self.noise.kind != "none":
+            raise InvalidArgumentError("noise_snr replaces the noise model; set one, not both")
         if any(v > 0 and v * v == 0 for v in (self.gamma, self.sigma)):
             raise InvalidArgumentError("a positive gamma or sigma must have a nonzero square")
         if self.feature_kind not in (FOURIER, RELU):
@@ -527,7 +529,7 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
             "conditions": {b.mode: b.as_dict() for b in reports},
             "trials": list(trial_rows),
         })
-    return {"target": target_to_json(target), "pipelines": pipelines}
+    return {"target": asdict(target), "pipelines": pipelines}
 
 
 def run_rip_study(config: ExperimentConfig, method: str, budget: int,
@@ -562,8 +564,5 @@ def run_rip_study(config: ExperimentConfig, method: str, budget: int,
         if est is None:
             est = rip_constant_lower_mc(A_norm, s, rip_trials,
                                         stream.substream(TAG_SUPPORTS, s))
-        estimates.append({"s": est.s, "value": est.value, "method": est.method,
-                          "supports_evaluated": est.supports_evaluated,
-                          "supports_pruned": est.supports_pruned,
-                          "supports_gathered": est.supports_gathered})
+        estimates.append(asdict(est))
     return {"estimates": estimates}

@@ -285,19 +285,3 @@ def worst_case_theta(s: int, N: int, f_rho_norm: float) -> float:
         raise InvalidArgumentError(f"s must be in [1, {N}], got {s}")
     return (1.0 - s / N) * f_rho_norm
 
-
-def target_to_json(target: TargetFunction) -> dict:
-    """Serializable form {kind, params, rho_norm}; complex arrays become
-    [re, im] pairs."""
-    params: dict = {}
-    if target.kind == KIND_LINEAR:
-        params["b"] = target.params["b"].tolist()
-    elif target.kind == KIND_PLANTED:
-        c0 = np.asarray(target.params["c0"], dtype=np.complex128)
-        params["W0"] = np.asarray(target.params["W0"]).tolist()
-        params["c0"] = [[float(v.real), float(v.imag)] for v in c0]
-        params["feature_kind"] = target.params["feature_kind"]
-    elif target.kind == KIND_BUMP:
-        params = {"a": target.params["a"], "sigma": target.params["sigma"],
-                  "d": target.params["d"]}
-    return {"kind": target.kind, "params": params, "rho_norm": target.rho_norm}

@@ -12,7 +12,7 @@ All logarithms are natural; every ">=" condition passes at exact equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import InvalidArgumentError
 
@@ -62,10 +62,7 @@ class ConditionCheck:
     name: str
     lhs: float
     rhs: float
-    satisfied: bool
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs, "ok": self.satisfied}
+    ok: bool
 
 
 @dataclass(frozen=True)
@@ -78,16 +75,7 @@ class RegimeReport:
 
     @property
     def all_satisfied(self) -> bool:
-        return all(c.satisfied for c in self.conditions)
-
-    def as_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "eta": self.eta,
-            "band": [self.band[0], self.band[1]],
-            "conditions": [c.as_dict() for c in self.conditions],
-            "failure_probability": self.failure_probability,
-        }
+        return all(c.ok for c in self.conditions)
 
 
 def beta_overlap(gamma: float, sigma: float, d: int) -> float:
@@ -249,7 +237,9 @@ class BoundResult:
     or permissive mode (`permissive`, which changes only the hypotheses).
 
     The value is always computed; `satisfied` is False (report-only mode)
-    when any hypothesis fails at the given parameter point.
+    when any hypothesis fails at the given parameter point.  `as_dict` is
+    the report: the checks and the regime report as `dataclasses.asdict`
+    writes them, with the derived `mode` and `satisfied`.
     """
 
     value: float
@@ -264,7 +254,7 @@ class BoundResult:
 
     @property
     def satisfied(self) -> bool:
-        ok = all(c.satisfied for c in self.conditions)
+        ok = all(c.ok for c in self.conditions)
         if self.regime_report is not None:
             ok = ok and self.regime_report.all_satisfied
         return ok
@@ -275,8 +265,8 @@ class BoundResult:
             "epsilon": self.epsilon,
             "mode": self.mode,
             "satisfied": self.satisfied,
-            "conditions": [c.as_dict() for c in self.conditions],
-            "regime": None if self.regime_report is None else self.regime_report.as_dict(),
+            "conditions": [asdict(c) for c in self.conditions],
+            "regime": None if self.regime_report is None else asdict(self.regime_report),
         }
 
 
@@ -359,15 +349,12 @@ def check_bp_conditions(m: int, N: int, s: int, d: int, gamma: float, sigma: flo
 
 def risk_bound_bp(N: int, m: int, s: int, delta: float, epsilon: float,
                   f_rho_norm: float, E_noise: float, theta_s1: float,
-                  permissive: bool = False,
-                  d: int | None = None, gamma: float | None = None,
-                  sigma: float | None = None) -> BoundResult:
+                  permissive: bool = False, *, d: int, gamma: float,
+                  sigma: float) -> BoundResult:
     """Sparse-regression (pruned basis pursuit) risk bound
     C' (1 + N m^(-1/2) log^(1/2)(1/delta)) (eps^2 ||f||_rho^2 + E^2)
-    + C'' (1 + N m^(-1/2) s^(-1) log^(1/2)(1/delta)) theta_{s,1}^2.
-
-    Condition checks require d, gamma, sigma; without them only the bound
-    value is reported."""
+    + C'' (1 + N m^(-1/2) s^(-1) log^(1/2)(1/delta)) theta_{s,1}^2,
+    with the `check_bp_conditions` hypotheses at the geometry d, gamma, sigma."""
     _validate_delta(delta)
     if s < 1:
         raise InvalidArgumentError("s must be >= 1")
@@ -376,8 +363,5 @@ def risk_bound_bp(N: int, m: int, s: int, delta: float, epsilon: float,
              * (epsilon**2 * f_rho_norm**2 + E_noise**2)
              + C_DPRIME * (1.0 + N / (math.sqrt(m) * s) * root_log)
              * theta_s1**2)
-    if d is not None and gamma is not None and sigma is not None:
-        conditions = check_bp_conditions(m, N, s, d, gamma, sigma, delta, permissive)
-    else:
-        conditions = ()
+    conditions = check_bp_conditions(m, N, s, d, gamma, sigma, delta, permissive)
     return BoundResult(value, epsilon, conditions, None, permissive)

@@ -16,16 +16,17 @@ from rfcond.experiments import (
     random_features,
     run_bound_validation,
     run_double_descent_sweep,
+    run_rip_study,
     run_spectrum_density,
     run_threshold_study,
 )
 from rfcond.features import build_features
 from rfcond.io import json_report
-from rfcond.sampling import TAG_DATA, gaussian_matrix, split_stream
+from rfcond.sampling import TAG_DATA, NoiseModel, gaussian_matrix, split_stream
 from rfcond.solvers import FLAG_SINGULAR_GRAM, FLAG_ZERO_FEASIBLE, CoefficientVector, Diagnostics
 from rfcond.spectral import gram_spectrum_via_svd
 from rfcond.targets import gaussian_bump_target
-from rfcond.theory import risk_bound_ls, risk_bound_minnorm
+from rfcond.theory import check_regime_conditions, risk_bound_ls, risk_bound_minnorm
 
 
 def _sweep_config(**overrides):
@@ -44,6 +45,14 @@ def test_config_validation():
         _sweep_config(trials=0)
     with pytest.raises(InvalidArgumentError):
         _sweep_config(feature_kind="tanh")
+
+
+def test_config_rejects_snr_noise_next_to_a_fixed_noise_model():
+    # snr noise replaces the noise model, so a fixed model given with it would
+    # be dropped without a word.
+    with pytest.raises(InvalidArgumentError, match="noise_snr"):
+        _sweep_config(noise=NoiseModel("bounded_uniform", 5.0), noise_snr=0.0)
+    assert _sweep_config(noise_snr=0.0).noise.kind == "none"
 
 
 def test_sweep_is_deterministic_and_worker_independent():
@@ -362,3 +371,16 @@ def test_bound_validation_worker_independence():
     b = run_bound_validation(ExperimentConfig(**cfg, workers=4))
     assert json.dumps(a["pipelines"], sort_keys=True) == \
         json.dumps(b["pipelines"], sort_keys=True)
+
+
+def test_library_reports_are_plain_data():
+    # Reports hold each record's fields as dataclasses.asdict writes them, so
+    # the json module takes a whole report without rfcond.io.
+    validate = run_bound_validation(ExperimentConfig(
+        d=4, m=60, n_grid=(6,), target_kind="gaussian_bump", trials=2, seed=31, n_test=100))
+    assert json.loads(json.dumps(validate))["target"]["kind"] == "gaussian_bump"
+    rip = run_rip_study(ExperimentConfig(d=2, m=15, n_grid=(10,), s=3, seed=6),
+                        "auto", 10**6, 40)
+    assert [e["s"] for e in json.loads(json.dumps(rip))["estimates"]] == [1, 2, 3]
+    report = dataclasses.asdict(check_regime_conditions(100, 10, 3, 1.0, 1.0, 0.5))
+    assert list(report["conditions"][0]) == ["name", "lhs", "rhs", "ok"]

@@ -183,7 +183,7 @@ def test_regime_conditions_pin_natural_log():
     simplified = by_name["sample_complexity_simplified"]
     assert simplified.lhs == pytest.approx(17.53222540381461, rel=1e-12)
     assert simplified.rhs == pytest.approx(488.3228621504343, rel=1e-12)
-    assert not simplified.satisfied
+    assert not simplified.ok
     tight = by_name["sample_complexity_tight"]
     assert tight.rhs == pytest.approx(247.3188389183037, rel=1e-12)
     assert report.failure_probability == pytest.approx(5.742836804884339e-31, rel=1e-9)
@@ -203,7 +203,7 @@ def test_exascale_uncertainty_condition():
     report = check_regime_conditions(10**6, 10**4, 74, 1.0, 1.0, 0.5, PERMISSIVE)
     unc = {c.name: c for c in report.conditions}["feature_uncertainty"]
     assert unc.lhs == pytest.approx(1.1257097647274934e16, rel=1e-10)
-    assert unc.satisfied
+    assert unc.ok
 
 
 def test_condition_passes_at_exact_equality():
@@ -213,7 +213,7 @@ def test_condition_passes_at_exact_equality():
     report2 = risk_bound_ls(10, 100, 3, 1.0, 1.0, max(floor_check.rhs, 1e-300),
                             0.5, 1.0, 0.0, PERMISSIVE)
     floor2 = {c.name: c for c in report2.conditions}["delta_floor"]
-    assert floor2.satisfied
+    assert floor2.ok
 
 
 def test_ls_bound_zero_signal_zero_noise_is_zero():
@@ -240,7 +240,7 @@ def test_minnorm_bound_zero_inputs():
 def test_bp_bound_reduces_to_first_term_when_dense():
     n, m, s = 64, 200, 64
     delta, eps, rho, E = 0.05, 0.4, 2.0, 0.1
-    res = risk_bound_bp(n, m, s, delta, eps, rho, E, 0.0)
+    res = risk_bound_bp(n, m, s, delta, eps, rho, E, 0.0, d=3, gamma=1.0, sigma=1.0)
     expected = (C_PRIME
                 * (1 + n / math.sqrt(m) * math.sqrt(math.log(1 / delta)))
                 * (eps**2 * rho**2 + E**2))
@@ -253,6 +253,15 @@ def test_bp_conditions_reported_when_geometry_known():
     names = {c.name for c in res.conditions}
     assert names == {"sample_complexity", "sparsity_uncertainty", "delta_floor"}
     assert res.satisfied
+
+
+def test_bp_bound_needs_the_geometry_of_its_hypotheses():
+    # Without d, gamma, sigma no hypothesis could be checked, and the bound
+    # would report itself satisfied with no conditions.
+    with pytest.raises(TypeError):
+        risk_bound_bp(64, 200, 4, 0.05, 0.4, 2.0, 0.1, 0.0)
+    with pytest.raises(TypeError):
+        risk_bound_bp(64, 200, 4, 0.05, 0.4, 2.0, 0.1, 0.0, False, 3, 1.0, 1.0)
 
 
 def test_bp_noise_parameter_uses_unsquared_norm():
@@ -288,7 +297,8 @@ def test_constants_validation_and_modes():
     for permissive, mode in ((False, "strict"), (True, "permissive")):
         res = risk_bound_ls(10, 100, 3, 1.0, 1.0, 0.05, 0.5, 1.0, 0.0, permissive)
         assert res.mode == res.as_dict()["mode"] == mode
-    assert risk_bound_bp(64, 200, 4, 0.05, 0.4, 2.0, 0.1, 0.0).mode == "strict"
+    assert risk_bound_bp(64, 200, 4, 0.05, 0.4, 2.0, 0.1, 0.0,
+                         d=3, gamma=1.0, sigma=1.0).mode == "strict"
 
 
 def _all_checks(res):
@@ -334,12 +344,12 @@ def test_regime_bounds_keep_their_own_regime(m, N):
 
     ls = {c.name: c for c in risk_bound_ls(N, m, 3, 1.0, 1.0, 0.05, 0.5, 1.0, 0.0).conditions}
     assert (ls["regime_m_gt_N"].lhs, ls["regime_m_gt_N"].rhs) == (m, N)
-    assert ls["regime_m_gt_N"].satisfied == (m > N)
+    assert ls["regime_m_gt_N"].ok == (m > N)
     assert ls["delta_floor"].rhs == pytest.approx(floor(N, m), rel=1e-12)
     mn = {c.name: c
           for c in risk_bound_minnorm(N, m, 3, 1.0, 1.0, 0.05, 0.5, 1.0, 0.0).conditions}
     assert (mn["regime_m_lt_N"].lhs, mn["regime_m_lt_N"].rhs) == (N, m)
-    assert mn["regime_m_lt_N"].satisfied == (m < N)
+    assert mn["regime_m_lt_N"].ok == (m < N)
     assert mn["delta_floor"].rhs == pytest.approx(floor(m, N), rel=1e-12)
 
 
