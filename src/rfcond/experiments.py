@@ -526,7 +526,7 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
                                     for r in trial_rows if r["empirical_risk"] > 0),
                                    default=math.inf),
             "mean_risk": float(np.mean([r["empirical_risk"] for r in trial_rows])),
-            "conditions": {b.mode: b.as_dict() for b in reports},
+            "conditions": {b.mode: asdict(b) for b in reports},
             "trials": list(trial_rows),
         })
     return {"target": asdict(target), "pipelines": pipelines}

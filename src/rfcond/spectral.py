@@ -162,50 +162,30 @@ def _norm_bound(G: np.ndarray) -> np.ndarray:
 def _max_deviation(M: np.ndarray, supports: np.ndarray, best: float) -> tuple[float, int]:
     """max(best, || A_S* A_S - I ||_2 over the rows S of the (B, s) index
     array `supports`) and the number of supports whose norm bound settles them
-    below `best` without an eigensolve.  The others go to one batched
-    eigendecomposition of their stacked s x s support Grams."""
-    sub = M.T[supports]  # (B, s, m): sub[b] = A_S^T for S = supports[b]
-    with np.errstate(all="ignore"):  # a non-finite Gram fails below, not with a warning
-        G = sub.conj() @ np.swapaxes(sub, -1, -2)
-        G -= np.eye(supports.shape[1])
-        G = 0.5 * (G + np.swapaxes(G, -1, -2).conj())
-        keep = ~(_norm_bound(G) + _PRUNE_MARGIN * (1.0 + best) < best)  # a NaN bound is kept
-    n_keep = int(keep.sum())
-    if n_keep == 0:
-        return best, len(keep)
-    try:
-        eigs = np.linalg.eigvalsh(G[keep])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
-    dev = float(np.maximum(-eigs[:, 0], eigs[:, -1]).max())
-    if not np.isfinite(dev):
-        raise NumericalFailureError("support Gram has non-finite eigenvalues")
-    return max(best, dev), len(keep) - n_keep
-
-
-class _Stacks:
-    """Supports evaluated `_STACK` at a time by `_max_deviation`, in the order
-    they are queued: the running maximum `best`, the supports `gathered` (whose
-    Grams were formed) and those of them their own norm bound `pruned`."""
-
-    def __init__(self, M: np.ndarray):
-        self.M = M
-        self.best = 0.0
-        self.gathered = self.pruned = 0
-        self.pending: list[np.ndarray] = []
-
-    def add(self, supports: np.ndarray | None = None) -> None:
-        """Queue the (B, s) index array `supports` and evaluate every full
-        stack; with no supports, evaluate the rest."""
-        if supports is not None:
-            self.pending.append(supports)
-        stack = np.concatenate(self.pending)
-        end = len(stack) - (0 if supports is None else len(stack) % _STACK)
-        for lo in range(0, end, _STACK):
-            self.best, k = _max_deviation(self.M, stack[lo:lo + _STACK], self.best)
-            self.pruned += k
-        self.gathered += end
-        self.pending = [stack[end:]]
+    below the running maximum without an eigensolve.  The supports are taken in
+    order, `_STACK` at a time; the rest of each stack goes to one batched
+    eigendecomposition of their s x s support Grams."""
+    pruned = 0
+    for lo in range(0, len(supports), _STACK):
+        sub = M.T[supports[lo:lo + _STACK]]  # (B, s, m): sub[b] = A_S^T for S = supports[b]
+        with np.errstate(all="ignore"):  # a non-finite Gram fails below, not with a warning
+            G = sub.conj() @ np.swapaxes(sub, -1, -2)
+            G -= np.eye(supports.shape[1])
+            G = 0.5 * (G + np.swapaxes(G, -1, -2).conj())
+            keep = ~(_norm_bound(G) + _PRUNE_MARGIN * (1.0 + best) < best)  # a NaN bound is kept
+        n_keep = int(keep.sum())
+        pruned += len(keep) - n_keep
+        if n_keep == 0:
+            continue
+        try:
+            eigs = np.linalg.eigvalsh(G[keep])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
+        dev = float(np.maximum(-eigs[:, 0], eigs[:, -1]).max())
+        if not np.isfinite(dev):
+            raise NumericalFailureError("support Gram has non-finite eigenvalues")
+        best = max(best, dev)
+    return best, pruned
 
 
 def _top_sums(B: np.ndarray, depth: int) -> np.ndarray:
@@ -262,14 +242,18 @@ class _SupportWalk:
     `_PRUNE_MARGIN` * (1 + threshold).  The threshold is the larger of
     `_seed_threshold` and the maximum found so far; a NaN bound never skips.
     The top-k tables cost `depth` * N^2 entries, B another N^2: lengths whose
-    k exceeds `depth`, the most the budget allows, are not bounded.  The
-    complete supports go to `_Stacks`."""
+    k exceeds `depth`, the most the budget allows, are not bounded.  Each
+    block of complete supports goes to `_max_deviation`, which raises the
+    running maximum `best`; the walk counts the supports it `gathered` and
+    those of them their own norm bound `pruned`."""
 
     def __init__(self, M: np.ndarray, s: int, budget: int):
         n = M.shape[1]
         self.s, self.n = s, n
         self.depth = max(0, min(s - 1, budget // (n * n) - 1))
-        self.threshold = 0.0
+        self.M = M
+        self.threshold = self.best = 0.0
+        self.gathered = self.pruned = 0
         if self.depth:
             with np.errstate(all="ignore"):  # non-finite entries give NaN bounds, kept
                 H = M.conj().T @ M
@@ -278,7 +262,6 @@ class _SupportWalk:
                 self.B = np.abs(H)
                 self.tables = _top_sums(self.B, self.depth)
                 self.threshold = _seed_threshold(H, self.B, s)
-        self.stacks = _Stacks(M)
 
     def descend(self, prefixes: np.ndarray, rows: np.ndarray | None) -> None:
         """Visit every support extending a row of `prefixes`, one block of
@@ -294,10 +277,12 @@ class _SupportWalk:
             child = last[parent] + 1 + f - (ends[parent] - counts[parent])
             kids = np.column_stack([prefixes[parent], child])
             if j + 1 == self.s:
-                self.stacks.add(kids)
+                self.best, pruned = _max_deviation(self.M, kids, self.best)
+                self.gathered += len(kids)
+                self.pruned += pruned
                 continue
             kid_rows = None if rows is None else rows[parent] + self.B[child]
-            threshold = max(self.threshold, self.stacks.best)
+            threshold = max(self.threshold, self.best)
             bound = self.prefix_bound(kids, kid_rows)
             keep = ~(bound + _PRUNE_MARGIN * (1.0 + threshold) < threshold)  # NaN is kept
             if keep.any():
@@ -314,11 +299,10 @@ class _SupportWalk:
         np.put_along_axis(rows_in, prefixes, True, axis=1)
         return np.where(rows_in, rows + self.tables[k - 1, p], -np.inf).max(axis=1)
 
-    def run(self) -> _Stacks:
+    def run(self) -> _SupportWalk:
         self.descend(np.empty((1, 0), dtype=np.intp),
                      np.zeros((1, self.n)) if self.depth else None)
-        self.stacks.add()
-        return self.stacks
+        return self
 
 
 def rip_constant_exact(A_normalized: np.ndarray, s: int,
@@ -337,11 +321,11 @@ def rip_constant_exact(A_normalized: np.ndarray, s: int,
             f"C({n},{s}) = {total} supports exceeds budget {budget}; "
             "use rip_constant_lower_mc for a randomized lower bound"
         )
-    stacks = _SupportWalk(M, s, budget).run()
-    return RipEstimate(s=s, value=stacks.best, method="exact_enumeration",
+    walk = _SupportWalk(M, s, budget).run()
+    return RipEstimate(s=s, value=walk.best, method="exact_enumeration",
                        supports_evaluated=total,
-                       supports_pruned=total - stacks.gathered + stacks.pruned,
-                       supports_gathered=stacks.gathered)
+                       supports_pruned=total - walk.gathered + walk.pruned,
+                       supports_gathered=walk.gathered)
 
 
 def rip_constant_lower_mc(A_normalized: np.ndarray, s: int, trials: int,
@@ -364,12 +348,10 @@ def rip_constant_lower_mc(A_normalized: np.ndarray, s: int, trials: int,
     for _ in range(trials):
         cols = np.sort(gen.choice(n, size=s, replace=False))
         distinct.setdefault(cols.tobytes(), cols)
-    stacks = _Stacks(M)
-    stacks.add(np.array(list(distinct.values())))
-    stacks.add()
-    return RipEstimate(s=s, value=stacks.best, method="randomized_lower_bound",
-                       supports_evaluated=len(distinct), supports_pruned=stacks.pruned,
-                       supports_gathered=stacks.gathered)
+    best, pruned = _max_deviation(M, np.array(list(distinct.values())), 0.0)
+    return RipEstimate(s=s, value=best, method="randomized_lower_bound",
+                       supports_evaluated=len(distinct), supports_pruned=pruned,
+                       supports_gathered=len(distinct))
 
 
 def _silverman_bandwidth(values: np.ndarray) -> float:

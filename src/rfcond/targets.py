@@ -59,14 +59,10 @@ class TargetFunction:
             return np.exp(-np.sum(Z**2, axis=0) / (2.0 * a**2))
         raise InvalidArgumentError(f"unknown target kind {self.kind!r}")
 
-    @property
-    def has_alpha_over_rho(self) -> bool:
-        return self.kind == KIND_BUMP
-
     def alpha_over_rho(self, W: np.ndarray) -> np.ndarray:
         """alpha(w_k)/rho(w_k) at the weight columns; only targets with a
-        closed-form transform ratio support this."""
-        if not self.has_alpha_over_rho:
+        closed-form transform ratio, those with a `rho_norm`, support this."""
+        if self.rho_norm is None:
             raise UnsupportedTargetError(
                 f"target kind {self.kind!r} has no closed-form alpha/rho"
             )

@@ -12,7 +12,7 @@ All logarithms are natural; every ">=" condition passes at exact equality.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
 
@@ -233,41 +233,25 @@ def check_regime_conditions(m: int, N: int, d: int, gamma: float, sigma: float,
 
 @dataclass(frozen=True)
 class BoundResult:
-    """A risk bound value plus the hypotheses it rests on, checked in strict
-    or permissive mode (`permissive`, which changes only the hypotheses).
-
-    The value is always computed; `satisfied` is False (report-only mode)
-    when any hypothesis fails at the given parameter point.  `as_dict` is
-    the report: the checks and the regime report as `dataclasses.asdict`
-    writes them, with the derived `mode` and `satisfied`.
-    """
+    """A risk bound value plus the hypotheses it rests on, checked in `mode`
+    (strict or permissive, which changes only the hypotheses).  The value is
+    always computed; `satisfied` is False (report-only mode) when any of its
+    `conditions` or of the `regime` report's fails at the parameter point."""
 
     value: float
     epsilon: float | None
+    mode: str
+    satisfied: bool
     conditions: tuple[ConditionCheck, ...]
-    regime_report: RegimeReport | None
-    permissive: bool
+    regime: RegimeReport | None
 
-    @property
-    def mode(self) -> str:
-        return MODE_PERMISSIVE if self.permissive else MODE_STRICT
 
-    @property
-    def satisfied(self) -> bool:
-        ok = all(c.ok for c in self.conditions)
-        if self.regime_report is not None:
-            ok = ok and self.regime_report.all_satisfied
-        return ok
-
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "epsilon": self.epsilon,
-            "mode": self.mode,
-            "satisfied": self.satisfied,
-            "conditions": [asdict(c) for c in self.conditions],
-            "regime": None if self.regime_report is None else asdict(self.regime_report),
-        }
+def _bound(value: float, eps: float | None, conditions: tuple[ConditionCheck, ...],
+           regime: RegimeReport | None, permissive: bool) -> BoundResult:
+    """The bound in the mode `permissive` names, satisfied when every check is."""
+    ok = all(c.ok for c in conditions) and (regime is None or regime.all_satisfied)
+    return BoundResult(value, eps, MODE_PERMISSIVE if permissive else MODE_STRICT, ok,
+                       conditions, regime)
 
 
 def _regime_bound(value: float, eps: float, N: int, m: int, d: int, gamma: float,
@@ -285,7 +269,7 @@ def _regime_bound(value: float, eps: float, N: int, m: int, d: int, gamma: float
         direction = ConditionCheck("regime_m_lt_N", float(N), float(m), m < N)
         floor = _failure_probability(m, N)
     conditions = (direction, ConditionCheck("delta_floor", delta, floor, delta >= floor))
-    return BoundResult(value, eps, conditions, regime, permissive)
+    return _bound(value, eps, conditions, regime, permissive)
 
 
 def risk_bound_ls(N: int, m: int, d: int, gamma: float, sigma: float, delta: float,
@@ -364,4 +348,4 @@ def risk_bound_bp(N: int, m: int, s: int, delta: float, epsilon: float,
              + C_DPRIME * (1.0 + N / (math.sqrt(m) * s) * root_log)
              * theta_s1**2)
     conditions = check_bp_conditions(m, N, s, d, gamma, sigma, delta, permissive)
-    return BoundResult(value, epsilon, conditions, None, permissive)
+    return _bound(value, epsilon, conditions, None, permissive)

@@ -282,16 +282,26 @@ def _recording_eigvalsh(monkeypatch):
     return stacks
 
 
-@pytest.mark.parametrize("n, s", [(8, 1), (8, 3), (_STACK, 1), (_STACK + 1, 1),
-                                  (12, 4), (14, 5)])
-def test_rip_enumeration_makes_one_eigvalsh_call_per_stack(n, s, monkeypatch):
+_CALL_CASES = [(8, 1), (8, 3), (_STACK, 1), (_STACK + 1, 1), (12, 4), (14, 5)]
+
+
+@pytest.mark.parametrize("n, s, method", [
+    *(pytest.param(n, s, "exact", id=f"{n}-{s}") for n, s in _CALL_CASES),
+    *(pytest.param(n, s, "mc", id=f"{n}-{s}-mc") for n, s in _CALL_CASES)])
+def test_rip_enumeration_makes_one_eigvalsh_call_per_stack(n, s, method, monkeypatch):
     # At most one call per stack: supports the norm bound settles are not eigensolved.
+    # The exact count is over all C(n, s) supports, the randomized one over the
+    # distinct supports drawn.
     An = _random_fourier(2, 30, n, 21) / np.sqrt(30)
     stacks = _recording_eigvalsh(monkeypatch)
-    est = rip_constant_exact(An, s)
-    assert len(stacks) <= ceil(comb(n, s) / _STACK)
+    if method == "exact":
+        est = rip_constant_exact(An, s)
+        assert est.supports_evaluated == comb(n, s)
+    else:
+        est = rip_constant_lower_mc(An, s, 3 * _STACK, split_stream(21, s))
+    assert len(stacks) <= ceil(est.supports_evaluated / _STACK)
     assert max(stacks) <= _STACK
-    assert sum(stacks) + est.supports_pruned == comb(n, s) == est.supports_evaluated
+    assert sum(stacks) + est.supports_pruned == est.supports_evaluated
     assert (n, s) not in [(12, 4), (14, 5)] or est.supports_pruned > 0
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -296,13 +297,15 @@ def test_constants_validation_and_modes():
         4 * 37.97**2 / 0.16, rel=1e-12)
     for permissive, mode in ((False, "strict"), (True, "permissive")):
         res = risk_bound_ls(10, 100, 3, 1.0, 1.0, 0.05, 0.5, 1.0, 0.0, permissive)
-        assert res.mode == res.as_dict()["mode"] == mode
+        assert res.mode == asdict(res)["mode"] == mode
+        assert list(asdict(res)) == ["value", "epsilon", "mode", "satisfied", "conditions",
+                                     "regime"]
     assert risk_bound_bp(64, 200, 4, 0.05, 0.4, 2.0, 0.1, 0.0,
                          d=3, gamma=1.0, sigma=1.0).mode == "strict"
 
 
 def _all_checks(res):
-    regime = () if res.regime_report is None else res.regime_report.conditions
+    regime = () if res.regime is None else res.regime.conditions
     return [(c.name, c.lhs, c.rhs) for c in (*res.conditions, *regime)]
 
 
@@ -326,8 +329,8 @@ def test_bound_values_do_not_depend_on_the_mode(bound, args, kwargs):
             assert rhs > rhs_p
         else:
             assert rhs == rhs_p
-    if strict.regime_report is not None:
-        s, p = strict.regime_report, permissive.regime_report
+    if strict.regime is not None:
+        s, p = strict.regime, permissive.regime
         assert (s.regime, s.eta, s.band, s.failure_probability) == (
             p.regime, p.eta, p.band, p.failure_probability)
 
