@@ -1,7 +1,8 @@
 """Experiment harness: double-descent sweeps, singular-value density studies,
 interpolation-threshold statistics, risk-bound validation, and the restricted
 isometry study of one instance.  Every protocol samples its instances with
-`random_features`.
+`random_inputs`; all but the density study build A from them at once
+(`random_features`).
 
 Trials are pure functions of (master seed, trial index); the harness may fan
 them out over a thread pool and always aggregates in trial order, so output
@@ -176,13 +177,20 @@ class Risk:
     method: str
 
 
-def random_features(d: int, m: int, n: int, gamma: float, sigma: float, stream: RngStream,
-                    kind: str = FOURIER) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def random_inputs(d: int, m: int, n: int, gamma: float, sigma: float,
+                  stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """The instance sampler of every protocol: X ~ N(0, gamma^2 I_d) (d x m) and
     W ~ N(0, sigma^2 I_d) (d x n) from fixed substreams of `stream`, so one
-    stream reproduces the whole instance, and the m x n feature matrix A."""
+    stream reproduces the whole instance."""
     X = gaussian_matrix(d, m, gamma**2, stream.substream(TAG_DATA))
     W = gaussian_matrix(d, n, sigma**2, stream.substream(TAG_WEIGHTS))
+    return X, W
+
+
+def random_features(d: int, m: int, n: int, gamma: float, sigma: float, stream: RngStream,
+                    kind: str = FOURIER) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`random_inputs` X and W and the m x n feature matrix A they give."""
+    X, W = random_inputs(d, m, n, gamma, sigma, stream)
     return X, W, build_features(X, W, kind)
 
 
@@ -366,17 +374,19 @@ class DensityStudyEntry:
 
 def run_spectrum_density(config: ExperimentConfig) -> list[DensityStudyEntry]:
     """Figure-2 protocol: pooled singular values of the normalized feature
-    matrix over the trials, smoothed to a max-1 density curve per scaling."""
+    matrix A / sqrt(max(m, N)) over the trials, smoothed to a max-1 density
+    curve per scaling.  Each trial passes its sampled X and W to
+    `singular_values`, which builds A block by block for its Gram and in full
+    only for the SVD fallback (m = N, or a Gram that fails the gate)."""
     entries = []
     for idx, label in enumerate(config.scalings):
         m, n = _solve_scaling(label, config.m)
 
         def one_trial(t: int, m=m, n=n, idx=idx) -> np.ndarray:
             stream = split_stream(config.seed, t).substream(_TAG_SCALING, idx)
-            _, _, A = random_features(config.d, m, n, config.gamma, config.sigma, stream,
-                                      config.feature_kind)
-            A /= math.sqrt(max(m, n))
-            return singular_values(A)
+            X, W = random_inputs(config.d, m, n, config.gamma, config.sigma, stream)
+            return singular_values(features=(X, W, config.feature_kind),
+                                   scale=math.sqrt(max(m, n)))
 
         pooled = np.concatenate(_map_trials(one_trial, config.trials, config.workers))
         curve = spectral_density(pooled)

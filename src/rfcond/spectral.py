@@ -14,7 +14,11 @@ most about 2e-10; otherwise it takes the thin SVD of A, which resolves
 singular values down to eps * sigma_max.  A square A (N = m, the
 interpolation threshold, where the condition number peaks) goes straight to
 the SVD: its Gram is no smaller than A, so the Gram route would save little
-when it passes the gate and often fail it.
+when it passes the gate and often fail it.  Given the feature inputs
+(X, W, kind) in place of A, `singular_values` sums the smaller Gram over
+blocks of `_GRAM_BLOCK` features (or samples), built one at a time, and
+builds A in full only for the SVD; so the density study holds A only at
+m = N or when a Gram fails the gate.
 
 Restricted isometry constants are the one place that forms Grams of column
 supports: delta_s is a maximum over column supports S of ||A_S* A_S - I||_2,
@@ -37,6 +41,7 @@ from math import comb
 import numpy as np
 
 from .errors import EnumerationBudgetError, InvalidArgumentError, NumericalFailureError
+from .features import _check_dims, build_features
 from .sampling import RngStream
 
 RANK_TOL = 1e-12  # relative floor under which the smallest singular value counts as zero
@@ -44,6 +49,10 @@ RANK_TOL = 1e-12  # relative floor under which the smallest singular value count
 # lambda_max (sigma_max / sigma_min <= 1000): their relative error, about
 # eps * cond^2, then stays below 2e-10.
 _GRAM_GATE = 1e-6
+# Features (or samples) per block when singular_values sums the Gram from the
+# feature inputs.  A 150 x 1024 complex block is 2.5 MB; with its phase and
+# the conjugate its Gram product copies, one block peaks near 7 MB.
+_GRAM_BLOCK = 1024
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 _STACK = 64  # supports per batched eigvalsh call
@@ -122,27 +131,61 @@ def gram_spectrum_via_svd(A: np.ndarray, sv: np.ndarray | None = None) -> Spectr
                            lambda_max=float(eigs[-1]), cond_number=cond)
 
 
-def singular_values(A: np.ndarray) -> np.ndarray:
-    """min(m, N) singular values in ascending order.
+def _blocks(X: np.ndarray, W: np.ndarray, kind: str, scale: float):
+    """build_features(X, W, kind) / scale in blocks of `_GRAM_BLOCK` columns
+    (features, when N > m) or rows (samples, when N < m), one at a time."""
+    wide = W.shape[1] > X.shape[1]
+    for lo in range(0, max(X.shape[1], W.shape[1]), _GRAM_BLOCK):
+        if wide:
+            B = build_features(X, W[:, lo:lo + _GRAM_BLOCK], kind)
+        else:
+            B = build_features(X[:, lo:lo + _GRAM_BLOCK], W, kind)
+        B /= scale
+        yield B
+
+
+def singular_values(A: np.ndarray | None = None, *,
+                    features: tuple[np.ndarray, np.ndarray, str] | None = None,
+                    scale: float = 1.0) -> np.ndarray:
+    """min(m, N) singular values of the m x N matrix A / scale in ascending
+    order, where A is given, or else is build_features(X, W, kind) for
+    `features` = (X, W, kind).
 
     For non-square A they are the square roots of the eigenvalues of the
     smaller Gram (AA* or A*A) when those are finite and lambda_min >=
     `_GRAM_GATE` * lambda_max; each is then within about eps * cond^2 relative
-    of the SVD's (at most about 2e-10 at the gate).  Otherwise, and always
-    for square A, they come from the thin SVD of A; a failed SVD or a
-    non-finite result (as on non-finite A) raises NumericalFailureError.
+    of the SVD's (at most about 2e-10 at the gate).  From `features` the Gram
+    is summed over blocks of `_GRAM_BLOCK` features (or samples, when N < m),
+    each built, scaled and dropped in turn, so A itself is never held; with
+    one block the sum is the single product, bit for bit.  Otherwise, and
+    always for square A, they come from the thin SVD of A, built in full
+    from `features`; a failed SVD or a non-finite result (as on non-finite
+    A) raises NumericalFailureError.
     """
-    M = np.asarray(A)
-    m, n = M.shape
+    if (A is None) == (features is None):
+        raise InvalidArgumentError("give either A or features=(X, W, kind)")
+    if A is None:
+        X, W, kind = features
+        _check_dims(X, W)
+        m, n = X.shape[1], W.shape[1]
+    else:
+        M = np.asarray(A) if scale == 1.0 else np.asarray(A) / scale
+        m, n = M.shape
     if m != n:
         with np.errstate(all="ignore"):  # an overflowing Gram fails the gate
-            G = M @ M.conj().T if m < n else M.conj().T @ M
+            G = None
+            for B in (_blocks(X, W, kind, scale) if A is None else (M,)):
+                P = B @ B.conj().T if m < n else B.conj().T @ B
+                G = P if G is None else np.add(G, P, out=G)
             try:
                 lam = np.linalg.eigvalsh(G)
             except np.linalg.LinAlgError:  # as on a non-finite Gram
                 lam = np.array([np.nan])  # fails the gate
         if np.isfinite(lam).all() and lam[0] >= _GRAM_GATE * lam[-1]:
             return np.sqrt(lam)
+    if A is None:
+        M = build_features(X, W, kind)
+        M /= scale
     try:
         s = np.linalg.svd(M, compute_uv=False)
     except np.linalg.LinAlgError as exc:

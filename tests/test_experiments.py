@@ -24,7 +24,7 @@ from rfcond.features import build_features
 from rfcond.io import json_report
 from rfcond.sampling import TAG_DATA, NoiseModel, gaussian_matrix, split_stream
 from rfcond.solvers import FLAG_SINGULAR_GRAM, FLAG_ZERO_FEASIBLE, CoefficientVector, Diagnostics
-from rfcond.spectral import gram_spectrum_via_svd
+from rfcond.spectral import _GRAM_BLOCK, gram_spectrum_via_svd, spectral_density
 from rfcond.targets import gaussian_bump_target
 from rfcond.theory import check_regime_conditions, risk_bound_ls, risk_bound_minnorm
 
@@ -280,6 +280,27 @@ def test_spectrum_density_entries():
         assert e.sv_min <= e.sv_max
     # conditioning improves away from the square case
     assert entries[1].sv_min > entries[0].sv_min
+
+
+def test_spectrum_density_is_worker_independent_across_gram_blocks(monkeypatch):
+    # at m = 30, N = m log^3 m = 1180 sums its Gram over two blocks
+    pooled = []
+
+    def recording(values):
+        pooled.append(np.array(values))
+        return spectral_density(values)
+
+    monkeypatch.setattr(experiments, "spectral_density", recording)
+    runs = [run_spectrum_density(ExperimentConfig(
+                d=5, m=30, n_grid=(30,), trials=4, seed=2, workers=workers,
+                scalings=("N=m", "N=m log^3 m", "m=N log N")))
+            for workers in (1, 4)]
+    assert runs[0][1].n > _GRAM_BLOCK
+    assert all(np.array_equal(a, b) for a, b in zip(pooled[:3], pooled[3:]))
+    for a, b in zip(*runs):
+        assert (a.sv_min, a.sv_max, a.curve.bandwidth) == (b.sv_min, b.sv_max, b.curve.bandwidth)
+        assert np.array_equal(a.curve.grid, b.curve.grid)
+        assert np.array_equal(a.curve.density, b.curve.density)
 
 
 def test_threshold_study_structure_and_markov_invariant():

@@ -11,9 +11,9 @@ from rfcond.features import (
     fourier_features,
     relu_features,
 )
-from rfcond.experiments import random_features
+from rfcond.experiments import random_features, random_inputs
 from rfcond.sampling import split_stream
-from rfcond.spectral import gram_spectrum_via_svd
+from rfcond.spectral import _GRAM_BLOCK, gram_spectrum_via_svd, singular_values
 
 
 def test_zero_data_gives_all_ones():
@@ -124,6 +124,21 @@ def test_feature_construction_allocates_one_matrix_beyond_the_phase():
     W = gen.normal(size=(3, n))
     assert _peak_bytes(fourier_features, X, W) <= 26 * m * n
     assert _peak_bytes(relu_features, X, W) <= 10 * m * n
+
+
+def test_spectrum_from_features_holds_a_few_blocks_whatever_n():
+    # singular_values builds one block of _GRAM_BLOCK features at a time: its
+    # phase (8 bytes per entry), the features (16) and the conjugate the Gram
+    # product copies (16), so its peak stays under four complex blocks, not
+    # the 16 * m * N bytes of A (48 MB at N = 20000, 96 MB at N = 40000).
+    m = 150
+    peaks = []
+    for n in (20_000, 40_000):
+        X, W = random_inputs(5, m, n, 1.0, 1.0, split_stream(8, 0))
+        peaks.append(_peak_bytes(
+            lambda X, W: singular_values(features=(X, W, FOURIER), scale=np.sqrt(n)), X, W))
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+    assert max(peaks) <= 4 * 16 * m * _GRAM_BLOCK
 
 
 def test_row_column_gram_symmetry_under_role_swap():

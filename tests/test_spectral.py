@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from rfcond import cli, spectral
 from rfcond.errors import EnumerationBudgetError, InvalidArgumentError, NumericalFailureError
-from rfcond.experiments import random_features
-from rfcond.features import FOURIER, RELU
+from rfcond.experiments import random_features, random_inputs
+from rfcond.features import FOURIER, RELU, build_features
 from rfcond.sampling import split_stream
 from rfcond.spectral import (
+    _GRAM_BLOCK,
     _STACK,
     _SupportWalk,
     _norm_bound,
@@ -137,6 +138,76 @@ def test_overflowing_gram_falls_back_to_the_svd_without_warnings():
     A = 1e200 * _matrix_with_cond(6, 9, 2.0, complex, seed=3)
     sv = singular_values(A)  # RuntimeWarnings are errors in this suite
     assert np.array_equal(sv, np.sort(np.linalg.svd(A, compute_uv=False)))
+
+
+def _feature_inputs(d, m, n, seed):
+    X, W = random_inputs(d, m, n, 1.0, 1.0, split_stream(seed, 0))
+    return X, W, np.sqrt(max(m, n))
+
+
+def _recording_builds(monkeypatch):
+    """The shapes of the matrices `singular_values` builds from features."""
+    shapes = []
+
+    def recording(X, W, kind):
+        shapes.append((X.shape[1], W.shape[1]))
+        return build_features(X, W, kind)
+
+    monkeypatch.setattr(spectral, "build_features", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("kind", [FOURIER, RELU])
+@pytest.mark.parametrize("m, n", [(20, 300), (300, 20)])
+def test_one_block_gram_from_features_is_bitwise_the_gram_of_a(kind, m, n):
+    X, W, c = _feature_inputs(5, m, n, seed=m + n)
+    want = singular_values(build_features(X, W, kind) / c)
+    assert np.array_equal(singular_values(features=(X, W, kind), scale=c), want)
+
+
+@pytest.mark.parametrize("kind", [FOURIER, RELU])
+@pytest.mark.parametrize("m, n", [(30, 2 * _GRAM_BLOCK + 500), (2 * _GRAM_BLOCK + 500, 30)])
+def test_gram_summed_over_blocks_agrees_with_the_svd(kind, m, n, monkeypatch):
+    X, W, c = _feature_inputs(20, m, n, seed=7)
+    A = build_features(X, W, kind) / c
+    oracle = np.sort(np.linalg.svd(A, compute_uv=False))
+    calls, _ = _counting_svd(monkeypatch)
+    shapes = _recording_builds(monkeypatch)
+    sv = singular_values(features=(X, W, kind), scale=c)
+    assert calls == []  # the summed Gram passed the gate
+    # three blocks along the longer side, never A in full
+    assert [max(shape) for shape in shapes] == [_GRAM_BLOCK, _GRAM_BLOCK, 500]
+    assert all(min(shape) == 30 for shape in shapes)
+    assert np.all(np.abs(sv - oracle) <= 1e-13 * oracle)
+
+
+@pytest.mark.parametrize("kind", [FOURIER, RELU])
+@pytest.mark.parametrize("m, n", [(20, 40), (60, 10), (25, 25)])
+def test_rank_deficient_or_square_features_get_the_svd_values_exactly(kind, m, n,
+                                                                       monkeypatch):
+    # wide and tall: W repeats its columns, so the smaller Gram is singular
+    # and fails the gate; square: the Gram is never formed
+    X, W, c = _feature_inputs(5, m, n, seed=3)
+    if m != n:
+        W = W[:, np.arange(n) % (min(m, n) // 2)]
+    A = build_features(X, W, kind) / c
+    want = np.sort(np.linalg.svd(A, compute_uv=False))
+    assert np.array_equal(singular_values(A), want)
+    shapes = _recording_builds(monkeypatch)
+    if m == n:
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    assert np.array_equal(singular_values(features=(X, W, kind), scale=c), want)
+    assert shapes[-1] == (m, n)  # the fallback builds A in full
+
+
+def test_singular_values_takes_either_a_or_features():
+    X, W, _ = _feature_inputs(3, 4, 6, seed=0)
+    with pytest.raises(InvalidArgumentError, match="either A or features"):
+        singular_values()
+    with pytest.raises(InvalidArgumentError, match="either A or features"):
+        singular_values(build_features(X, W, FOURIER), features=(X, W, FOURIER))
+    with pytest.raises(InvalidArgumentError, match="ambient dimension"):
+        singular_values(features=(X, W[:2], FOURIER))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
