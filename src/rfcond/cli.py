@@ -1,7 +1,7 @@
 """Command line interface: rfcond sweep|spectrum|threshold|validate|theory|rip.
 
 BLAS thread pools are pinned to one thread before numpy loads so that results
-are bit-identical regardless of how many harness workers run trials.
+are bit-identical regardless of how many workers share a run's jobs.
 """
 
 from __future__ import annotations
@@ -120,7 +120,8 @@ _FLAGS = {
                       help="comma list of least_squares,min_norm,bpdn_pruned (default: all)"),
     "n-test": dict(type=int, default=1000,
                    help="test points of the Monte Carlo risk, taken when nnz(c)^2 > n-test * N"),
-    "workers": dict(type=int, default=1, help="threads running trials"),
+    "workers": dict(type=int, default=1,
+                    help="threads sharing the run's (cell, trial) jobs"),
     "out": dict(default="out", help="output directory"),
     "permissive-constants": dict(action="store_true", default=False,
                                  help="treat the universal condition constant as 1"),
@@ -211,16 +212,12 @@ def _cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _cmd_threshold(args) -> int:
-    report = run_threshold_study(_build_config(args))
-    print(f"wrote {_write_report(args, 'threshold.json', report)}")
-    return EXIT_OK
-
-
-def _cmd_validate(args) -> int:
-    report = run_bound_validation(_build_config(args))
-    print(f"wrote {_write_report(args, 'validate.json', report)}")
-    return EXIT_OK
+def _report_command(name: str, run):
+    """Handler of a report-only command: writes `run(config, args)` as `name`."""
+    def handler(args) -> int:
+        print(f"wrote {_write_report(args, name, run(_build_config(args), args))}")
+        return EXIT_OK
+    return handler
 
 
 def _cmd_theory(args) -> int:
@@ -233,27 +230,26 @@ def _cmd_theory(args) -> int:
     return EXIT_OK
 
 
-def _cmd_rip(args) -> int:
-    report = run_rip_study(_build_config(args), args.method, args.budget, args.rip_trials)
-    print(f"wrote {_write_report(args, 'rip.json', report)}")
-    return EXIT_OK
-
-
-# command -> (handler, help, the flags it offers)
+# command -> (handler, help, the flags it offers).  A report command's lambda
+# looks its run_* up when called, so a wrapper set on this module applies.
 _COMMANDS = {
     "sweep": (_cmd_sweep, "double-descent sweep over the N grid",
               "d m n-grid gamma sigma features noise target trials seed n-test eta delta "
               "bounds workers out"),
     "spectrum": (_cmd_spectrum, "singular value densities under log scalings",
                  "d m gamma sigma features trials seed workers out scalings"),
-    "threshold": (_cmd_threshold, "interpolation threshold statistics at m=N",
+    "threshold": (_report_command("threshold.json", lambda c, a: run_threshold_study(c)),
+                  "interpolation threshold statistics at m=N",
                   "d n-grid gamma sigma features trials seed workers out"),
-    "validate": (_cmd_validate, "risk-bound coverage experiments",
+    "validate": (_report_command("validate.json", lambda c, a: run_bound_validation(c)),
+                 "risk-bound coverage experiments",
                  "d m n-grid gamma sigma features noise target trials seed n-test eta delta "
                  "permissive-constants tol s pipelines workers out"),
     "theory": (_cmd_theory, "print the regime condition report as JSON",
                "d m n-grid gamma sigma eta permissive-constants workers out"),
-    "rip": (_cmd_rip, "restricted isometry constants of one instance",
+    "rip": (_report_command("rip.json", lambda c, a: run_rip_study(c, a.method, a.budget,
+                                                                   a.rip_trials)),
+            "restricted isometry constants of one instance",
             "d m n-grid gamma sigma features seed s workers out method budget rip-trials"),
 }
 

@@ -4,13 +4,15 @@ isometry study of one instance.  Every protocol samples its instances with
 `random_inputs`; all but the density study build A from them at once
 (`random_features`).
 
-Trials are pure functions of (master seed, trial index); the harness may fan
-them out over a thread pool and always aggregates in trial order, so output
-bytes are independent of the worker count -- provided the BLAS thread pools
-are pinned to one thread before numpy loads, as ``rfcond.cli`` and the test
-suite do.  A multithreaded BLAS may split a reduction differently from call to
-call, so a library caller with ``workers > 1`` and unpinned BLAS can see
-results that differ in the last bits.
+Every protocol is a grid of (cell, trial) jobs: a cell is one N, scaling or
+pipeline, and each job is a pure function of (master seed, cell, trial).  One
+pool of `workers` threads runs all of a run's jobs (`_map_cells`), and each
+cell is aggregated in trial order, so output bytes are independent of the
+worker count -- provided the BLAS thread pools are pinned to one thread before
+numpy loads, as ``rfcond.cli`` and the test suite do.  A multithreaded BLAS
+may split a reduction differently from call to call, so a library caller with
+``workers > 1`` and unpinned BLAS can see results that differ in the last
+bits.
 """
 
 from __future__ import annotations
@@ -194,11 +196,16 @@ def random_features(d: int, m: int, n: int, gamma: float, sigma: float, stream: 
     return X, W, build_features(X, W, kind)
 
 
-def _map_trials(fn, trials: int, workers: int) -> list:
-    if workers <= 1 or trials <= 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(trials)))
+def _map_cells(fn, cells, config: ExperimentConfig) -> list[list]:
+    """[[fn(cell, t) for t in range(config.trials)] for cell in cells], every
+    job run from one pool of `config.workers` threads."""
+    jobs = [(cell, t) for cell in cells for t in range(config.trials)]
+    if config.workers <= 1:
+        done = [fn(cell, t) for cell, t in jobs]
+    else:  # Executor.map cancels the jobs not yet started when one fails
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            done = list(pool.map(lambda job: fn(*job), jobs))
+    return [done[i:i + config.trials] for i in range(0, len(done), config.trials)]
 
 
 def _train_and_test(config: ExperimentConfig, target: TargetFunction, pipeline: str,
@@ -259,35 +266,25 @@ def _risk_bound(config: ExperimentConfig, pipeline: str, n: int, rho: float, E: 
                          d=config.d, gamma=config.gamma, sigma=config.sigma)
 
 
-def _sweep_trial(config: ExperimentConfig, trial: int) -> list[SweepRow]:
-    base = split_stream(config.seed, trial)
-    target = sample_target(config.target_kind, config.d, config.sigma,
-                           base.substream(TAG_TARGET), config.feature_kind,
-                           config.planted_s, config.bump_width)
-    rows = []
-    for n in config.n_grid:
-        cell = base.substream(_TAG_GRID, n)
-        X, W, A = random_features(config.d, config.m, n, config.gamma, config.sigma,
-                                  cell, config.feature_kind)
-        # A singular row Gram keeps the trial with the flagged pseudoinverse
-        # fit; its infinite condition number is in the spectral summary, built
-        # from the singular values of the fit's own factorization of A.
-        pipeline = "least_squares" if n < config.m else "min_norm"
-        coeff, risk, noise = _train_and_test(config, target, pipeline, X, W, A, cell)
-        spec = gram_spectrum_via_svd(A, coeff.diagnostics.singular_values)
-
-        bound = None
-        if config.compute_bounds and n != config.m:
-            bound = _risk_bound(config, pipeline, n, target.rho_norm, noise.bound).value
-
-        rows.append(SweepRow(N=n, m=config.m, d=config.d, trial=trial,
-                             cond_number=spec.cond_number,
-                             lambda_min=spec.lambda_min, lambda_max=spec.lambda_max,
-                             train_residual=coeff.diagnostics.residual_norm,
-                             empirical_risk=risk.value, risk_method=risk.method,
-                             bound_value=bound,
-                             flags=";".join(coeff.diagnostics.flags)))
-    return rows
+def _sweep_cell(config: ExperimentConfig, target: TargetFunction, n: int,
+                trial: int) -> SweepRow:
+    stream = split_stream(config.seed, trial).substream(_TAG_GRID, n)
+    X, W, A = random_features(config.d, config.m, n, config.gamma, config.sigma,
+                              stream, config.feature_kind)
+    # A singular row Gram keeps the trial with the flagged pseudoinverse fit;
+    # its infinite condition number is in the spectral summary, built from the
+    # singular values of the fit's own factorization of A.
+    pipeline = "least_squares" if n < config.m else "min_norm"
+    coeff, risk, noise = _train_and_test(config, target, pipeline, X, W, A, stream)
+    spec = gram_spectrum_via_svd(A, coeff.diagnostics.singular_values)
+    bound = (_risk_bound(config, pipeline, n, target.rho_norm, noise.bound).value
+             if config.compute_bounds and n != config.m else None)
+    return SweepRow(N=n, m=config.m, d=config.d, trial=trial,
+                    cond_number=spec.cond_number,
+                    lambda_min=spec.lambda_min, lambda_max=spec.lambda_max,
+                    train_residual=coeff.diagnostics.residual_norm,
+                    empirical_risk=risk.value, risk_method=risk.method,
+                    bound_value=bound, flags=";".join(coeff.diagnostics.flags))
 
 
 def _rescale_unit(values: np.ndarray) -> np.ndarray:
@@ -310,26 +307,23 @@ class SweepResult:
 
 
 def run_double_descent_sweep(config: ExperimentConfig) -> SweepResult:
-    """Figure-1 protocol: for each N and trial, build features, train (least
-    squares below the threshold, min-norm at and above it), and record the
-    conditioning of the smaller normalized Gram plus the risk."""
+    """Figure-1 protocol: each trial samples one target; for each N it builds
+    features, trains (least squares below the threshold, min-norm at and above
+    it), and records the smaller normalized Gram's conditioning and the risk."""
     if config.compute_bounds and config.target_kind != KIND_BUMP:
         raise InvalidArgumentError(
             "sweep --bounds needs a target with finite rho-norm (gaussian_bump)")
-    per_trial = _map_trials(lambda t: _sweep_trial(config, t), config.trials, config.workers)
-    rows = [per_trial[t][ni]
-            for ni in range(len(config.n_grid))
-            for t in range(config.trials)]
+    targets = [sample_target(config.target_kind, config.d, config.sigma,
+                             split_stream(config.seed, t).substream(TAG_TARGET),
+                             config.feature_kind, config.planted_s, config.bump_width)
+               for t in range(config.trials)]
+    per_cell = _map_cells(lambda n, t: _sweep_cell(config, targets[t], n, t),
+                          config.n_grid, config)
+    rows = [row for cell in per_cell for row in cell]
 
     grid = np.asarray(config.n_grid)
-    mean_cond = np.array([
-        float(np.mean([per_trial[t][ni].cond_number for t in range(config.trials)]))
-        for ni in range(len(grid))
-    ])
-    mean_risk = np.array([
-        float(np.mean([per_trial[t][ni].empirical_risk for t in range(config.trials)]))
-        for ni in range(len(grid))
-    ])
+    mean_cond = np.array([np.mean([r.cond_number for r in cell]) for cell in per_cell])
+    mean_risk = np.array([np.mean([r.empirical_risk for r in cell]) for cell in per_cell])
     cond_idx = int(np.argmax(mean_cond))
     risk_idx = int(np.argmax(mean_risk))
     summary = {
@@ -378,21 +372,22 @@ def run_spectrum_density(config: ExperimentConfig) -> list[DensityStudyEntry]:
     curve per scaling.  Each trial passes its sampled X and W to
     `singular_values`, which builds A block by block for its Gram and in full
     only for the SVD fallback (m = N, or a Gram that fails the gate)."""
+    cells = [(idx, *_solve_scaling(label, config.m))
+             for idx, label in enumerate(config.scalings)]
+
+    def one_trial(cell: tuple[int, int, int], t: int) -> np.ndarray:
+        idx, m, n = cell
+        stream = split_stream(config.seed, t).substream(_TAG_SCALING, idx)
+        X, W = random_inputs(config.d, m, n, config.gamma, config.sigma, stream)
+        return singular_values(features=(X, W, config.feature_kind),
+                               scale=math.sqrt(max(m, n)))
+
     entries = []
-    for idx, label in enumerate(config.scalings):
-        m, n = _solve_scaling(label, config.m)
-
-        def one_trial(t: int, m=m, n=n, idx=idx) -> np.ndarray:
-            stream = split_stream(config.seed, t).substream(_TAG_SCALING, idx)
-            X, W = random_inputs(config.d, m, n, config.gamma, config.sigma, stream)
-            return singular_values(features=(X, W, config.feature_kind),
-                                   scale=math.sqrt(max(m, n)))
-
-        pooled = np.concatenate(_map_trials(one_trial, config.trials, config.workers))
-        curve = spectral_density(pooled)
-        entries.append(DensityStudyEntry(label=label, m=m, n=n, curve=curve,
-                                         sv_min=float(pooled.min()),
-                                         sv_max=float(pooled.max())))
+    for label, (_, m, n), values in zip(config.scalings, cells,
+                                        _map_cells(one_trial, cells, config)):
+        pooled = np.concatenate(values)
+        entries.append(DensityStudyEntry(label=label, m=m, n=n, curve=spectral_density(pooled),
+                                         sv_min=float(pooled.min()), sv_max=float(pooled.max())))
     return entries
 
 
@@ -402,18 +397,17 @@ def run_threshold_study(config: ExperimentConfig) -> dict:
     closed-form expectation bounds, plus the Markov small-eigenvalue check."""
     if config.trials < 2:
         raise InvalidArgumentError("the threshold study needs trials >= 2 for standard errors")
-    cells = []
-    for n in config.n_grid:
-        def one_trial(t: int, n=n) -> tuple[float, float]:
-            stream = split_stream(config.seed, t).substream(_TAG_GRID, n)
-            _, _, A = random_features(config.d, n, n, config.gamma, config.sigma, stream,
-                                      config.feature_kind)
-            spec = gram_spectrum_via_svd(A)
-            return spec.lambda_min, spec.lambda_max
 
-        stats = _map_trials(one_trial, config.trials, config.workers)
-        lam_min = np.array([s[0] for s in stats])
-        lam_max = np.array([s[1] for s in stats])
+    def one_trial(n: int, t: int) -> tuple[float, float]:
+        stream = split_stream(config.seed, t).substream(_TAG_GRID, n)
+        _, _, A = random_features(config.d, n, n, config.gamma, config.sigma, stream,
+                                  config.feature_kind)
+        spec = gram_spectrum_via_svd(A)
+        return spec.lambda_min, spec.lambda_max
+
+    cells = []
+    for n, stats in zip(config.n_grid, _map_cells(one_trial, config.n_grid, config)):
+        lam_min, lam_max = map(np.array, zip(*stats))
         lam_min_upper, lam_max_lower = interpolation_expectation_bounds(
             n, config.gamma, config.sigma, config.d)
         se_min = float(np.std(lam_min, ddof=1) / math.sqrt(config.trials))
@@ -496,35 +490,36 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
 
     E = config.noise.bound
     rho = target.rho_norm
-    pipelines = []
+    cells = []  # (pipeline, N, s, epsilon, xi)
     for name, n in selected:
         s = min(config.s, n) if config.s is not None else None
         eps = epsilon_bound(n, config.m, config.d, config.gamma, config.sigma, config.delta)
-        xi = bp_noise_parameter(eps, rho, E)
+        cells.append((name, n, s, eps, bp_noise_parameter(eps, rho, E)))
 
-        def one_trial(t: int, name=name, n=n, s=s, eps=eps,
-                      xi=xi) -> tuple[dict, float | None]:
-            stream = split_stream(config.seed, t).substream(_TAG_PIPELINE, n,
-                                                            _PIPE_TAGS[name])
-            X, W, A = random_features(config.d, config.m, n, config.gamma, config.sigma,
-                                      stream, FOURIER)
-            coeff, risk, _ = _train_and_test(config, target, name, X, W, A, stream, xi, s)
-            if FLAG_SINGULAR_GRAM in coeff.diagnostics.flags:
-                raise NumericalFailureError(
-                    "row Gram AA* is numerically singular; interpolation unavailable")
-            theta = (best_s_term_error(best_phi_coeffs(target, W), s, 1)
-                     if name == "bpdn_pruned" else None)
-            bound = _risk_bound(config, name, n, rho, E, s, eps, theta).value
-            diag = coeff.diagnostics
-            return {"trial": t, "empirical_risk": risk.value, "risk_se": risk.se,
-                    "risk_method": risk.method, "bound_value": bound,
-                    "covered": bool(risk.value <= bound),
-                    "train_residual": diag.residual_norm,
-                    "nnz": int(np.count_nonzero(coeff.values)),
-                    "iterations": diag.iterations, "duality_gap": diag.duality_gap,
-                    "flags": list(diag.flags)}, theta
+    def one_trial(cell: tuple, t: int) -> tuple[dict, float | None]:
+        name, n, s, eps, xi = cell
+        stream = split_stream(config.seed, t).substream(_TAG_PIPELINE, n, _PIPE_TAGS[name])
+        X, W, A = random_features(config.d, config.m, n, config.gamma, config.sigma,
+                                  stream, FOURIER)
+        coeff, risk, _ = _train_and_test(config, target, name, X, W, A, stream, xi, s)
+        if FLAG_SINGULAR_GRAM in coeff.diagnostics.flags:
+            raise NumericalFailureError(
+                "row Gram AA* is numerically singular; interpolation unavailable")
+        theta = (best_s_term_error(best_phi_coeffs(target, W), s, 1)
+                 if name == "bpdn_pruned" else None)
+        bound = _risk_bound(config, name, n, rho, E, s, eps, theta).value
+        diag = coeff.diagnostics
+        return {"trial": t, "empirical_risk": risk.value, "risk_se": risk.se,
+                "risk_method": risk.method, "bound_value": bound,
+                "covered": bool(risk.value <= bound),
+                "train_residual": diag.residual_norm,
+                "nnz": int(np.count_nonzero(coeff.values)),
+                "iterations": diag.iterations, "duality_gap": diag.duality_gap,
+                "flags": list(diag.flags)}, theta
 
-        trial_rows, thetas = zip(*_map_trials(one_trial, config.trials, config.workers))
+    pipelines = []
+    for (name, n, s, eps, _), results in zip(cells, _map_cells(one_trial, cells, config)):
+        trial_rows, thetas = zip(*results)
         reports = [_risk_bound(config, name, n, rho, E, s, eps, thetas[0], permissive)
                    for permissive in (False, True)]
         pipelines.append({

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,10 +49,8 @@ def write_csv(path, header: list[str], rows) -> None:
 
 
 def jsonable(obj):
-    """Recursively convert numpy scalars/arrays and dataclasses; non-finite
-    floats become strings since JSON has no encoding for them."""
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return jsonable(asdict(obj))
+    """Recursively convert numpy scalars/arrays; non-finite floats become
+    strings since JSON has no encoding for them."""
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

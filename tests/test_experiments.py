@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -56,12 +58,17 @@ def test_config_rejects_snr_noise_next_to_a_fixed_noise_model():
 
 
 def test_sweep_is_deterministic_and_worker_independent():
-    rows_a = [dataclasses.astuple(r) for r in run_double_descent_sweep(_sweep_config()).rows]
-    rows_b = [dataclasses.astuple(r) for r in run_double_descent_sweep(_sweep_config()).rows]
-    rows_c = [dataclasses.astuple(r) for r in
-              run_double_descent_sweep(_sweep_config(workers=4)).rows]
-    assert rows_a == rows_b
-    assert rows_a == rows_c
+    # trials=1 spreads the four cells over the workers
+    for trials in (3, 1):
+        runs = [run_double_descent_sweep(_sweep_config(trials=trials, workers=w))
+                for w in (1, 1, 4)]
+        rows = [[dataclasses.astuple(r) for r in run.rows] for run in runs]
+        assert rows[0] == rows[1]
+        assert rows[0] == rows[2]
+        assert runs[0].summary == runs[2].summary
+        # rows come cell-major: every trial of one N before the next N
+        assert [(r.N, r.trial) for r in runs[0].rows] == \
+            [(n, t) for n in (5, 10, 20, 40) for t in range(trials)]
 
 
 def test_sweep_rows_satisfy_schema_invariants():
@@ -283,7 +290,8 @@ def test_spectrum_density_entries():
 
 
 def test_spectrum_density_is_worker_independent_across_gram_blocks(monkeypatch):
-    # at m = 30, N = m log^3 m = 1180 sums its Gram over two blocks
+    # at m = 30, N = m log^3 m = 1180 sums its Gram over two blocks; trials=1
+    # spreads the three scalings over the workers
     pooled = []
 
     def recording(values):
@@ -291,16 +299,49 @@ def test_spectrum_density_is_worker_independent_across_gram_blocks(monkeypatch):
         return spectral_density(values)
 
     monkeypatch.setattr(experiments, "spectral_density", recording)
-    runs = [run_spectrum_density(ExperimentConfig(
-                d=5, m=30, n_grid=(30,), trials=4, seed=2, workers=workers,
-                scalings=("N=m", "N=m log^3 m", "m=N log N")))
-            for workers in (1, 4)]
-    assert runs[0][1].n > _GRAM_BLOCK
-    assert all(np.array_equal(a, b) for a, b in zip(pooled[:3], pooled[3:]))
-    for a, b in zip(*runs):
-        assert (a.sv_min, a.sv_max, a.curve.bandwidth) == (b.sv_min, b.sv_max, b.curve.bandwidth)
-        assert np.array_equal(a.curve.grid, b.curve.grid)
-        assert np.array_equal(a.curve.density, b.curve.density)
+    for trials in (4, 1):
+        pooled.clear()
+        runs = [run_spectrum_density(ExperimentConfig(
+                    d=5, m=30, n_grid=(30,), trials=trials, seed=2, workers=workers,
+                    scalings=("N=m", "N=m log^3 m", "m=N log N")))
+                for workers in (1, 4)]
+        assert runs[0][1].n > _GRAM_BLOCK
+        assert all(np.array_equal(a, b) for a, b in zip(pooled[:3], pooled[3:]))
+        for a, b in zip(*runs):
+            assert (a.sv_min, a.sv_max, a.curve.bandwidth) == \
+                (b.sv_min, b.sv_max, b.curve.bandwidth)
+            assert np.array_equal(a.curve.grid, b.curve.grid)
+            assert np.array_equal(a.curve.density, b.curve.density)
+
+
+@pytest.mark.parametrize("trials", [1, 2])
+def test_map_cells_shares_one_pool_and_keeps_cell_trial_order(trials):
+    # The jobs of both cells meet at the barrier only if they all run at the
+    # same time; the first job sleeps longest, so they finish in reverse.
+    jobs = 2 * trials
+    barrier = threading.Barrier(jobs, timeout=5)
+
+    def job(cell, t):
+        barrier.wait()
+        time.sleep(0.02 * (jobs - cell * trials - t))
+        return cell, t
+
+    got = experiments._map_cells(job, [0, 1], _sweep_config(trials=trials, workers=jobs))
+    assert got == [[(cell, t) for t in range(trials)] for cell in (0, 1)]
+
+
+def test_map_cells_cancels_the_jobs_not_started_after_a_failure():
+    started = []
+
+    def job(cell, t):
+        started.append(cell)
+        if cell == 0:
+            raise NumericalFailureError("first job fails")
+        time.sleep(0.2)
+
+    with pytest.raises(NumericalFailureError):
+        experiments._map_cells(job, range(20), _sweep_config(trials=1, workers=2))
+    assert len(started) < 10
 
 
 def test_threshold_study_structure_and_markov_invariant():
