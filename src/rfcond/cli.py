@@ -88,12 +88,12 @@ def _parse_target(text: str) -> tuple[str, int, float | None]:
         return KIND_LINEAR, 2, None
     try:
         kind, value = text.split(":")
+        if kind == "planted":
+            return KIND_PLANTED, int(value), None
+        if kind == "bump":
+            return KIND_BUMP, 2, float(value)
     except ValueError:
         raise InvalidArgumentError(f"cannot parse target spec {text!r}") from None
-    if kind == "planted":
-        return KIND_PLANTED, int(value), None
-    if kind == "bump":
-        return KIND_BUMP, 2, float(value)
     raise InvalidArgumentError(f"unknown target kind {kind!r}")
 
 

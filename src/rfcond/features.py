@@ -7,7 +7,9 @@ real-valued targets read off the real part of predictions downstream.
 Each matrix costs one m x N allocation beyond the real phase X^T W: Fourier
 features are one complex array whose real and imaginary parts receive
 cos and sin of the phase (bit for bit numpy's exp(i * phase)), and ReLU
-features clip the phase in place.
+features clip the phase in place.  A caller that must not hold a whole
+matrix builds it in the row blocks of `block_ranges`, all sized by one
+budget of `_BLOCK_ENTRIES` entries.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ from .errors import InvalidArgumentError
 
 FOURIER = "fourier"
 RELU = "relu"
+
+# Largest piece of a feature matrix built at once, in entries: a 150 x 1024
+# block, 2.5 MB of complex128.
+_BLOCK_ENTRIES = 150 * 1024
 
 
 def _check_dims(X: np.ndarray, W: np.ndarray) -> None:
@@ -50,6 +56,19 @@ def relu_features(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     """a_{j,k} = max(0, <x_j, w_k>)."""
     phase = _phase(X, W)
     return np.maximum(0.0, phase, out=phase)
+
+
+def block_ranges(n: int, width: int) -> list[tuple[int, int]]:
+    """Ranges [i, j) that cover range(n) once, in order, cutting n rows of
+    `width` entries.  Each holds at most `step` rows, the largest multiple of
+    8 (8 at the least) whose rows have at most _BLOCK_ENTRIES entries.  Every
+    edge is a multiple of 8 and the last block is a single row only when n is
+    1; when step is 8, that takes a last block of 9 rows."""
+    step = max(8, _BLOCK_ENTRIES // max(width, 1) // 8 * 8)
+    cuts = [*range(0, n, step), n]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        cuts[-2] -= 8
+    return [(i, j) for i, j in zip(cuts, cuts[1:]) if j > i]
 
 
 def build_features(X: np.ndarray, W: np.ndarray, kind: str) -> np.ndarray:

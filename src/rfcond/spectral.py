@@ -16,9 +16,10 @@ interpolation threshold, where the condition number peaks) goes straight to
 the SVD: its Gram is no smaller than A, so the Gram route would save little
 when it passes the gate and often fail it.  Given the feature inputs
 (X, W, kind) in place of A, `singular_values` sums the smaller Gram over
-blocks of `_GRAM_BLOCK` features (or samples), built one at a time, and
-builds A in full only for the SVD; so the density study holds A only at
-m = N or when a Gram fails the gate.
+blocks of A cut along its longer side by `features.block_ranges` (1024
+features at m = 150), built one at a time, and builds A in full only for
+the SVD; so the density study holds A only at m = N or when a Gram fails
+the gate.
 
 Restricted isometry constants are the one place that forms Grams of column
 supports: delta_s is a maximum over column supports S of ||A_S* A_S - I||_2,
@@ -41,7 +42,7 @@ from math import comb
 import numpy as np
 
 from .errors import EnumerationBudgetError, InvalidArgumentError, NumericalFailureError
-from .features import _check_dims, build_features
+from .features import _check_dims, block_ranges, build_features
 from .sampling import RngStream
 
 RANK_TOL = 1e-12  # relative floor under which the smallest singular value counts as zero
@@ -49,10 +50,6 @@ RANK_TOL = 1e-12  # relative floor under which the smallest singular value count
 # lambda_max (sigma_max / sigma_min <= 1000): their relative error, about
 # eps * cond^2, then stays below 2e-10.
 _GRAM_GATE = 1e-6
-# Features (or samples) per block when singular_values sums the Gram from the
-# feature inputs.  A 150 x 1024 complex block is 2.5 MB; with its phase and
-# the conjugate its Gram product copies, one block peaks near 7 MB.
-_GRAM_BLOCK = 1024
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 _STACK = 64  # supports per batched eigvalsh call
@@ -132,14 +129,12 @@ def gram_spectrum_via_svd(A: np.ndarray, sv: np.ndarray | None = None) -> Spectr
 
 
 def _blocks(X: np.ndarray, W: np.ndarray, kind: str, scale: float):
-    """build_features(X, W, kind) / scale in blocks of `_GRAM_BLOCK` columns
-    (features, when N > m) or rows (samples, when N < m), one at a time."""
-    wide = W.shape[1] > X.shape[1]
-    for lo in range(0, max(X.shape[1], W.shape[1]), _GRAM_BLOCK):
-        if wide:
-            B = build_features(X, W[:, lo:lo + _GRAM_BLOCK], kind)
-        else:
-            B = build_features(X[:, lo:lo + _GRAM_BLOCK], W, kind)
+    """build_features(X, W, kind) / scale cut along its longer side by
+    `block_ranges`: columns (features) when N > m, rows (samples) when N < m,
+    one block at a time."""
+    m, n = X.shape[1], W.shape[1]
+    for i, j in block_ranges(max(m, n), min(m, n)):
+        B = build_features(X, W[:, i:j], kind) if n > m else build_features(X[:, i:j], W, kind)
         B /= scale
         yield B
 
@@ -155,12 +150,12 @@ def singular_values(A: np.ndarray | None = None, *,
     smaller Gram (AA* or A*A) when those are finite and lambda_min >=
     `_GRAM_GATE` * lambda_max; each is then within about eps * cond^2 relative
     of the SVD's (at most about 2e-10 at the gate).  From `features` the Gram
-    is summed over blocks of `_GRAM_BLOCK` features (or samples, when N < m),
-    each built, scaled and dropped in turn, so A itself is never held; with
-    one block the sum is the single product, bit for bit.  Otherwise, and
-    always for square A, they come from the thin SVD of A, built in full
-    from `features`; a failed SVD or a non-finite result (as on non-finite
-    A) raises NumericalFailureError.
+    is summed over the `block_ranges` of A's longer side (features, or
+    samples when N < m), each block built, scaled and dropped in turn, so A
+    itself is never held; with one block the sum is the single product, bit
+    for bit.  Otherwise, and always for square A, they come from the thin SVD
+    of A, built in full from `features`; a failed SVD or a non-finite result
+    (as on non-finite A) raises NumericalFailureError.
     """
     if (A is None) == (features is None):
         raise InvalidArgumentError("give either A or features=(X, W, kind)")

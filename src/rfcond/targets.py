@@ -24,17 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError, UnsupportedTargetError
-from .features import FOURIER, RELU, build_features
+from .features import FOURIER, RELU, block_ranges, build_features
 from .sampling import RngStream, gaussian_matrix
 
 KIND_LINEAR = "linear"
 KIND_PLANTED = "planted"
 KIND_BUMP = "gaussian_bump"
 
-# Largest test-feature block evaluate_model builds at once, in matrix entries
-# (16 MiB of complex128); population_risk builds its kernel in blocks of the
-# same size.
-_BLOCK_ENTRIES = 1 << 20
 # population_risk clips a negative value to 0 only within this fraction of
 # E|f|^2 + c*Kc, the size of the terms that cancel.
 _RISK_ROUNDING = 1e-12
@@ -138,29 +134,16 @@ def best_phi_coeffs(target: TargetFunction, W: np.ndarray) -> np.ndarray:
     return np.asarray(ratio, dtype=np.complex128) / ratio.shape[0]
 
 
-def _row_blocks(n: int, n_features: int) -> list[tuple[int, int]]:
-    """Row ranges [i, j) that cover range(n) once, in order.  Each holds at
-    most `step` rows, the largest multiple of 8 (8 at the least) whose rows
-    have at most _BLOCK_ENTRIES entries.  Every edge is a multiple of 8 and
-    the last block is a single row only when n is 1; when step is 8, that
-    takes a last block of 9 rows."""
-    step = max(8, _BLOCK_ENTRIES // n_features // 8 * 8)
-    cuts = [*range(0, n, step), n]
-    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
-        cuts[-2] -= 8
-    return [(i, j) for i, j in zip(cuts, cuts[1:]) if j > i]
-
-
 def evaluate_model(W: np.ndarray, c: np.ndarray, Z: np.ndarray,
                    kind: str = FOURIER) -> np.ndarray:
     """Model predictions f#(z_j) = sum_k c_k phi(z_j, w_k) at the columns of Z.
 
     The test features are built and applied in the row blocks of
-    `_row_blocks`, so memory is O(block * N), not O(n_test * N); at sweep
-    sizes (N <= 500, n_test = 1000) that is a single block.  Block edges on
-    multiples of 8 rows, and no 1-row block, keep every row on the BLAS
-    kernel path of the one-shot product build_features(Z, W, kind) @ c: with
-    OpenBLAS the predictions equal it bit for bit when N is a multiple of 8.
+    `features.block_ranges`, so memory is that of one block, not
+    O(n_test * N): 8 test points at N = 15000.  Block edges on multiples of
+    8 rows, and no 1-row block, keep every row on the BLAS kernel path of the
+    one-shot product build_features(Z, W, kind) @ c: with OpenBLAS the
+    predictions equal it bit for bit when N is a multiple of 8.
     """
     values = np.asarray(c)
     W = np.asarray(W)
@@ -172,7 +155,7 @@ def evaluate_model(W: np.ndarray, c: np.ndarray, Z: np.ndarray,
     if Z.ndim != 2 or Z.shape[1] < 1:
         raise InvalidArgumentError("Z must be a d x n_test array with n_test >= 1")
     return np.concatenate([build_features(Z[:, i:j], W, kind) @ values
-                           for i, j in _row_blocks(Z.shape[1], W.shape[1])])
+                           for i, j in block_ranges(Z.shape[1], W.shape[1])])
 
 
 def _kernel(V1: np.ndarray, V2: np.ndarray, gamma: float, kind: str) -> np.ndarray:
@@ -197,11 +180,12 @@ def _kernel(V1: np.ndarray, V2: np.ndarray, gamma: float, kind: str) -> np.ndarr
 
 def _quadratic_form(W: np.ndarray, c: np.ndarray, gamma: float, kind: str) -> float:
     """c* K c over the kernel of the columns of W, built in the row blocks of
-    `_row_blocks`, so memory is O(block * N).  K is real and symmetric, so
-    c* K c = Re(c)^T K Re(c) + Im(c)^T K Im(c)."""
+    `features.block_ranges`, so memory is that of one block, not O(N^2); the
+    kernel of N <= 391 columns is a single block.  K is real and symmetric,
+    so c* K c = Re(c)^T K Re(c) + Im(c)^T K Im(c)."""
     C = np.stack([c.real, c.imag], axis=1)
     return sum(float(np.sum(C[i:j] * (_kernel(W[:, i:j], W, gamma, kind) @ C)))
-               for i, j in _row_blocks(W.shape[1], max(W.shape[1], 1)))
+               for i, j in block_ranges(W.shape[1], W.shape[1]))
 
 
 def _target_moments(target: TargetFunction, W: np.ndarray, gamma: float,

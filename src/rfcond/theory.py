@@ -27,6 +27,9 @@ LS_PREFACTOR = 16.0
 # bound 37.97, asymptotic 15.38), C-tilde of the min-norm risk bound, and C'
 # and C'' of the sparse-regression risk bound.
 C_TILDE1 = 37.97
+# eta1 at which the sparse-regression hypotheses take the universal constant:
+# the value used to reach the 4/sqrt(41) restricted isometry level.
+ETA1_BP = 0.4
 C_MIN_NORM = 16.0
 C_PRIME = 10.0
 C_DPRIME = 10.0
@@ -311,15 +314,13 @@ def bp_noise_parameter(epsilon: float, f_rho_norm: float, E_noise: float) -> flo
 
 
 def check_bp_conditions(m: int, N: int, s: int, d: int, gamma: float, sigma: float,
-                        delta: float, permissive: bool = False,
-                        eta1: float = 0.4) -> tuple[ConditionCheck, ...]:
-    """Hypotheses of the sparse-regression risk bound.  The universal constant
-    is evaluated at eta1 = 0.4, the value used to reach the 4/sqrt(41)
-    restricted isometry level."""
+                        delta: float, permissive: bool = False) -> tuple[ConditionCheck, ...]:
+    """Hypotheses of the sparse-regression risk bound, the universal constant
+    evaluated at eta1 = `ETA1_BP`."""
     _validate_delta(delta)
     if s < 1:
         raise InvalidArgumentError("s must be >= 1")
-    C = _universal(eta1, permissive)
+    C = _universal(ETA1_BP, permissive)
     lhs_main = m / math.log(3.0 * m)
     rhs_main = C * s * math.log(2.0 * s) ** 2 * math.log(N)
     lhs_sparse = _exp_power(2.0 * gamma**2 * sigma**2 + 1.0, 0.5 * d) / 105.0

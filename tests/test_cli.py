@@ -40,12 +40,17 @@ def test_target_parsing():
     assert kind == "gaussian_bump" and width == 1.5
     with pytest.raises(InvalidArgumentError):
         cli._parse_target("cosine:1")
+    for text in ("planted:abc", "planted:1.5", "bump:abc", "bump:"):
+        with pytest.raises(InvalidArgumentError, match="cannot parse target spec"):
+            cli._parse_target(text)
 
 
 def test_invalid_config_exits_2(capsys):
-    rc = cli.main(["sweep", "--n-grid", "50:10:5", "--out", "/tmp/unused"])
-    assert rc == cli.EXIT_CONFIG
-    assert "error" in capsys.readouterr().err
+    for flags, message in ((["--n-grid", "50:10:5"], "error"),
+                           (["--target", "planted:abc"], "cannot parse target spec 'planted:abc'")):
+        rc = cli.main(["sweep", *flags, "--out", "/tmp/unused"])
+        assert rc == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
 
 def test_validate_snr_noise_exits_2(tmp_path, capsys):

@@ -22,11 +22,11 @@ from rfcond.experiments import (
     run_spectrum_density,
     run_threshold_study,
 )
-from rfcond.features import build_features
+from rfcond.features import _BLOCK_ENTRIES, build_features
 from rfcond.io import json_report
 from rfcond.sampling import TAG_DATA, NoiseModel, gaussian_matrix, split_stream
 from rfcond.solvers import FLAG_SINGULAR_GRAM, FLAG_ZERO_FEASIBLE, CoefficientVector, Diagnostics
-from rfcond.spectral import _GRAM_BLOCK, gram_spectrum_via_svd, spectral_density
+from rfcond.spectral import gram_spectrum_via_svd, spectral_density
 from rfcond.targets import gaussian_bump_target
 from rfcond.theory import check_regime_conditions, risk_bound_ls, risk_bound_minnorm
 
@@ -290,8 +290,9 @@ def test_spectrum_density_entries():
 
 
 def test_spectrum_density_is_worker_independent_across_gram_blocks(monkeypatch):
-    # at m = 30, N = m log^3 m = 1180 sums its Gram over two blocks; trials=1
-    # spreads the three scalings over the workers
+    # at m = 60, N = m log^3 m = 4118 sums its Gram over two blocks of at most
+    # _BLOCK_ENTRIES // 60 = 2560 features; trials=1 spreads the three
+    # scalings over the workers
     pooled = []
 
     def recording(values):
@@ -302,10 +303,10 @@ def test_spectrum_density_is_worker_independent_across_gram_blocks(monkeypatch):
     for trials in (4, 1):
         pooled.clear()
         runs = [run_spectrum_density(ExperimentConfig(
-                    d=5, m=30, n_grid=(30,), trials=trials, seed=2, workers=workers,
+                    d=5, m=60, n_grid=(60,), trials=trials, seed=2, workers=workers,
                     scalings=("N=m", "N=m log^3 m", "m=N log N")))
                 for workers in (1, 4)]
-        assert runs[0][1].n > _GRAM_BLOCK
+        assert runs[0][1].n > _BLOCK_ENTRIES // 60
         assert all(np.array_equal(a, b) for a, b in zip(pooled[:3], pooled[3:]))
         for a, b in zip(*runs):
             assert (a.sv_min, a.sv_max, a.curve.bandwidth) == \

@@ -5,6 +5,7 @@ import pytest
 
 from rfcond.errors import InvalidArgumentError
 from rfcond.features import (
+    _BLOCK_ENTRIES,
     FOURIER,
     RELU,
     build_features,
@@ -13,7 +14,7 @@ from rfcond.features import (
 )
 from rfcond.experiments import random_features, random_inputs
 from rfcond.sampling import split_stream
-from rfcond.spectral import _GRAM_BLOCK, gram_spectrum_via_svd, singular_values
+from rfcond.spectral import gram_spectrum_via_svd, singular_values
 
 
 def test_zero_data_gives_all_ones():
@@ -127,10 +128,11 @@ def test_feature_construction_allocates_one_matrix_beyond_the_phase():
 
 
 def test_spectrum_from_features_holds_a_few_blocks_whatever_n():
-    # singular_values builds one block of _GRAM_BLOCK features at a time: its
-    # phase (8 bytes per entry), the features (16) and the conjugate the Gram
-    # product copies (16), so its peak stays under four complex blocks, not
-    # the 16 * m * N bytes of A (48 MB at N = 20000, 96 MB at N = 40000).
+    # singular_values builds one block of _BLOCK_ENTRIES entries (1024
+    # features at m = 150) at a time: its phase (8 bytes per entry), the
+    # features (16) and the conjugate the Gram product copies (16), so its
+    # peak stays under four complex blocks, not the 16 * m * N bytes of A
+    # (48 MB at N = 20000, 96 MB at N = 40000).
     m = 150
     peaks = []
     for n in (20_000, 40_000):
@@ -138,7 +140,7 @@ def test_spectrum_from_features_holds_a_few_blocks_whatever_n():
         peaks.append(_peak_bytes(
             lambda X, W: singular_values(features=(X, W, FOURIER), scale=np.sqrt(n)), X, W))
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
-    assert max(peaks) <= 4 * 16 * m * _GRAM_BLOCK
+    assert max(peaks) <= 4 * 16 * _BLOCK_ENTRIES
 
 
 def test_row_column_gram_symmetry_under_role_swap():

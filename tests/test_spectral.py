@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from rfcond import cli, spectral
 from rfcond.errors import EnumerationBudgetError, InvalidArgumentError, NumericalFailureError
 from rfcond.experiments import random_features, random_inputs
-from rfcond.features import FOURIER, RELU, build_features
+from rfcond.features import _BLOCK_ENTRIES, FOURIER, RELU, build_features
 from rfcond.sampling import split_stream
 from rfcond.spectral import (
-    _GRAM_BLOCK,
     _STACK,
     _SupportWalk,
     _norm_bound,
@@ -165,8 +164,12 @@ def test_one_block_gram_from_features_is_bitwise_the_gram_of_a(kind, m, n):
     assert np.array_equal(singular_values(features=(X, W, kind), scale=c), want)
 
 
+# 5120 features (or samples) per block when the shorter side of A is 30
+_BLOCK_AT_30 = _BLOCK_ENTRIES // 30
+
+
 @pytest.mark.parametrize("kind", [FOURIER, RELU])
-@pytest.mark.parametrize("m, n", [(30, 2 * _GRAM_BLOCK + 500), (2 * _GRAM_BLOCK + 500, 30)])
+@pytest.mark.parametrize("m, n", [(30, 2 * _BLOCK_AT_30 + 500), (2 * _BLOCK_AT_30 + 500, 30)])
 def test_gram_summed_over_blocks_agrees_with_the_svd(kind, m, n, monkeypatch):
     X, W, c = _feature_inputs(20, m, n, seed=7)
     A = build_features(X, W, kind) / c
@@ -176,7 +179,7 @@ def test_gram_summed_over_blocks_agrees_with_the_svd(kind, m, n, monkeypatch):
     sv = singular_values(features=(X, W, kind), scale=c)
     assert calls == []  # the summed Gram passed the gate
     # three blocks along the longer side, never A in full
-    assert [max(shape) for shape in shapes] == [_GRAM_BLOCK, _GRAM_BLOCK, 500]
+    assert [max(shape) for shape in shapes] == [_BLOCK_AT_30, _BLOCK_AT_30, 500]
     assert all(min(shape) == 30 for shape in shapes)
     assert np.all(np.abs(sv - oracle) <= 1e-13 * oracle)
 

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from rfcond import targets
 from rfcond.errors import InvalidArgumentError, NumericalFailureError, UnsupportedTargetError
-from rfcond.features import FOURIER, RELU, build_features
+from rfcond.features import _BLOCK_ENTRIES, FOURIER, RELU, build_features
 from rfcond.sampling import gaussian_matrix, split_stream
 from rfcond.solvers import best_s_term_error, least_squares, prune_top_s
 from rfcond.targets import (
@@ -73,6 +75,8 @@ def test_evaluate_model_zero_coefficients():
     Z = gaussian_matrix(2, 7, 1.0, split_stream(33, 1))
     preds = evaluate_model(W, np.zeros(5, dtype=complex), Z)
     assert np.all(preds == 0)
+    with pytest.raises(InvalidArgumentError):  # a model with no features
+        evaluate_model(W[:, :0], np.zeros(0), Z)
 
 
 def test_planted_target_matches_its_own_model():
@@ -105,9 +109,9 @@ def _instance(n_test, n_features, kind, d=12):
     return W, Z, c
 
 
-# n_test -> N: with N = 16384 the entry budget gives 64-row blocks, the block
+# n_test -> N: with N = 16384 the entry budget gives 8-row blocks, the block
 # height of the validate workload (N = 15000); n_test = 1000 takes a smaller N
-# to keep the one-shot reference small, and still gets four blocks.
+# to keep the one-shot reference small, and gets 32-row blocks.
 _BLOCKED_CASES = {1: 16384, 63: 16384, 64: 16384, 65: 16384, 129: 16384, 1000: 4096}
 
 
@@ -119,8 +123,8 @@ def test_evaluate_model_blocks_match_one_shot_bitwise(kind, n_test):
 
 
 @pytest.mark.parametrize("n_test, n_features, n_blocks",
-                         [(1, 15000, 1), (65, 15000, 2), (129, 15000, 3), (1000, 15000, 16),
-                          (1000, 500, 1), (17, 100000, 2)])
+                         [(1, 15000, 1), (65, 15000, 8), (129, 15000, 16), (1000, 15000, 125),
+                          (1000, 500, 4), (17, 16384, 2)])
 def test_evaluate_model_blocks_stay_in_budget_and_cover_z_once(monkeypatch, n_test,
                                                                 n_features, n_blocks):
     W, Z, c = _instance(n_test, n_features, RELU, d=2)
@@ -133,11 +137,26 @@ def test_evaluate_model_blocks_stay_in_budget_and_cover_z_once(monkeypatch, n_te
     monkeypatch.setattr(targets, "build_features", recording_build_features)
     assert evaluate_model(W, c, Z, RELU).shape == (n_test,)
     rows = [b.shape[1] for b in blocks]
-    assert all(r * n_features <= targets._BLOCK_ENTRIES for r in rows)
+    assert all(r * n_features <= _BLOCK_ENTRIES for r in rows)
     assert all(r % 8 == 0 for r in rows[:-1])
     assert rows[-1] > 1 or n_test == 1
     assert np.array_equal(np.hstack(blocks), Z)
     assert len(blocks) == n_blocks
+
+
+@pytest.mark.parametrize("kind", [FOURIER, RELU])
+def test_evaluate_model_memory_stays_within_a_few_blocks(kind):
+    # One block at a time: its phase (8 bytes per entry) and features (16 for
+    # Fourier), so the peak stays under three complex blocks, not the
+    # 16 * n_test * N bytes (240 MB) of the whole test-feature matrix.
+    W, Z, c = _instance(1000, 15000, kind)
+    tracemalloc.start()
+    try:
+        evaluate_model(W, c, Z, kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * _BLOCK_ENTRIES
 
 
 def test_risk_of_planted_model_on_its_own_target_is_zero():
