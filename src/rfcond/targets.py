@@ -20,11 +20,12 @@ Three families:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError, UnsupportedTargetError
-from .features import FOURIER, RELU, block_ranges, build_features
+from .features import _BLOCK_ENTRIES, FOURIER, RELU, block_ranges, build_features
 from .sampling import RngStream, gaussian_matrix
 
 KIND_LINEAR = "linear"
@@ -143,7 +144,12 @@ def evaluate_model(W: np.ndarray, c: np.ndarray, Z: np.ndarray,
     O(n_test * N): 8 test points at N = 15000.  Block edges on multiples of
     8 rows, and no 1-row block, keep every row on the BLAS kernel path of the
     one-shot product build_features(Z, W, kind) @ c: with OpenBLAS the
-    predictions equal it bit for bit when N is a multiple of 8.
+    predictions equal it bit for bit when N is a multiple of 8.  A block
+    whose rows hold more than _BLOCK_ENTRIES entries (8 rows of more than
+    19,200 features, or a last block of 9 rows of more than 17,066) is also
+    cut into column pieces of at most _BLOCK_ENTRIES // rows features whose
+    partial products are summed in order; its predictions agree with the
+    one-shot product to rounding, not bit for bit.
     """
     values = np.asarray(c)
     W = np.asarray(W)
@@ -154,8 +160,14 @@ def evaluate_model(W: np.ndarray, c: np.ndarray, Z: np.ndarray,
         )
     if Z.ndim != 2 or Z.shape[1] < 1:
         raise InvalidArgumentError("Z must be a d x n_test array with n_test >= 1")
-    return np.concatenate([build_features(Z[:, i:j], W, kind) @ values
-                           for i, j in block_ranges(Z.shape[1], W.shape[1])])
+
+    def predict(i: int, j: int) -> np.ndarray:
+        X, step = Z[:, i:j], _BLOCK_ENTRIES // (j - i)
+        # with no features one build still runs, so build_features rejects W
+        return reduce(np.add, (build_features(X, W[:, a:a + step], kind) @ values[a:a + step]
+                               for a in range(0, max(W.shape[1], 1), step)))
+
+    return np.concatenate([predict(i, j) for i, j in block_ranges(Z.shape[1], W.shape[1])])
 
 
 def _kernel(V1: np.ndarray, V2: np.ndarray, gamma: float, kind: str) -> np.ndarray:

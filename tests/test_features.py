@@ -85,8 +85,17 @@ def _bitwise_equal(a, b):
             and np.array_equal(np.signbit(a.view(np.float64)), np.signbit(b.view(np.float64))))
 
 
-@pytest.mark.parametrize("scale", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4])
-def test_features_equal_exp_and_maximum_bitwise(scale):
+def _within_an_ulp_of_long_double(A, phase):
+    # the features of a float64 phase against cos and sin of that same phase
+    # evaluated in long double: 2^-52 is one ulp at 1 (numpy's own exp reads
+    # about half of it)
+    exact = phase.astype(np.longdouble)
+    return (np.abs(A.real - np.cos(exact)).max() <= 2.0**-52
+            and np.abs(A.imag - np.sin(exact)).max() <= 2.0**-52)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4, 1e5])
+def test_features_match_long_double_and_maximum_bitwise(scale):
     gen = np.random.default_rng(11)
     d, n_points, n = 5, 96, 40
     Z = gen.normal(size=(d, n_points)) * scale
@@ -94,8 +103,34 @@ def test_features_equal_exp_and_maximum_bitwise(scale):
     # contiguous data, the column slices evaluate_model passes, a strided view
     for X in (Z, Z[:, 8:72], Z[:, 1:64], Z[:, ::3]):
         phase = X.T @ W
-        assert _bitwise_equal(fourier_features(X, W), np.exp(1j * phase))
+        assert _within_an_ulp_of_long_double(fourier_features(X, W), phase)
         assert _bitwise_equal(relu_features(X, W), np.maximum(0.0, phase))
+
+
+def test_fourier_features_equal_exp_where_the_phase_is_not_reduced():
+    # Below pi/4 the reduction leaves the phase as it is, and beyond
+    # 2^19 pi/2, at +-inf and at nan it is skipped: those entries equal
+    # exp(i * phase) bit for bit, also inside a chunk of reduced phases.
+    gen = np.random.default_rng(13)
+    quarter = np.pi / 4
+    unreduced = np.concatenate([
+        gen.uniform(-quarter, quarter, size=500), [0.0, -0.0, 1e-300, -5e-324],
+        np.nextafter([quarter, -quarter], 0.0),
+        [8.3e5, -1e6, 3.5e7, -1e15, 1e300, np.inf, -np.inf, np.nan]])
+    phase = gen.normal(scale=3.5, size=4096 + 300)
+    at = gen.choice(phase.size, size=unreduced.size, replace=False)
+    phase[at] = unreduced
+    X, W = phase[None, :], np.ones((1, 1))
+    with np.errstate(invalid="ignore"):
+        A = fourier_features(X, W)[:, 0]
+        want = np.exp(1j * phase)
+    got, want = A[at].view(np.float64), want[at].view(np.float64)
+    # nan is nan whatever its sign bit; every other bit must agree
+    number = ~np.isnan(want)
+    assert np.array_equal(np.isnan(got), ~number)
+    assert _bitwise_equal(got[number], want[number])
+    finite = np.isfinite(phase)
+    assert _within_an_ulp_of_long_double(A[finite], phase[finite])
 
 
 def test_integer_inputs_give_float_features():
@@ -103,7 +138,7 @@ def test_integer_inputs_give_float_features():
     X = np.array([[1, -1]])
     W = np.array([[-3]])
     assert relu_features(X, W).tolist() == [[0.0], [3.0]]
-    assert _bitwise_equal(fourier_features(X, W), np.exp(1j * np.array([[-3.0], [3.0]])))
+    assert _bitwise_equal(fourier_features(X, W), fourier_features(1.0 * X, 1.0 * W))
 
 
 def _peak_bytes(fn, X, W):

@@ -34,26 +34,26 @@ COMMANDS = {
 # command -> {output file name (or "stdout"): sha256}
 GOLDEN = {
     "sweep": {
-        "sweep.csv": "294a0bde1ba511e18aa7b3a50dd22582ba937e15eb3e728482a1fccdb98d5733",
+        "sweep.csv": "495ef0adf0cd66dbad53effd6568abcd61b648ca9490948ee0853b6f26ca3afb",
         "sweep.svg": "ca4513dd965b23c83bf1661751e10a604daf29944ccc26b0ad1afcd4630b7d34",
-        "sweep_summary.json": "e3d9171a777d4d001a1aef007ef3dd6706aa2e698a860ad9d44529e1dd477f1d",
+        "sweep_summary.json": "9e5a45970105685c454f7f8001a0d75f7e0eaaf5890b83a57be2485dc170ee2d",
     },
     "spectrum": {
-        "density.csv": "65e4a8c933fdcb6608c93322196c48921691dfb5e12e9648025af1f1400c34eb",
+        "density.csv": "ca9f074ddfe46e425768e329145a6dbd5f078dc1b56111ab53d38b747e09a604",
         "spectrum.svg": "3d43fcdaaf34ad29101f215fbd98c89759f04b835bafffc1cd76496997f7f73e",
-        "spectrum_summary.json": "acb532bb4bb7a6ba55a799d5a8bc314d644b19d26d57e504731db86b34f2854c",
+        "spectrum_summary.json": "507d8c6f7446519feb88390455ec26e335e7ae782d24215df61a18f7bf7b0e17",
     },
     "threshold": {
-        "threshold.json": "e65fa6cf2777af4adbc9acffedb2c5e783dfc42ad53eaee236c91f2945649737",
+        "threshold.json": "54f4548ac653a49a083d6c9e6fe57ba32f0c275479314530d95ebe9e12e40a1c",
     },
     "validate": {
-        "validate.json": "d667f43944626697a21b15e3c89abf33d3f71f3e86f1763e841eb6d8b2f49345",
+        "validate.json": "7ed590b2c5b0038b6808ae9008891ab5acd2dc906c5a3643b99223af48785550",
     },
     "theory": {
         "stdout": "7a294e1eb65e1848c877a3365c114d044f9c04c0d706a3f471e4c97b6042bb35",
     },
     "rip": {
-        "rip.json": "962992b3338745f24a5105d79354c6141023a8a4b16dcc36b02b0ebe0366caed",
+        "rip.json": "277d388f334613438b733394e966c39ab2b367f9231e4f5944319375df803841",
     },
 }
 

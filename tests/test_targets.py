@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -124,24 +125,36 @@ def test_evaluate_model_blocks_match_one_shot_bitwise(kind, n_test):
 
 @pytest.mark.parametrize("n_test, n_features, n_blocks",
                          [(1, 15000, 1), (65, 15000, 8), (129, 15000, 16), (1000, 15000, 125),
-                          (1000, 500, 4), (17, 16384, 2)])
+                          (1000, 500, 4), (17, 16384, 2), (17, 100000, 12)])
 def test_evaluate_model_blocks_stay_in_budget_and_cover_z_once(monkeypatch, n_test,
                                                                 n_features, n_blocks):
+    # (17, 100000): rows of 100,000 features outgrow the budget, so the row
+    # blocks of 8 and 9 are each cut into 6 column pieces
     W, Z, c = _instance(n_test, n_features, RELU, d=2)
     blocks = []
 
-    def recording_build_features(X, W, kind):
-        blocks.append(X)
-        return np.zeros((X.shape[1], W.shape[1]))
+    def recording_build_features(X, V, kind):
+        blocks.append((X, V))
+        return np.zeros((X.shape[1], V.shape[1]))
 
     monkeypatch.setattr(targets, "build_features", recording_build_features)
     assert evaluate_model(W, c, Z, RELU).shape == (n_test,)
-    rows = [b.shape[1] for b in blocks]
-    assert all(r * n_features <= _BLOCK_ENTRIES for r in rows)
+    assert all(X.shape[1] * V.shape[1] <= _BLOCK_ENTRIES for X, V in blocks)
+    # consecutive builds of the same test points make one row block
+    groups = [list(g) for _, g in groupby(blocks, lambda b: (b[0].ctypes.data, b[0].shape))]
+    rows = [g[0][0].shape[1] for g in groups]
     assert all(r % 8 == 0 for r in rows[:-1])
     assert rows[-1] > 1 or n_test == 1
-    assert np.array_equal(np.hstack(blocks), Z)
+    assert np.array_equal(np.hstack([g[0][0] for g in groups]), Z)
+    assert all(np.array_equal(np.hstack([V for _, V in g]), W) for g in groups)
     assert len(blocks) == n_blocks
+
+
+@pytest.mark.parametrize("kind", [FOURIER, RELU])
+def test_evaluate_model_sums_column_pieces_to_the_one_shot_product(kind):
+    W, Z, c = _instance(17, 100_000, kind)
+    got, want = evaluate_model(W, c, Z, kind), build_features(Z, W, kind) @ c
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("kind", [FOURIER, RELU])
