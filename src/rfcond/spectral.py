@@ -21,17 +21,21 @@ features at m = 150), built one at a time, and builds A in full only for
 the SVD; so the density study holds A only at m = N or when a Gram fails
 the gate.
 
-Restricted isometry constants are the one place that forms Grams of column
+Restricted isometry constants are the one place that reads Grams of column
 supports: delta_s is a maximum over column supports S of ||A_S* A_S - I||_2,
 and each s x s support Gram is small and well conditioned near I.  The exact
-enumeration also forms B = |A*A - I| (symmetrized), N x N, once per call, and
-skips every subtree of supports whose row-sum bound from B cannot reach a
-running threshold (`_SupportWalk`).  The supports it does not skip are
-evaluated in stacks of `_STACK`: each support Gram G gives the upper bound
-min(max row sum of |G|, ||G||_F) >= ||G||_2, a support whose bound is below
-the running maximum by more than a rounding margin skips the eigensolver, and
-the rest of the stack goes to one batched eigensolver call.  Both skips keep
-that margin, so the maximum is bit-for-bit the one full enumeration finds.
+enumeration forms H = (A*A - I) symmetrized and B = |H|, N x N, once per call,
+and skips every subtree of supports whose row-sum bound from B cannot reach a
+running threshold (`_SupportWalk`).  The supports it does not skip read their
+Grams from H, s^2 entries each; without H (s = 1, or a budget too small for
+the walk's tables) and for the randomized bound, each Gram is multiplied from
+its s x m column block.  The Grams are evaluated in stacks of `_STACK`
+(`_Leaves`): each gives the upper bound min(max row sum of |G|, ||G||_F) >=
+||G||_2, a support whose bound is below the running maximum by more than a
+rounding margin skips the eigensolver, and the rest are held until they fill
+one batched eigensolver call.  Both skips keep that margin, so the maximum is
+bit-for-bit the one a full enumeration of the same Grams finds; the two Gram
+sources differ by rounding only (see `_PRUNE_MARGIN`).
 """
 
 from __future__ import annotations
@@ -59,11 +63,16 @@ _STACK = 64  # supports per batched eigvalsh call
 # (backward stable), so a skipped support's computed deviation stays below best
 # while the margin exceeds a few s*eps*best: 1e-9 covers s up to ~10^6.  The
 # "1 +" keeps every support when best is at round-off level (s = 1).  The
-# exact enumeration skips a subtree by the same rule against its threshold;
-# the entries of B = |A*A - I| differ from those of the support Grams by at
-# most about m*eps*||a_i||*||a_j||, which the margin covers while
-# s*m*eps*max ||a_j||^2 stays below 1e-9 * (1 + threshold) (s*m up to ~10^6
-# for unit-norm columns).
+# exact enumeration skips a subtree by the same rule against its threshold.
+# Its leaves read their Grams from H, whose moduli are the entries of B = |H|,
+# so a subtree's bound and its leaves' row sums add the same numbers in other
+# orders: again within s*eps, which the margin covers.  (Leaves that multiplied
+# columns would differ from B by about m*eps*||a_i||*||a_j|| per entry, and
+# need s*m*eps*max ||a_j||^2 below the margin.)  H's own rounding moves the
+# value, not the skips: each entry of H and of a column-product Gram is within
+# about m*eps*||a_i||*||a_j|| of the exact a_i* a_j - [i = j], so by Weyl's
+# inequality delta_s from H and delta_s from columns differ by at most about
+# 2*s*m*eps*max(1, max ||a_j||^2).
 _PRUNE_MARGIN = 1e-9
 _BLOCK = 256  # support prefixes per block of the exact enumeration's walk
 _POWER_STEPS = 8  # power iterations behind the walk's seed threshold
@@ -81,13 +90,17 @@ class SpectralSummary:
 class RipEstimate:
     """delta_s as the maximum of ||A_S* A_S - I||_2 over `supports_evaluated`
     supports S.  The Gram G = A_S* A_S - I of `supports_gathered` of them was
-    formed (all of them for the randomized bound).  `supports_pruned` were
-    settled without an eigensolve: the exact enumeration skipped them with a
-    subtree whose row-sum bound from |A*A - I| lay below its threshold, or
-    their own bound min(max row sum of |G|, ||G||_F) lay below the running
-    maximum, in both cases by more than the rounding margin
-    `_PRUNE_MARGIN * (1 + threshold)`.  So they could not change `value`,
-    which is bit-for-bit the maximum over every support."""
+    read (all of them for the randomized bound): from H = (A*A - I)
+    symmetrized where the exact enumeration has formed H (every s >= 2 unless
+    the budget is too small for its tables), else from the s x m column block
+    of S.  `supports_pruned` were settled without an eigensolve: the exact
+    enumeration skipped them with a subtree whose row-sum bound from |H| lay
+    below its threshold, or their own bound min(max row sum of |G|, ||G||_F)
+    lay below the running maximum, in both cases by more than the rounding
+    margin `_PRUNE_MARGIN * (1 + threshold)`.  So they could not change
+    `value`, which is bit-for-bit the maximum over every support of the Grams
+    from the same source (see `_PRUNE_MARGIN` for how far the sources
+    differ)."""
 
     s: int
     value: float
@@ -197,33 +210,58 @@ def _norm_bound(G: np.ndarray) -> np.ndarray:
     return np.minimum(a.sum(axis=-1).max(axis=-1), np.sqrt((a * a).sum(axis=(-2, -1))))
 
 
-def _max_deviation(M: np.ndarray, supports: np.ndarray, best: float) -> tuple[float, int]:
-    """max(best, || A_S* A_S - I ||_2 over the rows S of the (B, s) index
-    array `supports`) and the number of supports whose norm bound settles them
-    below the running maximum without an eigensolve.  The supports are taken in
-    order, `_STACK` at a time; the rest of each stack goes to one batched
-    eigendecomposition of their s x s support Grams."""
-    pruned = 0
-    for lo in range(0, len(supports), _STACK):
-        sub = M.T[supports[lo:lo + _STACK]]  # (B, s, m): sub[b] = A_S^T for S = supports[b]
-        with np.errstate(all="ignore"):  # a non-finite Gram fails below, not with a warning
-            G = sub.conj() @ np.swapaxes(sub, -1, -2)
-            G -= np.eye(supports.shape[1])
-            G = 0.5 * (G + np.swapaxes(G, -1, -2).conj())
-            keep = ~(_norm_bound(G) + _PRUNE_MARGIN * (1.0 + best) < best)  # a NaN bound is kept
-        n_keep = int(keep.sum())
-        pruned += len(keep) - n_keep
-        if n_keep == 0:
-            continue
+class _Leaves:
+    """Running maximum `best` of ||G||_2 over the support Grams G of the
+    supports passed to `add`, as (B, s) index arrays.  G is read from H =
+    (A*A - I) symmetrized when H is given, and is otherwise (G + G*)/2 with
+    G = A_S* A_S - I formed from the s x m column block of M.  The supports
+    are taken in order, `_STACK` at a time; a support whose norm bound lies
+    below `best` by more than the rounding margin is `pruned` without an
+    eigensolve, and the Grams of the rest are held until `_STACK` of them fill
+    one batched eigensolver call.  So only the last call, from `finish`, can
+    be partial."""
+
+    def __init__(self, M: np.ndarray, H: np.ndarray | None = None):
+        self.M, self.H = M, H
+        self.best = 0.0
+        self.pruned = 0
+        self.held = None  # Grams waiting for a full stack
+
+    def grams(self, supports: np.ndarray) -> np.ndarray:
+        if self.H is not None:
+            return self.H[supports[:, :, None], supports[:, None, :]]
+        sub = self.M.T[supports]  # (B, s, m): sub[b] = A_S^T for S = supports[b]
+        G = sub.conj() @ np.swapaxes(sub, -1, -2)
+        G -= np.eye(supports.shape[1])
+        return 0.5 * (G + np.swapaxes(G, -1, -2).conj())
+
+    def add(self, supports: np.ndarray) -> None:
+        for lo in range(0, len(supports), _STACK):
+            with np.errstate(all="ignore"):  # a non-finite Gram fails below, not with a warning
+                G = self.grams(supports[lo:lo + _STACK])
+                best = self.best
+                keep = ~(_norm_bound(G) + _PRUNE_MARGIN * (1.0 + best) < best)  # NaN is kept
+            self.pruned += len(keep) - int(keep.sum())
+            self.held = G[keep] if self.held is None else np.concatenate([self.held, G[keep]])
+            if len(self.held) >= _STACK:
+                self._solve(self.held[:_STACK])
+                self.held = self.held[_STACK:]
+
+    def finish(self) -> float:
+        if self.held is not None and len(self.held):
+            self._solve(self.held)
+        self.held = None
+        return self.best
+
+    def _solve(self, G: np.ndarray) -> None:
         try:
-            eigs = np.linalg.eigvalsh(G[keep])
+            eigs = np.linalg.eigvalsh(G)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
         dev = float(np.maximum(-eigs[:, 0], eigs[:, -1]).max())
         if not np.isfinite(dev):
             raise NumericalFailureError("support Gram has non-finite eigenvalues")
-        best = max(best, dev)
-    return best, pruned
+        self.best = max(self.best, dev)
 
 
 def _top_sums(B: np.ndarray, depth: int) -> np.ndarray:
@@ -281,17 +319,19 @@ class _SupportWalk:
     `_seed_threshold` and the maximum found so far; a NaN bound never skips.
     The top-k tables cost `depth` * N^2 entries, B another N^2: lengths whose
     k exceeds `depth`, the most the budget allows, are not bounded.  Each
-    block of complete supports goes to `_max_deviation`, which raises the
-    running maximum `best`; the walk counts the supports it `gathered` and
-    those of them their own norm bound `pruned`."""
+    block of complete supports goes to the `leaves`, which read its Grams from
+    H (from the columns of M when depth is 0 and H is not formed) and raise
+    the running maximum; the walk counts the supports it `gathered`.  The
+    maximum counts only the stacks eigensolved so far, so the threshold can
+    lag the supports gathered by less than one stack."""
 
     def __init__(self, M: np.ndarray, s: int, budget: int):
         n = M.shape[1]
         self.s, self.n = s, n
         self.depth = max(0, min(s - 1, budget // (n * n) - 1))
-        self.M = M
-        self.threshold = self.best = 0.0
-        self.gathered = self.pruned = 0
+        self.threshold = 0.0
+        self.gathered = 0
+        H = None
         if self.depth:
             with np.errstate(all="ignore"):  # non-finite entries give NaN bounds, kept
                 H = M.conj().T @ M
@@ -300,6 +340,7 @@ class _SupportWalk:
                 self.B = np.abs(H)
                 self.tables = _top_sums(self.B, self.depth)
                 self.threshold = _seed_threshold(H, self.B, s)
+        self.leaves = _Leaves(M, H)
 
     def descend(self, prefixes: np.ndarray, rows: np.ndarray | None) -> None:
         """Visit every support extending a row of `prefixes`, one block of
@@ -315,12 +356,11 @@ class _SupportWalk:
             child = last[parent] + 1 + f - (ends[parent] - counts[parent])
             kids = np.column_stack([prefixes[parent], child])
             if j + 1 == self.s:
-                self.best, pruned = _max_deviation(self.M, kids, self.best)
+                self.leaves.add(kids)
                 self.gathered += len(kids)
-                self.pruned += pruned
                 continue
             kid_rows = None if rows is None else rows[parent] + self.B[child]
-            threshold = max(self.threshold, self.best)
+            threshold = max(self.threshold, self.leaves.best)
             bound = self.prefix_bound(kids, kid_rows)
             keep = ~(bound + _PRUNE_MARGIN * (1.0 + threshold) < threshold)  # NaN is kept
             if keep.any():
@@ -340,6 +380,7 @@ class _SupportWalk:
     def run(self) -> _SupportWalk:
         self.descend(np.empty((1, 0), dtype=np.intp),
                      np.zeros((1, self.n)) if self.depth else None)
+        self.leaves.finish()
         return self
 
 
@@ -360,9 +401,9 @@ def rip_constant_exact(A_normalized: np.ndarray, s: int,
             "use rip_constant_lower_mc for a randomized lower bound"
         )
     walk = _SupportWalk(M, s, budget).run()
-    return RipEstimate(s=s, value=walk.best, method="exact_enumeration",
+    return RipEstimate(s=s, value=walk.leaves.best, method="exact_enumeration",
                        supports_evaluated=total,
-                       supports_pruned=total - walk.gathered + walk.pruned,
+                       supports_pruned=total - walk.gathered + walk.leaves.pruned,
                        supports_gathered=walk.gathered)
 
 
@@ -386,9 +427,10 @@ def rip_constant_lower_mc(A_normalized: np.ndarray, s: int, trials: int,
     for _ in range(trials):
         cols = np.sort(gen.choice(n, size=s, replace=False))
         distinct.setdefault(cols.tobytes(), cols)
-    best, pruned = _max_deviation(M, np.array(list(distinct.values())), 0.0)
-    return RipEstimate(s=s, value=best, method="randomized_lower_bound",
-                       supports_evaluated=len(distinct), supports_pruned=pruned,
+    leaves = _Leaves(M)
+    leaves.add(np.array(list(distinct.values())))
+    return RipEstimate(s=s, value=leaves.finish(), method="randomized_lower_bound",
+                       supports_evaluated=len(distinct), supports_pruned=leaves.pruned,
                        supports_gathered=len(distinct))
 
 

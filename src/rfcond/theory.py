@@ -42,11 +42,13 @@ MODE_STRICT = "strict"
 MODE_PERMISSIVE = "permissive"
 
 
-def _exp_power(base: float, exponent: float) -> float:
-    """base**exponent for base >= 1 without OverflowError (saturates to inf)."""
-    if base < 1.0:
-        return base**exponent
-    t = exponent * math.log(base)
+def _overlap_power(c: float, gamma: float, sigma: float, exponent: float) -> float:
+    """(c gamma^2 sigma^2 + 1)^exponent without OverflowError (saturates to
+    inf).  Every bound takes gamma, sigma and d through it: c = 2 with
+    exponent -d/2 is `beta_overlap` (+d/2 its inverse, in the uncertainty
+    conditions), and c = 4 with exponent -d/4 is the square-threshold level of
+    lambda_min."""
+    t = exponent * math.log(c * gamma**2 * sigma**2 + 1.0)
     if t > 700.0:
         return math.inf
     return math.exp(t)
@@ -88,7 +90,7 @@ def beta_overlap(gamma: float, sigma: float, d: int) -> float:
         raise InvalidArgumentError("gamma and sigma must be non-negative")
     if d < 1:
         raise InvalidArgumentError("d must be a positive integer")
-    return _exp_power(2.0 * gamma**2 * sigma**2 + 1.0, -0.5 * d)
+    return _overlap_power(2.0, gamma, sigma, -0.5 * d)
 
 
 def eig_band(eta: float) -> tuple[float, float]:
@@ -134,8 +136,7 @@ def interpolation_expectation_bounds(N: int, gamma: float, sigma: float,
     bound on E lambda_max of (1/N) A* A."""
     if N < 2:
         raise InvalidArgumentError("N must be >= 2")
-    lam_min_upper = (math.sqrt(1.0 - 1.0 / N)
-                     * _exp_power(4.0 * gamma**2 * sigma**2 + 1.0, -0.25 * d)
+    lam_min_upper = (math.sqrt(1.0 - 1.0 / N) * _overlap_power(4.0, gamma, sigma, -0.25 * d)
                      + 1.0 / N)
     lam_max_lower = 2.0 - 1.0 / N
     return lam_min_upper, lam_max_lower
@@ -146,7 +147,7 @@ def markov_min_eig_threshold(N: int, gamma: float, sigma: float, d: int) -> floa
     N^(-1/2) at the square threshold."""
     if N < 2:
         raise InvalidArgumentError("N must be >= 2")
-    return _exp_power(4.0 * gamma**2 * sigma**2 + 1.0, -0.25 * d) + N ** (-0.5)
+    return _overlap_power(4.0, gamma, sigma, -0.25 * d) + N ** (-0.5)
 
 
 def _validate_delta(delta: float) -> None:
@@ -221,7 +222,7 @@ def check_regime_conditions(m: int, N: int, d: int, gamma: float, sigma: float,
     rhs_simplified = C * eta**-2 * small * math.log(small) ** 3
     rhs_tight = (C * eta**-2 * small * math.log(small) ** 2
                  * math.log(3.0 + small / (9.0 * math.log(2.0 * big))))
-    lhs_unc = (eta / 20.0) * _exp_power(2.0 * gamma**2 * sigma**2 + 1.0, 0.5 * d)
+    lhs_unc = (eta / 20.0) * _overlap_power(2.0, gamma, sigma, 0.5 * d)
 
     conditions = (
         ConditionCheck("sample_complexity_simplified", lhs_main, rhs_simplified,
@@ -323,7 +324,7 @@ def check_bp_conditions(m: int, N: int, s: int, d: int, gamma: float, sigma: flo
     C = _universal(ETA1_BP, permissive)
     lhs_main = m / math.log(3.0 * m)
     rhs_main = C * s * math.log(2.0 * s) ** 2 * math.log(N)
-    lhs_sparse = _exp_power(2.0 * gamma**2 * sigma**2 + 1.0, 0.5 * d) / 105.0
+    lhs_sparse = _overlap_power(2.0, gamma, sigma, 0.5 * d) / 105.0
     floor = _exp_neg(math.log(2.0 * s) ** 2 * math.log(3.0 * m) * math.log(N))
     return (
         ConditionCheck("sample_complexity", lhs_main, rhs_main, lhs_main >= rhs_main),

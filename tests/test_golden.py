@@ -53,7 +53,7 @@ GOLDEN = {
         "stdout": "7a294e1eb65e1848c877a3365c114d044f9c04c0d706a3f471e4c97b6042bb35",
     },
     "rip": {
-        "rip.json": "277d388f334613438b733394e966c39ab2b367f9231e4f5944319375df803841",
+        "rip.json": "d4ac8e428c751c977d3d9c49cec63d8fe6459944a6ee65569c28236346685c22",
     },
 }
 

@@ -294,19 +294,36 @@ def test_rip_invariant_under_column_permutation():
         assert rip_constant_exact(An[:, perm], 3).value == pytest.approx(base, abs=1e-12)
 
 
-def _loop_support_deviation(M, cols):
-    """The per-support reference: one Gram and one eigvalsh call per support."""
+def _h_matrix(M):
+    """H = (A*A - I + (A*A - I)*)/2, formed as the exact walk forms it."""
+    H = M.conj().T @ M
+    H[np.diag_indices_from(H)] -= 1.0
+    return 0.5 * (H + H.conj().T)
+
+
+def _column_gram(M, cols):
+    """The support Gram (G + G*)/2, G = A_S* A_S - I, from the columns of S."""
     sub = M[:, cols]
     G = sub.conj().T @ sub
     G[np.diag_indices_from(G)] -= 1.0
-    eigs = np.linalg.eigvalsh(0.5 * (G + G.conj().T))
+    return 0.5 * (G + G.conj().T)
+
+
+def _loop_support_deviation(M, cols, H=None):
+    """The per-support reference: one Gram and one eigvalsh call per support.
+    The Gram is read from H when it is given, and formed from columns if not."""
+    G = _column_gram(M, cols) if H is None else H[np.ix_(cols, cols)]
+    eigs = np.linalg.eigvalsh(G)
     return float(max(-eigs[0], eigs[-1]))
 
 
-def _loop_rip_exact(M, s):
+def _loop_rip_exact(M, s, from_h=None):
+    """Full enumeration with the exact walk's Gram source: H when its tables
+    get a depth (s >= 2 at the default budget), the columns when not."""
+    H = _h_matrix(M) if (s > 1 if from_h is None else from_h) else None
     best = 0.0
     for cols in combinations(range(M.shape[1]), s):
-        best = max(best, _loop_support_deviation(M, np.asarray(cols)))
+        best = max(best, _loop_support_deviation(M, np.asarray(cols), H))
     return best
 
 
@@ -356,17 +373,22 @@ def _recording_eigvalsh(monkeypatch):
     return stacks
 
 
-_CALL_CASES = [(8, 1), (8, 3), (_STACK, 1), (_STACK + 1, 1), (12, 4), (14, 5)]
+# (N, s, seed).  Near s = N the walk reaches many small leaf blocks: evaluated one
+# block at a time, (14, 11) and (18, 15) at seed 9 took 7 and 15 calls against 6
+# and 13 stacks.
+_CALL_CASES = [(8, 1, 21), (8, 3, 21), (_STACK, 1, 21), (_STACK + 1, 1, 21), (12, 4, 21),
+               (14, 5, 21), (14, 11, 9), (18, 15, 9)]
 
 
-@pytest.mark.parametrize("n, s, method", [
-    *(pytest.param(n, s, "exact", id=f"{n}-{s}") for n, s in _CALL_CASES),
-    *(pytest.param(n, s, "mc", id=f"{n}-{s}-mc") for n, s in _CALL_CASES)])
-def test_rip_enumeration_makes_one_eigvalsh_call_per_stack(n, s, method, monkeypatch):
-    # At most one call per stack: supports the norm bound settles are not eigensolved.
-    # The exact count is over all C(n, s) supports, the randomized one over the
-    # distinct supports drawn.
-    An = _random_fourier(2, 30, n, 21) / np.sqrt(30)
+@pytest.mark.parametrize("n, s, seed, method", [
+    *(pytest.param(n, s, seed, "exact", id=f"{n}-{s}") for n, s, seed in _CALL_CASES),
+    *(pytest.param(n, s, seed, "mc", id=f"{n}-{s}-mc") for n, s, seed in _CALL_CASES)])
+def test_rip_enumeration_makes_one_eigvalsh_call_per_stack(n, s, seed, method, monkeypatch):
+    # At most one call per stack: supports the norm bound settles are not eigensolved,
+    # and the rest fill full stacks, carried across leaf blocks, so only the last
+    # call can be partial.  The exact count is over all C(n, s) supports, the
+    # randomized one over the distinct supports drawn.
+    An = _random_fourier(2, 30, n, seed) / np.sqrt(30)
     stacks = _recording_eigvalsh(monkeypatch)
     if method == "exact":
         est = rip_constant_exact(An, s)
@@ -374,7 +396,7 @@ def test_rip_enumeration_makes_one_eigvalsh_call_per_stack(n, s, method, monkeyp
     else:
         est = rip_constant_lower_mc(An, s, 3 * _STACK, split_stream(21, s))
     assert len(stacks) <= ceil(est.supports_evaluated / _STACK)
-    assert max(stacks) <= _STACK
+    assert max(stacks) <= _STACK and set(stacks[:-1]) <= {_STACK}
     assert sum(stacks) + est.supports_pruned == est.supports_evaluated
     assert (n, s) not in [(12, 4), (14, 5)] or est.supports_pruned > 0
 
@@ -487,13 +509,10 @@ def test_rip_walk_matches_per_support_loop_bitwise(kind, n, tie, seed):
         assert est.supports_gathered <= comb(n, s) <= est.supports_pruned + est.supports_gathered
 
 
-def _leaf_bounds(M, B, S):
+def _leaf_bounds(H, B, S):
     """Per-support bounds of support S: the max row sum of B's S x S block,
-    and `_norm_bound` of the support Gram the leaves form."""
-    sub = M[:, S]
-    G = sub.conj().T @ sub - np.eye(len(S))
-    G = 0.5 * (G + G.conj().T)
-    return B[np.ix_(S, S)].sum(axis=1).max(), _norm_bound(G[None])[0]
+    and `_norm_bound` of the support Gram the leaves read from H."""
+    return B[np.ix_(S, S)].sum(axis=1).max(), _norm_bound(H[np.ix_(S, S)][None])[0]
 
 
 @pytest.mark.parametrize("scaled", [False, True])
@@ -505,13 +524,14 @@ def test_prefix_bound_is_at_least_every_completions_row_sum_bound(scaled):
         M = A * (np.logspace(-3, 3, n) / np.linalg.norm(A, axis=0))
     walk = _SupportWalk(M, s, 10**6)
     assert walk.depth == s - 1
+    H = _h_matrix(M)
     checked = 0
     for j in range(1, s):
         for prefix in combinations(range(n - s + j), j):
             rows = walk.B[list(prefix)].sum(axis=0)
             bound = walk.prefix_bound(np.array([prefix]), rows[None])[0]
             for rest in combinations(range(prefix[-1] + 1, n), s - j):
-                row_sum, leaf = _leaf_bounds(M, walk.B, np.array(prefix + rest))
+                row_sum, leaf = _leaf_bounds(H, walk.B, np.array(prefix + rest))
                 assert max(row_sum, leaf) <= bound * (1 + 1e-12), (prefix, rest)
                 checked += 1
     assert checked > comb(n, s)
@@ -561,15 +581,37 @@ def test_rip_walk_edge_sizes(kind):
 
 
 def test_rip_walk_bounds_only_the_lengths_its_tables_fit_in_the_budget():
-    # N = 12, s = 3: B and the tables hold (1 + depth) * 144 entries
+    # N = 12, s = 3: B and the tables hold (1 + depth) * 144 entries.  At depth 0
+    # no H is formed and the leaves multiply columns.
     M = _random_fourier(2, 30, 12, 40) / np.sqrt(30)
-    ref = _loop_rip_exact(M, 3)
     for budget, depth in [(comb(12, 3), 0), (300, 1), (10**6, 2)]:
         assert _SupportWalk(M, 3, budget).depth == depth
         est = rip_constant_exact(M, 3, budget)
-        assert est.value == ref
+        assert est.value == _loop_rip_exact(M, 3, from_h=depth > 0)
         assert depth or est.supports_gathered == comb(12, 3)
     assert est.supports_gathered < comb(12, 3)
+
+
+@pytest.mark.parametrize("kind, d, m, norms", [
+    pytest.param(FOURIER, 10, 300, None, id="fourier-delta-below-1"),
+    pytest.param(FOURIER, 2, 30, None, id="fourier"),
+    pytest.param(RELU, 3, 30, None, id="relu"),
+    pytest.param(RELU, 3, 30, (-3, 3), id="relu-norms-1e-3-to-1e3")])
+def test_rip_from_h_is_within_the_rounding_tolerance_of_columns(kind, d, m, norms):
+    # Both Grams of a support are within about m*eps*||a_i||*||a_j|| per entry of
+    # the exact one, so delta_s moves by at most 2*s*m*eps*max(1, max ||a_j||^2).
+    n = 12
+    _, _, A = random_features(d, m, n, 1.0, 1.0, split_stream(43, d), kind)
+    M = A / np.sqrt(m)
+    if norms is not None:
+        M = A * (np.logspace(*norms, n) / np.linalg.norm(A, axis=0))
+    max_sq = max(1.0, float((np.abs(M) ** 2).sum(axis=0).max()))
+    for s in range(2, 6):
+        est = rip_constant_exact(M, s)
+        assert est.value == _loop_rip_exact(M, s, from_h=True)
+        columns = _loop_rip_exact(M, s, from_h=False)
+        assert abs(est.value - columns) <= 2 * s * m * np.finfo(float).eps * max_sq, s
+    assert d != 10 or est.value < 1  # delta_5 < 1, the regime of the paper's RIP argument
 
 
 def test_rip_budget_error_comes_before_the_walk(monkeypatch):
