@@ -237,8 +237,7 @@ def _train_and_test(config: ExperimentConfig, target: TargetFunction, pipeline: 
     else:  # the residual of the pruned model, not of the BPDN solution
         fit = bpdn(A, y, xi, config.tol)
         c = prune_top_s(fit.values, s)
-        coeff = CoefficientVector(c, replace(fit.diagnostics,
-                                             residual_norm=float(np.linalg.norm(A @ c - y))))
+        coeff = replace(fit, values=c, residual_norm=float(np.linalg.norm(A @ c - y)))
     nnz = int(np.count_nonzero(coeff.values))
     if nnz * nnz <= config.n_test * W.shape[1]:
         value = population_risk(target, W, coeff.values, config.gamma, config.feature_kind)
@@ -276,15 +275,15 @@ def _sweep_cell(config: ExperimentConfig, target: TargetFunction, n: int,
     # singular values of the fit's own factorization of A.
     pipeline = "least_squares" if n < config.m else "min_norm"
     coeff, risk, noise = _train_and_test(config, target, pipeline, X, W, A, stream)
-    spec = gram_spectrum_via_svd(A, coeff.diagnostics.singular_values)
+    spec = gram_spectrum_via_svd(A, coeff.singular_values)
     bound = (_risk_bound(config, pipeline, n, target.rho_norm, noise.bound).value
              if config.compute_bounds and n != config.m else None)
     return SweepRow(N=n, m=config.m, d=config.d, trial=trial,
                     cond_number=spec.cond_number,
                     lambda_min=spec.lambda_min, lambda_max=spec.lambda_max,
-                    train_residual=coeff.diagnostics.residual_norm,
+                    train_residual=coeff.residual_norm,
                     empirical_risk=risk.value, risk_method=risk.method,
-                    bound_value=bound, flags=";".join(coeff.diagnostics.flags))
+                    bound_value=bound, flags=";".join(coeff.flags))
 
 
 def _rescale_unit(values: np.ndarray) -> np.ndarray:
@@ -502,20 +501,19 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
         X, W, A = random_features(config.d, config.m, n, config.gamma, config.sigma,
                                   stream, FOURIER)
         coeff, risk, _ = _train_and_test(config, target, name, X, W, A, stream, xi, s)
-        if FLAG_SINGULAR_GRAM in coeff.diagnostics.flags:
+        if FLAG_SINGULAR_GRAM in coeff.flags:
             raise NumericalFailureError(
                 "row Gram AA* is numerically singular; interpolation unavailable")
         theta = (best_s_term_error(best_phi_coeffs(target, W), s, 1)
                  if name == "bpdn_pruned" else None)
         bound = _risk_bound(config, name, n, rho, E, s, eps, theta).value
-        diag = coeff.diagnostics
         return {"trial": t, "empirical_risk": risk.value, "risk_se": risk.se,
                 "risk_method": risk.method, "bound_value": bound,
                 "covered": bool(risk.value <= bound),
-                "train_residual": diag.residual_norm,
+                "train_residual": coeff.residual_norm,
                 "nnz": int(np.count_nonzero(coeff.values)),
-                "iterations": diag.iterations, "duality_gap": diag.duality_gap,
-                "flags": list(diag.flags)}, theta
+                "iterations": coeff.iterations, "duality_gap": coeff.duality_gap,
+                "flags": list(coeff.flags)}, theta
 
     pipelines = []
     for (name, n, s, eps, _), results in zip(cells, _map_cells(one_trial, cells, config)):

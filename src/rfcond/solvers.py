@@ -1,9 +1,11 @@
 """Training rules for random feature coefficients.
 
-Least squares and min-norm interpolation go through SVD-based solves (the
-pseudoinverse path), ridge through the shifted normal equations on the smaller
-Gram, and basis pursuit denoising through a primal-dual splitting scheme with
-complex soft-thresholding certified by an explicit duality gap.
+Least squares and min-norm interpolation share one SVD solve, `_pinv_fit`,
+which flags a pseudoinverse fit where np.linalg.lstsq ranks A below min(m, N);
+ridge goes through the shifted normal equations on the smaller Gram, and basis
+pursuit denoising through a primal-dual splitting scheme with complex
+soft-thresholding certified by an explicit duality gap.  Every fit is one
+`CoefficientVector`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ FLAG_ZERO_FEASIBLE = "zero_feasible_no_iterations"
 
 
 @dataclass(frozen=True)
-class Diagnostics:
+class CoefficientVector:
+    values: np.ndarray
     residual_norm: float = 0.0
     iterations: int = 0
     duality_gap: float | None = None
@@ -33,12 +36,6 @@ class Diagnostics:
     # Ascending singular values of A from the least-squares solve, so that a
     # caller needing A's spectrum does not factor A again.
     singular_values: np.ndarray | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class CoefficientVector:
-    values: np.ndarray
-    diagnostics: Diagnostics = field(default_factory=Diagnostics)
 
 
 def _as_matrix_vector(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -63,6 +60,14 @@ def _lstsq(A: np.ndarray, y: np.ndarray):
         raise NumericalFailureError(f"least-squares solve failed: {exc}") from exc
 
 
+def _pinv_fit(A: np.ndarray, y: np.ndarray, flag: str) -> CoefficientVector:
+    """Minimal-norm least-squares solution, flagged `flag` when lstsq ranks A
+    below min(m, N): it counts sigma <= eps max(m, N) sigma_max as zero."""
+    c, _, rank, sv = _lstsq(A, y)
+    flags = () if rank == min(A.shape) else (flag,)
+    return CoefficientVector(c, _residual_norm(A, c, y), flags=flags, singular_values=sv[::-1])
+
+
 def least_squares(A: np.ndarray, y: np.ndarray) -> CoefficientVector:
     """argmin ||Ac - y||_2 for m >= N via SVD; falls back to the minimal-norm
     pseudoinverse solution (flagged) when A is numerically rank-deficient."""
@@ -70,11 +75,7 @@ def least_squares(A: np.ndarray, y: np.ndarray) -> CoefficientVector:
     m, n = A.shape
     if m < n:
         raise InvalidArgumentError(f"least_squares requires m >= N, got {m} < {n}")
-    c, _, rank, sv = _lstsq(A, y)
-    flags = () if rank == n else ("rank_deficient_pseudoinverse",)
-    diag = Diagnostics(residual_norm=_residual_norm(A, c, y), flags=flags,
-                       singular_values=sv[::-1])
-    return CoefficientVector(c, diag)
+    return _pinv_fit(A, y, "rank_deficient_pseudoinverse")
 
 
 def min_norm_interpolate(A: np.ndarray, y: np.ndarray) -> CoefficientVector:
@@ -86,11 +87,7 @@ def min_norm_interpolate(A: np.ndarray, y: np.ndarray) -> CoefficientVector:
     m, n = A.shape
     if m > n:
         raise InvalidArgumentError(f"min_norm_interpolate requires m <= N, got {m} > {n}")
-    c, _, rank, sv = _lstsq(A, y)
-    flags = () if rank == m else (FLAG_SINGULAR_GRAM,)
-    diag = Diagnostics(residual_norm=_residual_norm(A, c, y), flags=flags,
-                       singular_values=sv[::-1])
-    return CoefficientVector(c, diag)
+    return _pinv_fit(A, y, FLAG_SINGULAR_GRAM)
 
 
 def ridge(A: np.ndarray, y: np.ndarray, lam: float) -> CoefficientVector:
@@ -109,8 +106,7 @@ def ridge(A: np.ndarray, y: np.ndarray, lam: float) -> CoefficientVector:
     else:
         G = A @ A.conj().T + m * lam * np.eye(m)
         c = A.conj().T @ np.linalg.solve(G, y)
-    diag = Diagnostics(residual_norm=_residual_norm(A, c, y))
-    return CoefficientVector(c, diag)
+    return CoefficientVector(c, _residual_norm(A, c, y))
 
 
 def _soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
@@ -156,9 +152,8 @@ def bpdn(A: np.ndarray, y: np.ndarray, xi: float, tolerance: float = 1e-6,
     radius = xi * np.sqrt(m)
 
     if np.linalg.norm(y) <= radius:
-        diag = Diagnostics(residual_norm=float(np.linalg.norm(y)), iterations=0,
-                           duality_gap=0.0, flags=(FLAG_ZERO_FEASIBLE,))
-        return CoefficientVector(np.zeros(n, dtype=np.complex128), diag)
+        return CoefficientVector(np.zeros(n, dtype=np.complex128), float(np.linalg.norm(y)),
+                                 duality_gap=0.0, flags=(FLAG_ZERO_FEASIBLE,))
 
     c_feas, _, _, sv = _lstsq(A, y)
     min_residual = float(np.linalg.norm(A @ c_feas - y))
@@ -173,8 +168,7 @@ def bpdn(A: np.ndarray, y: np.ndarray, xi: float, tolerance: float = 1e-6,
     u = np.zeros(m, dtype=np.complex128)
     if opnorm == 0.0:  # A = 0, where PDHG has no step size
         _, gap = _bpdn_gap(A, y, radius, c, u)
-        diag = Diagnostics(residual_norm=min_residual, iterations=0, duality_gap=gap)
-        return CoefficientVector(c, diag)
+        return CoefficientVector(c, min_residual, duality_gap=gap)
     tau = sigma_step = 0.99 / opnorm
     c_bar = c.copy()
     check_every = 25
@@ -189,9 +183,8 @@ def bpdn(A: np.ndarray, y: np.ndarray, xi: float, tolerance: float = 1e-6,
         if it % check_every == 0:
             feas, gap = _bpdn_gap(A, y, radius, c, u)
             if feas <= tolerance and gap <= tolerance:
-                diag = Diagnostics(residual_norm=_residual_norm(A, c, y),
-                                   iterations=it, duality_gap=gap)
-                return CoefficientVector(c, diag)
+                return CoefficientVector(c, _residual_norm(A, c, y), iterations=it,
+                                         duality_gap=gap)
     raise ConvergenceError(
         f"bpdn did not certify optimality in {max_iter} iterations "
         f"(gap {gap:.3e}, feasibility {feas:.3e})",

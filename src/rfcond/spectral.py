@@ -49,7 +49,6 @@ from .errors import EnumerationBudgetError, InvalidArgumentError, NumericalFailu
 from .features import _check_dims, block_ranges, build_features
 from .sampling import RngStream
 
-RANK_TOL = 1e-12  # relative floor under which the smallest singular value counts as zero
 # singular_values keeps the Gram's eigenvalues when lambda_min >= _GRAM_GATE *
 # lambda_max (sigma_max / sigma_min <= 1000): their relative error, about
 # eps * cond^2, then stays below 2e-10.
@@ -83,7 +82,7 @@ class SpectralSummary:
     eigenvalues: np.ndarray  # ascending
     lambda_min: float
     lambda_max: float
-    cond_number: float       # sigma_max / sigma_min; inf when sigma_min <= RANK_TOL * sigma_max
+    cond_number: float       # sigma_max / sigma_min; inf where lstsq ranks A deficient
 
 
 @dataclass(frozen=True)
@@ -124,8 +123,9 @@ def gram_spectrum_via_svd(A: np.ndarray, sv: np.ndarray | None = None) -> Spectr
     Its eigenvalues are the squares of the singular values of A divided by
     sqrt(max(m, N)).  The singular values are `sv`, ascending, when the caller
     has already factored A, and `singular_values(A)` otherwise.  The condition
-    number sigma_max / sigma_min is infinite when sigma_min <= RANK_TOL *
-    sigma_max.
+    number sigma_max / sigma_min is infinite when sigma_min <= eps * max(m, N)
+    * sigma_max, the cutoff by which np.linalg.lstsq ranks A, so exactly when a
+    `solvers` fit of A is flagged as a pseudoinverse fit.
     """
     M = np.asarray(A)
     m, n = M.shape
@@ -136,7 +136,8 @@ def gram_spectrum_via_svd(A: np.ndarray, sv: np.ndarray | None = None) -> Spectr
             f"{len(sv)} singular values given for a {m} x {n} matrix, expected {min(m, n)}")
     s = sv / np.sqrt(max(m, n))
     eigs = s**2
-    cond = float(s[-1] / s[0]) if s[0] > RANK_TOL * s[-1] else float("inf")
+    cutoff = np.finfo(float).eps * max(m, n)
+    cond = float(s[-1] / s[0]) if sv[0] > cutoff * sv[-1] else float("inf")
     return SpectralSummary(eigenvalues=eigs, lambda_min=float(eigs[0]),
                            lambda_max=float(eigs[-1]), cond_number=cond)
 

@@ -239,7 +239,7 @@ def population_risk(target: TargetFunction, W: np.ndarray, c: np.ndarray, gamma:
 
     A negative value within `_RISK_ROUNDING` of E|f|^2 + c* K c is rounding
     in the cancellation of a risk near 0 and returns 0; below that it raises
-    NumericalFailureError, as does a nan."""
+    NumericalFailureError, as does a risk that is not finite (nan or inf)."""
     values = np.asarray(c)
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or values.shape != (W.shape[1],):
@@ -263,10 +263,10 @@ def population_risk(target: TargetFunction, W: np.ndarray, c: np.ndarray, gamma:
     risk = f2 - 2.0 * float(np.vdot(values, g).real) + cKc
     if risk < 0 and -risk <= _RISK_ROUNDING * (f2 + cKc):
         return 0.0
-    if not risk >= 0:
+    if not 0 <= risk < np.inf:
+        problem = "is not finite" if not np.isfinite(risk) else "is negative beyond rounding"
         raise NumericalFailureError(
-            f"closed-form risk {risk!r} is negative beyond rounding "
-            f"(E|f|^2 = {f2!r}, c*Kc = {cKc!r})")
+            f"closed-form risk {risk!r} {problem} (E|f|^2 = {f2!r}, c*Kc = {cKc!r})")
     return risk
 
 

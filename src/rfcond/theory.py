@@ -150,6 +150,24 @@ def markov_min_eig_threshold(N: int, gamma: float, sigma: float, d: int) -> floa
     return _overlap_power(4.0, gamma, sigma, -0.25 * d) + N ** (-0.5)
 
 
+def _square(x: float, name: str) -> float:
+    """x**2, or an InvalidArgumentError naming the input `name` where the
+    square overflows, on which float ** raises OverflowError.  Not x*x: libm's
+    pow rounds differently in the last bit for about one double in 1,100."""
+    try:
+        return x**2
+    except OverflowError:
+        raise InvalidArgumentError(f"{name} = {x!r} is too large: its square "
+                                   "overflows") from None
+
+
+def _error_term(eps: float, f_rho_norm: float, E_noise: float) -> float:
+    """eps^2 ||f||_rho^2 + E^2, the approximation-plus-noise factor of the
+    least-squares and sparse-regression bounds."""
+    return (_square(eps, "epsilon") * _square(f_rho_norm, "rho-norm ||f||_rho")
+            + _square(E_noise, "noise bound E"))
+
+
 def _validate_delta(delta: float) -> None:
     if not 0.0 < delta < 1.0:
         raise InvalidArgumentError(f"delta must lie in (0, 1), got {delta}")
@@ -285,7 +303,7 @@ def risk_bound_ls(N: int, m: int, d: int, gamma: float, sigma: float, delta: flo
     eps = epsilon_bound(N, m, d, gamma, sigma, delta)
     value = (LS_PREFACTOR * K_eta(eta)
              * (1.0 + N / math.sqrt(m) * math.sqrt(math.log(1.0 / delta)))
-             * (eps**2 * f_rho_norm**2 + E_noise**2))
+             * _error_term(eps, f_rho_norm, E_noise))
     return _regime_bound(value, eps, N, m, d, gamma, sigma, delta, eta, permissive,
                          under=True)
 
@@ -301,8 +319,9 @@ def risk_bound_minnorm(N: int, m: int, d: int, gamma: float, sigma: float, delta
     K = K_eta(eta)
     root_log = math.sqrt(math.log(1.0 / delta))
     value = (C_MIN_NORM * root_log
-             * (1.0 / math.sqrt(m) + K * math.sqrt(m) * eps**2) * f_rho_norm**2
-             + C_MIN_NORM * math.sqrt(m) * K * root_log * E_noise**2)
+             * (1.0 / math.sqrt(m) + K * math.sqrt(m) * _square(eps, "epsilon"))
+             * _square(f_rho_norm, "rho-norm ||f||_rho")
+             + C_MIN_NORM * math.sqrt(m) * K * root_log * _square(E_noise, "noise bound E"))
     return _regime_bound(value, eps, N, m, d, gamma, sigma, delta, eta, permissive,
                          under=False)
 
@@ -311,7 +330,8 @@ def bp_noise_parameter(epsilon: float, f_rho_norm: float, E_noise: float) -> flo
     """Constraint level xi = sqrt(2 (eps^2 ||f||_rho + E^2)) of the sparse
     regression problem.  The first term carries ||f||_rho to the first power,
     unlike the squared norm in the risk bound; implemented verbatim."""
-    return math.sqrt(2.0 * (epsilon**2 * f_rho_norm + E_noise**2))
+    return math.sqrt(2.0 * (_square(epsilon, "epsilon") * f_rho_norm
+                            + _square(E_noise, "noise bound E")))
 
 
 def check_bp_conditions(m: int, N: int, s: int, d: int, gamma: float, sigma: float,
@@ -346,8 +366,8 @@ def risk_bound_bp(N: int, m: int, s: int, delta: float, epsilon: float,
         raise InvalidArgumentError("s must be >= 1")
     root_log = math.sqrt(math.log(1.0 / delta))
     value = (C_PRIME * (1.0 + N / math.sqrt(m) * root_log)
-             * (epsilon**2 * f_rho_norm**2 + E_noise**2)
+             * _error_term(epsilon, f_rho_norm, E_noise)
              + C_DPRIME * (1.0 + N / (math.sqrt(m) * s) * root_log)
-             * theta_s1**2)
+             * _square(theta_s1, "best s-term error theta_{s,1}"))
     conditions = check_bp_conditions(m, N, s, d, gamma, sigma, delta, permissive)
     return _bound(value, epsilon, conditions, None, permissive)

@@ -193,13 +193,13 @@ def test_07_solver_oracles():
     e = noise_vector(m, NoiseModel("bounded_uniform", E), split_stream(0, 1))
     y = A @ c0 + e
     sol = bpdn(A, y, xi=E, tolerance=1e-6)
-    ok &= sol.diagnostics.duality_gap <= 1e-6
+    ok &= sol.duality_gap <= 1e-6
     radius = E * np.sqrt(m)
     feasible = [c0, least_squares(A, y).values]
     for v in feasible:
         assert np.linalg.norm(A @ v - y) <= radius + 1e-9
         ok &= np.abs(sol.values).sum() <= np.abs(v).sum() + 1e-6
-    details.append(f"bpdn gap={sol.diagnostics.duality_gap:.1e}")
+    details.append(f"bpdn gap={sol.duality_gap:.1e}")
 
     # tail errors against exhaustive support search
     values = gen.normal(size=10) + 1j * gen.normal(size=10)

@@ -257,6 +257,30 @@ def test_non_finite_or_overflowing_input_exits_2(argv, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "--d", "20", "--m", "10", "--n-grid", "5", "--target", "bump:1e10",
+      "--trials", "1"], "rho-norm ||f||_rho = 1e+200 is too large: its square overflows"),
+    (["sweep", "--d", "20", "--m", "10", "--n-grid", "5", "--target", "bump:1e10",
+      "--trials", "1", "--bounds"],
+     "rho-norm ||f||_rho = 1e+200 is too large: its square overflows"),
+    (["validate", "--d", "3", "--m", "10", "--n-grid", "5", "--target", "bump:1.5",
+      "--trials", "1", "--noise", "bounded:1e155"],
+     "noise bound E = 1e+155 is too large: its square overflows"),
+], ids=["validate-rho-norm", "sweep-bounds-rho-norm", "validate-noise-bound"])
+def test_bound_whose_square_overflows_exits_2(argv, message, tmp_path, capsys):
+    rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_without_bounds_runs_where_the_bound_would_overflow(tmp_path):
+    rc = cli.main(["sweep", "--d", "20", "--m", "10", "--n-grid", "5", "--target",
+                   "bump:1e10", "--trials", "1", "--out", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / "sweep.csv").exists()
+
+
 def test_theory_rejects_zero_workers(capsys):
     rc = cli.main(["theory", "--m", "100", "--n-grid", "10", "--workers", "0"])
     assert rc == cli.EXIT_CONFIG

@@ -25,7 +25,7 @@ from rfcond.experiments import (
 from rfcond.features import _BLOCK_ENTRIES, build_features
 from rfcond.io import json_report
 from rfcond.sampling import TAG_DATA, NoiseModel, gaussian_matrix, split_stream
-from rfcond.solvers import FLAG_SINGULAR_GRAM, FLAG_ZERO_FEASIBLE, CoefficientVector, Diagnostics
+from rfcond.solvers import FLAG_SINGULAR_GRAM, FLAG_ZERO_FEASIBLE, CoefficientVector
 from rfcond.spectral import gram_spectrum_via_svd, spectral_density
 from rfcond.targets import gaussian_bump_target
 from rfcond.theory import check_regime_conditions, risk_bound_ls, risk_bound_minnorm
@@ -222,8 +222,7 @@ def test_pruned_bpdn_reports_the_residual_of_the_pruned_model(monkeypatch):
     def three_terms(A, y, xi, tolerance):
         c = np.zeros(A.shape[1], dtype=complex)
         c[:3] = [0.3, -2.0, 0.5j]
-        return CoefficientVector(c, Diagnostics(residual_norm=0.0, iterations=75,
-                                                duality_gap=1e-7))
+        return CoefficientVector(c, residual_norm=0.0, iterations=75, duality_gap=1e-7)
 
     monkeypatch.setattr(experiments, "bpdn", three_terms)
     cfg = ExperimentConfig(d=2, m=12, n_grid=(20,), target_kind="gaussian_bump",
@@ -235,8 +234,8 @@ def test_pruned_bpdn_reports_the_residual_of_the_pruned_model(monkeypatch):
                                               xi=0.1, s=1)
     assert np.count_nonzero(coeff.values) == 1
     expected = np.linalg.norm(A @ coeff.values - target.evaluate(X))
-    assert coeff.diagnostics.residual_norm == pytest.approx(expected, rel=1e-12)
-    assert (coeff.diagnostics.iterations, coeff.diagnostics.duality_gap) == (75, 1e-7)
+    assert coeff.residual_norm == pytest.approx(expected, rel=1e-12)
+    assert (coeff.iterations, coeff.duality_gap) == (75, 1e-7)
 
 
 def test_sweep_csv_flags_column(tmp_path, monkeypatch):
@@ -256,8 +255,8 @@ def test_sweep_csv_flags_column(tmp_path, monkeypatch):
     ]
 
     def two_flags(A, y):  # several flags are joined by ";"
-        diag = Diagnostics(flags=("a", "b"), singular_values=np.ones(A.shape[0]))
-        return CoefficientVector(np.zeros(A.shape[1], dtype=complex), diag)
+        return CoefficientVector(np.zeros(A.shape[1], dtype=complex), flags=("a", "b"),
+                                 singular_values=np.ones(A.shape[0]))
 
     monkeypatch.setattr(experiments, "min_norm_interpolate", two_flags)
     rows = run_double_descent_sweep(_sweep_config(n_grid=(20, 40))).rows

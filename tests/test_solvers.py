@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from rfcond.sampling import NoiseModel, noise_vector, split_stream
 from rfcond.solvers import (
     FLAG_SINGULAR_GRAM,
     FLAG_ZERO_FEASIBLE,
-    Diagnostics,
     best_s_term_error,
     bpdn,
     least_squares,
@@ -24,7 +24,7 @@ from rfcond.solvers import (
     prune_top_s,
     ridge,
 )
-from rfcond.spectral import rip_constant_exact
+from rfcond.spectral import gram_spectrum_via_svd, rip_constant_exact
 
 
 def _random_complex(gen, m, n):
@@ -60,7 +60,7 @@ def test_least_squares_recovers_planted_solution():
     c0 = _random_complex(gen, 10, 1).ravel()
     c = least_squares(A, A @ c0)
     assert np.linalg.norm(c.values - c0) <= 1e-8 * np.linalg.norm(c0)
-    assert c.diagnostics.residual_norm <= 1e-8 * np.linalg.norm(A @ c0)
+    assert c.residual_norm <= 1e-8 * np.linalg.norm(A @ c0)
 
 
 def test_least_squares_matches_svd_pseudoinverse_oracle():
@@ -78,7 +78,7 @@ def test_least_squares_matches_svd_pseudoinverse_oracle():
 def test_least_squares_flags_rank_deficiency():
     A = np.ones((5, 2), dtype=complex)
     c = least_squares(A, np.ones(5))
-    assert "rank_deficient_pseudoinverse" in c.diagnostics.flags
+    assert "rank_deficient_pseudoinverse" in c.flags
 
 
 def test_least_squares_rejects_underdetermined():
@@ -129,8 +129,8 @@ def test_min_norm_beats_null_space_perturbations():
 def test_min_norm_flags_pseudoinverse_on_singular_row_gram():
     A = np.vstack([np.ones(5), np.ones(5)]).astype(complex)
     c = min_norm_interpolate(A, np.array([2.0, 2.0]))
-    assert c.diagnostics.flags == (FLAG_SINGULAR_GRAM,)
-    assert c.diagnostics.residual_norm == pytest.approx(0.0, abs=1e-12)
+    assert c.flags == (FLAG_SINGULAR_GRAM,)
+    assert c.residual_norm == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(c.values, 0.4)  # minimal-norm solution of sum(c) = 2
 
 
@@ -199,8 +199,8 @@ def test_bpdn_zero_is_optimal_when_ball_contains_origin():
     y = 0.1 * gen.normal(size=10)
     c = bpdn(A, y, xi=float(np.linalg.norm(y)), tolerance=1e-8)
     assert np.all(c.values == 0)
-    assert c.diagnostics.duality_gap == 0.0
-    assert c.diagnostics.iterations == 0
+    assert c.duality_gap == 0.0
+    assert c.iterations == 0
 
 
 def test_bpdn_flags_only_the_zero_feasible_shortcut():
@@ -209,10 +209,10 @@ def test_bpdn_flags_only_the_zero_feasible_shortcut():
     y = 0.1 * gen.normal(size=10)
     radius_ratio = float(np.linalg.norm(y)) / np.sqrt(10)
     inside = bpdn(A, y, xi=1.01 * radius_ratio)
-    assert inside.diagnostics.flags == (FLAG_ZERO_FEASIBLE,)
+    assert inside.flags == (FLAG_ZERO_FEASIBLE,)
     below = bpdn(A, y, xi=0.5 * radius_ratio)
-    assert below.diagnostics.iterations > 0
-    assert below.diagnostics.flags == ()
+    assert below.iterations > 0
+    assert below.flags == ()
     assert np.any(below.values != 0)
 
 
@@ -221,7 +221,7 @@ def test_bpdn_zero_slack_inverts_square_systems():
     y = np.array([1.0, -2.0], dtype=complex)
     c = bpdn(A, y, 0.0, tolerance=1e-8)
     assert np.linalg.norm(c.values - np.linalg.solve(A, y)) <= 1e-6
-    assert c.diagnostics.duality_gap <= 1e-8
+    assert c.duality_gap <= 1e-8
 
 
 def test_bpdn_planted_sparse_recovery_under_verified_rip():
@@ -236,7 +236,7 @@ def test_bpdn_planted_sparse_recovery_under_verified_rip():
     e = noise_vector(m, NoiseModel("bounded_uniform", E), split_stream(0, 1))
     y = A @ c0 + e
     c = bpdn(A, y, xi=E, tolerance=1e-6)
-    assert c.diagnostics.duality_gap <= 1e-6
+    assert c.duality_gap <= 1e-6
     # c0 is feasible (||e||_2 <= E sqrt(m)), so the solution l1 cannot exceed it
     assert np.abs(c.values).sum() <= np.abs(c0).sum() + 1e-6
     top = set(np.argsort(-np.abs(c.values))[:s].tolist())
@@ -271,10 +271,10 @@ def test_bpdn_on_a_zero_matrix_returns_zero_within_tolerance():
     # with A = 0 every c leaves the residual ||y||, so c = 0 is optimal.
     c = bpdn(np.zeros((4, 3)), [1, 0, 0, 0], xi=(1 - 1e-7) / 2, tolerance=1e-6)
     assert np.array_equal(c.values, np.zeros(3))
-    assert c.diagnostics.iterations == 0
-    assert c.diagnostics.residual_norm == 1.0
-    assert c.diagnostics.duality_gap == 0.0
-    assert c.diagnostics.flags == ()
+    assert c.iterations == 0
+    assert c.residual_norm == 1.0
+    assert c.duality_gap == 0.0
+    assert c.flags == ()
 
 
 def test_bpdn_on_a_zero_matrix_detects_infeasible_constraints():
@@ -298,12 +298,42 @@ def test_fits_keep_the_singular_values_of_their_solve(solver, shape):
     gen = np.random.default_rng(15)
     A = _random_complex(gen, *shape)
     c = solver(A, gen.normal(size=shape[0]))
-    sv = c.diagnostics.singular_values
+    sv = c.singular_values
     assert np.allclose(sv, np.sort(np.linalg.svd(A, compute_uv=False)), rtol=1e-12)
     assert np.all(np.diff(sv) >= 0)
     # not part of equality or repr: the fit's identity is its values and flags
-    assert c.diagnostics == Diagnostics(residual_norm=c.diagnostics.residual_norm)
-    assert "singular_values" not in repr(c.diagnostics)
+    assert replace(c, singular_values=None) == c
+    assert "singular_values" not in repr(c)
+
+
+def _with_singular_values(gen, m, n, ratio):
+    """A complex m x n matrix whose singular values run geometrically from 1
+    down to `ratio`."""
+    k = min(m, n)
+    U = np.linalg.qr(_random_complex(gen, m, k))[0]
+    V = np.linalg.qr(_random_complex(gen, n, k))[0]
+    return (U * np.geomspace(1.0, ratio, k)) @ V.conj().T
+
+
+# lstsq counts sigma_min as zero when sigma_min <= eps max(m, N) sigma_max:
+# 2.2e-14 at 100 x 50, 3.3e-12 at 16 x 15000.
+@pytest.mark.parametrize("solver, shape, ratio, pseudoinverse", [
+    (least_squares, (100, 50), 1e-13, False),
+    (min_norm_interpolate, (16, 15000), 2e-12, True),
+    (least_squares, (100, 50), 1e-3, False),
+    (min_norm_interpolate, (16, 200), 1e-3, False),
+], ids=["least_squares-1e-13", "min_norm-2e-12", "least_squares-control",
+        "min_norm-control"])
+def test_condition_number_is_infinite_exactly_for_pseudoinverse_fits(solver, shape, ratio,
+                                                                     pseudoinverse):
+    # The sweep reports each fit's flags beside the condition number of the
+    # same A, taken from the fit's own singular values; both rank A alike.
+    gen = np.random.default_rng(16)
+    A = _with_singular_values(gen, *shape, ratio)
+    fit = solver(A, gen.normal(size=shape[0]))
+    cond = gram_spectrum_via_svd(A, fit.singular_values).cond_number
+    assert any("pseudoinverse" in flag for flag in fit.flags) == pseudoinverse
+    assert (cond == np.inf) == pseudoinverse
 
 
 def test_bpdn_takes_its_step_from_the_feasibility_solve(monkeypatch):
@@ -325,7 +355,7 @@ def test_bpdn_takes_its_step_from_the_feasibility_solve(monkeypatch):
     A = _random_complex(gen, 10, 20)
     y = 0.1 * gen.normal(size=10)
     c = bpdn(A, y, xi=0.5 * float(np.linalg.norm(y)) / np.sqrt(10))
-    assert c.diagnostics.iterations > 0
+    assert c.iterations > 0
     assert factorizations == []  # the step size comes from lstsq's singular values
 
 

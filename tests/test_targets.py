@@ -352,8 +352,18 @@ def test_population_risk_clips_rounding_below_zero(monkeypatch):
 @pytest.mark.parametrize("risk_over_scale", [-1e-9, np.nan])
 def test_population_risk_raises_beyond_rounding(monkeypatch, risk_over_scale):
     W, c = _moments_giving(monkeypatch, risk_over_scale)
-    with pytest.raises(NumericalFailureError, match="closed-form risk"):
+    problem = ("closed-form risk nan is not finite" if np.isnan(risk_over_scale)
+               else "closed-form risk .* is negative beyond rounding")
+    with pytest.raises(NumericalFailureError, match=problem):
         population_risk(_bump(d=2), W, c, 1.0)
+
+
+def test_population_risk_raises_on_an_infinite_risk(monkeypatch):
+    monkeypatch.setattr(targets, "_target_moments",
+                        lambda target, W, gamma, kind: (np.inf, np.zeros(W.shape[1])))
+    W = gaussian_matrix(2, 4, 1.0, split_stream(55, 0))
+    with pytest.raises(NumericalFailureError, match="closed-form risk inf is not finite"):
+        population_risk(_bump(d=2), W, np.array([0.3 + 0.1j, -0.2j, 0.5, 0.1]), 1.0)
 
 
 def test_population_risk_validates_its_arguments():
