@@ -20,6 +20,7 @@ from .errors import (
     InvalidArgumentError,
     NumericalFailureError,
 )
+from .spectral import rank_rcond
 
 FLAG_SINGULAR_GRAM = "singular_gram_pseudoinverse"
 # bpdn returned c = 0 without iterating: ||y|| <= xi sqrt(m), so zero is feasible.
@@ -49,20 +50,28 @@ def _as_matrix_vector(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _residual_norm(A: np.ndarray, c: np.ndarray, y: np.ndarray) -> float:
-    return float(np.linalg.norm(A @ c - y))
+    """||Ac - y||_2; where its sum of squares overflows but the residual is
+    finite, the norm of the residual scaled by its largest modulus."""
+    r = A @ c - y
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(r))
+    if norm == np.inf and np.isfinite(r).all():
+        scale = float(np.abs(r).max())
+        norm = scale * float(np.linalg.norm(r / scale))
+    return norm
 
 
 def _lstsq(A: np.ndarray, y: np.ndarray):
-    """np.linalg.lstsq; its LinAlgError (as on non-finite A) is a NumericalFailureError."""
+    """lstsq at `rank_rcond`; a LinAlgError (as on non-finite A) is a NumericalFailureError."""
     try:
-        return np.linalg.lstsq(A, y, rcond=None)
+        return np.linalg.lstsq(A, y, rcond=rank_rcond(*A.shape))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"least-squares solve failed: {exc}") from exc
 
 
 def _pinv_fit(A: np.ndarray, y: np.ndarray, flag: str) -> CoefficientVector:
     """Minimal-norm least-squares solution, flagged `flag` when lstsq ranks A
-    below min(m, N): it counts sigma <= eps max(m, N) sigma_max as zero."""
+    below min(m, N): it counts sigma <= `rank_rcond`(m, N) sigma_max as zero."""
     c, _, rank, sv = _lstsq(A, y)
     flags = () if rank == min(A.shape) else (flag,)
     return CoefficientVector(c, _residual_norm(A, c, y), flags=flags, singular_values=sv[::-1])

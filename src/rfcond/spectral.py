@@ -116,6 +116,12 @@ class DensityCurve:
     bandwidth: float
 
 
+def rank_rcond(m: int, n: int) -> float:
+    """eps * max(m, N), np.linalg.lstsq's default: the solvers and the condition
+    number count a singular value of an m x N matrix <= this * sigma_max as zero."""
+    return np.finfo(float).eps * max(m, n)
+
+
 def gram_spectrum_via_svd(A: np.ndarray, sv: np.ndarray | None = None) -> SpectralSummary:
     """Spectrum of the smaller normalized Gram of the m x N matrix A, the one
     over max(m, N): (1/m)A*A when N <= m, (1/N)AA* when N > m.
@@ -123,9 +129,8 @@ def gram_spectrum_via_svd(A: np.ndarray, sv: np.ndarray | None = None) -> Spectr
     Its eigenvalues are the squares of the singular values of A divided by
     sqrt(max(m, N)).  The singular values are `sv`, ascending, when the caller
     has already factored A, and `singular_values(A)` otherwise.  The condition
-    number sigma_max / sigma_min is infinite when sigma_min <= eps * max(m, N)
-    * sigma_max, the cutoff by which np.linalg.lstsq ranks A, so exactly when a
-    `solvers` fit of A is flagged as a pseudoinverse fit.
+    number sigma_max / sigma_min is infinite when sigma_min <= `rank_rcond` *
+    sigma_max, so exactly when a `solvers` fit of A is a pseudoinverse fit.
     """
     M = np.asarray(A)
     m, n = M.shape
@@ -136,8 +141,7 @@ def gram_spectrum_via_svd(A: np.ndarray, sv: np.ndarray | None = None) -> Spectr
             f"{len(sv)} singular values given for a {m} x {n} matrix, expected {min(m, n)}")
     s = sv / np.sqrt(max(m, n))
     eigs = s**2
-    cutoff = np.finfo(float).eps * max(m, n)
-    cond = float(s[-1] / s[0]) if sv[0] > cutoff * sv[-1] else float("inf")
+    cond = float(s[-1] / s[0]) if sv[0] > rank_rcond(m, n) * sv[-1] else float("inf")
     return SpectralSummary(eigenvalues=eigs, lambda_min=float(eigs[0]),
                            lambda_max=float(eigs[-1]), cond_number=cond)
 

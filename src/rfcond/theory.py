@@ -269,8 +269,15 @@ class BoundResult:
 
 
 def _bound(value: float, eps: float | None, conditions: tuple[ConditionCheck, ...],
-           regime: RegimeReport | None, permissive: bool) -> BoundResult:
-    """The bound in the mode `permissive` names, satisfied when every check is."""
+           regime: RegimeReport | None, permissive: bool, f_rho_norm: float,
+           E_noise: float) -> BoundResult:
+    """The bound in the mode `permissive` names, satisfied when every check is.
+    A value that overflows is an InvalidArgumentError naming the inputs that
+    scale it, not an inf bound that covers every risk."""
+    if not math.isfinite(value):
+        raise InvalidArgumentError(
+            f"risk bound {value} is not finite: rho-norm ||f||_rho = {f_rho_norm!r} "
+            f"or noise bound E = {E_noise!r} is too large")
     ok = all(c.ok for c in conditions) and (regime is None or regime.all_satisfied)
     return BoundResult(value, eps, MODE_PERMISSIVE if permissive else MODE_STRICT, ok,
                        conditions, regime)
@@ -278,7 +285,7 @@ def _bound(value: float, eps: float | None, conditions: tuple[ConditionCheck, ..
 
 def _regime_bound(value: float, eps: float, N: int, m: int, d: int, gamma: float,
                   sigma: float, delta: float, eta: float, permissive: bool,
-                  under: bool) -> BoundResult:
+                  f_rho_norm: float, E_noise: float, under: bool) -> BoundResult:
     """`value` with the hypotheses of a regime risk bound: the regime report,
     the regime the bound is stated for (m > N when `under`, else m < N) and
     the delta floor small^(-log^2(small) log(3 big)).  The caller names the
@@ -291,7 +298,7 @@ def _regime_bound(value: float, eps: float, N: int, m: int, d: int, gamma: float
         direction = ConditionCheck("regime_m_lt_N", float(N), float(m), m < N)
         floor = _failure_probability(m, N)
     conditions = (direction, ConditionCheck("delta_floor", delta, floor, delta >= floor))
-    return _bound(value, eps, conditions, regime, permissive)
+    return _bound(value, eps, conditions, regime, permissive, f_rho_norm, E_noise)
 
 
 def risk_bound_ls(N: int, m: int, d: int, gamma: float, sigma: float, delta: float,
@@ -305,7 +312,7 @@ def risk_bound_ls(N: int, m: int, d: int, gamma: float, sigma: float, delta: flo
              * (1.0 + N / math.sqrt(m) * math.sqrt(math.log(1.0 / delta)))
              * _error_term(eps, f_rho_norm, E_noise))
     return _regime_bound(value, eps, N, m, d, gamma, sigma, delta, eta, permissive,
-                         under=True)
+                         f_rho_norm, E_noise, under=True)
 
 
 def risk_bound_minnorm(N: int, m: int, d: int, gamma: float, sigma: float, delta: float,
@@ -323,7 +330,7 @@ def risk_bound_minnorm(N: int, m: int, d: int, gamma: float, sigma: float, delta
              * _square(f_rho_norm, "rho-norm ||f||_rho")
              + C_MIN_NORM * math.sqrt(m) * K * root_log * _square(E_noise, "noise bound E"))
     return _regime_bound(value, eps, N, m, d, gamma, sigma, delta, eta, permissive,
-                         under=False)
+                         f_rho_norm, E_noise, under=False)
 
 
 def bp_noise_parameter(epsilon: float, f_rho_norm: float, E_noise: float) -> float:
@@ -370,4 +377,4 @@ def risk_bound_bp(N: int, m: int, s: int, delta: float, epsilon: float,
              + C_DPRIME * (1.0 + N / (math.sqrt(m) * s) * root_log)
              * _square(theta_s1, "best s-term error theta_{s,1}"))
     conditions = check_bp_conditions(m, N, s, d, gamma, sigma, delta, permissive)
-    return _bound(value, epsilon, conditions, None, permissive)
+    return _bound(value, epsilon, conditions, None, permissive, f_rho_norm, E_noise)

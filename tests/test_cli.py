@@ -266,7 +266,13 @@ def test_non_finite_or_overflowing_input_exits_2(argv, tmp_path, capsys):
     (["validate", "--d", "3", "--m", "10", "--n-grid", "5", "--target", "bump:1.5",
       "--trials", "1", "--noise", "bounded:1e155"],
      "noise bound E = 1e+155 is too large: its square overflows"),
-], ids=["validate-rho-norm", "sweep-bounds-rho-norm", "validate-noise-bound"])
+    (["validate", "--d", "3", "--m", "10", "--n-grid", "5", "--target", "bump:1e51",
+      "--trials", "1"], "risk bound inf is not finite: rho-norm ||f||_rho = 1e+153"),
+    (["validate", "--d", "3", "--m", "10", "--n-grid", "5", "--target", "bump:1.5",
+      "--trials", "1", "--noise", "bounded:1e154"],
+     "risk bound inf is not finite: rho-norm ||f||_rho = 3.375 or noise bound E = 1e+154"),
+], ids=["validate-rho-norm", "sweep-bounds-rho-norm", "validate-noise-bound",
+        "validate-rho-norm-product", "validate-noise-bound-product"])
 def test_bound_whose_square_overflows_exits_2(argv, message, tmp_path, capsys):
     rc = cli.main(argv + ["--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_CONFIG
