@@ -368,8 +368,9 @@ class DensityStudyEntry:
 def run_spectrum_density(config: ExperimentConfig) -> list[DensityStudyEntry]:
     """Figure-2 protocol: pooled singular values of the normalized feature
     matrix A / sqrt(max(m, N)) over the trials, smoothed to a max-1 density
-    curve per scaling.  Each trial passes its sampled X and W to
-    `singular_values`, which builds A block by block for its Gram and in full
+    curve per scaling.  Each trial divides the singular values of A by
+    sqrt(max(m, N)), as `gram_spectrum_via_svd` does, and passes its X and W
+    to `singular_values`, which builds A in blocks for its Gram and in full
     only for the SVD fallback (m = N, or a Gram that fails the gate)."""
     cells = [(idx, *_solve_scaling(label, config.m))
              for idx, label in enumerate(config.scalings)]
@@ -378,8 +379,7 @@ def run_spectrum_density(config: ExperimentConfig) -> list[DensityStudyEntry]:
         idx, m, n = cell
         stream = split_stream(config.seed, t).substream(_TAG_SCALING, idx)
         X, W = random_inputs(config.d, m, n, config.gamma, config.sigma, stream)
-        return singular_values(features=(X, W, config.feature_kind),
-                               scale=math.sqrt(max(m, n)))
+        return singular_values(features=(X, W, config.feature_kind)) / np.sqrt(max(m, n))
 
     entries = []
     for label, (_, m, n), values in zip(config.scalings, cells,

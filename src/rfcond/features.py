@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericalFailureError
 
 FOURIER = "fourier"
 RELU = "relu"
@@ -63,9 +63,13 @@ def _check_dims(X: np.ndarray, W: np.ndarray) -> None:
 
 
 def _phase(X: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """The m x N real phase X^T W, a fresh array the caller may overwrite."""
+    """X^T W, a fresh m x N array the caller may overwrite; NumericalFailureError on overflow."""
     _check_dims(X, W)
-    return np.asarray(X.T @ W, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.asarray(X.T @ W, dtype=np.float64)
+    if not np.isfinite(phase).all() and np.isfinite(X).all() and np.isfinite(W).all():
+        raise NumericalFailureError("feature phases overflow: reduce gamma or sigma")
+    return phase
 
 
 def fourier_features(X: np.ndarray, W: np.ndarray) -> np.ndarray:

@@ -62,7 +62,9 @@ def _residual_norm(A: np.ndarray, c: np.ndarray, y: np.ndarray) -> float:
 
 
 def _lstsq(A: np.ndarray, y: np.ndarray):
-    """lstsq at `rank_rcond`; a LinAlgError (as on non-finite A) is a NumericalFailureError."""
+    """lstsq at `rank_rcond`; a non-finite A or a LinAlgError is a NumericalFailureError."""
+    if not np.isfinite(A).all():
+        raise NumericalFailureError("least-squares solve failed: A has non-finite entries")
     try:
         return np.linalg.lstsq(A, y, rcond=rank_rcond(*A.shape))
     except np.linalg.LinAlgError as exc:

@@ -146,32 +146,27 @@ def gram_spectrum_via_svd(A: np.ndarray, sv: np.ndarray | None = None) -> Spectr
                            lambda_max=float(eigs[-1]), cond_number=cond)
 
 
-def _blocks(X: np.ndarray, W: np.ndarray, kind: str, scale: float):
-    """build_features(X, W, kind) / scale cut along its longer side by
-    `block_ranges`: columns (features) when N > m, rows (samples) when N < m,
-    one block at a time."""
+def _blocks(X: np.ndarray, W: np.ndarray, kind: str):
+    """build_features(X, W, kind) cut along its longer side by `block_ranges`
+    (columns when N > m, rows when N < m), one block at a time."""
     m, n = X.shape[1], W.shape[1]
     for i, j in block_ranges(max(m, n), min(m, n)):
-        B = build_features(X, W[:, i:j], kind) if n > m else build_features(X[:, i:j], W, kind)
-        B /= scale
-        yield B
+        yield build_features(X, W[:, i:j], kind) if n > m else build_features(X[:, i:j], W, kind)
 
 
 def singular_values(A: np.ndarray | None = None, *,
-                    features: tuple[np.ndarray, np.ndarray, str] | None = None,
-                    scale: float = 1.0) -> np.ndarray:
-    """min(m, N) singular values of the m x N matrix A / scale in ascending
-    order, where A is given, or else is build_features(X, W, kind) for
-    `features` = (X, W, kind).
+                    features: tuple[np.ndarray, np.ndarray, str] | None = None) -> np.ndarray:
+    """min(m, N) singular values, ascending, of the m x N matrix A, or of
+    build_features(X, W, kind) for `features` = (X, W, kind).
 
     For non-square A they are the square roots of the eigenvalues of the
     smaller Gram (AA* or A*A) when those are finite and lambda_min >=
     `_GRAM_GATE` * lambda_max; each is then within about eps * cond^2 relative
     of the SVD's (at most about 2e-10 at the gate).  From `features` the Gram
     is summed over the `block_ranges` of A's longer side (features, or
-    samples when N < m), each block built, scaled and dropped in turn, so A
-    itself is never held; with one block the sum is the single product, bit
-    for bit.  Otherwise, and always for square A, they come from the thin SVD
+    samples when N < m), each block built and dropped in turn, so A itself
+    is never held; with one block the sum is the single product, bit for
+    bit.  Otherwise, and always for square A, they come from the thin SVD
     of A, built in full from `features`; a failed SVD or a non-finite result
     (as on non-finite A) raises NumericalFailureError.
     """
@@ -182,12 +177,12 @@ def singular_values(A: np.ndarray | None = None, *,
         _check_dims(X, W)
         m, n = X.shape[1], W.shape[1]
     else:
-        M = np.asarray(A) if scale == 1.0 else np.asarray(A) / scale
+        M = np.asarray(A)
         m, n = M.shape
     if m != n:
         with np.errstate(all="ignore"):  # an overflowing Gram fails the gate
             G = None
-            for B in (_blocks(X, W, kind, scale) if A is None else (M,)):
+            for B in (_blocks(X, W, kind) if A is None else (M,)):
                 P = B @ B.conj().T if m < n else B.conj().T @ B
                 G = P if G is None else np.add(G, P, out=G)
             try:
@@ -198,7 +193,6 @@ def singular_values(A: np.ndarray | None = None, *,
             return np.sqrt(lam)
     if A is None:
         M = build_features(X, W, kind)
-        M /= scale
     try:
         s = np.linalg.svd(M, compute_uv=False)
     except np.linalg.LinAlgError as exc:

@@ -92,8 +92,9 @@ def gaussian_bump_target(a: float, sigma: float, d: int) -> TargetFunction:
         rho_norm = float((a**2 * sigma**2) ** (d / 2.0))
     except OverflowError:
         rho_norm = np.inf
-    if not np.isfinite(rho_norm):  # also catches a non-finite a or a^2
-        raise InvalidArgumentError(f"gaussian_bump needs finite a, a^2, rho-norm; got a = {a!r}")
+    if not np.isfinite(rho_norm):  # also catches a non-finite a, a^2 or sigma^2
+        raise InvalidArgumentError(f"gaussian_bump rho-norm (a^2 sigma^2)^(d/2) is not "
+                                   f"finite: a = {a!r}, sigma = {sigma!r}, d = {d}")
     if a**2 < 1.0 / sigma**2:
         raise InvalidArgumentError(
             f"gaussian_bump needs a^2 >= 1/sigma^2 for a finite rho-norm "

@@ -173,26 +173,34 @@ def _validate_delta(delta: float) -> None:
         raise InvalidArgumentError(f"delta must lie in (0, 1), got {delta}")
 
 
+def _radius_factor(d: int, m: int, delta: float) -> float:
+    """sqrt(1 + sqrt((12/d) log(m/delta))), `ball_radius` over gamma sqrt(d)."""
+    if d < 1 or m < 1:
+        raise InvalidArgumentError("d and m must be positive")
+    _validate_delta(delta)
+    return math.sqrt(1.0 + math.sqrt(12.0 / d * math.log(m / delta)))
+
+
+def _sample_factor(N: int, m: int, delta: float, s: int = 1) -> float:
+    """1 + N / (sqrt(m) s) log^(1/2)(1/delta), s = 1 but in the theta_{s,1} term."""
+    return 1.0 + N / (math.sqrt(m) * s) * math.sqrt(math.log(1.0 / delta))
+
+
 def epsilon_bound(N: int, m: int, d: int, gamma: float, sigma: float,
                   delta: float) -> float:
     """Feature-sampling accuracy epsilon =
     (2/sqrt(N)) (1 + 4 gamma sigma d sqrt(1 + sqrt((12/d) log(m/delta)))
     + sqrt(log(1/delta)/2))."""
-    if N < 1 or m < 1 or d < 1:
-        raise InvalidArgumentError("N, m, d must be positive")
-    _validate_delta(delta)
-    inner = math.sqrt(1.0 + math.sqrt(12.0 / d * math.log(m / delta)))
-    return (2.0 / math.sqrt(N)) * (1.0 + 4.0 * gamma * sigma * d * inner
+    if N < 1:
+        raise InvalidArgumentError("N must be positive")
+    return (2.0 / math.sqrt(N)) * (1.0 + 4.0 * gamma * sigma * d * _radius_factor(d, m, delta)
                                    + math.sqrt(0.5 * math.log(1.0 / delta)))
 
 
 def ball_radius(gamma: float, d: int, m: int, delta: float) -> float:
     """Smallest radius containing all m Gaussian samples with probability
     1 - delta: gamma sqrt(d + sqrt(12 d log(m/delta)))."""
-    if d < 1 or m < 1:
-        raise InvalidArgumentError("d and m must be positive")
-    _validate_delta(delta)
-    return gamma * math.sqrt(d + math.sqrt(12.0 * d * math.log(m / delta)))
+    return _radius_factor(d, m, delta) * gamma * math.sqrt(d)
 
 
 def min_features_for_accuracy(epsilon: float, delta: float) -> int:
@@ -291,13 +299,11 @@ def _regime_bound(value: float, eps: float, N: int, m: int, d: int, gamma: float
     the delta floor small^(-log^2(small) log(3 big)).  The caller names the
     regime, so at m = N both bounds report theirs unsatisfied."""
     regime = check_regime_conditions(m, N, d, gamma, sigma, eta, permissive)
-    if under:
-        direction = ConditionCheck("regime_m_gt_N", float(m), float(N), m > N)
-        floor = _failure_probability(N, m)
-    else:
-        direction = ConditionCheck("regime_m_lt_N", float(N), float(m), m < N)
-        floor = _failure_probability(m, N)
-    conditions = (direction, ConditionCheck("delta_floor", delta, floor, delta >= floor))
+    big, small = (m, N) if under else (N, m)
+    floor = _failure_probability(small, big)
+    conditions = (ConditionCheck(f"regime_m_{'gt' if under else 'lt'}_N", float(big),
+                                 float(small), big > small),
+                  ConditionCheck("delta_floor", delta, floor, delta >= floor))
     return _bound(value, eps, conditions, regime, permissive, f_rho_norm, E_noise)
 
 
@@ -306,10 +312,8 @@ def risk_bound_ls(N: int, m: int, d: int, gamma: float, sigma: float, delta: flo
                   permissive: bool = False) -> BoundResult:
     """Underparameterized least-squares risk bound
     16 K(eta) (1 + N m^(-1/2) log^(1/2)(1/delta)) (eps^2 ||f||_rho^2 + E^2)."""
-    _validate_delta(delta)
     eps = epsilon_bound(N, m, d, gamma, sigma, delta)
-    value = (LS_PREFACTOR * K_eta(eta)
-             * (1.0 + N / math.sqrt(m) * math.sqrt(math.log(1.0 / delta)))
+    value = (LS_PREFACTOR * K_eta(eta) * _sample_factor(N, m, delta)
              * _error_term(eps, f_rho_norm, E_noise))
     return _regime_bound(value, eps, N, m, d, gamma, sigma, delta, eta, permissive,
                          f_rho_norm, E_noise, under=True)
@@ -321,7 +325,6 @@ def risk_bound_minnorm(N: int, m: int, d: int, gamma: float, sigma: float, delta
     """Overparameterized min-norm interpolation risk bound
     C~ log^(1/2)(1/delta) (m^(-1/2) + K(eta) m^(1/2) eps^2) ||f||_rho^2
     + C~ m^(1/2) K(eta) log^(1/2)(1/delta) E^2."""
-    _validate_delta(delta)
     eps = epsilon_bound(N, m, d, gamma, sigma, delta)
     K = K_eta(eta)
     root_log = math.sqrt(math.log(1.0 / delta))
@@ -368,13 +371,8 @@ def risk_bound_bp(N: int, m: int, s: int, delta: float, epsilon: float,
     C' (1 + N m^(-1/2) log^(1/2)(1/delta)) (eps^2 ||f||_rho^2 + E^2)
     + C'' (1 + N m^(-1/2) s^(-1) log^(1/2)(1/delta)) theta_{s,1}^2,
     with the `check_bp_conditions` hypotheses at the geometry d, gamma, sigma."""
-    _validate_delta(delta)
-    if s < 1:
-        raise InvalidArgumentError("s must be >= 1")
-    root_log = math.sqrt(math.log(1.0 / delta))
-    value = (C_PRIME * (1.0 + N / math.sqrt(m) * root_log)
-             * _error_term(epsilon, f_rho_norm, E_noise)
-             + C_DPRIME * (1.0 + N / (math.sqrt(m) * s) * root_log)
-             * _square(theta_s1, "best s-term error theta_{s,1}"))
     conditions = check_bp_conditions(m, N, s, d, gamma, sigma, delta, permissive)
+    value = (C_PRIME * _sample_factor(N, m, delta) * _error_term(epsilon, f_rho_norm, E_noise)
+             + C_DPRIME * _sample_factor(N, m, delta, s)
+             * _square(theta_s1, "best s-term error theta_{s,1}"))
     return _bound(value, epsilon, conditions, None, permissive, f_rho_norm, E_noise)

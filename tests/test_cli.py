@@ -232,6 +232,8 @@ def test_unoffered_flag_exits_2(argv, tmp_path, capsys):
 
 
 _SMALL_SWEEP = ["sweep", "--n-grid", "5", "--trials", "1"]
+_BUMP_RHO_NORM_OVERFLOW = ["validate", "--d", "5", "--m", "10", "--n-grid", "20",
+                           "--sigma", "1e154", "--target", "bump:1.5", "--trials", "1"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -246,8 +248,10 @@ _SMALL_SWEEP = ["sweep", "--n-grid", "5", "--trials", "1"]
     _SMALL_SWEEP + ["--noise", "snr:nan"],
     ["sweep", "--target", "bump:1", "--sigma", "1e-200", "--n-grid", "5", "--trials", "1"],
     _SMALL_SWEEP + ["--gamma", "1e-200"],
+    _BUMP_RHO_NORM_OVERFLOW,
 ], ids=["sigma-1e200", "gamma-1e160", "bump-1e30", "bounded-inf", "gamma-negative",
-        "theory-gamma-nan", "gaussian-nan", "snr-nan", "sigma-1e-200", "gamma-1e-200"])
+        "theory-gamma-nan", "gaussian-nan", "snr-nan", "sigma-1e-200", "gamma-1e-200",
+        "bump-sigma-1e154"])
 def test_non_finite_or_overflowing_input_exits_2(argv, tmp_path, capsys):
     rc = cli.main(argv + ["--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
@@ -255,6 +259,31 @@ def test_non_finite_or_overflowing_input_exits_2(argv, tmp_path, capsys):
     assert "error" in captured.err
     assert captured.out == ""
     assert not any(tmp_path.iterdir())
+
+
+def test_bump_rho_norm_overflow_names_its_inputs(tmp_path, capsys):
+    # (a^2 sigma^2)^(d/2) overflows through sigma, not through a
+    assert cli.main(_BUMP_RHO_NORM_OVERFLOW + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "rho-norm" in err
+    assert "a = 1.5, sigma = 1e+154, d = 5" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--d", "2", "--m", "10", "--n-grid", "5,20", "--trials", "1"],
+    ["spectrum", "--d", "2", "--m", "10", "--trials", "1"],
+    ["threshold", "--d", "2", "--n-grid", "5,8", "--trials", "2"],
+    ["rip", "--d", "2", "--m", "10", "--n-grid", "8", "--s", "2"],
+], ids=["sweep", "spectrum", "threshold", "rip"])
+def test_overflowing_feature_phases_exit_3_with_one_line(argv, tmp_path, capfd):
+    # gamma^2 and sigma^2 are finite, so the config passes, but X^T W overflows
+    rc = cli.main(argv + ["--gamma", "1e154", "--sigma", "1e154", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_NUMERICAL
+    out, err = capfd.readouterr()
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+    assert "feature phases overflow" in lines[0]
+    assert "Warning" not in out + err and "DLASCL" not in out + err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -285,6 +314,25 @@ def test_sweep_without_bounds_runs_where_the_bound_would_overflow(tmp_path):
                    "bump:1e10", "--trials", "1", "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "sweep.csv").exists()
+
+
+def test_bpdn_runs_pdhg_where_zero_is_infeasible(tmp_path):
+    # ROADMAP item 5's point: ||y|| = 13.9 exceeds the radius xi sqrt(m) = 5.38,
+    # so c = 0 is infeasible and the solver must iterate to its gap.  The
+    # assertions hold for any solver that certifies the gap.
+    tol = 1e-4
+    rc = cli.main(["validate", "--d", "1", "--gamma", "0.5", "--sigma", "0.5", "--m", "200",
+                   "--n-grid", "2400", "--target", "bump:2.8284271", "--s", "10",
+                   "--pipelines", "bpdn_pruned", "--trials", "1", "--tol", str(tol),
+                   "--seed", "0", "--out", str(tmp_path)])
+    assert rc == 0
+    (pipeline,) = json.loads((tmp_path / "validate.json").read_text())["pipelines"]
+    (trial,) = pipeline["trials"]
+    assert trial["iterations"] > 0
+    assert "zero_feasible_no_iterations" not in trial["flags"]
+    assert trial["duality_gap"] <= tol
+    assert trial["nnz"] == pipeline["s"] == 10
+    assert trial["covered"]
 
 
 def test_theory_rejects_zero_workers(capsys):

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rfcond.errors import InvalidArgumentError
+from rfcond.errors import InvalidArgumentError, NumericalFailureError
 from rfcond.features import (
     _BLOCK_ENTRIES,
     FOURIER,
@@ -40,6 +40,16 @@ def test_frobenius_energy_is_m_times_n():
     _, _, A = random_features(3, 12, 20, 1.0, 1.0, split_stream(4, 1))
     energy = np.linalg.norm(A, "fro") ** 2
     assert energy == pytest.approx(12 * 20, rel=1e-9)
+
+
+@pytest.mark.parametrize("build", [fourier_features, relu_features])
+def test_finite_inputs_whose_phase_overflows_raise(build):
+    X, W = np.full((2, 3), 1e154), np.full((2, 4), -1e154)
+    with pytest.raises(NumericalFailureError, match="feature phases overflow"):
+        build(X, W)
+    # huge but orthogonal X and W give a finite phase (0), which is not refused
+    X, W = np.array([[1e200], [0.0]]), np.array([[0.0], [1e200]])
+    assert np.array_equal(build(X, W), build(np.zeros((1, 1)), np.zeros((1, 1))))
 
 
 def test_relu_zero_data_gives_zero_matrix():
@@ -173,7 +183,7 @@ def test_spectrum_from_features_holds_a_few_blocks_whatever_n():
     for n in (20_000, 40_000):
         X, W = random_inputs(5, m, n, 1.0, 1.0, split_stream(8, 0))
         peaks.append(_peak_bytes(
-            lambda X, W: singular_values(features=(X, W, FOURIER), scale=np.sqrt(n)), X, W))
+            lambda X, W: singular_values(features=(X, W, FOURIER)), X, W))
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
     assert max(peaks) <= 4 * 16 * _BLOCK_ENTRIES
 

@@ -39,9 +39,9 @@ GOLDEN = {
         "sweep_summary.json": "9e5a45970105685c454f7f8001a0d75f7e0eaaf5890b83a57be2485dc170ee2d",
     },
     "spectrum": {
-        "density.csv": "ca9f074ddfe46e425768e329145a6dbd5f078dc1b56111ab53d38b747e09a604",
+        "density.csv": "d3561046fd4336b83aa014d1478f3bb49dfa43b11c69ed4dfe7c242935a3a344",
         "spectrum.svg": "3d43fcdaaf34ad29101f215fbd98c89759f04b835bafffc1cd76496997f7f73e",
-        "spectrum_summary.json": "507d8c6f7446519feb88390455ec26e335e7ae782d24215df61a18f7bf7b0e17",
+        "spectrum_summary.json": "b0852bf6d2aff14b7ef39ac744fef00c1deac0c5e7ccf0f9f7fde5e11dd9d929",
     },
     "threshold": {
         "threshold.json": "54f4548ac653a49a083d6c9e6fe57ba32f0c275479314530d95ebe9e12e40a1c",

@@ -140,8 +140,7 @@ def test_overflowing_gram_falls_back_to_the_svd_without_warnings():
 
 
 def _feature_inputs(d, m, n, seed):
-    X, W = random_inputs(d, m, n, 1.0, 1.0, split_stream(seed, 0))
-    return X, W, np.sqrt(max(m, n))
+    return random_inputs(d, m, n, 1.0, 1.0, split_stream(seed, 0))
 
 
 def _recording_builds(monkeypatch):
@@ -159,9 +158,9 @@ def _recording_builds(monkeypatch):
 @pytest.mark.parametrize("kind", [FOURIER, RELU])
 @pytest.mark.parametrize("m, n", [(20, 300), (300, 20)])
 def test_one_block_gram_from_features_is_bitwise_the_gram_of_a(kind, m, n):
-    X, W, c = _feature_inputs(5, m, n, seed=m + n)
-    want = singular_values(build_features(X, W, kind) / c)
-    assert np.array_equal(singular_values(features=(X, W, kind), scale=c), want)
+    X, W = _feature_inputs(5, m, n, seed=m + n)
+    want = singular_values(build_features(X, W, kind))
+    assert np.array_equal(singular_values(features=(X, W, kind)), want)
 
 
 # 5120 features (or samples) per block when the shorter side of A is 30
@@ -171,12 +170,12 @@ _BLOCK_AT_30 = _BLOCK_ENTRIES // 30
 @pytest.mark.parametrize("kind", [FOURIER, RELU])
 @pytest.mark.parametrize("m, n", [(30, 2 * _BLOCK_AT_30 + 500), (2 * _BLOCK_AT_30 + 500, 30)])
 def test_gram_summed_over_blocks_agrees_with_the_svd(kind, m, n, monkeypatch):
-    X, W, c = _feature_inputs(20, m, n, seed=7)
-    A = build_features(X, W, kind) / c
+    X, W = _feature_inputs(20, m, n, seed=7)
+    A = build_features(X, W, kind)
     oracle = np.sort(np.linalg.svd(A, compute_uv=False))
     calls, _ = _counting_svd(monkeypatch)
     shapes = _recording_builds(monkeypatch)
-    sv = singular_values(features=(X, W, kind), scale=c)
+    sv = singular_values(features=(X, W, kind))
     assert calls == []  # the summed Gram passed the gate
     # three blocks along the longer side, never A in full
     assert [max(shape) for shape in shapes] == [_BLOCK_AT_30, _BLOCK_AT_30, 500]
@@ -190,21 +189,21 @@ def test_rank_deficient_or_square_features_get_the_svd_values_exactly(kind, m, n
                                                                        monkeypatch):
     # wide and tall: W repeats its columns, so the smaller Gram is singular
     # and fails the gate; square: the Gram is never formed
-    X, W, c = _feature_inputs(5, m, n, seed=3)
+    X, W = _feature_inputs(5, m, n, seed=3)
     if m != n:
         W = W[:, np.arange(n) % (min(m, n) // 2)]
-    A = build_features(X, W, kind) / c
+    A = build_features(X, W, kind)
     want = np.sort(np.linalg.svd(A, compute_uv=False))
     assert np.array_equal(singular_values(A), want)
     shapes = _recording_builds(monkeypatch)
     if m == n:
         monkeypatch.setattr(np.linalg, "eigvalsh", None)
-    assert np.array_equal(singular_values(features=(X, W, kind), scale=c), want)
+    assert np.array_equal(singular_values(features=(X, W, kind)), want)
     assert shapes[-1] == (m, n)  # the fallback builds A in full
 
 
 def test_singular_values_takes_either_a_or_features():
-    X, W, _ = _feature_inputs(3, 4, 6, seed=0)
+    X, W = _feature_inputs(3, 4, 6, seed=0)
     with pytest.raises(InvalidArgumentError, match="either A or features"):
         singular_values()
     with pytest.raises(InvalidArgumentError, match="either A or features"):
