@@ -240,10 +240,10 @@ _COMMANDS = {
                  "d m gamma sigma features trials seed workers out scalings"),
     "threshold": (_report_command("threshold.json", lambda c, a: run_threshold_study(c)),
                   "interpolation threshold statistics at m=N",
-                  "d n-grid gamma sigma features trials seed workers out"),
+                  "d n-grid gamma sigma trials seed workers out"),
     "validate": (_report_command("validate.json", lambda c, a: run_bound_validation(c)),
                  "risk-bound coverage experiments",
-                 "d m n-grid gamma sigma features noise target trials seed n-test eta delta "
+                 "d m n-grid gamma sigma noise target trials seed n-test eta delta "
                  "permissive-constants tol s pipelines workers out"),
     "theory": (_cmd_theory, "print the regime condition report as JSON",
                "d m n-grid gamma sigma eta permissive-constants workers out"),

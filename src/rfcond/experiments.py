@@ -44,6 +44,7 @@ from .solvers import (
     CoefficientVector,
     best_s_term_error,
     bpdn,
+    l2_norm,
     least_squares,
     min_norm_interpolate,
     prune_top_s,
@@ -196,6 +197,14 @@ def random_features(d: int, m: int, n: int, gamma: float, sigma: float, stream: 
     return X, W, build_features(X, W, kind)
 
 
+def _require_fourier(config: ExperimentConfig, protocol: str) -> None:
+    """The paper's bands and risk bounds rest on the Gaussian kernel, the mean Gram
+    of Fourier features; ReLU features have the arc-cosine kernel, so refuse them."""
+    if config.feature_kind != FOURIER:
+        raise InvalidArgumentError(f"{protocol} checks the paper's bounds, which hold for "
+                                   f"fourier features only; got {config.feature_kind} features")
+
+
 def _map_cells(fn, cells, config: ExperimentConfig) -> list[list]:
     """[[fn(cell, t) for t in range(config.trials)] for cell in cells], every
     job run from one pool of `config.workers` threads."""
@@ -237,7 +246,7 @@ def _train_and_test(config: ExperimentConfig, target: TargetFunction, pipeline: 
     else:  # the residual of the pruned model, not of the BPDN solution
         fit = bpdn(A, y, xi, config.tol)
         c = prune_top_s(fit.values, s)
-        coeff = replace(fit, values=c, residual_norm=float(np.linalg.norm(A @ c - y)))
+        coeff = replace(fit, values=c, residual_norm=l2_norm(A @ c - y))
     nnz = int(np.count_nonzero(coeff.values))
     if nnz * nnz <= config.n_test * W.shape[1]:
         value = population_risk(target, W, coeff.values, config.gamma, config.feature_kind)
@@ -309,9 +318,11 @@ def run_double_descent_sweep(config: ExperimentConfig) -> SweepResult:
     """Figure-1 protocol: each trial samples one target; for each N it builds
     features, trains (least squares below the threshold, min-norm at and above
     it), and records the smaller normalized Gram's conditioning and the risk."""
-    if config.compute_bounds and config.target_kind != KIND_BUMP:
-        raise InvalidArgumentError(
-            "sweep --bounds needs a target with finite rho-norm (gaussian_bump)")
+    if config.compute_bounds:
+        _require_fourier(config, "sweep --bounds")
+        if config.target_kind != KIND_BUMP:
+            raise InvalidArgumentError(
+                "sweep --bounds needs a target with finite rho-norm (gaussian_bump)")
     targets = [sample_target(config.target_kind, config.d, config.sigma,
                              split_stream(config.seed, t).substream(TAG_TARGET),
                              config.feature_kind, config.planted_s, config.bump_width)
@@ -394,6 +405,7 @@ def run_threshold_study(config: ExperimentConfig) -> dict:
     """Interpolation threshold statistics at m = N for each N in the grid:
     Monte Carlo means of the extreme eigenvalues of (1/N)A*A against their
     closed-form expectation bounds, plus the Markov small-eigenvalue check."""
+    _require_fourier(config, "the threshold study")
     if config.trials < 2:
         raise InvalidArgumentError("the threshold study needs trials >= 2 for standard errors")
 
@@ -471,6 +483,7 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
     Next to the coverage, `bound_over_risk` is the smallest bound / risk over
     the trials (inf when every risk is 0): coverage against a bound many
     orders above the risk says little about the bound."""
+    _require_fourier(config, "bound validation")
     if config.n_test < 2:
         raise InvalidArgumentError(
             "bound validation needs n_test >= 2 for the risk's standard error")
@@ -484,8 +497,6 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
     if target.rho_norm is None:
         raise InvalidArgumentError(
             "bound validation needs a target with finite rho-norm (gaussian_bump)")
-    if config.feature_kind != FOURIER:
-        raise InvalidArgumentError("bound validation is defined for fourier features")
 
     E = config.noise.bound
     rho = target.rho_norm
@@ -547,6 +558,8 @@ def run_rip_study(config: ExperimentConfig, method: str, budget: int,
             f"the rip study takes a single N, got {len(config.n_grid)} values")
     if method not in ("auto", "exact", "mc"):
         raise InvalidArgumentError(f"unknown rip method {method!r}")
+    if budget < 1:
+        raise InvalidArgumentError(f"budget must be at least 1 support, got {budget}")
     n = config.n_grid[0]
     s_max = config.s if config.s is not None else n
     if not 1 <= s_max <= n:

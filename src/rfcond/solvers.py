@@ -49,15 +49,15 @@ def _as_matrix_vector(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.asarray(A, dtype=np.complex128), y.astype(np.complex128)
 
 
-def _residual_norm(A: np.ndarray, c: np.ndarray, y: np.ndarray) -> float:
-    """||Ac - y||_2; where its sum of squares overflows but the residual is
-    finite, the norm of the residual scaled by its largest modulus."""
-    r = A @ c - y
+def l2_norm(v: np.ndarray) -> float:
+    """||v||_2, the one norm of the fits: np.linalg.norm where it is finite, and
+    where its sum of squares overflows but v is finite, the norm of v scaled by
+    its largest modulus."""
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(r))
-    if norm == np.inf and np.isfinite(r).all():
-        scale = float(np.abs(r).max())
-        norm = scale * float(np.linalg.norm(r / scale))
+        norm = float(np.linalg.norm(v))
+    if norm == np.inf and np.isfinite(v).all():
+        scale = float(np.abs(v).max())
+        norm = scale * float(np.linalg.norm(v / scale))
     return norm
 
 
@@ -76,7 +76,7 @@ def _pinv_fit(A: np.ndarray, y: np.ndarray, flag: str) -> CoefficientVector:
     below min(m, N): it counts sigma <= `rank_rcond`(m, N) sigma_max as zero."""
     c, _, rank, sv = _lstsq(A, y)
     flags = () if rank == min(A.shape) else (flag,)
-    return CoefficientVector(c, _residual_norm(A, c, y), flags=flags, singular_values=sv[::-1])
+    return CoefficientVector(c, l2_norm(A @ c - y), flags=flags, singular_values=sv[::-1])
 
 
 def least_squares(A: np.ndarray, y: np.ndarray) -> CoefficientVector:
@@ -117,7 +117,7 @@ def ridge(A: np.ndarray, y: np.ndarray, lam: float) -> CoefficientVector:
     else:
         G = A @ A.conj().T + m * lam * np.eye(m)
         c = A.conj().T @ np.linalg.solve(G, y)
-    return CoefficientVector(c, _residual_norm(A, c, y))
+    return CoefficientVector(c, l2_norm(A @ c - y))
 
 
 def _soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
@@ -134,11 +134,11 @@ def _bpdn_gap(A: np.ndarray, y: np.ndarray, radius: float, c: np.ndarray,
     Any u with ||A*u||_inf <= 1 gives the lower bound
     -Re<y, u> - radius ||u||_2 <= min ||c||_1; u is rescaled into that set.
     """
-    feas = max(0.0, float(np.linalg.norm(A @ c - y)) - radius)
+    feas = max(0.0, l2_norm(A @ c - y) - radius)
     z = A.conj().T @ u
     denom = max(1.0, float(np.abs(z).max())) if z.size else 1.0
     uf = u / denom
-    dual = -float(np.real(np.vdot(y, uf))) - radius * float(np.linalg.norm(uf))
+    dual = -float(np.real(np.vdot(y, uf))) - radius * l2_norm(uf)
     gap = float(np.abs(c).sum()) - dual
     return feas, gap
 
@@ -162,12 +162,13 @@ def bpdn(A: np.ndarray, y: np.ndarray, xi: float, tolerance: float = 1e-6,
         raise InvalidArgumentError("tolerance must be positive")
     radius = xi * np.sqrt(m)
 
-    if np.linalg.norm(y) <= radius:
-        return CoefficientVector(np.zeros(n, dtype=np.complex128), float(np.linalg.norm(y)),
+    y_norm = l2_norm(y)
+    if y_norm <= radius:
+        return CoefficientVector(np.zeros(n, dtype=np.complex128), y_norm,
                                  duality_gap=0.0, flags=(FLAG_ZERO_FEASIBLE,))
 
     c_feas, _, _, sv = _lstsq(A, y)
-    min_residual = float(np.linalg.norm(A @ c_feas - y))
+    min_residual = l2_norm(A @ c_feas - y)
     if min_residual > radius + tolerance:
         raise InfeasibleProblemError(
             f"||Ac - y|| cannot go below {min_residual:.3e}, constraint level is "
@@ -186,7 +187,7 @@ def bpdn(A: np.ndarray, y: np.ndarray, xi: float, tolerance: float = 1e-6,
     feas = gap = float("inf")
     for it in range(1, max_iter + 1):
         w = u + sigma_step * (A @ c_bar - y)
-        wn = float(np.linalg.norm(w))
+        wn = l2_norm(w)
         u = w * max(0.0, 1.0 - sigma_step * radius / wn) if wn > 0 else w
         c_next = _soft_threshold(c - tau * (A.conj().T @ u), tau)
         c_bar = 2.0 * c_next - c
@@ -194,7 +195,7 @@ def bpdn(A: np.ndarray, y: np.ndarray, xi: float, tolerance: float = 1e-6,
         if it % check_every == 0:
             feas, gap = _bpdn_gap(A, y, radius, c, u)
             if feas <= tolerance and gap <= tolerance:
-                return CoefficientVector(c, _residual_norm(A, c, y), iterations=it,
+                return CoefficientVector(c, l2_norm(A @ c - y), iterations=it,
                                          duality_gap=gap)
     raise ConvergenceError(
         f"bpdn did not certify optimality in {max_iter} iterations "

@@ -1,5 +1,7 @@
 import json
+import re
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,27 +204,41 @@ OFFERED = {
     "sweep": "d m n-grid gamma sigma features noise target trials seed n-test eta delta "
              "bounds workers out",
     "spectrum": "d m gamma sigma features trials seed workers out scalings",
-    "threshold": "d n-grid gamma sigma features trials seed workers out",
-    "validate": "d m n-grid gamma sigma features noise target trials seed n-test eta delta "
+    "threshold": "d n-grid gamma sigma trials seed workers out",
+    "validate": "d m n-grid gamma sigma noise target trials seed n-test eta delta "
                 "permissive-constants tol s pipelines workers out",
     "theory": "d m n-grid gamma sigma eta permissive-constants workers out",
     "rip": "d m n-grid gamma sigma features seed s workers out method budget rip-trials",
 }
 
 
-def test_each_command_offers_exactly_the_flags_it_reads():
+def _parser_flags() -> dict[str, list[str]]:
+    """command -> the long flags its parser offers, in order, without --help."""
     sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
-    offered = {name: {opt[2:] for action in p._actions for opt in action.option_strings
-                      if opt.startswith("--") and opt != "--help"}
-               for name, p in sub.choices.items()}
+    return {name: [opt[2:] for action in p._actions for opt in action.option_strings
+                   if opt.startswith("--") and opt != "--help"]
+            for name, p in sub.choices.items()}
+
+
+def test_each_command_offers_exactly_the_flags_it_reads():
+    offered = {name: set(flags) for name, flags in _parser_flags().items()}
     assert offered == {name: set(flags.split()) for name, flags in OFFERED.items()}
-    assert sum(len(flags) for flags in offered.values()) == 76
+    assert sum(len(flags) for flags in offered.values()) == 74
+
+
+def test_readme_lists_the_flags_each_command_offers():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    # "* `sweep`: `--d --m ... --out`", the flag span possibly wrapped over lines
+    listed = {name: re.findall(r"--([\w-]+)", flags)
+              for name, flags in re.findall(r"^\* `(\w+)`: `([^`]*)`", readme, re.MULTILINE)}
+    assert listed == _parser_flags()
 
 
 @pytest.mark.parametrize("argv", [
     ["theory", "--trials", "3"], ["rip", "--noise", "none"], ["spectrum", "--n-grid", "7"],
     ["threshold", "--m", "5"], ["sweep", "--tol", "1e-3"], ["validate", "--bounds"],
     ["theory", "--report"], ["sweep", "--permissive-constants"],
+    ["threshold", "--features", "relu"], ["validate", "--features", "relu"],
 ])
 def test_unoffered_flag_exits_2(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
@@ -232,6 +248,7 @@ def test_unoffered_flag_exits_2(argv, tmp_path, capsys):
 
 
 _SMALL_SWEEP = ["sweep", "--n-grid", "5", "--trials", "1"]
+_SMALL_RIP = ["rip", "--d", "2", "--m", "5", "--n-grid", "4"]
 _BUMP_RHO_NORM_OVERFLOW = ["validate", "--d", "5", "--m", "10", "--n-grid", "20",
                            "--sigma", "1e154", "--target", "bump:1.5", "--trials", "1"]
 
@@ -249,15 +266,25 @@ _BUMP_RHO_NORM_OVERFLOW = ["validate", "--d", "5", "--m", "10", "--n-grid", "20"
     ["sweep", "--target", "bump:1", "--sigma", "1e-200", "--n-grid", "5", "--trials", "1"],
     _SMALL_SWEEP + ["--gamma", "1e-200"],
     _BUMP_RHO_NORM_OVERFLOW,
+    # ||y|| ~ 1e154 overflows a plain sum of squares in bpdn before the bound check
+    ["validate", "--d", "3", "--m", "10", "--n-grid", "20", "--target", "bump:1.5",
+     "--trials", "1", "--noise", "bounded:1e154", "--s", "3", "--pipelines", "bpdn_pruned"],
+    _SMALL_RIP + ["--budget", "-5", "--method", "exact"],
+    _SMALL_RIP + ["--budget", "0"],
+    ["sweep", "--features", "relu", "--target", "bump:2", "--bounds", "--n-grid", "5",
+     "--trials", "1"],
 ], ids=["sigma-1e200", "gamma-1e160", "bump-1e30", "bounded-inf", "gamma-negative",
         "theory-gamma-nan", "gaussian-nan", "snr-nan", "sigma-1e-200", "gamma-1e-200",
-        "bump-sigma-1e154"])
-def test_non_finite_or_overflowing_input_exits_2(argv, tmp_path, capsys):
+        "bump-sigma-1e154", "bpdn-noise-1e154", "rip-budget-negative", "rip-budget-zero",
+        "sweep-bounds-relu"])
+def test_non_finite_or_overflowing_input_exits_2(argv, tmp_path, capfd):
     rc = cli.main(argv + ["--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert "error" in captured.err
-    assert captured.out == ""
+    out, err = capfd.readouterr()
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Warning" not in err
+    assert out == ""
     assert not any(tmp_path.iterdir())
 
 

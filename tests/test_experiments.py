@@ -416,6 +416,27 @@ def test_bound_validation_rejects_snr_noise():
         run_bound_validation(cfg)
 
 
+@pytest.mark.parametrize("run, overrides", [
+    (run_threshold_study, dict(m=10)),
+    (run_bound_validation, dict(target_kind="gaussian_bump")),
+    (run_double_descent_sweep, dict(target_kind="gaussian_bump", compute_bounds=True)),
+], ids=["threshold", "bound-validation", "sweep-bounds"])
+def test_protocols_that_check_the_papers_bounds_refuse_relu(run, overrides):
+    # The paper's bands and risk bounds rest on the Gaussian kernel, the mean
+    # Gram of Fourier features; ReLU features have the arc-cosine kernel.
+    cfg = ExperimentConfig(**{"d": 3, "m": 50, "n_grid": (10,), "trials": 2, **overrides},
+                           feature_kind="relu")
+    with pytest.raises(InvalidArgumentError, match="fourier features only; got relu"):
+        run(cfg)
+
+
+@pytest.mark.parametrize("method, budget", [("exact", -5), ("auto", 0), ("mc", 0)])
+def test_rip_study_rejects_a_budget_below_one(method, budget):
+    with pytest.raises(InvalidArgumentError, match=f"budget must be at least 1 support, "
+                                                   f"got {budget}"):
+        run_rip_study(ExperimentConfig(d=2, m=5, n_grid=(4,)), method, budget, 10)
+
+
 def test_bound_validation_raises_on_singular_row_gram():
     # Data points within 1e-16 of the origin: every row of A rounds to the
     # all-ones vector, so the row Gram has numerical rank 1 < m.

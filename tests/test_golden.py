@@ -44,10 +44,10 @@ GOLDEN = {
         "spectrum_summary.json": "b0852bf6d2aff14b7ef39ac744fef00c1deac0c5e7ccf0f9f7fde5e11dd9d929",
     },
     "threshold": {
-        "threshold.json": "54f4548ac653a49a083d6c9e6fe57ba32f0c275479314530d95ebe9e12e40a1c",
+        "threshold.json": "b440f962cce6bf2fb84079b5fd3f25cc536be9ca12be2426d0908d453c7bd64a",
     },
     "validate": {
-        "validate.json": "7ed590b2c5b0038b6808ae9008891ab5acd2dc906c5a3643b99223af48785550",
+        "validate.json": "1b397c65b757cfa275bde58ddb4db5a06391cc547b6f9cb017e9896bd1c20136",
     },
     "theory": {
         "stdout": "7a294e1eb65e1848c877a3365c114d044f9c04c0d706a3f471e4c97b6042bb35",
