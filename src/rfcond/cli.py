@@ -14,6 +14,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -174,6 +175,14 @@ def _write_report(args, name: str, payload: dict) -> Path:
     return path
 
 
+def _unit_scaled(values: list[float]) -> list[float]:
+    """Min-max scale `values` to [0, 1] over their finite ones (all 0 when those
+    are equal).  A non-finite value stays non-finite, so the chart leaves it out."""
+    finite = [v for v in values if math.isfinite(v)]
+    lo, hi = min(finite, default=0.0), max(finite, default=0.0)
+    return [(v - lo) / (hi - lo or 1.0) for v in values]
+
+
 def _cmd_sweep(args) -> int:
     result = run_double_descent_sweep(_build_config(args))
     out = Path(args.out)
@@ -182,8 +191,8 @@ def _cmd_sweep(args) -> int:
     ns = [float(n) for n in result.summary["n_grid"]]
     write_line_chart(
         out / "sweep.svg",
-        [("condition number (rescaled)", ns, result.summary["cond_curve_rescaled"]),
-         ("risk (rescaled)", ns, result.summary["risk_curve_rescaled"])],
+        [("condition number (rescaled)", ns, _unit_scaled(result.summary["mean_cond_number"])),
+         ("risk (rescaled)", ns, _unit_scaled(result.summary["mean_empirical_risk"]))],
         title="Double descent of conditioning and risk",
         x_label="number of features N", y_label="rescaled value",
     )
@@ -198,7 +207,7 @@ def _cmd_spectrum(args) -> int:
             for e in entries for g, v in zip(e.curve.grid, e.curve.density)]
     write_csv(out / "density.csv", ["scaling", "grid", "value"], rows)
     _write_report(args, "spectrum_summary.json", {
-        "scalings": [{"label": e.label, "m": e.m, "N": e.n,
+        "scalings": [{"label": e.label, "N": e.n,
                       "sv_min": e.sv_min, "sv_max": e.sv_max,
                       "bandwidth": e.curve.bandwidth} for e in entries],
     })
@@ -274,8 +283,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidArgumentError, EnumerationBudgetError) as exc:
+    except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except EnumerationBudgetError as exc:  # rip --method exact; the remedy is a flag
+        print(f"error: {exc.overrun}; use --method mc or --method auto for a randomized "
+              "lower bound", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalFailureError, ConvergenceError, InfeasibleProblemError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

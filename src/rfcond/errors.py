@@ -10,7 +10,12 @@ class NumericalFailureError(RuntimeError):
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Exact support enumeration would exceed the configured budget."""
+    """Exact support enumeration would exceed the configured budget.  `overrun`
+    says by how much; the message adds the library's remedy."""
+
+    def __init__(self, overrun: str):
+        super().__init__(f"{overrun}; use rip_constant_lower_mc for a randomized lower bound")
+        self.overrun = overrun
 
 
 class InfeasibleProblemError(RuntimeError):

@@ -295,17 +295,10 @@ def _sweep_cell(config: ExperimentConfig, target: TargetFunction, n: int,
                     bound_value=bound, flags=";".join(coeff.flags))
 
 
-def _rescale_unit(values: np.ndarray) -> np.ndarray:
-    """Min-max rescale to [0, 1]; infinities are clipped to the finite max first."""
-    v = np.asarray(values, dtype=float).copy()
-    finite = np.isfinite(v)
-    if not finite.any():
-        return np.zeros_like(v)
-    v[~finite] = v[finite].max()
-    lo, hi = v.min(), v.max()
-    if hi == lo:
-        return np.zeros_like(v)
-    return (v - lo) / (hi - lo)
+def _finite_argmax(values: np.ndarray) -> int:
+    """Index of the largest finite value, 0 if none is: one rank-deficient trial
+    makes its cell's mean condition number inf, and that says nothing of a peak."""
+    return int(np.argmax(np.where(np.isfinite(values), values, -np.inf)))
 
 
 @dataclass(frozen=True)
@@ -334,42 +327,37 @@ def run_double_descent_sweep(config: ExperimentConfig) -> SweepResult:
     grid = np.asarray(config.n_grid)
     mean_cond = np.array([np.mean([r.cond_number for r in cell]) for cell in per_cell])
     mean_risk = np.array([np.mean([r.empirical_risk for r in cell]) for cell in per_cell])
-    cond_idx = int(np.argmax(mean_cond))
-    risk_idx = int(np.argmax(mean_risk))
     summary = {
         "n_grid": [int(n) for n in grid],
         "mean_cond_number": mean_cond.tolist(),
         "mean_empirical_risk": mean_risk.tolist(),
-        "cond_argmax_n": int(grid[cond_idx]),
-        "risk_argmax_n": int(grid[risk_idx]),
-        "cond_curve_rescaled": _rescale_unit(mean_cond).tolist(),
-        "risk_curve_rescaled": _rescale_unit(mean_risk).tolist(),
+        "cond_argmax_n": int(grid[_finite_argmax(mean_cond)]),
+        "risk_argmax_n": int(grid[_finite_argmax(mean_risk)]),
     }
     return SweepResult(rows=rows, summary=summary)
 
 
-def _solve_scaling(label: str, m: int) -> tuple[int, int]:
-    """(m, N) for a scaling label; under-parameterized labels invert
+def _solve_scaling(label: str, m: int) -> int:
+    """N for a scaling label at m samples; under-parameterized labels invert
     N log^k N = m over integers."""
     if label == "N=m":
-        return m, m
+        return m
     if label == "N=m log m":
-        return m, max(2, round(m * math.log(m)))
+        return max(2, round(m * math.log(m)))
     if label == "N=m log^3 m":
-        return m, max(2, round(m * math.log(m) ** 3))
+        return max(2, round(m * math.log(m) ** 3))
     power = 1 if label == "m=N log N" else 3
     best_n, best_err = 2, float("inf")
     for n in range(2, m + 1):
         err = abs(n * math.log(n) ** power - m)
         if err < best_err:
             best_n, best_err = n, err
-    return m, best_n
+    return best_n
 
 
 @dataclass(frozen=True)
 class DensityStudyEntry:
     label: str
-    m: int
     n: int
     curve: DensityCurve
     sv_min: float
@@ -383,20 +371,20 @@ def run_spectrum_density(config: ExperimentConfig) -> list[DensityStudyEntry]:
     sqrt(max(m, N)), as `gram_spectrum_via_svd` does, and passes its X and W
     to `singular_values`, which builds A in blocks for its Gram and in full
     only for the SVD fallback (m = N, or a Gram that fails the gate)."""
-    cells = [(idx, *_solve_scaling(label, config.m))
-             for idx, label in enumerate(config.scalings)]
+    m = config.m
+    cells = [(idx, _solve_scaling(label, m)) for idx, label in enumerate(config.scalings)]
 
-    def one_trial(cell: tuple[int, int, int], t: int) -> np.ndarray:
-        idx, m, n = cell
+    def one_trial(cell: tuple[int, int], t: int) -> np.ndarray:
+        idx, n = cell
         stream = split_stream(config.seed, t).substream(_TAG_SCALING, idx)
         X, W = random_inputs(config.d, m, n, config.gamma, config.sigma, stream)
         return singular_values(features=(X, W, config.feature_kind)) / np.sqrt(max(m, n))
 
     entries = []
-    for label, (_, m, n), values in zip(config.scalings, cells,
-                                        _map_cells(one_trial, cells, config)):
+    for label, (_, n), values in zip(config.scalings, cells,
+                                     _map_cells(one_trial, cells, config)):
         pooled = np.concatenate(values)
-        entries.append(DensityStudyEntry(label=label, m=m, n=n, curve=spectral_density(pooled),
+        entries.append(DensityStudyEntry(label=label, n=n, curve=spectral_density(pooled),
                                          sv_min=float(pooled.min()), sv_max=float(pooled.max())))
     return entries
 
@@ -431,7 +419,6 @@ def run_threshold_study(config: ExperimentConfig) -> dict:
 
         cells.append({
             "N": int(n),
-            "trials": config.trials,
             "mean_lambda_min": float(lam_min.mean()),
             "se_lambda_min": se_min,
             "lambda_min_upper_bound": lam_min_upper,
@@ -532,9 +519,7 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
         reports = [_risk_bound(config, name, n, rho, E, s, eps, thetas[0], permissive)
                    for permissive in (False, True)]
         pipelines.append({
-            "name": name, "m": config.m, "N": int(n), "s": s,
-            "eta": config.eta, "delta": config.delta, "epsilon": eps,
-            "noise_bound": E,
+            "name": name, "N": int(n), "s": s, "epsilon": eps, "noise_bound": E,
             "coverage": sum(r["covered"] for r in trial_rows) / config.trials,
             "bound_over_risk": min((r["bound_value"] / r["empirical_risk"]
                                     for r in trial_rows if r["empirical_risk"] > 0),

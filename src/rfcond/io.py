@@ -14,38 +14,18 @@ from pathlib import Path
 
 import numpy as np
 
-REPORT_VERSION = "rfcond-report/2"
-
-
-def _nonfinite_name(x: float) -> str | None:
-    """"nan", "inf" or "-inf" for a non-finite float; None for a finite one."""
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return None
-
-
-def fmt_value(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return _nonfinite_name(float(x)) or repr(float(x))
-    return str(x)
+REPORT_VERSION = "rfcond-report/3"
 
 
 def write_csv(path, header: list[str], rows) -> None:
+    """Each cell as `jsonable` encodes it, and an empty cell for None."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([fmt_value(v) for v in row])
+            writer.writerow(["" if v is None else jsonable(v) for v in row])
 
 
 def jsonable(obj):
@@ -62,7 +42,8 @@ def jsonable(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return _nonfinite_name(float(obj)) or float(obj)
+        x = float(obj)
+        return x if math.isfinite(x) else str(x)  # "inf", "-inf" or "nan"
     return obj
 
 

@@ -395,10 +395,7 @@ def rip_constant_exact(A_normalized: np.ndarray, s: int,
         raise InvalidArgumentError(f"s must be in [1, {n}], got {s}")
     total = comb(n, s)
     if total > budget:
-        raise EnumerationBudgetError(
-            f"C({n},{s}) = {total} supports exceeds budget {budget}; "
-            "use rip_constant_lower_mc for a randomized lower bound"
-        )
+        raise EnumerationBudgetError(f"C({n},{s}) = {total} supports exceeds budget {budget}")
     walk = _SupportWalk(M, s, budget).run()
     return RipEstimate(s=s, value=walk.leaves.best, method="exact_enumeration",
                        supports_evaluated=total,

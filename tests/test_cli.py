@@ -103,7 +103,7 @@ def test_theory_prints_regime_report(capsys):
                    "--eta", "0.5", "--permissive-constants"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["version"] == "rfcond-report/2"
+    assert payload["version"] == "rfcond-report/3"
     assert payload["regime"] == "under"
     assert {c["name"] for c in payload["conditions"]} == {
         "sample_complexity_simplified", "sample_complexity_tight",
@@ -117,6 +117,11 @@ def test_rip_exact_budget_error_exits_2(tmp_path, capsys):
                    "--method", "exact", "--budget", "100",
                    "--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
+    # the command line names its own remedy, a flag, not the library function
+    assert capsys.readouterr().err == (
+        "error: C(30,2) = 435 supports exceeds budget 100; use --method mc or "
+        "--method auto for a randomized lower bound\n")
+    assert not (tmp_path / "rip.json").exists()
 
 
 def test_rip_auto_falls_back_to_randomized(tmp_path):
@@ -373,7 +378,7 @@ def test_threshold_report_written(tmp_path):
                    "--seed", "4", "--out", str(tmp_path)])
     assert rc == 0
     payload = json.loads((tmp_path / "threshold.json").read_text())
-    assert payload["version"] == "rfcond-report/2"
+    assert payload["version"] == "rfcond-report/3"
     assert len(payload["cells"]) == 2
 
 

@@ -86,12 +86,20 @@ def test_sweep_rows_satisfy_schema_invariants():
 
 
 def test_sweep_summary_curves_are_rescaled():
+    # The summary states the means once; sweep.svg rescales them where it is drawn.
     result = run_double_descent_sweep(_sweep_config())
-    for key in ("cond_curve_rescaled", "risk_curve_rescaled"):
-        curve = np.asarray(result.summary[key])
+    assert not [key for key in result.summary if key.endswith("_rescaled")]
+    for key in ("mean_cond_number", "mean_empirical_risk"):
+        curve = np.asarray(cli._unit_scaled(result.summary[key]))
         assert curve.min() == pytest.approx(0.0)
         assert curve.max() == pytest.approx(1.0)
     assert result.summary["cond_argmax_n"] in result.summary["n_grid"]
+    # an infinite mean is scaled by the finite ones and stays infinite, so the
+    # chart leaves it out instead of drawing it at the finite maximum
+    scaled = cli._unit_scaled([3.0, math.inf, 1.0, 2.0])
+    assert math.isinf(scaled[1])
+    assert [scaled[0], *scaled[2:]] == [1.0, 0.0, 0.5]
+    assert cli._unit_scaled([math.inf, 5.0, 5.0]) == [math.inf, 0.0, 0.0]
 
 
 def test_sweep_with_snr_noise_and_relu_features():
@@ -265,13 +273,13 @@ def test_sweep_csv_flags_column(tmp_path, monkeypatch):
 
 def test_scaling_resolution():
     m = 150
-    assert _solve_scaling("N=m", m) == (150, 150)
-    assert _solve_scaling("N=m log m", m) == (150, round(150 * math.log(150)))
-    assert _solve_scaling("N=m log^3 m", m) == (150, round(150 * math.log(150) ** 3))
-    _, n = _solve_scaling("m=N log N", m)
+    assert _solve_scaling("N=m", m) == 150
+    assert _solve_scaling("N=m log m", m) == round(150 * math.log(150))
+    assert _solve_scaling("N=m log^3 m", m) == round(150 * math.log(150) ** 3)
+    n = _solve_scaling("m=N log N", m)
     assert abs(n * math.log(n) - m) <= abs((n + 1) * math.log(n + 1) - m)
     assert abs(n * math.log(n) - m) <= abs((n - 1) * math.log(n - 1) - m)
-    _, n3 = _solve_scaling("m=N log^3 N", m)
+    n3 = _solve_scaling("m=N log^3 N", m)
     assert n3 < n
 
 
@@ -286,6 +294,35 @@ def test_spectrum_density_entries():
         assert e.sv_min <= e.sv_max
     # conditioning improves away from the square case
     assert entries[1].sv_min > entries[0].sv_min
+
+
+def test_sweep_argmax_skips_a_cell_that_one_rank_deficient_trial_makes_infinite(
+        tmp_path, monkeypatch):
+    # Trial 0 at N = 40 gets rank-one features, so that cell's mean condition
+    # number is inf; the peak is still the largest finite mean, and the chart
+    # leaves the inf cell out of the condition curve.
+    build = experiments.build_features
+    calls = []
+
+    def one_rank_one(X, W, kind):
+        calls.append(W.shape[1])
+        if W.shape[1] == 40 and calls.count(40) == 1:
+            return np.ones((X.shape[1], W.shape[1]), dtype=complex)
+        return build(X, W, kind)
+
+    monkeypatch.setattr(experiments, "build_features", one_rank_one)
+    rc = cli.main(["sweep", "--d", "3", "--m", "20", "--n-grid", "5,10,20,40",
+                   "--sigma", "0.4", "--trials", "3", "--seed", "11", "--n-test", "200",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "sweep_summary.json").read_text())["summary"]
+    means = summary["mean_cond_number"]
+    assert means[3] == "inf" and all(isinstance(v, float) for v in means[:3])
+    assert summary["cond_argmax_n"] == summary["n_grid"][int(np.argmax(means[:3]))]
+    svg = (tmp_path / "sweep.svg").read_text()
+    cond_points, risk_points = (len(line.split('points="')[1].split('"')[0].split())
+                                for line in svg.splitlines() if "<polyline" in line)
+    assert (cond_points, risk_points) == (3, 4)
 
 
 def test_spectrum_density_is_worker_independent_across_gram_blocks(monkeypatch):

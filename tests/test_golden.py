@@ -36,24 +36,24 @@ GOLDEN = {
     "sweep": {
         "sweep.csv": "495ef0adf0cd66dbad53effd6568abcd61b648ca9490948ee0853b6f26ca3afb",
         "sweep.svg": "ca4513dd965b23c83bf1661751e10a604daf29944ccc26b0ad1afcd4630b7d34",
-        "sweep_summary.json": "9e5a45970105685c454f7f8001a0d75f7e0eaaf5890b83a57be2485dc170ee2d",
+        "sweep_summary.json": "ce95a6574362ad558e12f3eaf1359ddcae31e1125d9d6d82ab0d4ea28c7de88d",
     },
     "spectrum": {
         "density.csv": "d3561046fd4336b83aa014d1478f3bb49dfa43b11c69ed4dfe7c242935a3a344",
         "spectrum.svg": "3d43fcdaaf34ad29101f215fbd98c89759f04b835bafffc1cd76496997f7f73e",
-        "spectrum_summary.json": "b0852bf6d2aff14b7ef39ac744fef00c1deac0c5e7ccf0f9f7fde5e11dd9d929",
+        "spectrum_summary.json": "5b7713cd2fa6951d1b1ca32e5c5a20b793b9748ff0b4a23b49e5c1c628fd235a",
     },
     "threshold": {
-        "threshold.json": "b440f962cce6bf2fb84079b5fd3f25cc536be9ca12be2426d0908d453c7bd64a",
+        "threshold.json": "f82e1cf975d0b0369bdc4be0b53bc76999cb399932aba5ca32874b227d8357be",
     },
     "validate": {
-        "validate.json": "1b397c65b757cfa275bde58ddb4db5a06391cc547b6f9cb017e9896bd1c20136",
+        "validate.json": "8d07bc95b05bfc33d995dbd8d666fb1af39fc540696618e3973c5c45df9e5529",
     },
     "theory": {
-        "stdout": "7a294e1eb65e1848c877a3365c114d044f9c04c0d706a3f471e4c97b6042bb35",
+        "stdout": "c09e926acd4ca18c7bd1981f0b0ac50d7de45379f70c37976abe3e8938152253",
     },
     "rip": {
-        "rip.json": "d4ac8e428c751c977d3d9c49cec63d8fe6459944a6ee65569c28236346685c22",
+        "rip.json": "71a7616de65e1c719232379e1913f938a7c8db0c11cba644abb99a8c79ff7ead",
     },
 }
 
