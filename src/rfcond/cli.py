@@ -126,8 +126,6 @@ _FLAGS = {
     "out": dict(default="out", help="output directory"),
     "permissive-constants": dict(action="store_true", default=False,
                                  help="treat the universal condition constant as 1"),
-    "bounds": dict(action="store_true", default=False,
-                   help="attach risk-bound values to sweep rows"),
     "scalings": dict(default="all",
                      help="semicolon-separated subset of: " + "; ".join(SCALING_LABELS)),
     "method": dict(choices=["auto", "exact", "mc"], default="auto",
@@ -155,7 +153,6 @@ def _build_config(args) -> ExperimentConfig:
         target_kind=target_kind, planted_s=planted_s, bump_width=bump_width,
         trials=opt["trials"], seed=opt["seed"], tol=opt["tol"],
         n_test=opt["n-test"], delta=opt["delta"], eta=opt["eta"], s=opt["s"],
-        compute_bounds=opt["bounds"],
         workers=opt["workers"], scalings=scalings, pipelines=pipelines,
     )
 
@@ -243,8 +240,7 @@ def _cmd_theory(args) -> int:
 # looks its run_* up when called, so a wrapper set on this module applies.
 _COMMANDS = {
     "sweep": (_cmd_sweep, "double-descent sweep over the N grid",
-              "d m n-grid gamma sigma features noise target trials seed n-test eta delta "
-              "bounds workers out"),
+              "d m n-grid gamma sigma features noise target trials seed n-test workers out"),
     "spectrum": (_cmd_spectrum, "singular value densities under log scalings",
                  "d m gamma sigma features trials seed workers out scalings"),
     "threshold": (_report_command("threshold.json", lambda c, a: run_threshold_study(c)),

@@ -58,7 +58,6 @@ from .spectral import (
     spectral_density,
 )
 from .targets import (
-    KIND_BUMP,
     KIND_LINEAR,
     TargetFunction,
     best_phi_coeffs,
@@ -69,6 +68,7 @@ from .targets import (
 from .theory import (
     BoundResult,
     bp_noise_parameter,
+    eig_band,
     epsilon_bound,
     interpolation_expectation_bounds,
     markov_min_eig_threshold,
@@ -114,7 +114,6 @@ class ExperimentConfig:
     delta: float = 0.05
     eta: float = 0.5
     s: int | None = None  # pruning size of the sparse pipeline
-    compute_bounds: bool = False
     workers: int = 1
     scalings: tuple[str, ...] = SCALING_LABELS
     pipelines: tuple[str, ...] | None = None  # None = all regime-appropriate ones
@@ -146,6 +145,8 @@ class ExperimentConfig:
         unknown = set(self.scalings) - set(SCALING_LABELS)
         if unknown:
             raise InvalidArgumentError(f"unknown scaling labels {sorted(unknown)}")
+        if len(set(self.scalings)) != len(self.scalings):
+            raise InvalidArgumentError(f"scalings repeat a label: {list(self.scalings)}")
         if self.pipelines is not None:
             bad = set(self.pipelines) - set(_PIPE_TAGS)
             if bad:
@@ -155,8 +156,6 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class SweepRow:
     N: int
-    m: int
-    d: int
     trial: int
     cond_number: float
     lambda_min: float
@@ -164,7 +163,6 @@ class SweepRow:
     train_residual: float
     empirical_risk: float
     risk_method: str
-    bound_value: float | None
     flags: str  # the fit's diagnostic flags joined by ";", empty when there are none
 
 
@@ -220,8 +218,8 @@ def _map_cells(fn, cells, config: ExperimentConfig) -> list[list]:
 def _train_and_test(config: ExperimentConfig, target: TargetFunction, pipeline: str,
                     X: np.ndarray, W: np.ndarray, A: np.ndarray, stream,
                     xi: float | None = None,
-                    s: int | None = None) -> tuple[CoefficientVector, Risk, NoiseModel]:
-    """(fit, risk, noise model): fit `pipeline` to the target plus noise from
+                    s: int | None = None) -> tuple[CoefficientVector, Risk]:
+    """(fit, risk): fit `pipeline` to the target plus noise from
     the noise substream of `stream` at X (bpdn_pruned: BPDN at level `xi`,
     pruned to `s` terms), then take its risk E|f(z) - f#(z)|^2 over
     z ~ N(0, gamma^2 I_d).  snr noise resolves to a Gaussian of level
@@ -250,17 +248,17 @@ def _train_and_test(config: ExperimentConfig, target: TargetFunction, pipeline: 
     nnz = int(np.count_nonzero(coeff.values))
     if nnz * nnz <= config.n_test * W.shape[1]:
         value = population_risk(target, W, coeff.values, config.gamma, config.feature_kind)
-        return coeff, Risk(value, None, RISK_CLOSED_FORM), noise
+        return coeff, Risk(value, None, RISK_CLOSED_FORM)
     Z = gaussian_matrix(config.d, config.n_test, config.gamma**2, stream.substream(TAG_TEST))
     preds = evaluate_model(W, coeff.values, Z, config.feature_kind)
     sq_err = np.abs(target.evaluate(Z) - preds) ** 2
     se = float(np.std(sq_err, ddof=1) / math.sqrt(sq_err.size)) if sq_err.size > 1 else None
-    return coeff, Risk(float(np.mean(sq_err)), se, RISK_MONTE_CARLO), noise
+    return coeff, Risk(float(np.mean(sq_err)), se, RISK_MONTE_CARLO)
 
 
 def _risk_bound(config: ExperimentConfig, pipeline: str, n: int, rho: float, E: float,
-                s: int | None = None, eps: float | None = None,
-                theta: float | None = None, permissive: bool = False) -> BoundResult:
+                s: int | None, eps: float, theta: float | None,
+                permissive: bool = False) -> BoundResult:
     """The paper's risk bound for `pipeline` at N = n, its hypotheses checked
     in strict or `permissive` mode; the pruned sparse pipeline also needs s,
     epsilon and the best s-term error theta."""
@@ -283,16 +281,13 @@ def _sweep_cell(config: ExperimentConfig, target: TargetFunction, n: int,
     # its infinite condition number is in the spectral summary, built from the
     # singular values of the fit's own factorization of A.
     pipeline = "least_squares" if n < config.m else "min_norm"
-    coeff, risk, noise = _train_and_test(config, target, pipeline, X, W, A, stream)
+    coeff, risk = _train_and_test(config, target, pipeline, X, W, A, stream)
     spec = gram_spectrum_via_svd(A, coeff.singular_values)
-    bound = (_risk_bound(config, pipeline, n, target.rho_norm, noise.bound).value
-             if config.compute_bounds and n != config.m else None)
-    return SweepRow(N=n, m=config.m, d=config.d, trial=trial,
-                    cond_number=spec.cond_number,
+    return SweepRow(N=n, trial=trial, cond_number=spec.cond_number,
                     lambda_min=spec.lambda_min, lambda_max=spec.lambda_max,
                     train_residual=coeff.residual_norm,
                     empirical_risk=risk.value, risk_method=risk.method,
-                    bound_value=bound, flags=";".join(coeff.flags))
+                    flags=";".join(coeff.flags))
 
 
 def _finite_argmax(values: np.ndarray) -> int:
@@ -311,11 +306,6 @@ def run_double_descent_sweep(config: ExperimentConfig) -> SweepResult:
     """Figure-1 protocol: each trial samples one target; for each N it builds
     features, trains (least squares below the threshold, min-norm at and above
     it), and records the smaller normalized Gram's conditioning and the risk."""
-    if config.compute_bounds:
-        _require_fourier(config, "sweep --bounds")
-        if config.target_kind != KIND_BUMP:
-            raise InvalidArgumentError(
-                "sweep --bounds needs a target with finite rho-norm (gaussian_bump)")
     targets = [sample_target(config.target_kind, config.d, config.sigma,
                              split_stream(config.seed, t).substream(TAG_TARGET),
                              config.feature_kind, config.planted_s, config.bump_width)
@@ -478,6 +468,8 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
         raise InvalidArgumentError(
             "bound validation needs a fixed noise model; snr noise is not supported")
     selected = _validation_pipelines(config)
+    if any(name != "bpdn_pruned" for name, _ in selected):
+        eig_band(config.eta)  # checks eta before any trial, as epsilon_bound checks delta
     target = sample_target(config.target_kind, config.d, config.sigma,
                            split_stream(config.seed, 0).substream(TAG_TARGET),
                            config.feature_kind, config.planted_s, config.bump_width)
@@ -498,7 +490,7 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
         stream = split_stream(config.seed, t).substream(_TAG_PIPELINE, n, _PIPE_TAGS[name])
         X, W, A = random_features(config.d, config.m, n, config.gamma, config.sigma,
                                   stream, FOURIER)
-        coeff, risk, _ = _train_and_test(config, target, name, X, W, A, stream, xi, s)
+        coeff, risk = _train_and_test(config, target, name, X, W, A, stream, xi, s)
         if FLAG_SINGULAR_GRAM in coeff.flags:
             raise NumericalFailureError(
                 "row Gram AA* is numerically singular; interpolation unavailable")
@@ -545,6 +537,8 @@ def run_rip_study(config: ExperimentConfig, method: str, budget: int,
         raise InvalidArgumentError(f"unknown rip method {method!r}")
     if budget < 1:
         raise InvalidArgumentError(f"budget must be at least 1 support, got {budget}")
+    if rip_trials < 1:
+        raise InvalidArgumentError(f"rip_trials must be at least 1, got {rip_trials}")
     n = config.n_grid[0]
     s_max = config.s if config.s is not None else n
     if not 1 <= s_max <= n:

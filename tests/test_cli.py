@@ -206,8 +206,7 @@ def test_spectrum_csv_schema(tmp_path):
 
 
 OFFERED = {
-    "sweep": "d m n-grid gamma sigma features noise target trials seed n-test eta delta "
-             "bounds workers out",
+    "sweep": "d m n-grid gamma sigma features noise target trials seed n-test workers out",
     "spectrum": "d m gamma sigma features trials seed workers out scalings",
     "threshold": "d n-grid gamma sigma trials seed workers out",
     "validate": "d m n-grid gamma sigma noise target trials seed n-test eta delta "
@@ -228,7 +227,7 @@ def _parser_flags() -> dict[str, list[str]]:
 def test_each_command_offers_exactly_the_flags_it_reads():
     offered = {name: set(flags) for name, flags in _parser_flags().items()}
     assert offered == {name: set(flags.split()) for name, flags in OFFERED.items()}
-    assert sum(len(flags) for flags in offered.values()) == 74
+    assert sum(len(flags) for flags in offered.values()) == 71
 
 
 def test_readme_lists_the_flags_each_command_offers():
@@ -244,6 +243,7 @@ def test_readme_lists_the_flags_each_command_offers():
     ["threshold", "--m", "5"], ["sweep", "--tol", "1e-3"], ["validate", "--bounds"],
     ["theory", "--report"], ["sweep", "--permissive-constants"],
     ["threshold", "--features", "relu"], ["validate", "--features", "relu"],
+    ["sweep", "--bounds"], ["sweep", "--eta", "0.4"], ["sweep", "--delta", "0.1"],
 ])
 def test_unoffered_flag_exits_2(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
@@ -276,12 +276,14 @@ _BUMP_RHO_NORM_OVERFLOW = ["validate", "--d", "5", "--m", "10", "--n-grid", "20"
      "--trials", "1", "--noise", "bounded:1e154", "--s", "3", "--pipelines", "bpdn_pruned"],
     _SMALL_RIP + ["--budget", "-5", "--method", "exact"],
     _SMALL_RIP + ["--budget", "0"],
-    ["sweep", "--features", "relu", "--target", "bump:2", "--bounds", "--n-grid", "5",
-     "--trials", "1"],
+    _SMALL_RIP + ["--rip-trials", "-4"],
+    ["spectrum", "--d", "3", "--m", "10", "--trials", "1", "--scalings", "N=m;N=m"],
+    ["validate", "--d", "3", "--m", "10", "--n-grid", "5", "--target", "bump:1.5",
+     "--trials", "1", "--eta", "0.9"],
 ], ids=["sigma-1e200", "gamma-1e160", "bump-1e30", "bounded-inf", "gamma-negative",
         "theory-gamma-nan", "gaussian-nan", "snr-nan", "sigma-1e-200", "gamma-1e-200",
         "bump-sigma-1e154", "bpdn-noise-1e154", "rip-budget-negative", "rip-budget-zero",
-        "sweep-bounds-relu"])
+        "rip-trials-negative", "spectrum-repeated-scaling", "validate-eta-outside-band"])
 def test_non_finite_or_overflowing_input_exits_2(argv, tmp_path, capfd):
     rc = cli.main(argv + ["--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
@@ -321,9 +323,6 @@ def test_overflowing_feature_phases_exit_3_with_one_line(argv, tmp_path, capfd):
 @pytest.mark.parametrize("argv, message", [
     (["validate", "--d", "20", "--m", "10", "--n-grid", "5", "--target", "bump:1e10",
       "--trials", "1"], "rho-norm ||f||_rho = 1e+200 is too large: its square overflows"),
-    (["sweep", "--d", "20", "--m", "10", "--n-grid", "5", "--target", "bump:1e10",
-      "--trials", "1", "--bounds"],
-     "rho-norm ||f||_rho = 1e+200 is too large: its square overflows"),
     (["validate", "--d", "3", "--m", "10", "--n-grid", "5", "--target", "bump:1.5",
       "--trials", "1", "--noise", "bounded:1e155"],
      "noise bound E = 1e+155 is too large: its square overflows"),
@@ -332,7 +331,7 @@ def test_overflowing_feature_phases_exit_3_with_one_line(argv, tmp_path, capfd):
     (["validate", "--d", "3", "--m", "10", "--n-grid", "5", "--target", "bump:1.5",
       "--trials", "1", "--noise", "bounded:1e154"],
      "risk bound inf is not finite: rho-norm ||f||_rho = 3.375 or noise bound E = 1e+154"),
-], ids=["validate-rho-norm", "sweep-bounds-rho-norm", "validate-noise-bound",
+], ids=["validate-rho-norm", "validate-noise-bound",
         "validate-rho-norm-product", "validate-noise-bound-product"])
 def test_bound_whose_square_overflows_exits_2(argv, message, tmp_path, capsys):
     rc = cli.main(argv + ["--out", str(tmp_path / "out")])

@@ -24,11 +24,11 @@ from rfcond.experiments import (
 )
 from rfcond.features import _BLOCK_ENTRIES, build_features
 from rfcond.io import json_report
-from rfcond.sampling import TAG_DATA, NoiseModel, gaussian_matrix, split_stream
+from rfcond.sampling import NoiseModel, split_stream
 from rfcond.solvers import FLAG_SINGULAR_GRAM, FLAG_ZERO_FEASIBLE, CoefficientVector
 from rfcond.spectral import gram_spectrum_via_svd, spectral_density
 from rfcond.targets import gaussian_bump_target
-from rfcond.theory import check_regime_conditions, risk_bound_ls, risk_bound_minnorm
+from rfcond.theory import check_regime_conditions
 
 
 def _sweep_config(**overrides):
@@ -47,6 +47,8 @@ def test_config_validation():
         _sweep_config(trials=0)
     with pytest.raises(InvalidArgumentError):
         _sweep_config(feature_kind="tanh")
+    with pytest.raises(InvalidArgumentError, match="repeat a label"):
+        _sweep_config(scalings=("N=m", "N=m log m", "N=m"))
 
 
 def test_config_rejects_snr_noise_next_to_a_fixed_noise_model():
@@ -78,10 +80,12 @@ def test_sweep_rows_satisfy_schema_invariants():
         assert row.cond_number >= 1.0 or math.isinf(row.cond_number)
         assert row.empirical_risk >= 0.0
         assert row.lambda_min <= row.lambda_max
-        assert row.m == 20 and row.d == 3
+    assert list(experiments.SWEEP_COLUMNS) == [
+        "N", "trial", "cond_number", "lambda_min", "lambda_max", "train_residual",
+        "empirical_risk", "risk_method", "flags"]
     # min-norm interpolation holds comfortably above the threshold (no noise)
     for row in result.rows:
-        if row.N >= 2 * row.m:
+        if row.N >= 40:
             assert row.train_residual <= 1e-6
 
 
@@ -106,40 +110,6 @@ def test_sweep_with_snr_noise_and_relu_features():
     cfg = _sweep_config(noise_snr=0.1, feature_kind="relu", n_grid=(5, 30))
     result = run_double_descent_sweep(cfg)
     assert all(r.empirical_risk >= 0 for r in result.rows)
-
-
-def test_sweep_bound_column_filled_for_bump_target():
-    cfg = _sweep_config(target_kind="gaussian_bump", compute_bounds=True,
-                        n_grid=(5, 40), sigma=1.0)
-    result = run_double_descent_sweep(cfg)
-    for row in result.rows:
-        assert row.bound_value is not None
-        assert row.bound_value > 0
-
-
-@pytest.mark.parametrize("target_kind", ["linear", "planted"])
-def test_sweep_bounds_reject_targets_without_rho_norm(target_kind):
-    cfg = _sweep_config(target_kind=target_kind, compute_bounds=True, eta=0.9)
-    with pytest.raises(InvalidArgumentError, match="rho-norm"):
-        run_double_descent_sweep(cfg)
-
-
-def test_sweep_bounds_use_resolved_snr_noise_level():
-    # With snr noise the training outputs carry Gaussian noise of level
-    # r * std(clean), so the bound must use E = 2 r std(clean), not 0.
-    snr, permissive = 0.5, True
-    cfg = _sweep_config(target_kind="gaussian_bump", compute_bounds=True,
-                        n_grid=(5, 40), sigma=1.0, noise_snr=snr)
-    target = gaussian_bump_target(np.sqrt(2.0), 1.0, cfg.d)
-    for row in run_double_descent_sweep(cfg).rows:
-        cell = split_stream(cfg.seed, row.trial).substream(_TAG_GRID, row.N)
-        X = gaussian_matrix(cfg.d, cfg.m, cfg.gamma**2, cell.substream(TAG_DATA))
-        E = 2.0 * snr * float(np.std(target.evaluate(X)))
-        assert E > 0
-        bound = risk_bound_ls if row.N < cfg.m else risk_bound_minnorm
-        expected = bound(row.N, cfg.m, cfg.d, cfg.gamma, cfg.sigma, cfg.delta,
-                         cfg.eta, target.rho_norm, E, permissive).value
-        assert row.bound_value == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["fourier", "relu"])
@@ -238,8 +208,8 @@ def test_pruned_bpdn_reports_the_residual_of_the_pruned_model(monkeypatch):
     target = gaussian_bump_target(1.0, cfg.sigma, cfg.d)
     stream = split_stream(3, 0)
     X, W, A = random_features(2, 12, 20, 1.0, 1.0, stream)
-    coeff, _, _ = experiments._train_and_test(cfg, target, "bpdn_pruned", X, W, A, stream,
-                                              xi=0.1, s=1)
+    coeff, _ = experiments._train_and_test(cfg, target, "bpdn_pruned", X, W, A, stream,
+                                           xi=0.1, s=1)
     assert np.count_nonzero(coeff.values) == 1
     expected = np.linalg.norm(A @ coeff.values - target.evaluate(X))
     assert coeff.residual_norm == pytest.approx(expected, rel=1e-12)
@@ -432,8 +402,8 @@ def test_bound_over_risk_is_the_smallest_ratio_and_inf_at_zero_risk(monkeypatch)
     train_and_test = experiments._train_and_test
 
     def exact_fit(*args, **kwargs):
-        coeff, risk, noise = train_and_test(*args, **kwargs)
-        return coeff, dataclasses.replace(risk, value=0.0), noise
+        coeff, risk = train_and_test(*args, **kwargs)
+        return coeff, dataclasses.replace(risk, value=0.0)
 
     monkeypatch.setattr(experiments, "_train_and_test", exact_fit)
     report = run_bound_validation(cfg)
@@ -456,8 +426,7 @@ def test_bound_validation_rejects_snr_noise():
 @pytest.mark.parametrize("run, overrides", [
     (run_threshold_study, dict(m=10)),
     (run_bound_validation, dict(target_kind="gaussian_bump")),
-    (run_double_descent_sweep, dict(target_kind="gaussian_bump", compute_bounds=True)),
-], ids=["threshold", "bound-validation", "sweep-bounds"])
+], ids=["threshold", "bound-validation"])
 def test_protocols_that_check_the_papers_bounds_refuse_relu(run, overrides):
     # The paper's bands and risk bounds rest on the Gaussian kernel, the mean
     # Gram of Fourier features; ReLU features have the arc-cosine kernel.
@@ -472,6 +441,32 @@ def test_rip_study_rejects_a_budget_below_one(method, budget):
     with pytest.raises(InvalidArgumentError, match=f"budget must be at least 1 support, "
                                                    f"got {budget}"):
         run_rip_study(ExperimentConfig(d=2, m=5, n_grid=(4,)), method, budget, 10)
+
+
+@pytest.mark.parametrize("method", ["auto", "exact"])
+@pytest.mark.parametrize("rip_trials", [0, -4])
+def test_rip_study_rejects_rip_trials_below_one(method, rip_trials, monkeypatch):
+    # refused before the instance is built, whether or not the budget would
+    # have sent any s to the random lower bound
+    calls = []
+    monkeypatch.setattr(experiments, "random_features",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(InvalidArgumentError, match=f"rip_trials must be at least 1, "
+                                                   f"got {rip_trials}"):
+        run_rip_study(ExperimentConfig(d=2, m=10, n_grid=(8,), s=3), method, 10**6,
+                      rip_trials)
+    assert calls == []
+
+
+def test_bound_validation_checks_eta_before_building_features(monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "random_features",
+                        lambda *args, **kwargs: calls.append(args))
+    cfg = ExperimentConfig(d=3, m=10, n_grid=(5, 20), target_kind="gaussian_bump",
+                           bump_width=1.5, trials=1, eta=0.9)
+    with pytest.raises(InvalidArgumentError, match="eta must lie in"):
+        run_bound_validation(cfg)
+    assert calls == []
 
 
 def test_bound_validation_raises_on_singular_row_gram():

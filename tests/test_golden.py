@@ -34,9 +34,9 @@ COMMANDS = {
 # command -> {output file name (or "stdout"): sha256}
 GOLDEN = {
     "sweep": {
-        "sweep.csv": "495ef0adf0cd66dbad53effd6568abcd61b648ca9490948ee0853b6f26ca3afb",
+        "sweep.csv": "94c68d1834b70b30504b2929d4d3c0ab58e7f33868163a3679dcb41dc387d0a3",
         "sweep.svg": "ca4513dd965b23c83bf1661751e10a604daf29944ccc26b0ad1afcd4630b7d34",
-        "sweep_summary.json": "ce95a6574362ad558e12f3eaf1359ddcae31e1125d9d6d82ab0d4ea28c7de88d",
+        "sweep_summary.json": "915e87fd5acaf666821e7c1bd295be17d1f495d236b2335180b439f46e7b2342",
     },
     "spectrum": {
         "density.csv": "d3561046fd4336b83aa014d1478f3bb49dfa43b11c69ed4dfe7c242935a3a344",
