@@ -18,7 +18,6 @@ bits.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -210,6 +209,8 @@ def _map_cells(fn, cells, config: ExperimentConfig) -> list[list]:
     if config.workers <= 1:
         done = [fn(cell, t) for cell, t in jobs]
     else:  # Executor.map cancels the jobs not yet started when one fails
+        from concurrent.futures import ThreadPoolExecutor  # its import costs ~10 ms
+
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             done = list(pool.map(lambda job: fn(*job), jobs))
     return [done[i:i + config.trials] for i in range(0, len(done), config.trials)]

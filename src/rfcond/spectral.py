@@ -26,16 +26,18 @@ supports: delta_s is a maximum over column supports S of ||A_S* A_S - I||_2,
 and each s x s support Gram is small and well conditioned near I.  The exact
 enumeration forms H = (A*A - I) symmetrized and B = |H|, N x N, once per call,
 and skips every subtree of supports whose row-sum bound from B cannot reach a
-running threshold (`_SupportWalk`).  The supports it does not skip read their
-Grams from H, s^2 entries each; without H (s = 1, or a budget too small for
-the walk's tables) and for the randomized bound, each Gram is multiplied from
-its s x m column block.  The Grams are evaluated in stacks of `_STACK`
-(`_Leaves`): each gives the upper bound min(max row sum of |G|, ||G||_F) >=
-||G||_2, a support whose bound is below the running maximum by more than a
-rounding margin skips the eigensolver, and the rest are held until they fill
-one batched eigensolver call.  Both skips keep that margin, so the maximum is
-bit-for-bit the one a full enumeration of the same Grams finds; the two Gram
-sources differ by rounding only (see `_PRUNE_MARGIN`).
+running threshold (`_SupportWalk`).  At the last level it settles each
+complete support the same way by its own max row sum of B, one addition from
+its parent's row sums, before its Gram is read.  The supports it does not
+settle read their Grams from H, s^2 entries each; without H (s = 1, or a
+budget too small for the walk's tables) and for the randomized bound, each
+Gram is multiplied from its s x m column block.  The Grams are evaluated in
+stacks of `_STACK` (`_Leaves`): each gives the upper bound min(max row sum of
+|G|, ||G||_F) >= ||G||_2, a support whose bound is below the running maximum
+by more than a rounding margin skips the eigensolver, and the rest are held
+until they fill one batched eigensolver call.  Both skips keep that margin, so
+the maximum is bit-for-bit the one a full enumeration of the same Grams finds;
+the two Gram sources differ by rounding only (see `_PRUNE_MARGIN`).
 """
 
 from __future__ import annotations
@@ -62,12 +64,13 @@ _STACK = 64  # supports per batched eigvalsh call
 # (backward stable), so a skipped support's computed deviation stays below best
 # while the margin exceeds a few s*eps*best: 1e-9 covers s up to ~10^6.  The
 # "1 +" keeps every support when best is at round-off level (s = 1).  The
-# exact enumeration skips a subtree by the same rule against its threshold.
-# Its leaves read their Grams from H, whose moduli are the entries of B = |H|,
-# so a subtree's bound and its leaves' row sums add the same numbers in other
-# orders: again within s*eps, which the margin covers.  (Leaves that multiplied
-# columns would differ from B by about m*eps*||a_i||*||a_j|| per entry, and
-# need s*m*eps*max ||a_j||^2 below the margin.)  H's own rounding moves the
+# exact enumeration skips a subtree, and settles a complete support by its own
+# max row sum of B, by the same rule against its threshold.  Its leaves read
+# their Grams from H, whose moduli are the entries of B = |H|, so the walk's
+# bounds and its leaves' row sums add the same numbers in other orders: again
+# within s*eps, which the margin covers.  (Leaves that multiplied columns
+# would differ from B by about m*eps*||a_i||*||a_j|| per entry, and need
+# s*m*eps*max ||a_j||^2 below the margin.)  H's own rounding moves the
 # value, not the skips: each entry of H and of a column-product Gram is within
 # about m*eps*||a_i||*||a_j|| of the exact a_i* a_j - [i = j], so by Weyl's
 # inequality delta_s from H and delta_s from columns differ by at most about
@@ -94,9 +97,11 @@ class RipEstimate:
     the budget is too small for its tables), else from the s x m column block
     of S.  `supports_pruned` were settled without an eigensolve: the exact
     enumeration skipped them with a subtree whose row-sum bound from |H| lay
-    below its threshold, or their own bound min(max row sum of |G|, ||G||_F)
-    lay below the running maximum, in both cases by more than the rounding
-    margin `_PRUNE_MARGIN * (1 + threshold)`.  So they could not change
+    below its threshold, or settled them, not gathered, because their own max
+    row sum of |H|, summed from their parent's, lay below it; or, gathered,
+    their own bound min(max row sum of |G|, ||G||_F) lay below the running
+    maximum; in every case by more than the rounding margin
+    `_PRUNE_MARGIN * (1 + threshold)`.  So they could not change
     `value`, which is bit-for-bit the maximum over every support of the Grams
     from the same source (see `_PRUNE_MARGIN` for how far the sources
     differ)."""
@@ -317,12 +322,15 @@ class _SupportWalk:
     `_PRUNE_MARGIN` * (1 + threshold).  The threshold is the larger of
     `_seed_threshold` and the maximum found so far; a NaN bound never skips.
     The top-k tables cost `depth` * N^2 entries, B another N^2: lengths whose
-    k exceeds `depth`, the most the budget allows, are not bounded.  Each
-    block of complete supports goes to the `leaves`, which read its Grams from
-    H (from the columns of M when depth is 0 and H is not formed) and raise
-    the running maximum; the walk counts the supports it `gathered`.  The
-    maximum counts only the stacks eigensolved so far, so the threshold can
-    lag the supports gathered by less than one stack."""
+    k exceeds `depth`, the most the budget allows, are not bounded.  A
+    complete support S = S0 | {c} has the B row sums `rows` + B[c], and is
+    settled by the same rule when their maximum over i in S is below the
+    threshold.  The rest of each block of complete supports, all of it when
+    depth is 0, goes to the `leaves`, which read its Grams from H (from the
+    columns of M when depth is 0 and H is not formed) and raise the running
+    maximum; the walk counts the supports it `gathered`.  The maximum counts
+    only the stacks eigensolved so far, so the threshold can lag the supports
+    gathered by less than one stack."""
 
     def __init__(self, M: np.ndarray, s: int, budget: int):
         n = M.shape[1]
@@ -354,23 +362,28 @@ class _SupportWalk:
             parent = np.searchsorted(ends, f, side="right")
             child = last[parent] + 1 + f - (ends[parent] - counts[parent])
             kids = np.column_stack([prefixes[parent], child])
-            if j + 1 == self.s:
-                self.leaves.add(kids)
-                self.gathered += len(kids)
-                continue
             kid_rows = None if rows is None else rows[parent] + self.B[child]
             threshold = max(self.threshold, self.leaves.best)
             bound = self.prefix_bound(kids, kid_rows)
             keep = ~(bound + _PRUNE_MARGIN * (1.0 + threshold) < threshold)  # NaN is kept
-            if keep.any():
-                self.descend(kids[keep], None if rows is None else kid_rows[keep])
+            kids = kids[keep]
+            if not len(kids):
+                continue
+            if j + 1 == self.s:
+                self.leaves.add(kids)
+                self.gathered += len(kids)
+            else:
+                self.descend(kids, None if rows is None else kid_rows[keep])
 
-    def prefix_bound(self, prefixes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def prefix_bound(self, prefixes: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
         """Upper bound on the max row sum of |A_S* A_S - I| over every
-        completion S of each prefix; +inf where the length is not bounded."""
+        completion S of each prefix, and a complete support's own max row
+        sum; +inf where the length is not bounded."""
         k = self.s - prefixes.shape[1]
-        if k > self.depth:
+        if rows is None or k > self.depth:
             return np.full(len(prefixes), np.inf)
+        if not k:
+            return np.take_along_axis(rows, prefixes, 1).max(axis=1)
         p = prefixes[:, -1] + 1
         rows_in = np.arange(self.n) >= p[:, None]  # i in P, or (below) in S0
         np.put_along_axis(rows_in, prefixes, True, axis=1)

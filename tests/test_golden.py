@@ -53,7 +53,7 @@ GOLDEN = {
         "stdout": "c09e926acd4ca18c7bd1981f0b0ac50d7de45379f70c37976abe3e8938152253",
     },
     "rip": {
-        "rip.json": "71a7616de65e1c719232379e1913f938a7c8db0c11cba644abb99a8c79ff7ead",
+        "rip.json": "6a247d5c136594b7628fe5c127c0efeb5833af5ef2e956ecf5e69af4a0f83546",
     },
 }
 

@@ -613,6 +613,16 @@ def test_rip_from_h_is_within_the_rounding_tolerance_of_columns(kind, d, m, norm
     assert d != 10 or est.value < 1  # delta_5 < 1, the regime of the paper's RIP argument
 
 
+def test_rip_walk_settles_complete_supports_by_their_row_sums_where_delta_is_below_1():
+    # The CI instance of `rip --d 10 --m 300 --n-grid 30 --seed 0`.  Subtree bounds
+    # stay above delta_4 to the last index, but most complete supports' own max
+    # row sums of B lie below it: those are settled without reading their Grams.
+    M = _random_fourier(10, 300, 30, 0) / np.sqrt(300)
+    est = rip_constant_exact(M, 4)
+    assert est.value == _loop_rip_exact(M, 4) < 1
+    assert est.supports_gathered <= comb(30, 4) // 20
+
+
 def test_rip_budget_error_comes_before_the_walk(monkeypatch):
     def no_walk(*args):
         raise AssertionError("the walk was started")
