@@ -132,6 +132,8 @@ class ExperimentConfig:
             raise InvalidArgumentError("n_test must be >= 1")
         if self.workers < 1:
             raise InvalidArgumentError("workers must be >= 1")
+        if self.s is not None and self.s < 1:
+            raise InvalidArgumentError(f"s must be >= 1, got {self.s}")
         if not all(v >= 0 and math.isfinite(v * v)
                    for v in (self.gamma, self.sigma, self.noise_snr or 0.0)):
             raise InvalidArgumentError("gamma, sigma, noise_snr must be >= 0 with finite squares")
@@ -358,10 +360,10 @@ class DensityStudyEntry:
 def run_spectrum_density(config: ExperimentConfig) -> list[DensityStudyEntry]:
     """Figure-2 protocol: pooled singular values of the normalized feature
     matrix A / sqrt(max(m, N)) over the trials, smoothed to a max-1 density
-    curve per scaling.  Each trial divides the singular values of A by
-    sqrt(max(m, N)), as `gram_spectrum_via_svd` does, and passes its X and W
-    to `singular_values`, which builds A in blocks for its Gram and in full
-    only for the SVD fallback (m = N, or a Gram that fails the gate)."""
+    curve per scaling.  Each trial passes its X, W and feature kind to
+    `singular_values`, which builds A in blocks for its Gram and in full
+    only for the SVD fallback (m = N, or a Gram that fails the gate), and
+    divides them by sqrt(max(m, N)), as `gram_spectrum_via_svd` does."""
     m = config.m
     cells = [(idx, _solve_scaling(label, m)) for idx, label in enumerate(config.scalings)]
 
@@ -369,7 +371,7 @@ def run_spectrum_density(config: ExperimentConfig) -> list[DensityStudyEntry]:
         idx, n = cell
         stream = split_stream(config.seed, t).substream(_TAG_SCALING, idx)
         X, W = random_inputs(config.d, m, n, config.gamma, config.sigma, stream)
-        return singular_values(features=(X, W, config.feature_kind)) / np.sqrt(max(m, n))
+        return singular_values(X, W, config.feature_kind) / np.sqrt(max(m, n))
 
     entries = []
     for label, (_, n), values in zip(config.scalings, cells,
@@ -387,6 +389,8 @@ def run_threshold_study(config: ExperimentConfig) -> dict:
     _require_fourier(config, "the threshold study")
     if config.trials < 2:
         raise InvalidArgumentError("the threshold study needs trials >= 2 for standard errors")
+    if config.n_grid[0] < 2:  # the grid ascends
+        raise InvalidArgumentError(f"the threshold study needs N >= 2, got {config.n_grid[0]}")
 
     def one_trial(n: int, t: int) -> tuple[float, float]:
         stream = split_stream(config.seed, t).substream(_TAG_GRID, n)
@@ -482,7 +486,7 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
     rho = target.rho_norm
     cells = []  # (pipeline, N, s, epsilon, xi)
     for name, n in selected:
-        s = min(config.s, n) if config.s is not None else None
+        s = min(config.s, n) if name == "bpdn_pruned" else None  # only it prunes
         eps = epsilon_bound(n, config.m, config.d, config.gamma, config.sigma, config.delta)
         cells.append((name, n, s, eps, bp_noise_parameter(eps, rho, E)))
 

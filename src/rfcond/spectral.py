@@ -4,22 +4,21 @@ restricted isometry constants, and singular-value density estimation.
 The paper bounds the conditioning of the normalized Gram on its smaller side:
 (1/m)A*A when N <= m and (1/N)AA* when N > m, in both regimes the smaller
 Gram over max(m, N).  Its eigenvalues are the squared singular values of A
-over max(m, N), so `gram_spectrum_via_svd` takes them from one factorization:
-the singular values a caller already has (the sweep's least-squares solve),
-or else `singular_values`.  For a non-square A that runs one eigensolver on
-the smaller formed Gram (AA* or A*A), whose eigenvalues are accurate to about
+over max(m, N), so `gram_spectrum_via_svd` takes them from one factorization
+of a built A: the singular values a caller already has (the sweep's
+least-squares solve), or else the thin SVD of A, which resolves singular
+values down to eps * sigma_max.  `singular_values` takes the feature inputs
+(X, W, kind) instead, and never holds a non-square A: it sums the smaller
+Gram (AA* or A*A) over blocks of A cut along its longer side by
+`features.block_ranges` (1024 features at m = 150), built one at a time, and
+runs one eigensolver on it.  Those eigenvalues are accurate to about
 eps * cond^2 relative (Trefethen & Bau, Numerical Linear Algebra, Lecture 31),
-and keeps them when lambda_min >= `_GRAM_GATE` * lambda_max, where that is at
-most about 2e-10; otherwise it takes the thin SVD of A, which resolves
-singular values down to eps * sigma_max.  A square A (N = m, the
-interpolation threshold, where the condition number peaks) goes straight to
-the SVD: its Gram is no smaller than A, so the Gram route would save little
-when it passes the gate and often fail it.  Given the feature inputs
-(X, W, kind) in place of A, `singular_values` sums the smaller Gram over
-blocks of A cut along its longer side by `features.block_ranges` (1024
-features at m = 150), built one at a time, and builds A in full only for
-the SVD; so the density study holds A only at m = N or when a Gram fails
-the gate.
+so it keeps them when lambda_min >= `_GRAM_GATE` * lambda_max, where that is
+at most about 2e-10, and otherwise builds A in full for the SVD.  A square A
+(N = m, the interpolation threshold, where the condition number peaks) goes
+straight to the SVD: its Gram is no smaller than A, so the Gram route would
+save little when it passes the gate and often fail it.  So the density study
+holds A only at m = N or when a Gram fails the gate.
 
 Restricted isometry constants are the one place that reads Grams of column
 supports: delta_s is a maximum over column supports S of ||A_S* A_S - I||_2,
@@ -133,14 +132,15 @@ def gram_spectrum_via_svd(A: np.ndarray, sv: np.ndarray | None = None) -> Spectr
 
     Its eigenvalues are the squares of the singular values of A divided by
     sqrt(max(m, N)).  The singular values are `sv`, ascending, when the caller
-    has already factored A, and `singular_values(A)` otherwise.  The condition
-    number sigma_max / sigma_min is infinite when sigma_min <= `rank_rcond` *
-    sigma_max, so exactly when a `solvers` fit of A is a pseudoinverse fit.
+    has already factored A, and those of the thin SVD of A otherwise.  The
+    condition number sigma_max / sigma_min is infinite when sigma_min <=
+    `rank_rcond` * sigma_max, so exactly when a `solvers` fit of A is a
+    pseudoinverse fit.
     """
     M = np.asarray(A)
     m, n = M.shape
     if sv is None:
-        sv = singular_values(M)
+        sv = _svd_values(M)
     elif len(sv) != min(m, n):
         raise InvalidArgumentError(
             f"{len(sv)} singular values given for a {m} x {n} matrix, expected {min(m, n)}")
@@ -151,43 +151,40 @@ def gram_spectrum_via_svd(A: np.ndarray, sv: np.ndarray | None = None) -> Spectr
                            lambda_max=float(eigs[-1]), cond_number=cond)
 
 
-def _blocks(X: np.ndarray, W: np.ndarray, kind: str):
-    """build_features(X, W, kind) cut along its longer side by `block_ranges`
-    (columns when N > m, rows when N < m), one block at a time."""
-    m, n = X.shape[1], W.shape[1]
-    for i, j in block_ranges(max(m, n), min(m, n)):
-        yield build_features(X, W[:, i:j], kind) if n > m else build_features(X[:, i:j], W, kind)
+def _svd_values(A: np.ndarray) -> np.ndarray:
+    """Singular values of A, ascending, from its thin SVD; a failed SVD or a
+    non-finite result (as on non-finite A) raises NumericalFailureError."""
+    try:
+        s = np.linalg.svd(A, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"SVD failed: {exc}") from exc
+    if not np.isfinite(s).all():  # LAPACK returns NaN for an infinite entry
+        raise NumericalFailureError("SVD failed: non-finite singular values")
+    return np.sort(s)
 
 
-def singular_values(A: np.ndarray | None = None, *,
-                    features: tuple[np.ndarray, np.ndarray, str] | None = None) -> np.ndarray:
-    """min(m, N) singular values, ascending, of the m x N matrix A, or of
-    build_features(X, W, kind) for `features` = (X, W, kind).
+def singular_values(X: np.ndarray, W: np.ndarray, kind: str) -> np.ndarray:
+    """min(m, N) singular values, ascending, of the m x N matrix
+    A = build_features(X, W, kind).
 
     For non-square A they are the square roots of the eigenvalues of the
     smaller Gram (AA* or A*A) when those are finite and lambda_min >=
     `_GRAM_GATE` * lambda_max; each is then within about eps * cond^2 relative
-    of the SVD's (at most about 2e-10 at the gate).  From `features` the Gram
-    is summed over the `block_ranges` of A's longer side (features, or
-    samples when N < m), each block built and dropped in turn, so A itself
-    is never held; with one block the sum is the single product, bit for
-    bit.  Otherwise, and always for square A, they come from the thin SVD
-    of A, built in full from `features`; a failed SVD or a non-finite result
-    (as on non-finite A) raises NumericalFailureError.
+    of the SVD's (at most about 2e-10 at the gate).  The Gram is summed over
+    the `block_ranges` of A's longer side (features, or samples when N < m),
+    each block built and dropped in turn, so A itself is not held; with one
+    block the sum is the single product, bit for bit.  Otherwise, and always
+    for square A, A is built in full and they come from its thin SVD, as in
+    `gram_spectrum_via_svd`.
     """
-    if (A is None) == (features is None):
-        raise InvalidArgumentError("give either A or features=(X, W, kind)")
-    if A is None:
-        X, W, kind = features
-        _check_dims(X, W)
-        m, n = X.shape[1], W.shape[1]
-    else:
-        M = np.asarray(A)
-        m, n = M.shape
+    _check_dims(X, W)
+    m, n = X.shape[1], W.shape[1]
     if m != n:
         with np.errstate(all="ignore"):  # an overflowing Gram fails the gate
             G = None
-            for B in (_blocks(X, W, kind) if A is None else (M,)):
+            for i, j in block_ranges(max(m, n), min(m, n)):
+                Xb, Wb = (X, W[:, i:j]) if m < n else (X[:, i:j], W)
+                B = build_features(Xb, Wb, kind)
                 P = B @ B.conj().T if m < n else B.conj().T @ B
                 G = P if G is None else np.add(G, P, out=G)
             try:
@@ -196,15 +193,7 @@ def singular_values(A: np.ndarray | None = None, *,
                 lam = np.array([np.nan])  # fails the gate
         if np.isfinite(lam).all() and lam[0] >= _GRAM_GATE * lam[-1]:
             return np.sqrt(lam)
-    if A is None:
-        M = build_features(X, W, kind)
-    try:
-        s = np.linalg.svd(M, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"SVD failed: {exc}") from exc
-    if not np.isfinite(s).all():  # LAPACK returns NaN for an infinite entry
-        raise NumericalFailureError("SVD failed: non-finite singular values")
-    return np.sort(s)
+    return _svd_values(build_features(X, W, kind))
 
 
 def _norm_bound(G: np.ndarray) -> np.ndarray:

@@ -280,10 +280,14 @@ _BUMP_RHO_NORM_OVERFLOW = ["validate", "--d", "5", "--m", "10", "--n-grid", "20"
     ["spectrum", "--d", "3", "--m", "10", "--trials", "1", "--scalings", "N=m;N=m"],
     ["validate", "--d", "3", "--m", "10", "--n-grid", "5", "--target", "bump:1.5",
      "--trials", "1", "--eta", "0.9"],
+    ["threshold", "--n-grid", "1,1000", "--trials", "10"],
+    ["validate", "--d", "3", "--m", "10", "--n-grid", "20", "--target", "bump:1.5",
+     "--trials", "1", "--pipelines", "bpdn_pruned", "--s", "0"],
 ], ids=["sigma-1e200", "gamma-1e160", "bump-1e30", "bounded-inf", "gamma-negative",
         "theory-gamma-nan", "gaussian-nan", "snr-nan", "sigma-1e-200", "gamma-1e-200",
         "bump-sigma-1e154", "bpdn-noise-1e154", "rip-budget-negative", "rip-budget-zero",
-        "rip-trials-negative", "spectrum-repeated-scaling", "validate-eta-outside-band"])
+        "rip-trials-negative", "spectrum-repeated-scaling", "validate-eta-outside-band",
+        "threshold-n-1", "validate-s-0"])
 def test_non_finite_or_overflowing_input_exits_2(argv, tmp_path, capfd):
     rc = cli.main(argv + ["--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG

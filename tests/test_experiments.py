@@ -194,6 +194,15 @@ def test_validate_trials_report_fit_diagnostics():
     assert all(t["train_residual"] > 0 for t in rows["least_squares"] + rows["bpdn_pruned"])
 
 
+def test_validate_reports_s_only_on_the_pipeline_that_prunes():
+    # least squares and min-norm keep every coefficient, so their s is null
+    cfg = ExperimentConfig(d=5, m=60, n_grid=(6, 200), target_kind="gaussian_bump",
+                           bump_width=math.sqrt(2.0), s=3, trials=1, seed=5, n_test=100)
+    pipelines = run_bound_validation(cfg)["pipelines"]
+    assert {p["name"]: p["s"] for p in pipelines} == \
+        {"least_squares": None, "min_norm": None, "bpdn_pruned": 3}
+
+
 def test_pruned_bpdn_reports_the_residual_of_the_pruned_model(monkeypatch):
     # A stand-in BPDN fit with three terms and its own residual; pruning to one
     # term changes the residual, and the fit's other diagnostics stay.
@@ -364,6 +373,34 @@ def test_threshold_study_structure_and_markov_invariant():
 def test_threshold_study_needs_two_trials():
     with pytest.raises(InvalidArgumentError, match="trials >= 2"):
         run_threshold_study(ExperimentConfig(d=2, m=5, n_grid=(5,), trials=1))
+
+
+def _counting_random_features(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return random_features(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "random_features", counting)
+    return calls
+
+
+def test_threshold_study_refuses_n_below_two_before_any_trial(monkeypatch):
+    calls = _counting_random_features(monkeypatch)
+    with pytest.raises(InvalidArgumentError, match="needs N >= 2, got 1"):
+        run_threshold_study(ExperimentConfig(d=2, m=5, n_grid=(1, 50), trials=10))
+    assert calls == []
+
+
+@pytest.mark.parametrize("s", [0, -2])
+def test_config_refuses_s_below_one_before_any_features_are_built(s, monkeypatch):
+    calls = _counting_random_features(monkeypatch)
+    with pytest.raises(InvalidArgumentError, match=f"s must be >= 1, got {s}"):
+        run_bound_validation(ExperimentConfig(
+            d=3, m=10, n_grid=(20,), target_kind="gaussian_bump", bump_width=1.5,
+            trials=1, s=s, pipelines=("bpdn_pruned",)))
+    assert calls == []
 
 
 def test_threshold_study_conditioning_worsens_with_n():

@@ -183,7 +183,7 @@ def test_spectrum_from_features_holds_a_few_blocks_whatever_n():
     for n in (20_000, 40_000):
         X, W = random_inputs(5, m, n, 1.0, 1.0, split_stream(8, 0))
         peaks.append(_peak_bytes(
-            lambda X, W: singular_values(features=(X, W, FOURIER)), X, W))
+            lambda X, W: singular_values(X, W, FOURIER), X, W))
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
     assert max(peaks) <= 4 * 16 * _BLOCK_ENTRIES
 

@@ -47,7 +47,7 @@ GOLDEN = {
         "threshold.json": "f82e1cf975d0b0369bdc4be0b53bc76999cb399932aba5ca32874b227d8357be",
     },
     "validate": {
-        "validate.json": "8d07bc95b05bfc33d995dbd8d666fb1af39fc540696618e3973c5c45df9e5529",
+        "validate.json": "a71ea33f4133af874d51c61c62dc216f4aef858217f39bd0f045b30c3e045fa1",
     },
     "theory": {
         "stdout": "c09e926acd4ca18c7bd1981f0b0ac50d7de45379f70c37976abe3e8938152253",

@@ -29,6 +29,18 @@ def _random_fourier(d, m, n, seed, gamma=1.0, sigma=1.0):
     return A
 
 
+def _index_inputs(A, monkeypatch):
+    """Feature inputs whose feature map is A itself: X and W hold row and
+    column indices, and `spectral.build_features` returns their block of A."""
+    m, n = A.shape
+
+    def block(X, W, kind):
+        return A[np.ix_(X[0].astype(int), W[0].astype(int))]
+
+    monkeypatch.setattr(spectral, "build_features", block)
+    return np.arange(m, dtype=float)[None, :], np.arange(n, dtype=float)[None, :], FOURIER
+
+
 def test_single_fourier_column_has_unit_eigenvalue():
     A = _random_fourier(3, 20, 1, 1)
     spec = gram_spectrum_via_svd(A)
@@ -43,15 +55,16 @@ def test_orthogonal_equal_norm_columns_give_flat_spectrum():
     assert np.allclose(spec.eigenvalues, spec.eigenvalues[0])
 
 
-def test_singular_values_identity_and_diagonal():
-    assert np.allclose(singular_values(np.eye(3)), [1, 1, 1])
-    assert np.allclose(singular_values(np.diag([3.0, 4.0])), [3, 4])
+def test_singular_values_identity_and_diagonal(monkeypatch):
+    assert np.allclose(singular_values(*_index_inputs(np.eye(3), monkeypatch)), [1, 1, 1])
+    assert np.allclose(singular_values(*_index_inputs(np.diag([3.0, 4.0]), monkeypatch)), [3, 4])
+    assert np.allclose(gram_spectrum_via_svd(np.diag([3.0, 4.0])).eigenvalues, [9 / 2, 16 / 2])
 
 
-def test_singular_values_square_against_gram_oracle():
+def test_singular_values_square_against_gram_oracle(monkeypatch):
     gen = np.random.default_rng(0)
     M = gen.normal(size=(20, 5)) + 1j * gen.normal(size=(20, 5))
-    sv = singular_values(M)
+    sv = singular_values(*_index_inputs(M, monkeypatch))
     eigs = np.sort(np.linalg.eigvalsh(M.conj().T @ M))
     rel = np.abs(sv**2 - eigs) / eigs[-1]
     assert rel.max() <= 1e-8
@@ -69,9 +82,9 @@ def test_condition_number_examples():
 
 
 def test_gram_spectrum_matches_singular_values_cross_oracle():
-    A = _random_fourier(3, 15, 8, 5)
+    X, W, A = random_features(3, 15, 8, 1.0, 1.0, split_stream(5, 0))
     eigs = np.sort(np.linalg.eigvalsh(A.conj().T @ A) / 15)
-    sv = singular_values(A)
+    sv = singular_values(X, W, FOURIER)
     assert np.all(eigs >= -1e-9)
     rel = np.abs(np.sort(sv**2 / 15) - eigs) / eigs[-1]
     assert rel.max() <= 1e-8
@@ -109,8 +122,9 @@ def _counting_svd(monkeypatch):
 @pytest.mark.parametrize("cond, rtol", [(1.0, 1e-12), (10.0, 1e-12), (990.0, 2e-10)])
 def test_gram_route_agrees_with_the_svd(m, n, dtype, cond, rtol, monkeypatch):
     A = _matrix_with_cond(m, n, cond, dtype, seed=m + 7 * n)
+    inputs = _index_inputs(A, monkeypatch)
     calls, svd = _counting_svd(monkeypatch)
-    sv = singular_values(A)
+    sv = singular_values(*inputs)
     assert calls == []  # the Gram's eigenvalues passed the gate
     oracle = np.sort(svd(A, compute_uv=False))
     assert sv.shape == oracle.shape
@@ -120,23 +134,35 @@ def test_gram_route_agrees_with_the_svd(m, n, dtype, cond, rtol, monkeypatch):
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("m, n", [(12, 40), (40, 12), (25, 25)])
 @pytest.mark.parametrize("cond", [1.1e3, 1e8])
-def test_ill_conditioned_input_gets_the_svd_values_exactly(m, n, dtype, cond):
+def test_ill_conditioned_input_gets_the_svd_values_exactly(m, n, dtype, cond, monkeypatch):
     A = _matrix_with_cond(m, n, cond, dtype, seed=m + 5 * n)
-    assert np.array_equal(singular_values(A), np.sort(np.linalg.svd(A, compute_uv=False)))
+    want = np.sort(np.linalg.svd(A, compute_uv=False))
+    assert np.array_equal(singular_values(*_index_inputs(A, monkeypatch)), want)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_square_input_gets_the_svd_values_exactly(dtype, monkeypatch):
     A = _matrix_with_cond(25, 25, 1.0, dtype, seed=11)
     want = np.sort(np.linalg.svd(A, compute_uv=False))
+    inputs = _index_inputs(A, monkeypatch)
     monkeypatch.setattr(np.linalg, "eigvalsh", None)  # no Gram is formed or solved
-    assert np.array_equal(singular_values(A), want)
+    assert np.array_equal(singular_values(*inputs), want)
 
 
-def test_overflowing_gram_falls_back_to_the_svd_without_warnings():
+def test_overflowing_gram_falls_back_to_the_svd_without_warnings(monkeypatch):
     A = 1e200 * _matrix_with_cond(6, 9, 2.0, complex, seed=3)
-    sv = singular_values(A)  # RuntimeWarnings are errors in this suite
+    sv = singular_values(*_index_inputs(A, monkeypatch))  # RuntimeWarnings are errors here
     assert np.array_equal(sv, np.sort(np.linalg.svd(A, compute_uv=False)))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("m, n", [(12, 40), (40, 12), (25, 25)])
+def test_built_matrix_spectrum_is_the_svd_bit_for_bit(m, n, dtype):
+    # well conditioned, so a Gram would pass the gate; a built A is factored
+    # by its SVD all the same
+    A = _matrix_with_cond(m, n, 2.0, dtype, seed=m + 3 * n)
+    want = np.sort(np.linalg.svd(A, compute_uv=False)) / np.sqrt(max(m, n))
+    assert np.array_equal(gram_spectrum_via_svd(A).eigenvalues, want**2)
 
 
 def _feature_inputs(d, m, n, seed):
@@ -159,8 +185,9 @@ def _recording_builds(monkeypatch):
 @pytest.mark.parametrize("m, n", [(20, 300), (300, 20)])
 def test_one_block_gram_from_features_is_bitwise_the_gram_of_a(kind, m, n):
     X, W = _feature_inputs(5, m, n, seed=m + n)
-    want = singular_values(build_features(X, W, kind))
-    assert np.array_equal(singular_values(features=(X, W, kind)), want)
+    A = build_features(X, W, kind)
+    want = np.sqrt(np.linalg.eigvalsh(A @ A.conj().T if m < n else A.conj().T @ A))
+    assert np.array_equal(singular_values(X, W, kind), want)
 
 
 # 5120 features (or samples) per block when the shorter side of A is 30
@@ -175,7 +202,7 @@ def test_gram_summed_over_blocks_agrees_with_the_svd(kind, m, n, monkeypatch):
     oracle = np.sort(np.linalg.svd(A, compute_uv=False))
     calls, _ = _counting_svd(monkeypatch)
     shapes = _recording_builds(monkeypatch)
-    sv = singular_values(features=(X, W, kind))
+    sv = singular_values(X, W, kind)
     assert calls == []  # the summed Gram passed the gate
     # three blocks along the longer side, never A in full
     assert [max(shape) for shape in shapes] == [_BLOCK_AT_30, _BLOCK_AT_30, 500]
@@ -194,33 +221,29 @@ def test_rank_deficient_or_square_features_get_the_svd_values_exactly(kind, m, n
         W = W[:, np.arange(n) % (min(m, n) // 2)]
     A = build_features(X, W, kind)
     want = np.sort(np.linalg.svd(A, compute_uv=False))
-    assert np.array_equal(singular_values(A), want)
+    assert np.array_equal(gram_spectrum_via_svd(A).eigenvalues, (want / np.sqrt(max(m, n)))**2)
     shapes = _recording_builds(monkeypatch)
     if m == n:
         monkeypatch.setattr(np.linalg, "eigvalsh", None)
-    assert np.array_equal(singular_values(features=(X, W, kind)), want)
+    assert np.array_equal(singular_values(X, W, kind), want)
     assert shapes[-1] == (m, n)  # the fallback builds A in full
 
 
-def test_singular_values_takes_either_a_or_features():
+def test_singular_values_checks_the_ambient_dimension():
     X, W = _feature_inputs(3, 4, 6, seed=0)
-    with pytest.raises(InvalidArgumentError, match="either A or features"):
-        singular_values()
-    with pytest.raises(InvalidArgumentError, match="either A or features"):
-        singular_values(build_features(X, W, FOURIER), features=(X, W, FOURIER))
     with pytest.raises(InvalidArgumentError, match="ambient dimension"):
-        singular_values(features=(X, W[:2], FOURIER))
+        singular_values(X, W[:2], FOURIER)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("shape", [(5, 9), (9, 5)])
-def test_non_finite_input_raises_numerical_failure(bad, shape):
+def test_non_finite_input_raises_numerical_failure(bad, shape, monkeypatch):
     A = _matrix_with_cond(*shape, 2.0, complex, seed=4)
     A[2, 3] = bad
     with pytest.raises(NumericalFailureError, match="SVD failed"):
-        singular_values(A)
-    with pytest.raises(NumericalFailureError, match="SVD failed"):
         gram_spectrum_via_svd(A)
+    with pytest.raises(NumericalFailureError, match="SVD failed"):
+        singular_values(*_index_inputs(A, monkeypatch))
 
 
 def test_rip_s1_is_zero_for_unit_norm_columns():
@@ -713,8 +736,8 @@ def test_density_validation():
 @given(st.integers(min_value=2, max_value=7), st.integers(min_value=2, max_value=7),
        st.integers(min_value=0, max_value=2**32))
 def test_gram_eigenvalues_consistent_with_singular_values(m, n, trial):
-    _, _, A = random_features(2, m, n, 1.0, 1.0, split_stream(321, trial))
-    sv = singular_values(A)
+    X, W, A = random_features(2, m, n, 1.0, 1.0, split_stream(321, trial))
+    sv = singular_values(X, W, FOURIER)
     norm = max(m, n)
     G = A.conj().T @ A if n <= m else A @ A.conj().T
     eigs = np.sort(np.linalg.eigvalsh(G) / norm)
