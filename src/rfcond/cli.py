@@ -200,8 +200,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_spectrum(args) -> int:
     entries = run_spectrum_density(_build_config(args))
     out = Path(args.out)
-    rows = [(e.label, float(g), float(v))
-            for e in entries for g, v in zip(e.curve.grid, e.curve.density)]
+    rows = [(e.label, g, v) for e in entries
+            for g, v in zip(e.curve.grid.tolist(), e.curve.density.tolist())]
     write_csv(out / "density.csv", ["scaling", "grid", "value"], rows)
     _write_report(args, "spectrum_summary.json", {
         "scalings": [{"label": e.label, "N": e.n,

@@ -31,6 +31,11 @@ def write_csv(path, header: list[str], rows) -> None:
 def jsonable(obj):
     """Recursively convert numpy scalars/arrays; non-finite floats become
     strings since JSON has no encoding for them."""
+    # Exact floats and strs, most of the cells, skip the isinstance chain.
+    if type(obj) is float:
+        return obj if math.isfinite(obj) else str(obj)
+    if type(obj) is str:
+        return obj
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -432,11 +432,24 @@ def rip_constant_lower_mc(A_normalized: np.ndarray, s: int, trials: int,
                        supports_gathered=len(distinct))
 
 
+def _linear_quantile(v: list[float], q: float) -> float:
+    """The q-quantile of the sorted, non-empty `v` by numpy's default "linear"
+    rule (Hyndman & Fan 1996, type 7): the virtual index (n - 1) q between
+    neighbours a and b, interpolated from the nearer one with the float
+    operations of numpy's `_lerp`.  (np.percentile would do, but its first
+    call imports numpy.ma, 12-14 ms.)"""
+    index = (len(v) - 1) * q
+    lo = int(index)  # the floor, since index >= 0
+    t = index - lo
+    a, b = v[lo], v[min(lo + 1, len(v) - 1)]
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+
+
 def _silverman_bandwidth(values: np.ndarray) -> float:
     n = values.size
     std = float(np.std(values))
-    q75, q25 = np.percentile(values, [75, 25])
-    iqr = float(q75 - q25)
+    v = np.sort(values).tolist()
+    iqr = _linear_quantile(v, 0.75) - _linear_quantile(v, 0.25)
     scale = min(std, iqr / 1.34) if iqr > 0 else std
     h = 0.9 * scale * n ** (-0.2)
     if h <= 0:
@@ -447,11 +460,13 @@ def _silverman_bandwidth(values: np.ndarray) -> float:
 
 
 def spectral_density(values) -> DensityCurve:
-    """Gaussian-kernel density of `values` with Silverman's bandwidth h on a
-    512-point grid over [min - 3h, max + 3h], scaled to a maximum of 1."""
+    """Gaussian-kernel density of finite `values` with Silverman's bandwidth h
+    on a 512-point grid over [min - 3h, max + 3h], scaled to a maximum of 1."""
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         raise InvalidArgumentError("values must be non-empty")
+    if not np.isfinite(v).all():
+        raise InvalidArgumentError("values must be finite")
     h = _silverman_bandwidth(v)
     grid = np.linspace(v.min() - 3 * h, v.max() + 3 * h, 512)
     z = (grid[:, None] - v[None, :]) / h

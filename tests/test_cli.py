@@ -1,5 +1,7 @@
 import json
 import re
+import subprocess
+import sys
 from math import comb
 from pathlib import Path
 
@@ -203,6 +205,18 @@ def test_spectrum_csv_schema(tmp_path):
     assert lines[0] == "scaling,grid,value"
     assert lines[1].startswith("N=m,")
     assert (tmp_path / "spectrum.svg").exists()
+
+
+def test_spectrum_run_leaves_numpy_ma_unimported(tmp_path):
+    # np.percentile's first call imports numpy.ma (12-14 ms of a density run).
+    code = ("import sys, rfcond.cli\n"
+            "rfcond.cli.main(['spectrum', '--d', '5', '--m', '12', '--trials', '2',"
+            " '--out', sys.argv[1]])\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 OFFERED = {

@@ -733,6 +733,26 @@ def test_density_validation():
         spectral_density([])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_density_refuses_non_finite_values(bad):
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        spectral_density([1.0, bad, 2.0])
+
+
+def test_quartiles_equal_numpys_linear_percentiles():
+    gen = np.random.default_rng(30)
+    for n in [*range(1, 401), 1000, 2047]:
+        scaled = gen.normal(size=n) * 10.0 ** gen.uniform(-12, 12)
+        tied = np.round(gen.normal(size=n) * gen.uniform(0.5, 4))
+        flat = np.full(n, gen.normal())
+        for v in (scaled, tied, flat):
+            got = [spectral._linear_quantile(np.sort(v).tolist(), q) for q in (0.75, 0.25)]
+            # == rather than bytes: where -0.0 and 0.0 both sit at a quartile,
+            # np.sort and np.percentile's partition may order them differently,
+            # which flips only the sign of a zero quartile (the IQR is still +-0).
+            assert got == np.percentile(v, [75, 25]).tolist(), (n, v)
+
+
 @given(st.integers(min_value=2, max_value=7), st.integers(min_value=2, max_value=7),
        st.integers(min_value=0, max_value=2**32))
 def test_gram_eigenvalues_consistent_with_singular_values(m, n, trial):
