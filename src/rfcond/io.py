@@ -31,10 +31,11 @@ def write_csv(path, header: list[str], rows) -> None:
 def jsonable(obj):
     """Recursively convert numpy scalars/arrays; non-finite floats become
     strings since JSON has no encoding for them."""
-    # Exact floats and strs, most of the cells, skip the isinstance chain.
-    if type(obj) is float:
-        return obj if math.isfinite(obj) else str(obj)
-    if type(obj) is str:
+    # Floats and strs first: they are most of a CSV's cells.
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        return x if math.isfinite(x) else str(x)  # "inf", "-inf" or "nan"
+    if isinstance(obj, str):
         return obj
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
@@ -46,9 +47,6 @@ def jsonable(obj):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        return x if math.isfinite(x) else str(x)  # "inf", "-inf" or "nan"
     return obj
 
 

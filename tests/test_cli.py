@@ -207,16 +207,32 @@ def test_spectrum_csv_schema(tmp_path):
     assert (tmp_path / "spectrum.svg").exists()
 
 
-def test_spectrum_run_leaves_numpy_ma_unimported(tmp_path):
-    # np.percentile's first call imports numpy.ma (12-14 ms of a density run).
-    code = ("import sys, rfcond.cli\n"
-            "rfcond.cli.main(['spectrum', '--d', '5', '--m', '12', '--trials', '2',"
-            " '--out', sys.argv[1]])\n"
-            "print('numpy.ma' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                          capture_output=True, text=True, timeout=120)
+LAZY_IMPORT_RUNS = {
+    "sweep": "sweep --d 3 --m 20 --n-grid 4:60:4 --trials 2 --n-test 50",
+    "spectrum": "spectrum --d 5 --m 12 --trials 2",
+    "validate": "validate --d 3 --m 16 --n-grid 40 --target bump:1.41421356"
+                " --pipelines min_norm --trials 2 --n-test 50",
+    "rip": "rip --d 2 --m 30 --n-grid 8 --s 3 --method exact",
+}
+
+
+def test_runs_import_no_numpy_submodule_lazily(tmp_path):
+    # A lazy numpy import is a fixed cost of every run: np.percentile's first
+    # call, for one, imports numpy.ma (12-14 ms of a density run).
+    code = ("import json, sys\n"
+            "import numpy.random\n"
+            "import rfcond.cli\n"
+            "runs, new = json.loads(sys.argv[2]), {}\n"
+            "for name, argv in runs.items():\n"
+            "    before = set(sys.modules)\n"
+            "    rc = rfcond.cli.main(argv.split() + ['--out', sys.argv[1] + '/' + name])\n"
+            "    new[name] = [rc] + sorted(m for m in set(sys.modules) - before\n"
+            "                              if m.split('.')[0] == 'numpy')\n"
+            "print(json.dumps(new))\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path), json.dumps(LAZY_IMPORT_RUNS)],
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert json.loads(proc.stdout.splitlines()[-1]) == {name: [0] for name in LAZY_IMPORT_RUNS}
 
 
 OFFERED = {
