@@ -242,7 +242,7 @@ _COMMANDS = {
     "sweep": (_cmd_sweep, "double-descent sweep over the N grid",
               "d m n-grid gamma sigma features noise target trials seed n-test workers out"),
     "spectrum": (_cmd_spectrum, "singular value densities under log scalings",
-                 "d m gamma sigma features trials seed workers out scalings"),
+                 "d m gamma sigma trials seed workers out scalings"),
     "threshold": (_report_command("threshold.json", lambda c, a: run_threshold_study(c)),
                   "interpolation threshold statistics at m=N",
                   "d n-grid gamma sigma trials seed workers out"),
@@ -255,7 +255,7 @@ _COMMANDS = {
     "rip": (_report_command("rip.json", lambda c, a: run_rip_study(c, a.method, a.budget,
                                                                    a.rip_trials)),
             "restricted isometry constants of one instance",
-            "d m n-grid gamma sigma features seed s workers out method budget rip-trials"),
+            "d m n-grid gamma sigma seed s workers out method budget rip-trials"),
 }
 
 

@@ -196,12 +196,18 @@ def random_features(d: int, m: int, n: int, gamma: float, sigma: float, stream: 
     return X, W, build_features(X, W, kind)
 
 
-def _require_fourier(config: ExperimentConfig, protocol: str) -> None:
-    """The paper's bands and risk bounds rest on the Gaussian kernel, the mean Gram
-    of Fourier features; ReLU features have the arc-cosine kernel, so refuse them."""
+def _require_fourier(config: ExperimentConfig, protocol: str,
+                     normalization: str | None = None) -> None:
+    """Refuse ReLU features where `protocol` rests on the paper's Fourier setting:
+    the threshold and validation bands and bounds rest on the Gaussian kernel
+    (ReLU features have the arc-cosine kernel), and the density and RIP studies
+    measure A / `normalization`, as the paper does for unit-modulus columns."""
     if config.feature_kind != FOURIER:
-        raise InvalidArgumentError(f"{protocol} checks the paper's bounds, which hold for "
-                                   f"fourier features only; got {config.feature_kind} features")
+        reason = (f"measures A / {normalization}, a normalization the paper states for "
+                  "the unit-modulus columns of" if normalization else
+                  "checks bounds that rest on the Gaussian kernel, the mean Gram of")
+        raise InvalidArgumentError(f"{protocol} {reason} fourier features only; "
+                                   f"got {config.feature_kind} features")
 
 
 def _map_cells(fn, cells, config: ExperimentConfig) -> list[list]:
@@ -331,21 +337,21 @@ def run_double_descent_sweep(config: ExperimentConfig) -> SweepResult:
 
 
 def _solve_scaling(label: str, m: int) -> int:
-    """N for a scaling label at m samples; under-parameterized labels invert
-    N log^k N = m over integers."""
+    """N for a scaling label at m samples: "N=m log^k m" rounds m log^k m (at
+    least 2), and "m=N log^k N" inverts N log^k N = m over N in 2..m.  A label
+    whose N is not above m ("N=m log...") or not below it ("m=N log...") raises
+    InvalidArgumentError; all five labels need m >= 4."""
     if label == "N=m":
         return m
-    if label == "N=m log m":
-        return max(2, round(m * math.log(m)))
-    if label == "N=m log^3 m":
-        return max(2, round(m * math.log(m) ** 3))
-    power = 1 if label == "m=N log N" else 3
-    best_n, best_err = 2, float("inf")
-    for n in range(2, m + 1):
-        err = abs(n * math.log(n) ** power - m)
-        if err < best_err:
-            best_n, best_err = n, err
-    return best_n
+    over, power = label.startswith("N="), 3 if "^3" in label else 1
+    if over:
+        n = max(2, round(m * math.log(m) ** power))
+    else:  # the first N of least error
+        n = min(range(2, m + 1), key=lambda k: abs(k * math.log(k) ** power - m), default=2)
+    if (n <= m) if over else (n >= m):
+        raise InvalidArgumentError(f"scaling {label!r} at m = {m} gives N = {n}, "
+                                   f"not {'above' if over else 'below'} m")
+    return n
 
 
 @dataclass(frozen=True)
@@ -358,12 +364,17 @@ class DensityStudyEntry:
 
 
 def run_spectrum_density(config: ExperimentConfig) -> list[DensityStudyEntry]:
-    """Figure-2 protocol: pooled singular values of the normalized feature
-    matrix A / sqrt(max(m, N)) over the trials, smoothed to a max-1 density
-    curve per scaling.  Each trial passes its X, W and feature kind to
+    """Figure-2 protocol: pooled singular values of the normalized Fourier
+    feature matrix A / sqrt(max(m, N)) over the trials, smoothed to a max-1
+    density curve per scaling.  Each trial passes its X and W to
     `singular_values`, which builds A in blocks for its Gram and in full
     only for the SVD fallback (m = N, or a Gram that fails the gate), and
-    divides them by sqrt(max(m, N)), as `gram_spectrum_via_svd` does."""
+    divides them by sqrt(max(m, N)), as `gram_spectrum_via_svd` does.
+
+    Before any draw it refuses ReLU features and a selected label whose N is
+    not above m ("N=m log..." labels) or not below m ("m=N log..." labels);
+    all five labels need m >= 4 (`_solve_scaling`)."""
+    _require_fourier(config, "the density study", "sqrt(max(m, N))")
     m = config.m
     cells = [(idx, _solve_scaling(label, m)) for idx, label in enumerate(config.scalings)]
 
@@ -371,7 +382,7 @@ def run_spectrum_density(config: ExperimentConfig) -> list[DensityStudyEntry]:
         idx, n = cell
         stream = split_stream(config.seed, t).substream(_TAG_SCALING, idx)
         X, W = random_inputs(config.d, m, n, config.gamma, config.sigma, stream)
-        return singular_values(X, W, config.feature_kind) / np.sqrt(max(m, n))
+        return singular_values(X, W, FOURIER) / np.sqrt(max(m, n))
 
     entries = []
     for label, (_, n), values in zip(config.scalings, cells,
@@ -394,8 +405,7 @@ def run_threshold_study(config: ExperimentConfig) -> dict:
 
     def one_trial(n: int, t: int) -> tuple[float, float]:
         stream = split_stream(config.seed, t).substream(_TAG_GRID, n)
-        _, _, A = random_features(config.d, n, n, config.gamma, config.sigma, stream,
-                                  config.feature_kind)
+        _, _, A = random_features(config.d, n, n, config.gamma, config.sigma, stream, FOURIER)
         spec = gram_spectrum_via_svd(A)
         return spec.lambda_min, spec.lambda_max
 
@@ -477,7 +487,7 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
         eig_band(config.eta)  # checks eta before any trial, as epsilon_bound checks delta
     target = sample_target(config.target_kind, config.d, config.sigma,
                            split_stream(config.seed, 0).substream(TAG_TARGET),
-                           config.feature_kind, config.planted_s, config.bump_width)
+                           FOURIER, config.planted_s, config.bump_width)
     if target.rho_norm is None:
         raise InvalidArgumentError(
             "bound validation needs a target with finite rho-norm (gaussian_bump)")
@@ -531,10 +541,14 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
 def run_rip_study(config: ExperimentConfig, method: str, budget: int,
                   rip_trials: int) -> dict:
     """Restricted isometry constants delta_s, s = 1..config.s (default N), of
-    one normalized instance A / sqrt(m) at the grid's single N.  "exact"
-    enumerates every support within `budget`; "mc" lower-bounds delta_s from
-    `rip_trials` random supports; "auto" enumerates and falls back to the
-    random lower bound once the budget is exceeded."""
+    one normalized Fourier instance A / sqrt(m) at the grid's single N (ReLU
+    features are refused before any draw).  "exact" enumerates every support
+    within `budget`; "mc" lower-bounds delta_s from `rip_trials` random
+    supports; "auto" enumerates and falls back to the random lower bound once
+    the budget is exceeded.  delta_s is nondecreasing in s, so a random lower
+    bound is raised to the value reported at s - 1, itself a lower bound on
+    delta_s; exact values are reported as computed."""
+    _require_fourier(config, "the rip study", "sqrt(m)")
     if len(config.n_grid) != 1:
         raise InvalidArgumentError(
             f"the rip study takes a single N, got {len(config.n_grid)} values")
@@ -549,8 +563,7 @@ def run_rip_study(config: ExperimentConfig, method: str, budget: int,
     if not 1 <= s_max <= n:
         raise InvalidArgumentError(f"s must be in [1, {n}]")
     stream = split_stream(config.seed, 0)
-    _, _, A = random_features(config.d, config.m, n, config.gamma, config.sigma, stream,
-                              config.feature_kind)
+    _, _, A = random_features(config.d, config.m, n, config.gamma, config.sigma, stream, FOURIER)
     A_norm = A / np.sqrt(config.m)
     estimates = []
     for s in range(1, s_max + 1):
@@ -564,5 +577,7 @@ def run_rip_study(config: ExperimentConfig, method: str, budget: int,
         if est is None:
             est = rip_constant_lower_mc(A_norm, s, rip_trials,
                                         stream.substream(TAG_SUPPORTS, s))
+            if estimates:
+                est = replace(est, value=max(est.value, estimates[-1]["value"]))
         estimates.append(asdict(est))
     return {"estimates": estimates}

@@ -171,6 +171,18 @@ def test_rip_json_reports_supports_gathered(tmp_path):
     assert all(e["supports_gathered"] == e["supports_evaluated"] for e in payloads["mc"])
 
 
+def test_rip_never_reports_a_lower_bound_below_the_previous_s(tmp_path):
+    # Past the budget at s = 5, the random supports alone read 0.5937 and
+    # 0.4778 at s = 5 and 6; delta_s is nondecreasing, so the exact delta_4
+    # is a lower bound at both.
+    assert cli.main(["rip", "--d", "10", "--m", "300", "--n-grid", "60", "--s", "6",
+                     "--seed", "0", "--out", str(tmp_path)]) == 0
+    estimates = json.loads((tmp_path / "rip.json").read_text())["estimates"]
+    assert [e["method"] for e in estimates] == ["exact_enumeration"] * 4 + [
+        "randomized_lower_bound"] * 2
+    assert [e["value"] for e in estimates[3:]] == [0.6115720615382956] * 3
+
+
 @pytest.mark.parametrize("command", ["rip", "theory"])
 def test_single_n_commands_reject_a_multi_value_grid(command, tmp_path, capsys):
     rc = cli.main([command, "--d", "2", "--m", "10", "--n-grid", "6,8",
@@ -237,12 +249,12 @@ def test_runs_import_no_numpy_submodule_lazily(tmp_path):
 
 OFFERED = {
     "sweep": "d m n-grid gamma sigma features noise target trials seed n-test workers out",
-    "spectrum": "d m gamma sigma features trials seed workers out scalings",
+    "spectrum": "d m gamma sigma trials seed workers out scalings",
     "threshold": "d n-grid gamma sigma trials seed workers out",
     "validate": "d m n-grid gamma sigma noise target trials seed n-test eta delta "
                 "permissive-constants tol s pipelines workers out",
     "theory": "d m n-grid gamma sigma eta permissive-constants workers out",
-    "rip": "d m n-grid gamma sigma features seed s workers out method budget rip-trials",
+    "rip": "d m n-grid gamma sigma seed s workers out method budget rip-trials",
 }
 
 
@@ -257,7 +269,7 @@ def _parser_flags() -> dict[str, list[str]]:
 def test_each_command_offers_exactly_the_flags_it_reads():
     offered = {name: set(flags) for name, flags in _parser_flags().items()}
     assert offered == {name: set(flags.split()) for name, flags in OFFERED.items()}
-    assert sum(len(flags) for flags in offered.values()) == 71
+    assert sum(len(flags) for flags in offered.values()) == 69
 
 
 def test_readme_lists_the_flags_each_command_offers():
@@ -274,12 +286,14 @@ def test_readme_lists_the_flags_each_command_offers():
     ["theory", "--report"], ["sweep", "--permissive-constants"],
     ["threshold", "--features", "relu"], ["validate", "--features", "relu"],
     ["sweep", "--bounds"], ["sweep", "--eta", "0.4"], ["sweep", "--delta", "0.1"],
+    ["spectrum", "--features", "relu"], ["rip", "--features", "relu"],
 ])
 def test_unoffered_flag_exits_2(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(argv + ["--out", str(tmp_path)])
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 _SMALL_SWEEP = ["sweep", "--n-grid", "5", "--trials", "1"]
@@ -313,11 +327,12 @@ _BUMP_RHO_NORM_OVERFLOW = ["validate", "--d", "5", "--m", "10", "--n-grid", "20"
     ["threshold", "--n-grid", "1,1000", "--trials", "10"],
     ["validate", "--d", "3", "--m", "10", "--n-grid", "20", "--target", "bump:1.5",
      "--trials", "1", "--pipelines", "bpdn_pruned", "--s", "0"],
+    ["spectrum", "--d", "2", "--m", "3", "--trials", "1"],
 ], ids=["sigma-1e200", "gamma-1e160", "bump-1e30", "bounded-inf", "gamma-negative",
         "theory-gamma-nan", "gaussian-nan", "snr-nan", "sigma-1e-200", "gamma-1e-200",
         "bump-sigma-1e154", "bpdn-noise-1e154", "rip-budget-negative", "rip-budget-zero",
         "rip-trials-negative", "spectrum-repeated-scaling", "validate-eta-outside-band",
-        "threshold-n-1", "validate-s-0"])
+        "threshold-n-1", "validate-s-0", "spectrum-m-3"])
 def test_non_finite_or_overflowing_input_exits_2(argv, tmp_path, capfd):
     rc = cli.main(argv + ["--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG

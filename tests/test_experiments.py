@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import threading
 import time
 
@@ -463,14 +464,38 @@ def test_bound_validation_rejects_snr_noise():
 @pytest.mark.parametrize("run, overrides", [
     (run_threshold_study, dict(m=10)),
     (run_bound_validation, dict(target_kind="gaussian_bump")),
-], ids=["threshold", "bound-validation"])
-def test_protocols_that_check_the_papers_bounds_refuse_relu(run, overrides):
+    (run_spectrum_density, {}),
+    (lambda cfg: run_rip_study(cfg, "auto", 10**6, 10), dict(s=3)),
+], ids=["threshold", "bound-validation", "spectrum-density", "rip"])
+def test_fourier_only_protocols_refuse_relu(run, overrides, monkeypatch):
     # The paper's bands and risk bounds rest on the Gaussian kernel, the mean
-    # Gram of Fourier features; ReLU features have the arc-cosine kernel.
+    # Gram of Fourier features, and it states the density and RIP studies'
+    # normalizations for unit-modulus Fourier columns; refused before any draw.
+    calls = []
+    for name in ("random_inputs", "random_features"):
+        monkeypatch.setattr(experiments, name, lambda *args, **kwargs: calls.append(args))
     cfg = ExperimentConfig(**{"d": 3, "m": 50, "n_grid": (10,), "trials": 2, **overrides},
                            feature_kind="relu")
     with pytest.raises(InvalidArgumentError, match="fourier features only; got relu"):
         run(cfg)
+    assert calls == []
+
+
+def test_spectrum_density_refuses_a_scaling_on_the_wrong_side_of_m(monkeypatch):
+    # Every label lands on its side of m from m = 4 on; below, each m has a
+    # label that does not, and it is refused before any draw.
+    for m in range(4, 12):
+        ns = [_solve_scaling(label, m) for label in SCALING_LABELS]
+        assert ns[0] == m and min(ns[1:3]) > m and max(ns[3:]) < m
+    calls = []
+    monkeypatch.setattr(experiments, "random_inputs",
+                        lambda *args, **kwargs: calls.append(args))
+    for m, message in [(1, "'m=N log N' at m = 1 gives N = 2, not below m"),
+                       (2, "'N=m log m' at m = 2 gives N = 2, not above m"),
+                       (3, "'N=m log m' at m = 3 gives N = 3, not above m")]:
+        with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+            run_spectrum_density(ExperimentConfig(d=2, m=m, n_grid=(1,), trials=1))
+    assert calls == []
 
 
 @pytest.mark.parametrize("method, budget", [("exact", -5), ("auto", 0), ("mc", 0)])

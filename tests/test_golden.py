@@ -41,7 +41,7 @@ GOLDEN = {
     "spectrum": {
         "density.csv": "d3561046fd4336b83aa014d1478f3bb49dfa43b11c69ed4dfe7c242935a3a344",
         "spectrum.svg": "3d43fcdaaf34ad29101f215fbd98c89759f04b835bafffc1cd76496997f7f73e",
-        "spectrum_summary.json": "5b7713cd2fa6951d1b1ca32e5c5a20b793b9748ff0b4a23b49e5c1c628fd235a",
+        "spectrum_summary.json": "cc971f50c9a7a1ddd3977771922e31578c0346abd240602b25cb1cf2e0cf8d8f",
     },
     "threshold": {
         "threshold.json": "f82e1cf975d0b0369bdc4be0b53bc76999cb399932aba5ca32874b227d8357be",
@@ -53,7 +53,7 @@ GOLDEN = {
         "stdout": "c09e926acd4ca18c7bd1981f0b0ac50d7de45379f70c37976abe3e8938152253",
     },
     "rip": {
-        "rip.json": "6a247d5c136594b7628fe5c127c0efeb5833af5ef2e956ecf5e69af4a0f83546",
+        "rip.json": "b96b3205dbe568b415129bb2d2d2b7d39b463e7ca6e5db8d66aa23c2c076e286",
     },
 }
 
