@@ -65,9 +65,9 @@ from .targets import (
     sample_target,
 )
 from .theory import (
-    BoundResult,
     bp_noise_parameter,
-    eig_band,
+    check_bp_conditions,
+    check_regime_bound,
     epsilon_bound,
     interpolation_expectation_bounds,
     markov_min_eig_threshold,
@@ -266,19 +266,28 @@ def _train_and_test(config: ExperimentConfig, target: TargetFunction, pipeline: 
 
 
 def _risk_bound(config: ExperimentConfig, pipeline: str, n: int, rho: float, E: float,
-                s: int | None, eps: float, theta: float | None,
-                permissive: bool = False) -> BoundResult:
-    """The paper's risk bound for `pipeline` at N = n, its hypotheses checked
-    in strict or `permissive` mode; the pruned sparse pipeline also needs s,
-    epsilon and the best s-term error theta."""
+                s: int | None, eps: float, theta: float | None) -> float:
+    """The paper's risk bound for `pipeline` at N = n and epsilon `eps`; the
+    pruned sparse pipeline also needs s and the best s-term error theta."""
     if pipeline == "least_squares":
-        return risk_bound_ls(n, config.m, config.d, config.gamma, config.sigma,
-                             config.delta, config.eta, rho, E, permissive)
+        return risk_bound_ls(n, config.m, config.delta, config.eta, eps, rho, E)
     if pipeline == "min_norm":
-        return risk_bound_minnorm(n, config.m, config.d, config.gamma, config.sigma,
-                                  config.delta, config.eta, rho, E, permissive)
-    return risk_bound_bp(n, config.m, s, config.delta, eps, rho, E, theta, permissive,
-                         d=config.d, gamma=config.gamma, sigma=config.sigma)
+        return risk_bound_minnorm(config.m, config.delta, config.eta, eps, rho, E)
+    return risk_bound_bp(n, config.m, s, config.delta, eps, rho, E, theta)
+
+
+def _bound_conditions(config: ExperimentConfig, pipeline: str, n: int, s: int | None,
+                      permissive: bool) -> dict:
+    """The hypotheses of `pipeline`'s risk bound at N = n, checked in strict or
+    `permissive` mode, and whether all of them hold."""
+    if pipeline == "bpdn_pruned":
+        checks = check_bp_conditions(config.m, n, s, config.d, config.gamma, config.sigma,
+                                     config.delta, permissive)
+    else:
+        checks = check_regime_bound(config.m, n, config.d, config.gamma, config.sigma,
+                                    config.delta, config.eta, permissive,
+                                    under=pipeline == "least_squares")
+    return {"satisfied": all(c.ok for c in checks), "checks": [asdict(c) for c in checks]}
 
 
 def _sweep_cell(config: ExperimentConfig, target: TargetFunction, n: int,
@@ -466,12 +475,13 @@ def _validation_pipelines(config: ExperimentConfig) -> list[tuple[str, int]]:
 
 def run_bound_validation(config: ExperimentConfig) -> dict:
     """Risk-bound coverage for the three training pipelines at the configured
-    parameter points.  Each trial builds its whole report row, with a bound
-    value that never depends on the mode of the hypotheses; the hypothesis
-    checks of both the strict and the permissive mode are reported at trial
-    0's theta.  Each trial's risk is computed as `_train_and_test` decides and
-    says how (`risk_method`); a Monte Carlo risk carries its standard error
-    std(|f - f#|^2) / sqrt(n_test), the closed form none (`risk_se` null).
+    parameter points.  The hypotheses of each pipeline's bound, in both the
+    strict and the permissive mode, are checked once before any trial (none
+    depends on a draw); each trial builds its report row, with a bound value
+    that never depends on the mode.  Each trial's risk is computed as
+    `_train_and_test` decides and says how (`risk_method`); a Monte Carlo risk
+    carries its standard error std(|f - f#|^2) / sqrt(n_test), the closed form
+    none (`risk_se` null).
     Next to the coverage, `bound_over_risk` is the smallest bound / risk over
     the trials (inf when every risk is 0): coverage against a bound many
     orders above the risk says little about the bound."""
@@ -483,8 +493,6 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
         raise InvalidArgumentError(
             "bound validation needs a fixed noise model; snr noise is not supported")
     selected = _validation_pipelines(config)
-    if any(name != "bpdn_pruned" for name, _ in selected):
-        eig_band(config.eta)  # checks eta before any trial, as epsilon_bound checks delta
     target = sample_target(config.target_kind, config.d, config.sigma,
                            split_stream(config.seed, 0).substream(TAG_TARGET),
                            FOURIER, config.planted_s, config.bump_width)
@@ -494,14 +502,16 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
 
     E = config.noise.bound
     rho = target.rho_norm
-    cells = []  # (pipeline, N, s, epsilon, xi)
+    cells = []  # (pipeline, N, s, epsilon, xi, conditions by mode)
     for name, n in selected:
         s = min(config.s, n) if name == "bpdn_pruned" else None  # only it prunes
         eps = epsilon_bound(n, config.m, config.d, config.gamma, config.sigma, config.delta)
-        cells.append((name, n, s, eps, bp_noise_parameter(eps, rho, E)))
+        conditions = {mode: _bound_conditions(config, name, n, s, mode == "permissive")
+                      for mode in ("strict", "permissive")}
+        cells.append((name, n, s, eps, bp_noise_parameter(eps, rho, E), conditions))
 
-    def one_trial(cell: tuple, t: int) -> tuple[dict, float | None]:
-        name, n, s, eps, xi = cell
+    def one_trial(cell: tuple, t: int) -> dict:
+        name, n, s, eps, xi, _ = cell
         stream = split_stream(config.seed, t).substream(_TAG_PIPELINE, n, _PIPE_TAGS[name])
         X, W, A = random_features(config.d, config.m, n, config.gamma, config.sigma,
                                   stream, FOURIER)
@@ -511,20 +521,18 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
                 "row Gram AA* is numerically singular; interpolation unavailable")
         theta = (best_s_term_error(best_phi_coeffs(target, W), s, 1)
                  if name == "bpdn_pruned" else None)
-        bound = _risk_bound(config, name, n, rho, E, s, eps, theta).value
+        bound = _risk_bound(config, name, n, rho, E, s, eps, theta)
         return {"trial": t, "empirical_risk": risk.value, "risk_se": risk.se,
                 "risk_method": risk.method, "bound_value": bound,
                 "covered": bool(risk.value <= bound),
                 "train_residual": coeff.residual_norm,
                 "nnz": int(np.count_nonzero(coeff.values)),
                 "iterations": coeff.iterations, "duality_gap": coeff.duality_gap,
-                "flags": list(coeff.flags)}, theta
+                "flags": list(coeff.flags)}
 
     pipelines = []
-    for (name, n, s, eps, _), results in zip(cells, _map_cells(one_trial, cells, config)):
-        trial_rows, thetas = zip(*results)
-        reports = [_risk_bound(config, name, n, rho, E, s, eps, thetas[0], permissive)
-                   for permissive in (False, True)]
+    for (name, n, s, eps, _, conditions), trial_rows in zip(
+            cells, _map_cells(one_trial, cells, config)):
         pipelines.append({
             "name": name, "N": int(n), "s": s, "epsilon": eps, "noise_bound": E,
             "coverage": sum(r["covered"] for r in trial_rows) / config.trials,
@@ -532,8 +540,8 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
                                     for r in trial_rows if r["empirical_risk"] > 0),
                                    default=math.inf),
             "mean_risk": float(np.mean([r["empirical_risk"] for r in trial_rows])),
-            "conditions": {b.mode: asdict(b) for b in reports},
-            "trials": list(trial_rows),
+            "conditions": conditions,
+            "trials": trial_rows,
         })
     return {"target": asdict(target), "pipelines": pipelines}
 

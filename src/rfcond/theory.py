@@ -38,13 +38,10 @@ REGIME_UNDER = "under"
 REGIME_OVER = "over"
 REGIME_INTERPOLATION = "interpolation"
 
-MODE_STRICT = "strict"
-MODE_PERMISSIVE = "permissive"
-
 
 def _overlap_power(c: float, gamma: float, sigma: float, exponent: float) -> float:
     """(c gamma^2 sigma^2 + 1)^exponent without OverflowError (saturates to
-    inf).  Every bound takes gamma, sigma and d through it: c = 2 with
+    inf).  Every overlap term takes gamma, sigma and d through it: c = 2 with
     exponent -d/2 is `beta_overlap` (+d/2 its inverse, in the uncertainty
     conditions), and c = 4 with exponent -d/4 is the square-threshold level of
     lambda_min."""
@@ -261,79 +258,68 @@ def check_regime_conditions(m: int, N: int, d: int, gamma: float, sigma: float,
     return RegimeReport(regime, eta, band, conditions, _failure_probability(small, big))
 
 
-@dataclass(frozen=True)
-class BoundResult:
-    """A risk bound value plus the hypotheses it rests on, checked in `mode`
-    (strict or permissive, which changes only the hypotheses).  The value is
-    always computed; `satisfied` is False (report-only mode) when any of its
-    `conditions` or of the `regime` report's fails at the parameter point."""
+def check_regime_bound(m: int, N: int, d: int, gamma: float, sigma: float,
+                       delta: float, eta: float, permissive: bool,
+                       under: bool) -> tuple[ConditionCheck, ...]:
+    """Hypotheses of a regime risk bound: the regime it is stated for (m > N
+    when `under`, least squares; else m < N, min-norm), the delta floor
+    small^(-log^2(small) log(3 big)), then the `check_regime_conditions`
+    checks.  The caller names the regime, so at m = N both bounds report
+    theirs unsatisfied."""
+    _validate_delta(delta)
+    regime = check_regime_conditions(m, N, d, gamma, sigma, eta, permissive)
+    big, small = (m, N) if under else (N, m)
+    floor = _failure_probability(small, big)
+    return (ConditionCheck(f"regime_m_{'gt' if under else 'lt'}_N", float(big),
+                           float(small), big > small),
+            ConditionCheck("delta_floor", delta, floor, delta >= floor),
+            *regime.conditions)
 
-    value: float
-    epsilon: float | None
-    mode: str
-    satisfied: bool
-    conditions: tuple[ConditionCheck, ...]
-    regime: RegimeReport | None
+
+def _validate_bound_inputs(m: int, delta: float) -> None:
+    """The inputs every risk bound checks itself: epsilon comes from the
+    caller, so no `epsilon_bound` call checks them for it."""
+    if m < 1:
+        raise InvalidArgumentError("m must be positive")
+    _validate_delta(delta)
 
 
-def _bound(value: float, eps: float | None, conditions: tuple[ConditionCheck, ...],
-           regime: RegimeReport | None, permissive: bool, f_rho_norm: float,
-           E_noise: float) -> BoundResult:
-    """The bound in the mode `permissive` names, satisfied when every check is.
-    A value that overflows is an InvalidArgumentError naming the inputs that
-    scale it, not an inf bound that covers every risk."""
+def _finite_bound(value: float, f_rho_norm: float, E_noise: float) -> float:
+    """`value`, or an InvalidArgumentError naming the inputs that scale it
+    where it overflows: an inf bound would cover every risk."""
     if not math.isfinite(value):
         raise InvalidArgumentError(
             f"risk bound {value} is not finite: rho-norm ||f||_rho = {f_rho_norm!r} "
             f"or noise bound E = {E_noise!r} is too large")
-    ok = all(c.ok for c in conditions) and (regime is None or regime.all_satisfied)
-    return BoundResult(value, eps, MODE_PERMISSIVE if permissive else MODE_STRICT, ok,
-                       conditions, regime)
+    return value
 
 
-def _regime_bound(value: float, eps: float, N: int, m: int, d: int, gamma: float,
-                  sigma: float, delta: float, eta: float, permissive: bool,
-                  f_rho_norm: float, E_noise: float, under: bool) -> BoundResult:
-    """`value` with the hypotheses of a regime risk bound: the regime report,
-    the regime the bound is stated for (m > N when `under`, else m < N) and
-    the delta floor small^(-log^2(small) log(3 big)).  The caller names the
-    regime, so at m = N both bounds report theirs unsatisfied."""
-    regime = check_regime_conditions(m, N, d, gamma, sigma, eta, permissive)
-    big, small = (m, N) if under else (N, m)
-    floor = _failure_probability(small, big)
-    conditions = (ConditionCheck(f"regime_m_{'gt' if under else 'lt'}_N", float(big),
-                                 float(small), big > small),
-                  ConditionCheck("delta_floor", delta, floor, delta >= floor))
-    return _bound(value, eps, conditions, regime, permissive, f_rho_norm, E_noise)
-
-
-def risk_bound_ls(N: int, m: int, d: int, gamma: float, sigma: float, delta: float,
-                  eta: float, f_rho_norm: float, E_noise: float,
-                  permissive: bool = False) -> BoundResult:
+def risk_bound_ls(N: int, m: int, delta: float, eta: float, epsilon: float,
+                  f_rho_norm: float, E_noise: float) -> float:
     """Underparameterized least-squares risk bound
-    16 K(eta) (1 + N m^(-1/2) log^(1/2)(1/delta)) (eps^2 ||f||_rho^2 + E^2)."""
-    eps = epsilon_bound(N, m, d, gamma, sigma, delta)
+    16 K(eta) (1 + N m^(-1/2) log^(1/2)(1/delta)) (eps^2 ||f||_rho^2 + E^2),
+    eps the `epsilon_bound` at N; its hypotheses are `check_regime_bound`'s
+    with `under`."""
+    _validate_bound_inputs(m, delta)
     value = (LS_PREFACTOR * K_eta(eta) * _sample_factor(N, m, delta)
-             * _error_term(eps, f_rho_norm, E_noise))
-    return _regime_bound(value, eps, N, m, d, gamma, sigma, delta, eta, permissive,
-                         f_rho_norm, E_noise, under=True)
+             * _error_term(epsilon, f_rho_norm, E_noise))
+    return _finite_bound(value, f_rho_norm, E_noise)
 
 
-def risk_bound_minnorm(N: int, m: int, d: int, gamma: float, sigma: float, delta: float,
-                       eta: float, f_rho_norm: float, E_noise: float,
-                       permissive: bool = False) -> BoundResult:
+def risk_bound_minnorm(m: int, delta: float, eta: float, epsilon: float,
+                       f_rho_norm: float, E_noise: float) -> float:
     """Overparameterized min-norm interpolation risk bound
     C~ log^(1/2)(1/delta) (m^(-1/2) + K(eta) m^(1/2) eps^2) ||f||_rho^2
-    + C~ m^(1/2) K(eta) log^(1/2)(1/delta) E^2."""
-    eps = epsilon_bound(N, m, d, gamma, sigma, delta)
+    + C~ m^(1/2) K(eta) log^(1/2)(1/delta) E^2, eps the `epsilon_bound` at N;
+    its hypotheses are `check_regime_bound`'s without `under`."""
+    _validate_bound_inputs(m, delta)
     K = K_eta(eta)
     root_log = math.sqrt(math.log(1.0 / delta))
     value = (C_MIN_NORM * root_log
-             * (1.0 / math.sqrt(m) + K * math.sqrt(m) * _square(eps, "epsilon"))
+             * (1.0 / math.sqrt(m) + K * math.sqrt(m) * _square(epsilon, "epsilon"))
              * _square(f_rho_norm, "rho-norm ||f||_rho")
              + C_MIN_NORM * math.sqrt(m) * K * root_log * _square(E_noise, "noise bound E"))
-    return _regime_bound(value, eps, N, m, d, gamma, sigma, delta, eta, permissive,
-                         f_rho_norm, E_noise, under=False)
+    return _finite_bound(value, f_rho_norm, E_noise)
 
 
 def bp_noise_parameter(epsilon: float, f_rho_norm: float, E_noise: float) -> float:
@@ -364,15 +350,13 @@ def check_bp_conditions(m: int, N: int, s: int, d: int, gamma: float, sigma: flo
 
 
 def risk_bound_bp(N: int, m: int, s: int, delta: float, epsilon: float,
-                  f_rho_norm: float, E_noise: float, theta_s1: float,
-                  permissive: bool = False, *, d: int, gamma: float,
-                  sigma: float) -> BoundResult:
+                  f_rho_norm: float, E_noise: float, theta_s1: float) -> float:
     """Sparse-regression (pruned basis pursuit) risk bound
     C' (1 + N m^(-1/2) log^(1/2)(1/delta)) (eps^2 ||f||_rho^2 + E^2)
-    + C'' (1 + N m^(-1/2) s^(-1) log^(1/2)(1/delta)) theta_{s,1}^2,
-    with the `check_bp_conditions` hypotheses at the geometry d, gamma, sigma."""
-    conditions = check_bp_conditions(m, N, s, d, gamma, sigma, delta, permissive)
+    + C'' (1 + N m^(-1/2) s^(-1) log^(1/2)(1/delta)) theta_{s,1}^2; its
+    hypotheses are `check_bp_conditions`'."""
+    _validate_bound_inputs(m, delta)
     value = (C_PRIME * _sample_factor(N, m, delta) * _error_term(epsilon, f_rho_norm, E_noise)
              + C_DPRIME * _sample_factor(N, m, delta, s)
              * _square(theta_s1, "best s-term error theta_{s,1}"))
-    return _bound(value, epsilon, conditions, None, permissive, f_rho_norm, E_noise)
+    return _finite_bound(value, f_rho_norm, E_noise)

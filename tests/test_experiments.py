@@ -421,8 +421,10 @@ def test_bound_validation_structure():
     for p in report["pipelines"]:
         assert 0.0 <= p["coverage"] <= 1.0
         assert len(p["trials"]) == 5
-        assert p["conditions"]["strict"]["mode"] == "strict"
-        assert p["conditions"]["permissive"]["mode"] == "permissive"
+        assert list(p["conditions"]) == ["strict", "permissive"]
+        for entry in p["conditions"].values():
+            assert list(entry) == ["satisfied", "checks"]
+            assert entry["satisfied"] == all(c["ok"] for c in entry["checks"])
         for t in p["trials"]:
             assert t["empirical_risk"] >= 0
             assert t["bound_value"] >= 0
@@ -527,6 +529,19 @@ def test_bound_validation_checks_eta_before_building_features(monkeypatch):
     cfg = ExperimentConfig(d=3, m=10, n_grid=(5, 20), target_kind="gaussian_bump",
                            bump_width=1.5, trials=1, eta=0.9)
     with pytest.raises(InvalidArgumentError, match="eta must lie in"):
+        run_bound_validation(cfg)
+    assert calls == []
+
+
+@pytest.mark.parametrize("m, n_grid", [(1, (5,)), (60, (1,))], ids=["m-1", "N-1"])
+def test_bound_validation_refuses_m_or_n_below_two_before_any_trial(m, n_grid,
+                                                                    monkeypatch):
+    # The regime hypotheses are checked before the first draw, so a point the
+    # conditioning theorem leaves undefined builds no feature matrix.
+    calls = _counting_random_features(monkeypatch)
+    cfg = ExperimentConfig(d=3, m=m, n_grid=n_grid, target_kind="gaussian_bump",
+                           bump_width=1.41, trials=3)
+    with pytest.raises(InvalidArgumentError, match="m and N must be >= 2"):
         run_bound_validation(cfg)
     assert calls == []
 

@@ -47,7 +47,7 @@ GOLDEN = {
         "threshold.json": "f82e1cf975d0b0369bdc4be0b53bc76999cb399932aba5ca32874b227d8357be",
     },
     "validate": {
-        "validate.json": "a71ea33f4133af874d51c61c62dc216f4aef858217f39bd0f045b30c3e045fa1",
+        "validate.json": "59e7ae7f3b491f8ed507a8ad528be4d785fd2e8ca2de4dd11d0caf1e211f020c",
     },
     "theory": {
         "stdout": "c09e926acd4ca18c7bd1981f0b0ac50d7de45379f70c37976abe3e8938152253",

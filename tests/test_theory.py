@@ -1,5 +1,4 @@
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from rfcond.theory import (
     beta_overlap,
     bp_noise_parameter,
     check_bp_conditions,
+    check_regime_bound,
     check_regime_conditions,
     eig_band,
     epsilon_bound,
@@ -31,6 +31,11 @@ from rfcond.theory import (
 PERMISSIVE = True
 
 etas = st.floats(min_value=1e-3, max_value=ETA_MAX - 1e-6)
+
+
+def _eps(N, m, delta=0.05):
+    """epsilon_bound at d = 3, gamma = sigma = 1, the geometry of the bound tests."""
+    return epsilon_bound(N, m, 3, 1.0, 1.0, delta)
 
 
 def test_beta_overlap_degenerate_and_arithmetic():
@@ -209,60 +214,69 @@ def test_exascale_uncertainty_condition():
 
 def test_condition_passes_at_exact_equality():
     # The delta floor uses >=, so handing back the computed floor passes.
-    report = risk_bound_ls(10, 100, 3, 1.0, 1.0, 0.5, 0.5, 1.0, 0.0, PERMISSIVE)
-    floor_check = {c.name: c for c in report.conditions}["delta_floor"]
-    report2 = risk_bound_ls(10, 100, 3, 1.0, 1.0, max(floor_check.rhs, 1e-300),
-                            0.5, 1.0, 0.0, PERMISSIVE)
-    floor2 = {c.name: c for c in report2.conditions}["delta_floor"]
-    assert floor2.ok
+    def floor_check(delta):
+        checks = check_regime_bound(100, 10, 3, 1.0, 1.0, delta, 0.5, PERMISSIVE, under=True)
+        return {c.name: c for c in checks}["delta_floor"]
+
+    assert floor_check(max(floor_check(0.5).rhs, 1e-300)).ok
 
 
 def test_ls_bound_zero_signal_zero_noise_is_zero():
-    res = risk_bound_ls(10, 100, 3, 1.0, 1.0, 0.05, 0.3, 0.0, 0.0)
-    assert res.value == 0.0
+    assert risk_bound_ls(10, 100, 0.05, 0.3, _eps(10, 100), 0.0, 0.0) == 0.0
 
 
 def test_ls_bound_noise_term_is_quadratic():
-    one = risk_bound_ls(10, 100, 3, 1.0, 1.0, 0.05, 0.3, 0.0, 1.0).value
-    two = risk_bound_ls(10, 100, 3, 1.0, 1.0, 0.05, 0.3, 0.0, 2.0).value
+    one = risk_bound_ls(10, 100, 0.05, 0.3, _eps(10, 100), 0.0, 1.0)
+    two = risk_bound_ls(10, 100, 0.05, 0.3, _eps(10, 100), 0.0, 2.0)
     assert two == pytest.approx(4 * one, rel=1e-12)
 
 
 def test_minnorm_bound_noise_term_scales_with_root_m():
-    one = risk_bound_minnorm(400, 25, 3, 1.0, 1.0, 0.05, 0.3, 0.0, 1.0).value
-    two = risk_bound_minnorm(400, 50, 3, 1.0, 1.0, 0.05, 0.3, 0.0, 1.0).value
+    one = risk_bound_minnorm(25, 0.05, 0.3, _eps(400, 25), 0.0, 1.0)
+    two = risk_bound_minnorm(50, 0.05, 0.3, _eps(400, 50), 0.0, 1.0)
     assert two == pytest.approx(math.sqrt(2) * one, rel=1e-12)
 
 
 def test_minnorm_bound_zero_inputs():
-    assert risk_bound_minnorm(400, 25, 3, 1.0, 1.0, 0.05, 0.3, 0.0, 0.0).value == 0.0
+    assert risk_bound_minnorm(25, 0.05, 0.3, _eps(400, 25), 0.0, 0.0) == 0.0
 
 
 def test_bp_bound_reduces_to_first_term_when_dense():
     n, m, s = 64, 200, 64
     delta, eps, rho, E = 0.05, 0.4, 2.0, 0.1
-    res = risk_bound_bp(n, m, s, delta, eps, rho, E, 0.0, d=3, gamma=1.0, sigma=1.0)
+    value = risk_bound_bp(n, m, s, delta, eps, rho, E, 0.0)
     expected = (C_PRIME
                 * (1 + n / math.sqrt(m) * math.sqrt(math.log(1 / delta)))
                 * (eps**2 * rho**2 + E**2))
-    assert res.value == pytest.approx(expected, rel=1e-12)
+    assert value == pytest.approx(expected, rel=1e-12)
 
 
 def test_bp_conditions_reported_when_geometry_known():
-    res = risk_bound_bp(150, 750, 4, 0.05, 0.5, 2.0, 0.0, 0.1,
-                        PERMISSIVE, d=12, gamma=1.0, sigma=1.0)
-    names = {c.name for c in res.conditions}
+    checks = check_bp_conditions(750, 150, 4, 12, 1.0, 1.0, 0.05, PERMISSIVE)
+    names = {c.name for c in checks}
     assert names == {"sample_complexity", "sparsity_uncertainty", "delta_floor"}
-    assert res.satisfied
+    assert all(c.ok for c in checks)
 
 
-def test_bp_bound_needs_the_geometry_of_its_hypotheses():
-    # Without d, gamma, sigma no hypothesis could be checked, and the bound
-    # would report itself satisfied with no conditions.
-    with pytest.raises(TypeError):
-        risk_bound_bp(64, 200, 4, 0.05, 0.4, 2.0, 0.1, 0.0)
-    with pytest.raises(TypeError):
-        risk_bound_bp(64, 200, 4, 0.05, 0.4, 2.0, 0.1, 0.0, False, 3, 1.0, 1.0)
+def test_each_bound_checks_its_own_inputs():
+    # The bounds take epsilon from the caller, so no epsilon_bound call checks
+    # m and delta for them; the regime bounds check eta through K(eta).
+    bounds = [lambda m, delta, eta: risk_bound_ls(10, m, delta, eta, 0.5, 1.0, 0.0),
+              lambda m, delta, eta: risk_bound_minnorm(m, delta, eta, 0.5, 1.0, 0.0),
+              lambda m, delta, eta: risk_bound_bp(64, m, 4, delta, 0.5, 1.0, 0.0, 0.1)]
+    for bound in bounds:
+        with pytest.raises(InvalidArgumentError, match="m must be positive"):
+            bound(0, 0.05, 0.5)
+        for delta in (0.0, 1.0):
+            with pytest.raises(InvalidArgumentError, match="delta must lie in"):
+                bound(100, delta, 0.5)
+    for bound in bounds[:2]:
+        with pytest.raises(InvalidArgumentError, match="eta must lie in"):
+            bound(100, 0.05, 0.9)
+    # Each square is finite, but the sum overflows: an inf bound would cover every risk.
+    with pytest.raises(InvalidArgumentError,
+                       match=r"risk bound inf is not finite: rho-norm \|\|f\|\|_rho = 1e\+154"):
+        risk_bound_bp(64, 200, 4, 0.05, 0.5, 1e154, 0.0, 0.0)
 
 
 def test_bp_noise_parameter_uses_unsquared_norm():
@@ -274,8 +288,8 @@ def test_bp_noise_parameter_uses_unsquared_norm():
 @given(st.floats(min_value=0.0, max_value=5.0), st.floats(min_value=0.0, max_value=5.0),
        st.floats(min_value=0.0, max_value=5.0), st.floats(min_value=0.0, max_value=5.0))
 def test_bounds_monotone_in_signal_and_noise(f1, f2, e1, e2):
-    lo = risk_bound_ls(10, 100, 3, 1.0, 1.0, 0.05, 0.3, min(f1, f2), min(e1, e2)).value
-    hi = risk_bound_ls(10, 100, 3, 1.0, 1.0, 0.05, 0.3, max(f1, f2), max(e1, e2)).value
+    lo = risk_bound_ls(10, 100, 0.05, 0.3, _eps(10, 100), min(f1, f2), min(e1, e2))
+    hi = risk_bound_ls(10, 100, 0.05, 0.3, _eps(10, 100), max(f1, f2), max(e1, e2))
     assert 0.0 <= lo <= hi + 1e-12
 
 
@@ -295,44 +309,28 @@ def test_constants_validation_and_modes():
     bp = [check_bp_conditions(750, 150, 4, 12, 1.0, 1.0, 0.05, p) for p in (False, True)]
     assert rhs(bp[0], "sample_complexity") / rhs(bp[1], "sample_complexity") == pytest.approx(
         4 * 37.97**2 / 0.16, rel=1e-12)
-    for permissive, mode in ((False, "strict"), (True, "permissive")):
-        res = risk_bound_ls(10, 100, 3, 1.0, 1.0, 0.05, 0.5, 1.0, 0.0, permissive)
-        assert res.mode == asdict(res)["mode"] == mode
-        assert list(asdict(res)) == ["value", "epsilon", "mode", "satisfied", "conditions",
-                                     "regime"]
-    assert risk_bound_bp(64, 200, 4, 0.05, 0.4, 2.0, 0.1, 0.0,
-                         d=3, gamma=1.0, sigma=1.0).mode == "strict"
 
 
-def _all_checks(res):
-    regime = () if res.regime is None else res.regime.conditions
-    return [(c.name, c.lhs, c.rhs) for c in (*res.conditions, *regime)]
-
-
-@pytest.mark.parametrize("bound, args, kwargs", [
-    (risk_bound_ls, (10, 100, 3, 1.0, 1.0, 0.05, 0.5, 2.0, 0.1), {}),
-    (risk_bound_minnorm, (400, 25, 3, 1.0, 1.0, 0.05, 0.5, 2.0, 0.1), {}),
-    (risk_bound_bp, (150, 750, 4, 0.05, 0.5, 2.0, 0.1, 0.3),
-     dict(d=12, gamma=1.0, sigma=1.0)),
-])
-def test_bound_values_do_not_depend_on_the_mode(bound, args, kwargs):
-    # The mode changes C, which only the sample-complexity hypotheses use.
-    strict = bound(*args, False, **kwargs)
-    permissive = bound(*args, True, **kwargs)
-    assert strict.value == permissive.value > 0
-    assert strict.epsilon == permissive.epsilon
-    checks = list(zip(_all_checks(strict), _all_checks(permissive)))
-    assert checks
-    for (name, lhs, rhs), (name_p, lhs_p, rhs_p) in checks:
-        assert (name, lhs) == (name_p, lhs_p)
-        if name.startswith("sample_complexity"):
-            assert rhs > rhs_p
+@pytest.mark.parametrize("hypotheses, args", [
+    (check_regime_bound, dict(m=100, N=10, d=3, gamma=1.0, sigma=1.0, delta=0.05, eta=0.5,
+                              under=True)),
+    (check_regime_bound, dict(m=25, N=400, d=3, gamma=1.0, sigma=1.0, delta=0.05, eta=0.5,
+                              under=False)),
+    (check_bp_conditions, dict(m=750, N=150, s=4, d=12, gamma=1.0, sigma=1.0, delta=0.05)),
+], ids=["least-squares", "min-norm", "bpdn-pruned"])
+def test_the_mode_changes_only_the_sample_complexity_right_hand_sides(hypotheses, args):
+    # The mode changes C, which only the sample-complexity hypotheses use; the
+    # bound values take no mode at all.
+    strict = hypotheses(**args, permissive=False)
+    permissive = hypotheses(**args, permissive=True)
+    assert [c.name for c in strict] == [c.name for c in permissive]
+    assert any(c.name.startswith("sample_complexity") for c in strict)
+    for s, p in zip(strict, permissive):
+        assert s.lhs == p.lhs
+        if s.name.startswith("sample_complexity"):
+            assert s.rhs > p.rhs
         else:
-            assert rhs == rhs_p
-    if strict.regime is not None:
-        s, p = strict.regime, permissive.regime
-        assert (s.regime, s.eta, s.band, s.failure_probability) == (
-            p.regime, p.eta, p.band, p.failure_probability)
+            assert (s.rhs, s.ok) == (p.rhs, p.ok)
 
 
 @pytest.mark.parametrize("m, N", [(10, 10), (10, 40), (40, 10)])
@@ -345,12 +343,15 @@ def test_regime_bounds_keep_their_own_regime(m, N):
     def floor(small, big):
         return math.exp(-math.log(small) ** 3 * math.log(3 * big))
 
-    ls = {c.name: c for c in risk_bound_ls(N, m, 3, 1.0, 1.0, 0.05, 0.5, 1.0, 0.0).conditions}
+    def checks(under):
+        return {c.name: c
+                for c in check_regime_bound(m, N, 3, 1.0, 1.0, 0.05, 0.5, False, under)}
+
+    ls = checks(under=True)
     assert (ls["regime_m_gt_N"].lhs, ls["regime_m_gt_N"].rhs) == (m, N)
     assert ls["regime_m_gt_N"].ok == (m > N)
     assert ls["delta_floor"].rhs == pytest.approx(floor(N, m), rel=1e-12)
-    mn = {c.name: c
-          for c in risk_bound_minnorm(N, m, 3, 1.0, 1.0, 0.05, 0.5, 1.0, 0.0).conditions}
+    mn = checks(under=False)
     assert (mn["regime_m_lt_N"].lhs, mn["regime_m_lt_N"].rhs) == (N, m)
     assert mn["regime_m_lt_N"].ok == (m < N)
     assert mn["delta_floor"].rhs == pytest.approx(floor(m, N), rel=1e-12)
