@@ -41,7 +41,7 @@ from .sampling import NOISE_NONE, NoiseModel
 from .spectral import DEFAULT_ENUMERATION_BUDGET
 from .svg import write_line_chart
 from .targets import KIND_BUMP, KIND_LINEAR, KIND_PLANTED
-from .theory import check_regime_conditions
+from .theory import check_regime_conditions, failure_probability, hypotheses_by_mode
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -230,9 +230,15 @@ def _cmd_theory(args) -> int:
     config = _build_config(args)
     if len(config.n_grid) != 1:
         raise InvalidArgumentError(f"theory takes a single N, got {len(config.n_grid)} values")
-    report = check_regime_conditions(config.m, config.n_grid[0], config.d, config.gamma,
-                                     config.sigma, config.eta, args.permissive_constants)
-    sys.stdout.write(json_report(dataclasses.asdict(report)))
+    m, n = config.m, config.n_grid[0]
+    if m == n:
+        raise InvalidArgumentError(f"the conditioning theorem states nothing at m = N = {n}; "
+                                   "the threshold command studies m = N")
+    conditions = hypotheses_by_mode(check_regime_conditions, m, n, config.d, config.gamma,
+                                    config.sigma, config.eta)
+    sys.stdout.write(json_report({"config": _config_block(args),
+                                  "failure_probability": failure_probability(min(m, n), max(m, n)),
+                                  "conditions": conditions}))
     return EXIT_OK
 
 
@@ -250,8 +256,8 @@ _COMMANDS = {
                  "risk-bound coverage experiments",
                  "d m n-grid gamma sigma noise target trials seed n-test eta delta "
                  "permissive-constants tol s pipelines workers out"),
-    "theory": (_cmd_theory, "print the regime condition report as JSON",
-               "d m n-grid gamma sigma eta permissive-constants workers out"),
+    "theory": (_cmd_theory, "print the conditioning theorem's hypotheses in both modes as JSON",
+               "d m n-grid gamma sigma eta workers out"),
     "rip": (_report_command("rip.json", lambda c, a: run_rip_study(c, a.method, a.budget,
                                                                    a.rip_trials)),
             "restricted isometry constants of one instance",

@@ -69,6 +69,7 @@ from .theory import (
     check_bp_conditions,
     check_regime_bound,
     epsilon_bound,
+    hypotheses_by_mode,
     interpolation_expectation_bounds,
     markov_min_eig_threshold,
     risk_bound_bp,
@@ -132,6 +133,8 @@ class ExperimentConfig:
             raise InvalidArgumentError("n_test must be >= 1")
         if self.workers < 1:
             raise InvalidArgumentError("workers must be >= 1")
+        if not 0 < self.tol < math.inf:
+            raise InvalidArgumentError(f"tol must be finite and positive, got {self.tol}")
         if self.s is not None and self.s < 1:
             raise InvalidArgumentError(f"s must be >= 1, got {self.s}")
         if not all(v >= 0 and math.isfinite(v * v)
@@ -276,18 +279,14 @@ def _risk_bound(config: ExperimentConfig, pipeline: str, n: int, rho: float, E: 
     return risk_bound_bp(n, config.m, s, config.delta, eps, rho, E, theta)
 
 
-def _bound_conditions(config: ExperimentConfig, pipeline: str, n: int, s: int | None,
-                      permissive: bool) -> dict:
-    """The hypotheses of `pipeline`'s risk bound at N = n, checked in strict or
-    `permissive` mode, and whether all of them hold."""
+def _bound_conditions(config: ExperimentConfig, pipeline: str, n: int, s: int | None) -> dict:
+    """The hypotheses of `pipeline`'s risk bound at N = n in both modes."""
     if pipeline == "bpdn_pruned":
-        checks = check_bp_conditions(config.m, n, s, config.d, config.gamma, config.sigma,
-                                     config.delta, permissive)
-    else:
-        checks = check_regime_bound(config.m, n, config.d, config.gamma, config.sigma,
-                                    config.delta, config.eta, permissive,
-                                    under=pipeline == "least_squares")
-    return {"satisfied": all(c.ok for c in checks), "checks": [asdict(c) for c in checks]}
+        return hypotheses_by_mode(check_bp_conditions, config.m, n, s, config.d, config.gamma,
+                                  config.sigma, config.delta)
+    return hypotheses_by_mode(check_regime_bound, config.m, n, config.d, config.gamma,
+                              config.sigma, config.delta, config.eta,
+                              under=pipeline == "least_squares")
 
 
 def _sweep_cell(config: ExperimentConfig, target: TargetFunction, n: int,
@@ -506,9 +505,8 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
     for name, n in selected:
         s = min(config.s, n) if name == "bpdn_pruned" else None  # only it prunes
         eps = epsilon_bound(n, config.m, config.d, config.gamma, config.sigma, config.delta)
-        conditions = {mode: _bound_conditions(config, name, n, s, mode == "permissive")
-                      for mode in ("strict", "permissive")}
-        cells.append((name, n, s, eps, bp_noise_parameter(eps, rho, E), conditions))
+        cells.append((name, n, s, eps, bp_noise_parameter(eps, rho, E),
+                      _bound_conditions(config, name, n, s)))
 
     def one_trial(cell: tuple, t: int) -> dict:
         name, n, s, eps, xi, _ = cell

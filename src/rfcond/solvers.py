@@ -158,8 +158,8 @@ def bpdn(A: np.ndarray, y: np.ndarray, xi: float, tolerance: float = 1e-6,
     m, n = A.shape
     if xi < 0:
         raise InvalidArgumentError("xi must be non-negative")
-    if tolerance <= 0:
-        raise InvalidArgumentError("tolerance must be positive")
+    if not 0 < tolerance < np.inf:
+        raise InvalidArgumentError(f"tolerance must be finite and positive, got {tolerance}")
     radius = xi * np.sqrt(m)
 
     y_norm = l2_norm(y)

@@ -270,11 +270,3 @@ def population_risk(target: TargetFunction, W: np.ndarray, c: np.ndarray, gamma:
             f"closed-form risk {risk!r} {problem} (E|f|^2 = {f2!r}, c*Kc = {cKc!r})")
     return risk
 
-
-def worst_case_theta(s: int, N: int, f_rho_norm: float) -> float:
-    """Worst-case compressibility of the best-phi coefficients:
-    theta_{s,1}(c*) <= (1 - s/N) ||f||_rho."""
-    if not 1 <= s <= N:
-        raise InvalidArgumentError(f"s must be in [1, {N}], got {s}")
-    return (1.0 - s / N) * f_rho_norm
-

@@ -12,12 +12,15 @@ All logarithms are natural; every ">=" condition passes at exact equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass
 
 from .errors import InvalidArgumentError
 
 # Largest eta keeping the eigenvalue band (1 - 5eta/4 - eta^2, ...) positive.
 ETA_MAX = (math.sqrt(89.0) - 5.0) / 8.0
+# Smallest eta whose eta^-2, a factor of the regime conditions, is a finite float.
+ETA_MIN = 1.0 / math.sqrt(sys.float_info.max)
 
 # Prefactor of the underparameterized least-squares risk bound; explicit in
 # the theorem statement.
@@ -33,10 +36,6 @@ ETA1_BP = 0.4
 C_MIN_NORM = 16.0
 C_PRIME = 10.0
 C_DPRIME = 10.0
-
-REGIME_UNDER = "under"
-REGIME_OVER = "over"
-REGIME_INTERPOLATION = "interpolation"
 
 
 def _overlap_power(c: float, gamma: float, sigma: float, exponent: float) -> float:
@@ -67,17 +66,16 @@ class ConditionCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
-class RegimeReport:
-    regime: str
-    eta: float
-    band: tuple[float, float]
-    conditions: tuple[ConditionCheck, ...]
-    failure_probability: float | None
-
-    @property
-    def all_satisfied(self) -> bool:
-        return all(c.ok for c in self.conditions)
+def hypotheses_by_mode(check, *args, **kwargs) -> dict:
+    """The hypotheses `check(*args, **kwargs)` returns, checked with the
+    strict and then the permissive universal constant: per mode, whether all
+    of them hold and each check as a plain dict."""
+    report = {}
+    for mode in ("strict", "permissive"):
+        checks = check(*args, permissive=mode == "permissive", **kwargs)
+        report[mode] = {"satisfied": all(c.ok for c in checks),
+                        "checks": [asdict(c) for c in checks]}
+    return report
 
 
 def beta_overlap(gamma: float, sigma: float, d: int) -> float:
@@ -92,10 +90,11 @@ def beta_overlap(gamma: float, sigma: float, d: int) -> float:
 
 def eig_band(eta: float) -> tuple[float, float]:
     """Eigenvalue band (1 - 5eta/4 - eta^2, 1 + 5eta/4 + eta^2) of the
-    normalized Gram; requires 0 < eta < (sqrt(89) - 5)/8 so the band stays
-    inside (0, 2)."""
-    if not 0.0 < eta < ETA_MAX:
-        raise InvalidArgumentError(f"eta must lie in (0, {ETA_MAX:.6f}), got {eta}")
+    normalized Gram; requires eta < (sqrt(89) - 5)/8 so the band stays inside
+    (0, 2), and eta >= `ETA_MIN` so the hypotheses at eta can be evaluated."""
+    if not ETA_MIN <= eta < ETA_MAX:
+        raise InvalidArgumentError(
+            f"eta must lie in [{ETA_MIN:.6g}, {ETA_MAX:.6f}), got {eta}")
     half = 1.25 * eta + eta**2
     return (1.0 - half, 1.0 + half)
 
@@ -200,45 +199,34 @@ def ball_radius(gamma: float, d: int, m: int, delta: float) -> float:
     return _radius_factor(d, m, delta) * gamma * math.sqrt(d)
 
 
-def min_features_for_accuracy(epsilon: float, delta: float) -> int:
-    """Feature count guaranteeing ||f - f*|| <= epsilon ||f||_rho with
-    probability 1 - delta: ceil((1/eps^2)(1 + sqrt(2 log(1/delta)))^2).
-    delta = 1 is accepted as the degenerate no-confidence limit."""
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidArgumentError("epsilon must lie in (0, 1)")
-    if not 0.0 < delta <= 1.0:
-        raise InvalidArgumentError("delta must lie in (0, 1]")
-    value = (1.0 + math.sqrt(2.0 * math.log(1.0 / delta))) ** 2 / epsilon**2
-    return math.ceil(value)
-
-
 def _exp_neg(t: float) -> float:
     """exp(-t), underflowing cleanly to 0 once it is below the smallest float."""
     return math.exp(-t) if t < 745.0 else 0.0
 
 
-def _failure_probability(small: int, big: int) -> float:
-    """small^(-log^2(small) * log(3 big))."""
+def failure_probability(small: int, big: int) -> float:
+    """small^(-log^2(small) * log(3 big)), the failure probability of the
+    conditioning theorem with small = min(m, N) and big = max(m, N)."""
     return _exp_neg(math.log(small) ** 3 * math.log(3.0 * big))
 
 
 def check_regime_conditions(m: int, N: int, d: int, gamma: float, sigma: float,
-                            eta: float, permissive: bool = False) -> RegimeReport:
+                            eta: float, permissive: bool = False) -> tuple[ConditionCheck, ...]:
     """Evaluate the conditioning-theorem hypotheses at a parameter point.
 
-    Regime follows the sign of m - N.  Both the simplified log^3 condition and
+    The roles of m and N follow the sign of m - N; at m = N the theorem states
+    nothing and no check is returned.  Both the simplified log^3 condition and
     the tighter log^2 * log(3 + ...) variant are reported; the feature
     uncertainty condition (eta/20)(2 gamma^2 sigma^2 + 1)^(d/2) >= min(m, N)
     completes the set.
     """
     if m < 2 or N < 2:
         raise InvalidArgumentError("m and N must be >= 2")
-    band = eig_band(eta)
+    eig_band(eta)
     if m == N:
-        return RegimeReport(REGIME_INTERPOLATION, eta, band, (), None)
+        return ()
 
     big, small = (m, N) if m > N else (N, m)
-    regime = REGIME_UNDER if m > N else REGIME_OVER
     C = _universal(eta, permissive)
 
     lhs_main = big / math.log(3.0 * big)
@@ -247,7 +235,7 @@ def check_regime_conditions(m: int, N: int, d: int, gamma: float, sigma: float,
                  * math.log(3.0 + small / (9.0 * math.log(2.0 * big))))
     lhs_unc = (eta / 20.0) * _overlap_power(2.0, gamma, sigma, 0.5 * d)
 
-    conditions = (
+    return (
         ConditionCheck("sample_complexity_simplified", lhs_main, rhs_simplified,
                        lhs_main >= rhs_simplified),
         ConditionCheck("sample_complexity_tight", lhs_main, rhs_tight,
@@ -255,7 +243,6 @@ def check_regime_conditions(m: int, N: int, d: int, gamma: float, sigma: float,
         ConditionCheck("feature_uncertainty", lhs_unc, float(small),
                        lhs_unc >= small),
     )
-    return RegimeReport(regime, eta, band, conditions, _failure_probability(small, big))
 
 
 def check_regime_bound(m: int, N: int, d: int, gamma: float, sigma: float,
@@ -267,13 +254,12 @@ def check_regime_bound(m: int, N: int, d: int, gamma: float, sigma: float,
     checks.  The caller names the regime, so at m = N both bounds report
     theirs unsatisfied."""
     _validate_delta(delta)
-    regime = check_regime_conditions(m, N, d, gamma, sigma, eta, permissive)
     big, small = (m, N) if under else (N, m)
-    floor = _failure_probability(small, big)
+    floor = failure_probability(small, big)
     return (ConditionCheck(f"regime_m_{'gt' if under else 'lt'}_N", float(big),
                            float(small), big > small),
             ConditionCheck("delta_floor", delta, floor, delta >= floor),
-            *regime.conditions)
+            *check_regime_conditions(m, N, d, gamma, sigma, eta, permissive))
 
 
 def _validate_bound_inputs(m: int, delta: float) -> None:

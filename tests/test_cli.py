@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rfcond import cli, targets
+from rfcond import cli, experiments, targets
 from rfcond.errors import InvalidArgumentError
 from rfcond.sampling import NOISE_NONE
 
@@ -101,17 +101,27 @@ def test_validate_that_selects_no_pipeline_exits_2(extra, reason, tmp_path, caps
 
 
 def test_theory_prints_regime_report(capsys):
-    rc = cli.main(["theory", "--m", "100", "--n-grid", "10", "--d", "3",
-                   "--eta", "0.5", "--permissive-constants"])
+    rc = cli.main(["theory", "--m", "100", "--n-grid", "10", "--d", "3", "--eta", "0.5"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["version", "config", "failure_probability", "conditions"]
     assert payload["version"] == "rfcond-report/3"
-    assert payload["regime"] == "under"
-    assert {c["name"] for c in payload["conditions"]} == {
-        "sample_complexity_simplified", "sample_complexity_tight",
-        "feature_uncertainty"}
-    assert set(payload) == {"version", "regime", "eta", "band", "conditions",
-                            "failure_probability"}
+    assert payload["config"] == {"d": 3, "m": 100, "n-grid": "10", "gamma": 1.0,
+                                 "sigma": 1.0, "eta": 0.5}
+    assert list(payload["conditions"]) == ["strict", "permissive"]
+    for mode in payload["conditions"].values():
+        assert list(mode) == ["satisfied", "checks"]
+        assert [c["name"] for c in mode["checks"]] == [
+            "sample_complexity_simplified", "sample_complexity_tight", "feature_uncertainty"]
+
+
+def test_theory_at_m_equal_to_n_names_the_threshold_command(capsys):
+    # The conditioning theorem has no hypotheses at m = N: an empty check list
+    # would read satisfied.
+    assert cli.main(["theory", "--m", "20", "--n-grid", "20"]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "threshold command" in captured.err
+    assert captured.out == ""
 
 
 def test_rip_exact_budget_error_exits_2(tmp_path, capsys):
@@ -253,7 +263,7 @@ OFFERED = {
     "threshold": "d n-grid gamma sigma trials seed workers out",
     "validate": "d m n-grid gamma sigma noise target trials seed n-test eta delta "
                 "permissive-constants tol s pipelines workers out",
-    "theory": "d m n-grid gamma sigma eta permissive-constants workers out",
+    "theory": "d m n-grid gamma sigma eta workers out",
     "rip": "d m n-grid gamma sigma seed s workers out method budget rip-trials",
 }
 
@@ -269,7 +279,7 @@ def _parser_flags() -> dict[str, list[str]]:
 def test_each_command_offers_exactly_the_flags_it_reads():
     offered = {name: set(flags) for name, flags in _parser_flags().items()}
     assert offered == {name: set(flags.split()) for name, flags in OFFERED.items()}
-    assert sum(len(flags) for flags in offered.values()) == 69
+    assert sum(len(flags) for flags in offered.values()) == 68
 
 
 def test_readme_lists_the_flags_each_command_offers():
@@ -284,6 +294,7 @@ def test_readme_lists_the_flags_each_command_offers():
     ["theory", "--trials", "3"], ["rip", "--noise", "none"], ["spectrum", "--n-grid", "7"],
     ["threshold", "--m", "5"], ["sweep", "--tol", "1e-3"], ["validate", "--bounds"],
     ["theory", "--report"], ["sweep", "--permissive-constants"],
+    ["theory", "--permissive-constants"],
     ["threshold", "--features", "relu"], ["validate", "--features", "relu"],
     ["sweep", "--bounds"], ["sweep", "--eta", "0.4"], ["sweep", "--delta", "0.1"],
     ["spectrum", "--features", "relu"], ["rip", "--features", "relu"],
@@ -298,6 +309,9 @@ def test_unoffered_flag_exits_2(argv, tmp_path, capsys):
 
 _SMALL_SWEEP = ["sweep", "--n-grid", "5", "--trials", "1"]
 _SMALL_RIP = ["rip", "--d", "2", "--m", "5", "--n-grid", "4"]
+# c = 0 is feasible here, so PDHG never runs: only the config can refuse a bad --tol
+_SMALL_BPDN = ["validate", "--d", "3", "--m", "10", "--n-grid", "20", "--target", "bump:1.5",
+               "--trials", "1", "--pipelines", "bpdn_pruned", "--s", "3"]
 _BUMP_RHO_NORM_OVERFLOW = ["validate", "--d", "5", "--m", "10", "--n-grid", "20",
                            "--sigma", "1e154", "--target", "bump:1.5", "--trials", "1"]
 
@@ -328,11 +342,19 @@ _BUMP_RHO_NORM_OVERFLOW = ["validate", "--d", "5", "--m", "10", "--n-grid", "20"
     ["validate", "--d", "3", "--m", "10", "--n-grid", "20", "--target", "bump:1.5",
      "--trials", "1", "--pipelines", "bpdn_pruned", "--s", "0"],
     ["spectrum", "--d", "2", "--m", "3", "--trials", "1"],
+    ["theory", "--m", "100", "--n-grid", "10", "--eta", "1e-300"],
+    ["theory", "--m", "100", "--n-grid", "10", "--eta", "7e-155"],
+    ["validate", "--d", "3", "--m", "10", "--n-grid", "5", "--target", "bump:1.5",
+     "--trials", "1", "--n-test", "2", "--eta", "1e-300"],
+    *([*_SMALL_BPDN, "--tol", tol] for tol in ("nan", "inf", "0", "-1")),
+    ["theory", "--m", "20", "--n-grid", "20"],
 ], ids=["sigma-1e200", "gamma-1e160", "bump-1e30", "bounded-inf", "gamma-negative",
         "theory-gamma-nan", "gaussian-nan", "snr-nan", "sigma-1e-200", "gamma-1e-200",
         "bump-sigma-1e154", "bpdn-noise-1e154", "rip-budget-negative", "rip-budget-zero",
         "rip-trials-negative", "spectrum-repeated-scaling", "validate-eta-outside-band",
-        "threshold-n-1", "validate-s-0", "spectrum-m-3"])
+        "threshold-n-1", "validate-s-0", "spectrum-m-3", "theory-eta-1e-300",
+        "theory-eta-7e-155", "validate-eta-1e-300", "tol-nan", "tol-inf", "tol-0",
+        "tol-negative", "theory-m-equals-n"])
 def test_non_finite_or_overflowing_input_exits_2(argv, tmp_path, capfd):
     rc = cli.main(argv + ["--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
@@ -341,6 +363,24 @@ def test_non_finite_or_overflowing_input_exits_2(argv, tmp_path, capfd):
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Warning" not in err
     assert out == ""
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("pipeline", ["bpdn_pruned", "min_norm"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_validate_refuses_a_bad_tol_before_any_trial(tol, pipeline, tmp_path, monkeypatch,
+                                                    capsys):
+    # The config refuses it, so no pipeline draws a trial first, and min_norm,
+    # which never reads --tol, does not take it silently.
+    calls = []
+    monkeypatch.setattr(experiments, "random_features", lambda *args: calls.append(args))
+    rc = cli.main(["validate", "--d", "3", "--m", "10", "--n-grid", "20", "--target", "bump:1.5",
+                   "--trials", "1", "--pipelines", pipeline, "--s", "3", "--tol", tol,
+                   "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: tol must be finite and positive, got {float(tol)}\n")
+    assert calls == []
     assert not any(tmp_path.iterdir())
 
 

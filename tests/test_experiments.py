@@ -29,7 +29,7 @@ from rfcond.sampling import NoiseModel, split_stream
 from rfcond.solvers import FLAG_SINGULAR_GRAM, FLAG_ZERO_FEASIBLE, CoefficientVector
 from rfcond.spectral import gram_spectrum_via_svd, spectral_density
 from rfcond.targets import gaussian_bump_target
-from rfcond.theory import check_regime_conditions
+from rfcond.theory import check_regime_conditions, hypotheses_by_mode
 
 
 def _sweep_config(**overrides):
@@ -50,6 +50,9 @@ def test_config_validation():
         _sweep_config(feature_kind="tanh")
     with pytest.raises(InvalidArgumentError, match="repeat a label"):
         _sweep_config(scalings=("N=m", "N=m log m", "N=m"))
+    for tol in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InvalidArgumentError, match="tol must be finite and positive"):
+            _sweep_config(tol=tol)
 
 
 def test_config_rejects_snr_noise_next_to_a_fixed_noise_model():
@@ -574,5 +577,6 @@ def test_library_reports_are_plain_data():
     rip = run_rip_study(ExperimentConfig(d=2, m=15, n_grid=(10,), s=3, seed=6),
                         "auto", 10**6, 40)
     assert [e["s"] for e in json.loads(json.dumps(rip))["estimates"]] == [1, 2, 3]
-    report = dataclasses.asdict(check_regime_conditions(100, 10, 3, 1.0, 1.0, 0.5))
-    assert list(report["conditions"][0]) == ["name", "lhs", "rhs", "ok"]
+    report = hypotheses_by_mode(check_regime_conditions, 100, 10, 3, 1.0, 1.0, 0.5)
+    assert json.loads(json.dumps(report)) == report
+    assert list(report["strict"]["checks"][0]) == ["name", "lhs", "rhs", "ok"]

@@ -50,7 +50,7 @@ GOLDEN = {
         "validate.json": "59e7ae7f3b491f8ed507a8ad528be4d785fd2e8ca2de4dd11d0caf1e211f020c",
     },
     "theory": {
-        "stdout": "c09e926acd4ca18c7bd1981f0b0ac50d7de45379f70c37976abe3e8938152253",
+        "stdout": "516be2c6befbad9aeb2cd1acca6b9f8445967d1706738f9a0c65116be5965852",
     },
     "rip": {
         "rip.json": "b96b3205dbe568b415129bb2d2d2b7d39b463e7ca6e5db8d66aa23c2c076e286",
@@ -62,19 +62,42 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _outputs(name: str, out, capsys) -> dict[str, bytes]:
+    """The bytes of every file the run of `name` wrote under `out`, and of the
+    report theory prints to stdout."""
+    outputs = {p.name: p.read_bytes() for p in sorted(out.glob("*"))}
+    if name == "theory":
+        outputs["stdout"] = capsys.readouterr().out.encode()
+    return outputs
+
+
 @pytest.mark.parametrize("name", list(COMMANDS))
 def test_golden_output(name, tmp_path, capsys):
     out = tmp_path / name
     assert main(COMMANDS[name] + ["--workers", "1", "--out", str(out)]) == 0
-    digests = {p.name: _sha256(p.read_bytes()) for p in sorted(out.glob("*"))}
-    if name == "theory":
-        digests["stdout"] = _sha256(capsys.readouterr().out.encode())
+    digests = {f: _sha256(data) for f, data in _outputs(name, out, capsys).items()}
     assert digests == GOLDEN[name]
 
 
-# command -> the JSON report that carries its config block
+def test_theory_prints_the_regime_checks_of_the_golden_validate_run(tmp_path, capsys):
+    # One reporter: at the golden least-squares point (m = 60, N = 6), theory
+    # prints per mode the conditioning checks the least-squares bound ends with.
+    assert main(COMMANDS["validate"] + ["--out", str(tmp_path)]) == 0
+    pipelines = json.loads((tmp_path / "validate.json").read_text(encoding="utf-8"))["pipelines"]
+    validate = next(p for p in pipelines if p["name"] == "least_squares")["conditions"]
+    capsys.readouterr()
+    assert main(["theory", "--d", "5", "--m", "60", "--n-grid", "6", "--eta", "0.5"]) == 0
+    theory = json.loads(capsys.readouterr().out)["conditions"]
+    assert list(theory) == list(validate) == ["strict", "permissive"]
+    for mode in theory:
+        assert len(theory[mode]["checks"]) == 3
+        assert theory[mode]["checks"] == validate[mode]["checks"][-3:]
+
+
+# command -> the JSON report that carries its config block; theory prints it
 REPORTS = {"sweep": "sweep_summary.json", "spectrum": "spectrum_summary.json",
-           "threshold": "threshold.json", "validate": "validate.json", "rip": "rip.json"}
+           "threshold": "threshold.json", "validate": "validate.json", "theory": "stdout",
+           "rip": "rip.json"}
 
 
 def _replay_argv(command: str, config: dict) -> list[str]:
@@ -90,12 +113,10 @@ def _replay_argv(command: str, config: dict) -> list[str]:
 
 
 @pytest.mark.parametrize("name", list(REPORTS))
-def test_config_block_replays_the_run(name, tmp_path):
+def test_config_block_replays_the_run(name, tmp_path, capsys):
     first, replay = tmp_path / "first", tmp_path / "replay"
     assert main(COMMANDS[name] + ["--workers", "1", "--out", str(first)]) == 0
-    config = json.loads((first / REPORTS[name]).read_text(encoding="utf-8"))["config"]
+    outputs = _outputs(name, first, capsys)
+    config = json.loads(outputs[REPORTS[name]].decode("utf-8"))["config"]
     assert main(_replay_argv(name, config) + ["--workers", "1", "--out", str(replay)]) == 0
-    files = sorted(p.name for p in first.glob("*"))
-    assert files == sorted(p.name for p in replay.glob("*"))
-    for fname in files:
-        assert (first / fname).read_bytes() == (replay / fname).read_bytes(), fname
+    assert _outputs(name, replay, capsys) == outputs

@@ -267,6 +267,13 @@ def test_bpdn_detects_infeasible_constraints():
         bpdn(A, y, xi=0.1)
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, np.inf, np.nan])
+def test_bpdn_refuses_a_tolerance_that_is_not_finite_and_positive(tolerance):
+    # Every gap is <= inf and none is <= nan: PDHG would stop at once or never.
+    with pytest.raises(InvalidArgumentError, match="tolerance must be finite and positive"):
+        bpdn(np.eye(2, dtype=complex), [1.0, 1.0], xi=0.1, tolerance=tolerance)
+
+
 def test_bpdn_on_a_zero_matrix_returns_zero_within_tolerance():
     # ||y|| = 1 exceeds the radius 1 - 1e-7 by less than the tolerance, and
     # with A = 0 every c leaves the residual ||y||, so c = 0 is optimal.

@@ -9,7 +9,7 @@ from rfcond import targets
 from rfcond.errors import InvalidArgumentError, NumericalFailureError, UnsupportedTargetError
 from rfcond.features import _BLOCK_ENTRIES, FOURIER, RELU, build_features
 from rfcond.sampling import gaussian_matrix, split_stream
-from rfcond.solvers import best_s_term_error, least_squares, prune_top_s
+from rfcond.solvers import least_squares, prune_top_s
 from rfcond.targets import (
     best_phi_coeffs,
     evaluate_model,
@@ -17,9 +17,7 @@ from rfcond.targets import (
     linear_target,
     population_risk,
     sample_target,
-    worst_case_theta,
 )
-from rfcond.theory import min_features_for_accuracy
 
 
 def _bump(a=np.sqrt(2.0), sigma=1.0, d=3):
@@ -209,45 +207,6 @@ def test_zero_model_risk_matches_quadrature_oracle():
     one_dim4, _ = quad(lambda x: np.exp(-2 * x**2 / a**2) * density(x), -np.inf, np.inf)
     se = np.sqrt(max(one_dim4**d - expected**2, 0.0) / n_test)
     assert abs(risk - expected) <= 3 * se
-
-
-def test_worst_case_theta_examples():
-    assert worst_case_theta(5, 5, 3.0) == 0.0
-    assert worst_case_theta(1, 2, 2.0) == pytest.approx(1.0)
-    with pytest.raises(InvalidArgumentError):
-        worst_case_theta(0, 5, 1.0)
-
-
-def test_actual_tail_error_below_worst_case():
-    t = _bump(d=3)
-    for trial in range(5):
-        W = gaussian_matrix(3, 40, 1.0, split_stream(39, trial))
-        c = best_phi_coeffs(t, W)
-        for s in (1, 5, 20, 39):
-            actual = best_s_term_error(c, s, 1)
-            assert actual <= worst_case_theta(s, 40, t.rho_norm) + 1e-12
-
-
-def test_feature_count_rule_reaches_target_accuracy():
-    # With N from the accuracy rule, the Monte Carlo discretization f* of the
-    # bump target lands within eps ||f||_rho in L2 (the population risk, in
-    # closed form) in at least 1 - delta of the weight draws.
-    eps, delta = 0.25, 0.2
-    d, gamma, sigma = 2, 1.0, 1.0
-    t = _bump(a=np.sqrt(2.0), sigma=sigma, d=d)
-    n_features = min_features_for_accuracy(eps, delta)
-    assert n_features == 125
-    trials = 200
-    hits = 0
-    for trial in range(trials):
-        stream = split_stream(40, trial)
-        W = gaussian_matrix(d, n_features, sigma**2, stream.substream(1))
-        c = best_phi_coeffs(t, W)
-        err2 = population_risk(t, W, c, gamma, FOURIER)
-        hits += np.sqrt(err2) <= eps * t.rho_norm
-    frac = hits / trials
-    se = np.sqrt(delta * (1 - delta) / trials)
-    assert frac >= 1 - delta - 3 * se
 
 
 def _fitted_cell(kind, target_kind, n_features=10, m=40, d=3, gamma=1.3, sigma=0.7):

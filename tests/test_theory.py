@@ -9,6 +9,7 @@ from rfcond.errors import InvalidArgumentError
 from rfcond.theory import (
     C_PRIME,
     ETA_MAX,
+    ETA_MIN,
     K_eta,
     ball_radius,
     beta_overlap,
@@ -18,10 +19,11 @@ from rfcond.theory import (
     check_regime_conditions,
     eig_band,
     epsilon_bound,
+    failure_probability,
+    hypotheses_by_mode,
     interpolation_expectation_bounds,
     kappa_threshold,
     markov_min_eig_threshold,
-    min_features_for_accuracy,
     rip_bound_f,
     risk_bound_bp,
     risk_bound_ls,
@@ -69,6 +71,16 @@ def test_eig_band_examples():
     for bad in (0.0, ETA_MAX, 0.9):
         with pytest.raises(InvalidArgumentError):
             eig_band(bad)
+
+
+def test_eta_floor_is_the_smallest_eta_the_hypotheses_can_take():
+    # Below ETA_MIN, eta^-2 overflows, and further down eta^2 underflows to 0
+    # in the strict constant; at ETA_MIN both modes evaluate.
+    for permissive in (False, True):
+        assert len(check_regime_conditions(100, 10, 3, 1.0, 1.0, ETA_MIN, permissive)) == 3
+    for bad in (math.nextafter(ETA_MIN, 0.0), 7e-155, 1e-300):
+        with pytest.raises(InvalidArgumentError, match="eta must lie in"):
+            check_regime_conditions(100, 10, 3, 1.0, 1.0, bad)
 
 
 @given(etas)
@@ -166,40 +178,28 @@ def test_ball_radius_monte_carlo_coverage():
     assert p_hat >= 1 - delta - 3 * se
 
 
-def test_min_features_examples():
-    assert min_features_for_accuracy(0.1, 1.0) == 100
-    n1 = min_features_for_accuracy(0.2, 0.05)
-    n2 = min_features_for_accuracy(0.1, 0.05)
-    assert n2 == pytest.approx(4 * n1, abs=4)
-
-
 def test_regime_report_interpolation_is_empty():
-    report = check_regime_conditions(10, 10, 2, 1.0, 1.0, 0.3)
-    assert report.regime == "interpolation"
-    assert report.conditions == ()
-    assert report.failure_probability is None
+    assert check_regime_conditions(10, 10, 2, 1.0, 1.0, 0.3) == ()
 
 
 def test_regime_conditions_pin_natural_log():
     # Frozen from a high-precision evaluation with natural logs; base-10 logs
     # would flip the simplified condition to satisfied (lhs 40.37 vs rhs 40).
-    report = check_regime_conditions(100, 10, 3, 1.0, 1.0, 0.5, PERMISSIVE)
-    assert report.regime == "under"
-    by_name = {c.name: c for c in report.conditions}
+    by_name = {c.name: c for c in check_regime_conditions(100, 10, 3, 1.0, 1.0, 0.5, PERMISSIVE)}
     simplified = by_name["sample_complexity_simplified"]
     assert simplified.lhs == pytest.approx(17.53222540381461, rel=1e-12)
     assert simplified.rhs == pytest.approx(488.3228621504343, rel=1e-12)
     assert not simplified.ok
     tight = by_name["sample_complexity_tight"]
     assert tight.rhs == pytest.approx(247.3188389183037, rel=1e-12)
-    assert report.failure_probability == pytest.approx(5.742836804884339e-31, rel=1e-9)
+    assert failure_probability(10, 100) == pytest.approx(5.742836804884339e-31, rel=1e-9)
 
 
 def test_regime_conditions_swap_roles_in_overparameterized_case():
     under = check_regime_conditions(100, 10, 3, 1.0, 1.0, 0.5, PERMISSIVE)
     over = check_regime_conditions(10, 100, 3, 1.0, 1.0, 0.5, PERMISSIVE)
-    assert over.regime == "over"
-    for cu, co in zip(under.conditions, over.conditions):
+    assert len(under) == len(over) == 3
+    for cu, co in zip(under, over):
         assert cu.lhs == pytest.approx(co.lhs, rel=1e-15)
         assert cu.rhs == pytest.approx(co.rhs, rel=1e-15)
 
@@ -207,7 +207,7 @@ def test_regime_conditions_swap_roles_in_overparameterized_case():
 def test_exascale_uncertainty_condition():
     # d = 74 at gamma*sigma = 1 supports N up to ~1.1e16.
     report = check_regime_conditions(10**6, 10**4, 74, 1.0, 1.0, 0.5, PERMISSIVE)
-    unc = {c.name: c for c in report.conditions}["feature_uncertainty"]
+    unc = {c.name: c for c in report}["feature_uncertainty"]
     assert unc.lhs == pytest.approx(1.1257097647274934e16, rel=1e-10)
     assert unc.ok
 
@@ -296,8 +296,7 @@ def test_bounds_monotone_in_signal_and_noise(f1, f2, e1, e2):
 def test_constants_validation_and_modes():
     # A right-hand side is C times a mode-free factor: strict C = 4 c~1^2 / eta^2
     # (eta1 = 0.4 for the sparse bound), permissive C = 1.
-    def rhs(report_or_checks, name):
-        checks = getattr(report_or_checks, "conditions", report_or_checks)
+    def rhs(checks, name):
         return {c.name: c.rhs for c in checks}[name]
 
     strict = check_regime_conditions(100, 10, 3, 1.0, 1.0, 0.5)
@@ -358,7 +357,6 @@ def test_regime_bounds_keep_their_own_regime(m, N):
 
 
 def test_strict_constants_make_desk_scale_unreachable():
-    report = check_regime_conditions(15000, 16, 12, 1.0, 1.0, 0.5)
-    assert not report.all_satisfied
-    permissive = check_regime_conditions(15000, 16, 12, 1.0, 1.0, 0.5, PERMISSIVE)
-    assert permissive.all_satisfied
+    report = hypotheses_by_mode(check_regime_conditions, 15000, 16, 12, 1.0, 1.0, 0.5)
+    assert not report["strict"]["satisfied"]
+    assert report["permissive"]["satisfied"]
