@@ -74,13 +74,11 @@ def _parse_noise(text: str) -> tuple[NoiseModel, float | None]:
         level = float(value)
     except ValueError:
         raise InvalidArgumentError(f"cannot parse noise spec {text!r}") from None
-    if kind == "bounded":
-        return NoiseModel("bounded_uniform", level), None
-    if kind == "gaussian":
-        return NoiseModel("gaussian", level), None
     if kind == "snr":
         return NOISE_NONE, level
-    raise InvalidArgumentError(f"unknown noise kind {kind!r}")
+    if kind not in ("bounded", "gaussian"):
+        raise InvalidArgumentError(f"unknown noise kind {kind!r}")
+    return NoiseModel("bounded_uniform" if kind == "bounded" else kind, level), None
 
 
 def _parse_target(text: str) -> tuple[str, int, float | None]:
@@ -128,8 +126,8 @@ _FLAGS = {
                                  help="treat the universal condition constant as 1"),
     "scalings": dict(default="all",
                      help="semicolon-separated subset of: " + "; ".join(SCALING_LABELS)),
-    "method": dict(choices=["auto", "exact", "mc"], default="auto",
-                   help="exact, mc (random supports), or auto (exact within budget, else mc)"),
+    "method": dict(choices=["auto", "exact"], default="auto",
+                   help="past the budget: exact (refuse) or auto (random supports)"),
     "budget": dict(type=int, default=DEFAULT_ENUMERATION_BUDGET,
                    help="largest number of supports to enumerate"),
     "rip-trials": dict(type=int, default=200, help="random supports per s"),
@@ -289,8 +287,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except EnumerationBudgetError as exc:  # rip --method exact; the remedy is a flag
-        print(f"error: {exc.overrun}; use --method mc or --method auto for a randomized "
-              "lower bound", file=sys.stderr)
+        print(f"error: {exc.overrun}; use --method auto for a randomized lower bound",
+              file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalFailureError, ConvergenceError, InfeasibleProblemError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

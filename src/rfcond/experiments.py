@@ -119,24 +119,18 @@ class ExperimentConfig:
     pipelines: tuple[str, ...] | None = None  # None = all regime-appropriate ones
 
     def __post_init__(self):
-        if self.d < 1 or self.m < 1:
-            raise InvalidArgumentError("d and m must be positive")
+        for name in ("d", "m", "trials", "n_test", "workers", "s", "planted_s"):
+            value = getattr(self, name)
+            if value is not None and value < 1:  # s None: no pruning size
+                raise InvalidArgumentError(f"{name} must be >= 1, got {value}")
         if len(self.n_grid) == 0:
             raise InvalidArgumentError("n_grid must be non-empty")
         if any(n < 1 for n in self.n_grid):
             raise InvalidArgumentError("n_grid entries must be positive")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise InvalidArgumentError("n_grid must be strictly ascending")
-        if self.trials < 1:
-            raise InvalidArgumentError("trials must be >= 1")
-        if self.n_test < 1:
-            raise InvalidArgumentError("n_test must be >= 1")
-        if self.workers < 1:
-            raise InvalidArgumentError("workers must be >= 1")
         if not 0 < self.tol < math.inf:
             raise InvalidArgumentError(f"tol must be finite and positive, got {self.tol}")
-        if self.s is not None and self.s < 1:
-            raise InvalidArgumentError(f"s must be >= 1, got {self.s}")
         if not all(v >= 0 and math.isfinite(v * v)
                    for v in (self.gamma, self.sigma, self.noise_snr or 0.0)):
             raise InvalidArgumentError("gamma, sigma, noise_snr must be >= 0 with finite squares")
@@ -146,15 +140,12 @@ class ExperimentConfig:
             raise InvalidArgumentError("a positive gamma or sigma must have a nonzero square")
         if self.feature_kind not in (FOURIER, RELU):
             raise InvalidArgumentError(f"unknown feature kind {self.feature_kind!r}")
-        unknown = set(self.scalings) - set(SCALING_LABELS)
-        if unknown:
-            raise InvalidArgumentError(f"unknown scaling labels {sorted(unknown)}")
-        if len(set(self.scalings)) != len(self.scalings):
-            raise InvalidArgumentError(f"scalings repeat a label: {list(self.scalings)}")
-        if self.pipelines is not None:
-            bad = set(self.pipelines) - set(_PIPE_TAGS)
-            if bad:
-                raise InvalidArgumentError(f"unknown pipelines {sorted(bad)}")
+        for name, chosen, known in (("scalings", self.scalings, SCALING_LABELS),
+                                    ("pipelines", self.pipelines or (), _PIPE_TAGS)):
+            if set(chosen) - set(known):
+                raise InvalidArgumentError(f"unknown {name} {sorted(set(chosen) - set(known))}")
+            if len(set(chosen)) != len(chosen):
+                raise InvalidArgumentError(f"{name} repeat a label: {list(chosen)}")
 
 
 @dataclass(frozen=True)
@@ -242,7 +233,8 @@ def _train_and_test(config: ExperimentConfig, target: TargetFunction, pipeline: 
     min-norm fit at N >> n_test) it is the Monte Carlo mean of
     |f(z) - f#(z)|^2 over n_test points from the test substream, with its
     standard error; the predictions stream through the points in blocks
-    (`evaluate_model`), so memory does not grow with n_test * N."""
+    (`evaluate_model`), so memory does not grow with n_test * N.  Either
+    risk raises NumericalFailureError where it is not finite."""
     clean = target.evaluate(X)
     noise = config.noise
     if config.noise_snr is not None:
@@ -263,9 +255,17 @@ def _train_and_test(config: ExperimentConfig, target: TargetFunction, pipeline: 
         return coeff, Risk(value, None, RISK_CLOSED_FORM)
     Z = gaussian_matrix(config.d, config.n_test, config.gamma**2, stream.substream(TAG_TEST))
     preds = evaluate_model(W, coeff.values, Z, config.feature_kind)
-    sq_err = np.abs(target.evaluate(Z) - preds) ** 2
-    se = float(np.std(sq_err, ddof=1) / math.sqrt(sq_err.size)) if sq_err.size > 1 else None
-    return coeff, Risk(float(np.mean(sq_err)), se, RISK_MONTE_CARLO)
+    with np.errstate(over="ignore"):  # a non-finite mean raises, an overflowing sd rescales
+        sq_err = np.abs(target.evaluate(Z) - preds) ** 2
+        value = float(np.mean(sq_err))
+        if not math.isfinite(value):
+            raise NumericalFailureError(f"Monte Carlo risk {value!r} is not finite")
+        sd = float(np.std(sq_err, ddof=1)) if sq_err.size > 1 else None
+    if sd == math.inf:  # the squared deviations overflow: scale by the largest |f - f#|^2
+        scale = float(sq_err.max())
+        sd = scale * float(np.std(sq_err / scale, ddof=1))
+    se = None if sd is None else sd / math.sqrt(sq_err.size)
+    return coeff, Risk(value, se, RISK_MONTE_CARLO)
 
 
 def _risk_bound(config: ExperimentConfig, pipeline: str, n: int, rho: float, E: float,
@@ -474,7 +474,8 @@ def _validation_pipelines(config: ExperimentConfig) -> list[tuple[str, int]]:
 
 def run_bound_validation(config: ExperimentConfig) -> dict:
     """Risk-bound coverage for the three training pipelines at the configured
-    parameter points.  The hypotheses of each pipeline's bound, in both the
+    parameter points, after the inputs all bounds share, `rho_norm` and
+    `noise_bound` E.  The hypotheses of each pipeline's bound, in both the
     strict and the permissive mode, are checked once before any trial (none
     depends on a draw); each trial builds its report row, with a bound value
     that never depends on the mode.  Each trial's risk is computed as
@@ -532,7 +533,7 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
     for (name, n, s, eps, _, conditions), trial_rows in zip(
             cells, _map_cells(one_trial, cells, config)):
         pipelines.append({
-            "name": name, "N": int(n), "s": s, "epsilon": eps, "noise_bound": E,
+            "name": name, "N": int(n), "s": s, "epsilon": eps,
             "coverage": sum(r["covered"] for r in trial_rows) / config.trials,
             "bound_over_risk": min((r["bound_value"] / r["empirical_risk"]
                                     for r in trial_rows if r["empirical_risk"] > 0),
@@ -541,24 +542,24 @@ def run_bound_validation(config: ExperimentConfig) -> dict:
             "conditions": conditions,
             "trials": trial_rows,
         })
-    return {"target": asdict(target), "pipelines": pipelines}
+    return {"rho_norm": rho, "noise_bound": E, "pipelines": pipelines}
 
 
 def run_rip_study(config: ExperimentConfig, method: str, budget: int,
                   rip_trials: int) -> dict:
     """Restricted isometry constants delta_s, s = 1..config.s (default N), of
     one normalized Fourier instance A / sqrt(m) at the grid's single N (ReLU
-    features are refused before any draw).  "exact" enumerates every support
-    within `budget`; "mc" lower-bounds delta_s from `rip_trials` random
-    supports; "auto" enumerates and falls back to the random lower bound once
-    the budget is exceeded.  delta_s is nondecreasing in s, so a random lower
-    bound is raised to the value reported at s - 1, itself a lower bound on
-    delta_s; exact values are reported as computed."""
+    features are refused before any draw).  Each s whose C(N, s) supports
+    fit in `budget` is enumerated exactly; past the budget, "exact" raises
+    EnumerationBudgetError and "auto" lower-bounds delta_s from `rip_trials`
+    random supports.  delta_s is nondecreasing in s, so a random lower bound is
+    raised to the value reported at s - 1, itself a lower bound on delta_s;
+    exact values are reported as computed."""
     _require_fourier(config, "the rip study", "sqrt(m)")
     if len(config.n_grid) != 1:
         raise InvalidArgumentError(
             f"the rip study takes a single N, got {len(config.n_grid)} values")
-    if method not in ("auto", "exact", "mc"):
+    if method not in ("auto", "exact"):
         raise InvalidArgumentError(f"unknown rip method {method!r}")
     if budget < 1:
         raise InvalidArgumentError(f"budget must be at least 1 support, got {budget}")
@@ -573,14 +574,11 @@ def run_rip_study(config: ExperimentConfig, method: str, budget: int,
     A_norm = A / np.sqrt(config.m)
     estimates = []
     for s in range(1, s_max + 1):
-        est = None
-        if method != "mc":
-            try:
-                est = rip_constant_exact(A_norm, s, budget)
-            except EnumerationBudgetError:
-                if method == "exact":
-                    raise
-        if est is None:
+        try:
+            est = rip_constant_exact(A_norm, s, budget)
+        except EnumerationBudgetError:
+            if method == "exact":
+                raise
             est = rip_constant_lower_mc(A_norm, s, rip_trials,
                                         stream.substream(TAG_SUPPORTS, s))
             if estimates:

@@ -100,7 +100,7 @@ def gaussian_bump_target(a: float, sigma: float, d: int) -> TargetFunction:
             f"gaussian_bump needs a^2 >= 1/sigma^2 for a finite rho-norm "
             f"(got a^2 = {a**2:.4g} < {1.0 / sigma**2:.4g})"
         )
-    return TargetFunction(KIND_BUMP, {"a": a, "sigma": sigma, "d": d}, rho_norm)
+    return TargetFunction(KIND_BUMP, {"a": a, "sigma": sigma}, rho_norm)
 
 
 def sample_target(kind: str, d: int, sigma: float, stream: RngStream,
@@ -259,9 +259,10 @@ def population_risk(target: TargetFunction, W: np.ndarray, c: np.ndarray, gamma:
                                    "model's feature kind")
     keep = np.flatnonzero(values)
     W, values = W[:, keep], values[keep]
-    f2, g = _target_moments(target, W, gamma, kind)
-    cKc = _quadratic_form(W, values, gamma, kind)
-    risk = f2 - 2.0 * float(np.vdot(values, g).real) + cKc
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite risk raises below
+        f2, g = _target_moments(target, W, gamma, kind)
+        cKc = _quadratic_form(W, values, gamma, kind)
+        risk = f2 - 2.0 * float(np.vdot(values, g).real) + cKc
     if risk < 0 and -risk <= _RISK_ROUNDING * (f2 + cKc):
         return 0.0
     if not 0 <= risk < np.inf:

@@ -2,7 +2,8 @@
 
 Each command runs once per module, in process and into a temporary directory:
 the two figure scripts at one trial, and the exact and Monte Carlo `rip` runs
-on two instances.  Each `*_problems` function lists what its outputs get wrong
+on two instances (Monte Carlo: `--method auto --budget 1`, random supports at
+every s < N).  Each `*_problems` function lists what its outputs get wrong
 against the paper, empty when nothing is; `test_each_check_fails_on_output_broken_for_it`
 shows that every condition of every check catches a copy of its output broken
 for it.
@@ -32,6 +33,10 @@ def _run_script(name: str, out: Path) -> None:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sys, "argv", [name, "--trials", "1", "--out", str(out)])
         assert module.main() == 0
+
+
+# a budget of one support sends every s < N to the random supports
+_MC = ["--method", "auto", "--budget", "1"]
 
 
 def _rip(out: Path, argv: list[str]) -> list[dict]:
@@ -67,15 +72,15 @@ def rip_n30(tmp_path_factory) -> dict:
     out = tmp_path_factory.mktemp("rip_n30")
     base = ["--d", "2", "--m", "30", "--n-grid", "30", "--s", "6"]
     return {"exact": _rip(out / "exact", base + ["--method", "exact"]),
-            "mc": _rip(out / "mc", base + ["--method", "mc", "--rip-trials", "200"])}
+            "mc": _rip(out / "mc", base + _MC + ["--rip-trials", "200"])}
 
 
 @pytest.fixture(scope="module")
 def rip_d10(tmp_path_factory) -> dict:
     out = tmp_path_factory.mktemp("rip_d10")
     base = ["--d", "10", "--m", "300", "--n-grid", "30", "--s", "5"]
-    return {method: _rip(out / method, base + ["--method", method])
-            for method in ("exact", "mc")}
+    return {"exact": _rip(out / "exact", base + ["--method", "exact"]),
+            "mc": _rip(out / "mc", base + _MC)}
 
 
 def figure2_problems(report: dict, rows: list[dict]) -> list[str]:

@@ -2,7 +2,7 @@ import json
 import re
 import subprocess
 import sys
-from math import comb
+from math import comb, inf
 from pathlib import Path
 
 import numpy as np
@@ -131,9 +131,19 @@ def test_rip_exact_budget_error_exits_2(tmp_path, capsys):
     assert rc == cli.EXIT_CONFIG
     # the command line names its own remedy, a flag, not the library function
     assert capsys.readouterr().err == (
-        "error: C(30,2) = 435 supports exceeds budget 100; use --method mc or "
-        "--method auto for a randomized lower bound\n")
+        "error: C(30,2) = 435 supports exceeds budget 100; use --method auto for a "
+        "randomized lower bound\n")
     assert not (tmp_path / "rip.json").exists()
+
+
+def test_rip_method_mc_is_refused(tmp_path, capsys):
+    # --method auto --budget 1 draws the same random supports
+    with pytest.raises(SystemExit) as info:
+        cli.main(["rip", "--d", "2", "--m", "5", "--n-grid", "4", "--method", "mc",
+                  "--out", str(tmp_path)])
+    assert info.value.code == cli.EXIT_CONFIG
+    assert "invalid choice: 'mc'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_rip_auto_falls_back_to_randomized(tmp_path):
@@ -149,13 +159,17 @@ def test_rip_auto_falls_back_to_randomized(tmp_path):
     assert values == sorted(values)
 
 
+# a budget of one support sends every s < N to the random supports
+_RIP_MC = {"mc": ["--method", "auto", "--budget", "1"], "exact": ["--method", "exact"]}
+
+
 def test_rip_mc_lower_bounds_the_exact_constants(tmp_path):
     base = ["rip", "--d", "2", "--m", "10", "--n-grid", "8", "--s", "4", "--seed", "3",
             "--rip-trials", "25"]
     payloads = {}
-    for method in ("mc", "exact"):
+    for method, flags in _RIP_MC.items():
         out = tmp_path / method
-        assert cli.main(base + ["--method", method, "--out", str(out)]) == 0
+        assert cli.main(base + flags + ["--out", str(out)]) == 0
         payloads[method] = json.loads((out / "rip.json").read_text())
     mc, exact = payloads["mc"]["estimates"], payloads["exact"]["estimates"]
     assert [e["s"] for e in mc] == [1, 2, 3, 4]
@@ -170,8 +184,8 @@ def test_rip_json_reports_supports_gathered(tmp_path):
     base = ["rip", "--d", "2", "--m", "30", "--n-grid", "14", "--s", "6", "--seed", "2",
             "--rip-trials", "30"]
     payloads = {}
-    for method in ("exact", "mc"):
-        assert cli.main(base + ["--method", method, "--out", str(tmp_path / method)]) == 0
+    for method, flags in _RIP_MC.items():
+        assert cli.main(base + flags + ["--out", str(tmp_path / method)]) == 0
         payloads[method] = json.loads((tmp_path / method / "rip.json").read_text())["estimates"]
     for e in payloads["exact"]:
         assert e["supports_evaluated"] == comb(14, e["s"])
@@ -314,6 +328,20 @@ _SMALL_BPDN = ["validate", "--d", "3", "--m", "10", "--n-grid", "20", "--target"
                "--trials", "1", "--pipelines", "bpdn_pruned", "--s", "3"]
 _BUMP_RHO_NORM_OVERFLOW = ["validate", "--d", "5", "--m", "10", "--n-grid", "20",
                            "--sigma", "1e154", "--target", "bump:1.5", "--trials", "1"]
+# Refusals whose message names the input at fault: id -> (argv, message)
+_NAMED_REFUSALS = {
+    # numpy's uniform draw needs the interval's width 2E to be finite
+    "bounded-1e308": (_SMALL_SWEEP + ["--noise", "bounded:1e308"],
+                      "bounded noise level 1e+308: 2 * level overflows"),
+    "bounded-half-max": (_SMALL_SWEEP + ["--noise", "bounded:8.98846567431158e307"],
+                         "bounded noise level 8.98846567431158e+307: 2 * level overflows"),
+    "validate-repeated-pipeline": (
+        ["validate", "--d", "3", "--m", "10", "--n-grid", "40", "--target", "bump:1.5",
+         "--trials", "1", "--pipelines", "min_norm,min_norm"],
+        "pipelines repeat a label: ['min_norm', 'min_norm']"),
+    "planted-0": (_SMALL_SWEEP + ["--target", "planted:0"],
+                  "planted_s must be >= 1, got 0"),
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -348,13 +376,14 @@ _BUMP_RHO_NORM_OVERFLOW = ["validate", "--d", "5", "--m", "10", "--n-grid", "20"
      "--trials", "1", "--n-test", "2", "--eta", "1e-300"],
     *([*_SMALL_BPDN, "--tol", tol] for tol in ("nan", "inf", "0", "-1")),
     ["theory", "--m", "20", "--n-grid", "20"],
+    *(argv for argv, _ in _NAMED_REFUSALS.values()),
 ], ids=["sigma-1e200", "gamma-1e160", "bump-1e30", "bounded-inf", "gamma-negative",
         "theory-gamma-nan", "gaussian-nan", "snr-nan", "sigma-1e-200", "gamma-1e-200",
         "bump-sigma-1e154", "bpdn-noise-1e154", "rip-budget-negative", "rip-budget-zero",
         "rip-trials-negative", "spectrum-repeated-scaling", "validate-eta-outside-band",
         "threshold-n-1", "validate-s-0", "spectrum-m-3", "theory-eta-1e-300",
         "theory-eta-7e-155", "validate-eta-1e-300", "tol-nan", "tol-inf", "tol-0",
-        "tol-negative", "theory-m-equals-n"])
+        "tol-negative", "theory-m-equals-n", *_NAMED_REFUSALS])
 def test_non_finite_or_overflowing_input_exits_2(argv, tmp_path, capfd):
     rc = cli.main(argv + ["--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
@@ -364,6 +393,44 @@ def test_non_finite_or_overflowing_input_exits_2(argv, tmp_path, capfd):
     assert "Warning" not in err
     assert out == ""
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", _NAMED_REFUSALS.values(), ids=list(_NAMED_REFUSALS))
+def test_config_refusals_name_their_input(argv, message, tmp_path, capsys):
+    assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+_OVERFLOWING_RISK = ["sweep", "--d", "3", "--m", "10", "--trials", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_OVERFLOWING_RISK + ["--n-grid", "40", "--n-test", "2", "--noise", "gaussian:1e160"],
+     "Monte Carlo risk inf is not finite"),
+    (_OVERFLOWING_RISK + ["--n-grid", "40", "--noise", "gaussian:1e160"], "closed-form risk"),
+    (_OVERFLOWING_RISK + ["--n-grid", "5", "--noise", "bounded:1e200"], "closed-form risk"),
+], ids=["monte-carlo", "closed-form", "closed-form-bounded"])
+def test_overflowing_risk_exits_3_with_one_line(argv, message, tmp_path, capfd):
+    # |f - f#|^2 overflows: both risk estimators refuse the non-finite value
+    # they compute, with one line and no RuntimeWarning
+    rc = cli.main(argv + ["--out", str(tmp_path)])
+    assert rc == cli.EXIT_NUMERICAL
+    out, err = capfd.readouterr()
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"numerical failure: {message}")
+    assert "Warning" not in out + err
+    assert not any(tmp_path.iterdir())
+
+
+def test_monte_carlo_risk_se_is_finite_where_squared_deviations_overflow(tmp_path):
+    # a risk of order 1e279 has squared deviations of order 1e558
+    assert cli.main(["validate", "--d", "3", "--m", "10", "--n-grid", "40",
+                     "--target", "bump:1.5", "--trials", "1", "--n-test", "2",
+                     "--noise", "gaussian:1e140", "--out", str(tmp_path)]) == 0
+    trial, = json.loads((tmp_path / "validate.json").read_text())["pipelines"][0]["trials"]
+    assert trial["risk_method"] == "monte_carlo"
+    assert 1e278 < trial["empirical_risk"] < inf
+    assert 0 < trial["risk_se"] < inf
 
 
 @pytest.mark.parametrize("pipeline", ["bpdn_pruned", "min_norm"])

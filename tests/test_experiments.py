@@ -431,7 +431,11 @@ def test_bound_validation_structure():
         for t in p["trials"]:
             assert t["empirical_risk"] >= 0
             assert t["bound_value"] >= 0
-    assert report["target"]["kind"] == "gaussian_bump"
+    # the inputs every bound shares are stated once, not per pipeline
+    assert list(report) == ["rho_norm", "noise_bound", "pipelines"]
+    assert report["rho_norm"] == gaussian_bump_target(math.sqrt(2.0), 1.0, 6).rho_norm
+    assert report["noise_bound"] == 0.0
+    assert not any("noise_bound" in p for p in report["pipelines"])
 
 
 
@@ -503,11 +507,17 @@ def test_spectrum_density_refuses_a_scaling_on_the_wrong_side_of_m(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("method, budget", [("exact", -5), ("auto", 0), ("mc", 0)])
+@pytest.mark.parametrize("method, budget", [("exact", -5), ("auto", 0)])
 def test_rip_study_rejects_a_budget_below_one(method, budget):
     with pytest.raises(InvalidArgumentError, match=f"budget must be at least 1 support, "
                                                    f"got {budget}"):
         run_rip_study(ExperimentConfig(d=2, m=5, n_grid=(4,)), method, budget, 10)
+
+
+def test_rip_study_refuses_the_mc_method():
+    # "auto" with a budget of 1 support is the random lower bound at every s < N
+    with pytest.raises(InvalidArgumentError, match="unknown rip method 'mc'"):
+        run_rip_study(ExperimentConfig(d=2, m=5, n_grid=(4,)), "mc", 10, 10)
 
 
 @pytest.mark.parametrize("method", ["auto", "exact"])
@@ -573,7 +583,7 @@ def test_library_reports_are_plain_data():
     # the json module takes a whole report without rfcond.io.
     validate = run_bound_validation(ExperimentConfig(
         d=4, m=60, n_grid=(6,), target_kind="gaussian_bump", trials=2, seed=31, n_test=100))
-    assert json.loads(json.dumps(validate))["target"]["kind"] == "gaussian_bump"
+    assert json.loads(json.dumps(validate)) == validate
     rip = run_rip_study(ExperimentConfig(d=2, m=15, n_grid=(10,), s=3, seed=6),
                         "auto", 10**6, 40)
     assert [e["s"] for e in json.loads(json.dumps(rip))["estimates"]] == [1, 2, 3]

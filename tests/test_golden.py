@@ -47,7 +47,7 @@ GOLDEN = {
         "threshold.json": "f82e1cf975d0b0369bdc4be0b53bc76999cb399932aba5ca32874b227d8357be",
     },
     "validate": {
-        "validate.json": "59e7ae7f3b491f8ed507a8ad528be4d785fd2e8ca2de4dd11d0caf1e211f020c",
+        "validate.json": "44beb707c24bb6944516fcd2d7bc3adec9a96479f8eea9c637a2fdd1d61eec1c",
     },
     "theory": {
         "stdout": "516be2c6befbad9aeb2cd1acca6b9f8445967d1706738f9a0c65116be5965852",

@@ -212,6 +212,15 @@ def test_exascale_uncertainty_condition():
     assert unc.ok
 
 
+def test_uncertainty_condition_saturates_past_the_float_range():
+    # (2 gamma^2 sigma^2 + 1)^(d/2) = 201^1000 overflows a float: the overlap
+    # power saturates to inf, so the condition holds rather than raising.
+    for permissive in (False, True):
+        checks = check_regime_conditions(100, 10, 2000, 10.0, 1.0, 0.5, permissive)
+        unc = {c.name: c for c in checks}["feature_uncertainty"]
+        assert (unc.lhs, unc.rhs, unc.ok) == (math.inf, 10.0, True)
+
+
 def test_condition_passes_at_exact_equality():
     # The delta floor uses >=, so handing back the computed floor passes.
     def floor_check(delta):
