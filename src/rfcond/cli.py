@@ -18,13 +18,7 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import (
-    ConvergenceError,
-    EnumerationBudgetError,
-    InfeasibleProblemError,
-    InvalidArgumentError,
-    NumericalFailureError,
-)
+from .errors import InvalidArgumentError, NumericalFailureError
 from .experiments import (
     SCALING_LABELS,
     SWEEP_COLUMNS,
@@ -52,10 +46,7 @@ def _parse_n_grid(text: str) -> tuple[int, ...]:
     """'a:b:step' (inclusive) or comma-separated values."""
     try:
         if ":" in text:
-            parts = [int(p) for p in text.split(":")]
-            if len(parts) == 2:
-                parts.append(1)
-            a, b, step = parts
+            a, b, step = (int(p) for p in text.split(":"))
             if step < 1 or b < a:
                 raise ValueError
             return tuple(range(a, b + 1, step))
@@ -286,11 +277,7 @@ def main(argv=None) -> int:
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except EnumerationBudgetError as exc:  # rip --method exact; the remedy is a flag
-        print(f"error: {exc.overrun}; use --method auto for a randomized lower bound",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    except (NumericalFailureError, ConvergenceError, InfeasibleProblemError) as exc:
+    except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

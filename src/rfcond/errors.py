@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The type is the exit code of the command line: `InvalidArgumentError` and
+every subclass exit 2 (the input is at fault), `NumericalFailureError` and
+every subclass exit 3 (the computation failed on a valid input).
+"""
 
 
 class InvalidArgumentError(ValueError):
@@ -6,23 +11,19 @@ class InvalidArgumentError(ValueError):
 
 
 class NumericalFailureError(RuntimeError):
-    """A dense linear-algebra routine failed or hit a rank deficiency."""
+    """A computation failed on a valid input: a dense linear-algebra routine
+    failed or hit a rank deficiency, or a result is not finite."""
 
 
-class EnumerationBudgetError(RuntimeError):
-    """Exact support enumeration would exceed the configured budget.  `overrun`
-    says by how much; the message adds the library's remedy."""
-
-    def __init__(self, overrun: str):
-        super().__init__(f"{overrun}; use rip_constant_lower_mc for a randomized lower bound")
-        self.overrun = overrun
+class EnumerationBudgetError(InvalidArgumentError):
+    """Exact support enumeration would exceed the configured budget."""
 
 
-class InfeasibleProblemError(RuntimeError):
+class InfeasibleProblemError(NumericalFailureError):
     """The constraint set of an optimization problem is empty."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(NumericalFailureError):
     """An iterative solver hit its iteration cap before certifying optimality."""
 
     def __init__(self, message, last_gap=None, last_feasibility=None, iterations=None):
@@ -30,7 +31,3 @@ class ConvergenceError(RuntimeError):
         self.last_gap = last_gap
         self.last_feasibility = last_feasibility
         self.iterations = iterations
-
-
-class UnsupportedTargetError(TypeError):
-    """The target function lacks the structure an operation requires."""

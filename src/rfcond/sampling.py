@@ -83,8 +83,8 @@ class NoiseModel:
             raise InvalidArgumentError("noise level must be finite and non-negative")
         if self.kind == "none" and self.level != 0:
             raise InvalidArgumentError("noise kind 'none' requires level 0")
-        if self.kind == "bounded_uniform" and self.level > np.finfo(float).max / 2:
-            raise InvalidArgumentError(f"bounded noise level {self.level!r}: 2 * level overflows")
+        if self.level > np.finfo(float).max / 2:
+            raise InvalidArgumentError(f"noise level {self.level!r}: 2 * level overflows")
 
     @property
     def bound(self) -> float:

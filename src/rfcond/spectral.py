@@ -397,7 +397,9 @@ def rip_constant_exact(A_normalized: np.ndarray, s: int,
         raise InvalidArgumentError(f"s must be in [1, {n}], got {s}")
     total = comb(n, s)
     if total > budget:
-        raise EnumerationBudgetError(f"C({n},{s}) = {total} supports exceeds budget {budget}")
+        raise EnumerationBudgetError(
+            f"C({n},{s}) = {total} supports exceeds budget {budget}; method auto "
+            "(rip_constant_lower_mc) gives a randomized lower bound")
     walk = _SupportWalk(M, s, budget).run()
     return RipEstimate(s=s, value=walk.leaves.best, method="exact_enumeration",
                        supports_evaluated=total,

@@ -24,7 +24,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalFailureError, UnsupportedTargetError
+from .errors import InvalidArgumentError, NumericalFailureError
 from .features import _BLOCK_ENTRIES, FOURIER, RELU, block_ranges, build_features
 from .sampling import RngStream, gaussian_matrix
 
@@ -60,9 +60,7 @@ class TargetFunction:
         """alpha(w_k)/rho(w_k) at the weight columns; only targets with a
         closed-form transform ratio, those with a `rho_norm`, support this."""
         if self.rho_norm is None:
-            raise UnsupportedTargetError(
-                f"target kind {self.kind!r} has no closed-form alpha/rho"
-            )
+            raise InvalidArgumentError(f"target kind {self.kind!r} has no closed-form alpha/rho")
         a, sigma = self.params["a"], self.params["sigma"]
         sq = np.sum(np.asarray(W) ** 2, axis=0)
         return self.rho_norm * np.exp(-0.5 * (a**2 - 1.0 / sigma**2) * sq)

@@ -39,15 +39,15 @@ C_DPRIME = 10.0
 
 
 def _overlap_power(c: float, gamma: float, sigma: float, exponent: float) -> float:
-    """(c gamma^2 sigma^2 + 1)^exponent without OverflowError (saturates to
-    inf).  Every overlap term takes gamma, sigma and d through it: c = 2 with
-    exponent -d/2 is `beta_overlap` (+d/2 its inverse, in the uncertainty
+    """(c gamma^2 sigma^2 + 1)^exponent, saturating to inf where math.exp
+    overflows.  Every overlap term takes gamma, sigma and d through it: c = 2
+    with exponent -d/2 is `beta_overlap` (+d/2 its inverse, in the uncertainty
     conditions), and c = 4 with exponent -d/4 is the square-threshold level of
     lambda_min."""
-    t = exponent * math.log(c * gamma**2 * sigma**2 + 1.0)
-    if t > 700.0:
+    try:
+        return math.exp(exponent * math.log(c * gamma**2 * sigma**2 + 1.0))
+    except OverflowError:
         return math.inf
-    return math.exp(t)
 
 
 def _universal(eta: float, permissive: bool) -> float:
@@ -199,15 +199,10 @@ def ball_radius(gamma: float, d: int, m: int, delta: float) -> float:
     return _radius_factor(d, m, delta) * gamma * math.sqrt(d)
 
 
-def _exp_neg(t: float) -> float:
-    """exp(-t), underflowing cleanly to 0 once it is below the smallest float."""
-    return math.exp(-t) if t < 745.0 else 0.0
-
-
 def failure_probability(small: int, big: int) -> float:
     """small^(-log^2(small) * log(3 big)), the failure probability of the
     conditioning theorem with small = min(m, N) and big = max(m, N)."""
-    return _exp_neg(math.log(small) ** 3 * math.log(3.0 * big))
+    return math.exp(-math.log(small) ** 3 * math.log(3.0 * big))
 
 
 def check_regime_conditions(m: int, N: int, d: int, gamma: float, sigma: float,
@@ -327,7 +322,7 @@ def check_bp_conditions(m: int, N: int, s: int, d: int, gamma: float, sigma: flo
     lhs_main = m / math.log(3.0 * m)
     rhs_main = C * s * math.log(2.0 * s) ** 2 * math.log(N)
     lhs_sparse = _overlap_power(2.0, gamma, sigma, 0.5 * d) / 105.0
-    floor = _exp_neg(math.log(2.0 * s) ** 2 * math.log(3.0 * m) * math.log(N))
+    floor = math.exp(-math.log(2.0 * s) ** 2 * math.log(3.0 * m) * math.log(N))
     return (
         ConditionCheck("sample_complexity", lhs_main, rhs_main, lhs_main >= rhs_main),
         ConditionCheck("sparsity_uncertainty", lhs_sparse, float(s), lhs_sparse >= s),

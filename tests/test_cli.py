@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rfcond import cli, experiments, targets
-from rfcond.errors import InvalidArgumentError
+from rfcond import cli, errors, experiments, targets
+from rfcond.errors import InvalidArgumentError, NumericalFailureError
 from rfcond.sampling import NOISE_NONE
 
 
@@ -17,11 +17,9 @@ def test_n_grid_parsing():
     assert cli._parse_n_grid("10:50:10") == (10, 20, 30, 40, 50)
     assert cli._parse_n_grid("5,9,12") == (5, 9, 12)
     assert cli._parse_n_grid("7") == (7,)
-    assert cli._parse_n_grid("3:5") == (3, 4, 5)
-    with pytest.raises(InvalidArgumentError):
-        cli._parse_n_grid("10:5:1")
-    with pytest.raises(InvalidArgumentError):
-        cli._parse_n_grid("a:b")
+    for text in ("10:5:1", "a:b", "3:5"):
+        with pytest.raises(InvalidArgumentError, match="cannot parse n-grid"):
+            cli._parse_n_grid(text)
 
 
 def test_noise_parsing():
@@ -129,10 +127,11 @@ def test_rip_exact_budget_error_exits_2(tmp_path, capsys):
                    "--method", "exact", "--budget", "100",
                    "--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
-    # the command line names its own remedy, a flag, not the library function
+    # the library's message is printed as raised: "method auto" is both the
+    # run_rip_study argument and the --method value
     assert capsys.readouterr().err == (
-        "error: C(30,2) = 435 supports exceeds budget 100; use --method auto for a "
-        "randomized lower bound\n")
+        "error: C(30,2) = 435 supports exceeds budget 100; method auto "
+        "(rip_constant_lower_mc) gives a randomized lower bound\n")
     assert not (tmp_path / "rip.json").exists()
 
 
@@ -332,9 +331,21 @@ _BUMP_RHO_NORM_OVERFLOW = ["validate", "--d", "5", "--m", "10", "--n-grid", "20"
 _NAMED_REFUSALS = {
     # numpy's uniform draw needs the interval's width 2E to be finite
     "bounded-1e308": (_SMALL_SWEEP + ["--noise", "bounded:1e308"],
-                      "bounded noise level 1e+308: 2 * level overflows"),
+                      "noise level 1e+308: 2 * level overflows"),
     "bounded-half-max": (_SMALL_SWEEP + ["--noise", "bounded:8.98846567431158e307"],
-                         "bounded noise level 8.98846567431158e+307: 2 * level overflows"),
+                         "noise level 8.98846567431158e+307: 2 * level overflows"),
+    # E = 2 nu of Gaussian noise must be finite for the bounds and the risk
+    "gaussian-1e308-validate": (
+        ["validate", "--d", "3", "--m", "10", "--n-grid", "5", "--target", "bump:1.5",
+         "--trials", "1", "--noise", "gaussian:1e308"],
+        "noise level 1e+308: 2 * level overflows"),
+    "gaussian-1e308-sweep": (
+        ["sweep", "--d", "3", "--m", "10", "--n-grid", "5", "--trials", "1",
+         "--noise", "gaussian:1e308"],
+        "noise level 1e+308: 2 * level overflows"),
+    # a:b is not a spelling of a:b:1
+    "n-grid-without-step": (["sweep", "--n-grid", "5:30", "--trials", "1"],
+                            "cannot parse n-grid '5:30'"),
     "validate-repeated-pipeline": (
         ["validate", "--d", "3", "--m", "10", "--n-grid", "40", "--target", "bump:1.5",
          "--trials", "1", "--pipelines", "min_norm,min_norm"],
@@ -399,6 +410,29 @@ def test_non_finite_or_overflowing_input_exits_2(argv, tmp_path, capfd):
 def test_config_refusals_name_their_input(argv, message, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(tmp_path)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+_ERROR_TYPES = [v for v in vars(errors).values()
+                if isinstance(v, type) and v.__module__ == errors.__name__]
+
+
+@pytest.mark.parametrize("error_type", _ERROR_TYPES, ids=lambda t: t.__name__)
+def test_the_exception_type_is_the_exit_code(error_type, monkeypatch, tmp_path, capsys):
+    def fail(config):
+        raise error_type("the study failed")
+
+    monkeypatch.setattr(cli, "run_threshold_study", fail)
+    rc = cli.main(["threshold", "--d", "2", "--n-grid", "5", "--trials", "2",
+                   "--out", str(tmp_path)])
+    if issubclass(error_type, InvalidArgumentError):
+        assert rc == cli.EXIT_CONFIG
+        prefix = "error"
+    else:
+        assert issubclass(error_type, NumericalFailureError)
+        assert rc == cli.EXIT_NUMERICAL
+        prefix = "numerical failure"
+    assert capsys.readouterr().err == f"{prefix}: the study failed\n"
+    assert not any(tmp_path.iterdir())
 
 
 _OVERFLOWING_RISK = ["sweep", "--d", "3", "--m", "10", "--trials", "1"]

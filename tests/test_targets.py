@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from rfcond import targets
-from rfcond.errors import InvalidArgumentError, NumericalFailureError, UnsupportedTargetError
+from rfcond.errors import InvalidArgumentError, NumericalFailureError
 from rfcond.features import _BLOCK_ENTRIES, FOURIER, RELU, build_features
 from rfcond.sampling import gaussian_matrix, split_stream
 from rfcond.solvers import least_squares, prune_top_s
@@ -63,9 +63,9 @@ def test_constant_transform_ratio_gives_uniform_coefficients():
 def test_linear_target_has_no_transform_ratio():
     t = linear_target(np.array([1.0, 2.0]))
     assert t.rho_norm is None
-    with pytest.raises(UnsupportedTargetError):
+    with pytest.raises(InvalidArgumentError):
         t.alpha_over_rho(np.zeros((2, 3)))
-    with pytest.raises(UnsupportedTargetError):
+    with pytest.raises(InvalidArgumentError):
         best_phi_coeffs(t, np.zeros((2, 3)))
 
 

@@ -212,6 +212,14 @@ def test_exascale_uncertainty_condition():
     assert unc.ok
 
 
+def test_uncertainty_condition_is_finite_up_to_the_float_range():
+    # (eta/20) 3^640 = 0.025 exp(703.1): past exp(700), still a finite float
+    checks = check_regime_conditions(100, 10, 1280, 1.0, 1.0, 0.5)
+    unc = {c.name: c for c in checks}["feature_uncertainty"]
+    assert unc.lhs == pytest.approx(5.695646529572998e303, rel=1e-12)
+    assert unc.ok
+
+
 def test_uncertainty_condition_saturates_past_the_float_range():
     # (2 gamma^2 sigma^2 + 1)^(d/2) = 201^1000 overflows a float: the overlap
     # power saturates to inf, so the condition holds rather than raising.
