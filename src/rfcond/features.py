@@ -8,7 +8,9 @@ Each matrix costs one m x N allocation beyond the real phase X^T W: Fourier
 features are one complex array whose real and imaginary parts receive
 cos and sin of the phase, and ReLU features clip the phase in place.  A
 caller that must not hold a whole matrix builds it in the row blocks of
-`block_ranges`, all sized by one budget of `_BLOCK_ENTRIES` entries.
+`block_ranges`, sized by an entry budget: `_BLOCK_ENTRIES` for the
+predictions and the kernel of `targets`, and the smaller
+`spectral._GRAM_ENTRIES` for the density study's Grams.
 
 Fourier features first reduce the phase to r in [-pi/4, pi/4] by the
 Cody-Waite reduction (Cody & Waite, "Software Manual for the Elementary
@@ -46,8 +48,10 @@ _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 # chunks past 4096 gain under 5%.
 _CHUNK = 4096
 
-# Largest piece of a feature matrix built at once, in entries: a 150 x 1024
-# block, 2.5 MB of complex128.
+# Largest piece of a feature matrix that `targets` builds at once, in
+# entries: a 150 x 1024 block, 2.5 MB of complex128.  A smaller budget would
+# cut validate's predictions at N = 15000 into column pieces, which sum in
+# another order, and save no memory there (its blocks are 8 test points).
 _BLOCK_ENTRIES = 150 * 1024
 
 
@@ -96,13 +100,13 @@ def relu_features(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, phase, out=phase)
 
 
-def block_ranges(n: int, width: int) -> list[tuple[int, int]]:
+def block_ranges(n: int, width: int, budget: int = _BLOCK_ENTRIES) -> list[tuple[int, int]]:
     """Ranges [i, j) that cover range(n) once, in order, cutting n rows of
     `width` entries.  Each holds at most `step` rows, the largest multiple of
-    8 (8 at the least) whose rows have at most _BLOCK_ENTRIES entries.  Every
+    8 (8 at the least) whose rows have at most `budget` entries.  Every
     edge is a multiple of 8 and the last block is a single row only when n is
     1; when step is 8, that takes a last block of 9 rows."""
-    step = max(8, _BLOCK_ENTRIES // max(width, 1) // 8 * 8)
+    step = max(8, budget // max(width, 1) // 8 * 8)
     cuts = [*range(0, n, step), n]
     if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
         cuts[-2] -= 8

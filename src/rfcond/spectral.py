@@ -10,15 +10,18 @@ least-squares solve), or else the thin SVD of A, which resolves singular
 values down to eps * sigma_max.  `singular_values` takes the feature inputs
 (X, W, kind) instead, and never holds a non-square A: it sums the smaller
 Gram (AA* or A*A) over blocks of A cut along its longer side by
-`features.block_ranges` (1024 features at m = 150), built one at a time, and
-runs one eigensolver on it.  Those eigenvalues are accurate to about
-eps * cond^2 relative (Trefethen & Bau, Numerical Linear Algebra, Lecture 31),
-so it keeps them when lambda_min >= `_GRAM_GATE` * lambda_max, where that is
-at most about 2e-10, and otherwise builds A in full for the SVD.  A square A
-(N = m, the interpolation threshold, where the condition number peaks) goes
-straight to the SVD: its Gram is no smaller than A, so the Gram route would
-save little when it passes the gate and often fail it.  So the density study
-holds A only at m = N or when a Gram fails the gate.
+`features.block_ranges` with the `_GRAM_ENTRIES` budget (256 features at
+m = 150), built one at a time, and runs one eigensolver on it.  Those
+eigenvalues are accurate to about eps * cond^2 relative (Trefethen & Bau,
+Numerical Linear Algebra, Lecture 31), so it keeps them when lambda_min >=
+`_GRAM_GATE` * lambda_max, where that is at most about 2e-10, and otherwise
+builds A in full for the SVD.  A square A (N = m, the interpolation
+threshold, where the condition number peaks) goes straight to the SVD: its
+Gram is no smaller than A, so the Gram route would save little when it
+passes the gate and often fail it.  So the density study holds A only at
+m = N or when a Gram fails the gate, and otherwise W and one cache-sized
+block; `spectral_density` sums its kernel over row blocks of its grid by
+the same budget.
 
 Restricted isometry constants are the one place that reads Grams of column
 supports: delta_s is a maximum over column supports S of ||A_S* A_S - I||_2,
@@ -54,6 +57,11 @@ from .sampling import RngStream
 # lambda_max (sigma_max / sigma_min <= 1000): their relative error, about
 # eps * cond^2, then stays below 2e-10.
 _GRAM_GATE = 1e-6
+# Entries of one block of the density study: 150 x 256 features, whose
+# phase, features and conjugate (about 1.5 MB, against 6.2 MB at 150 x 1024)
+# stay in L2 and keep the Gram product at full speed.  The kernel density
+# holds one block of grid rows by the same budget.
+_GRAM_ENTRIES = 150 * 256
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 _STACK = 64  # supports per batched eigvalsh call
@@ -171,18 +179,18 @@ def singular_values(X: np.ndarray, W: np.ndarray, kind: str) -> np.ndarray:
     smaller Gram (AA* or A*A) when those are finite and lambda_min >=
     `_GRAM_GATE` * lambda_max; each is then within about eps * cond^2 relative
     of the SVD's (at most about 2e-10 at the gate).  The Gram is summed over
-    the `block_ranges` of A's longer side (features, or samples when N < m),
-    each block built and dropped in turn, so A itself is not held; with one
-    block the sum is the single product, bit for bit.  Otherwise, and always
-    for square A, A is built in full and they come from its thin SVD, as in
-    `gram_spectrum_via_svd`.
+    the `block_ranges` of A's longer side (features, or samples when N < m)
+    with at most `_GRAM_ENTRIES` entries each, built and dropped in turn, so
+    A itself is not held; with one block the sum is the single product, bit
+    for bit.  Otherwise, and always for square A, A is built in full and
+    they come from its thin SVD, as in `gram_spectrum_via_svd`.
     """
     _check_dims(X, W)
     m, n = X.shape[1], W.shape[1]
     if m != n:
         with np.errstate(all="ignore"):  # an overflowing Gram fails the gate
             G = None
-            for i, j in block_ranges(max(m, n), min(m, n)):
+            for i, j in block_ranges(max(m, n), min(m, n), _GRAM_ENTRIES):
                 Xb, Wb = (X, W[:, i:j]) if m < n else (X[:, i:j], W)
                 B = build_features(Xb, Wb, kind)
                 P = B @ B.conj().T if m < n else B.conj().T @ B
@@ -463,7 +471,13 @@ def _silverman_bandwidth(values: np.ndarray) -> float:
 
 def spectral_density(values) -> DensityCurve:
     """Gaussian-kernel density of finite `values` with Silverman's bandwidth h
-    on a 512-point grid over [min - 3h, max + 3h], scaled to a maximum of 1."""
+    on a 512-point grid over [min - 3h, max + 3h], scaled to a maximum of 1.
+
+    The kernel sums exp(-z^2 / 2), z = (grid - value) / h, are taken over
+    `block_ranges` of the grid's rows with at most `_GRAM_ENTRIES` entries
+    (8 rows at the least), in one reused buffer, so the memory is one block,
+    not 512 x len(values).  Each row is reduced whole, by the same operations
+    as the one-shot sum, so the curve is the same bit for bit."""
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         raise InvalidArgumentError("values must be non-empty")
@@ -471,6 +485,15 @@ def spectral_density(values) -> DensityCurve:
         raise InvalidArgumentError("values must be finite")
     h = _silverman_bandwidth(v)
     grid = np.linspace(v.min() - 3 * h, v.max() + 3 * h, 512)
-    z = (grid[:, None] - v[None, :]) / h
-    dens = np.exp(-0.5 * z**2).sum(axis=1) / (v.size * h * np.sqrt(2 * np.pi))
+    blocks = block_ranges(grid.size, v.size, _GRAM_ENTRIES)
+    buffer = np.empty((max(j - i for i, j in blocks), v.size))
+    sums = np.empty(grid.size)
+    for i, j in blocks:
+        z = np.subtract(grid[i:j, None], v, out=buffer[:j - i])
+        z /= h
+        z *= z
+        z *= -0.5
+        np.exp(z, out=z)
+        z.sum(axis=1, out=sums[i:j])
+    dens = sums / (v.size * h * np.sqrt(2 * np.pi))
     return DensityCurve(grid=grid, density=dens / dens.max(), bandwidth=h)

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import numpy as np
+
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 _W, _H = 860, 520
@@ -26,24 +28,31 @@ def _fmt(v: float) -> str:
 
 
 def line_chart(series, title: str = "", x_label: str = "", y_label: str = "") -> str:
-    """Render [(label, xs, ys), ...] as an SVG line chart string."""
-    pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys)
-           if math.isfinite(x) and math.isfinite(y)]
-    if not pts:
+    """Render [(label, xs, ys), ...] as an SVG line chart string; xs and ys
+    of a series have one length, and points where either is not finite are
+    left out."""
+    finite = []
+    for label, xs, ys in series:
+        x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        keep = np.isfinite(x) & np.isfinite(y)
+        finite.append((label, x[keep], y[keep]))
+    drawn = [(x, y) for _, x, y in finite if x.size]
+    if not drawn:
         raise ValueError("no finite data to plot")
-    x_lo = min(p[0] for p in pts)
-    x_hi = max(p[0] for p in pts)
-    y_lo = min(p[1] for p in pts)
-    y_hi = max(p[1] for p in pts)
+    x_lo = min(float(x.min()) for x, _ in drawn)
+    x_hi = max(float(x.max()) for x, _ in drawn)
+    y_lo = min(float(y.min()) for _, y in drawn)
+    y_hi = max(float(y.max()) for _, y in drawn)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
 
-    def sx(x: float) -> float:
+    # scalars for the ticks, arrays for the series: the same float operations
+    def sx(x):
         return _ML + (x - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
 
-    def sy(y: float) -> float:
+    def sy(y):
         return _H - _MB - (y - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
 
     out = [
@@ -71,12 +80,9 @@ def line_chart(series, title: str = "", x_label: str = "", y_label: str = "") ->
     out.append(f'<text x="18" y="{_H // 2}" font-size="13" text-anchor="middle" '
                f'font-family="sans-serif" transform="rotate(-90 18 {_H // 2})">{y_label}</text>')
 
-    for i, (label, xs, ys) in enumerate(series):
+    for i, (label, x, y) in enumerate(finite):
         color = _PALETTE[i % len(_PALETTE)]
-        coords = " ".join(
-            f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys)
-            if math.isfinite(x) and math.isfinite(y)
-        )
+        coords = " ".join(map("{:.2f},{:.2f}".format, sx(x).tolist(), sy(y).tolist()))
         out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
                    f'stroke-width="1.8"/>')
         ly = _MT + 16 + 16 * i

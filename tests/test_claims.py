@@ -233,10 +233,12 @@ def _peak_to_inf(output):
 
 
 def _widen(narrow, wide):
+    # both ends, so the two spreads are equal exactly: sv_min + spread need
+    # not round back to a spread equal to the wide one
     def brk(output):
         entries = {e["label"]: e for e in output["report"]["scalings"]}
-        spread = entries[wide]["sv_max"] - entries[wide]["sv_min"]
-        entries[narrow]["sv_max"] = entries[narrow]["sv_min"] + spread
+        for end in ("sv_min", "sv_max"):
+            entries[narrow][end] = entries[wide][end]
     return brk
 
 

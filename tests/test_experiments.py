@@ -23,11 +23,11 @@ from rfcond.experiments import (
     run_spectrum_density,
     run_threshold_study,
 )
-from rfcond.features import _BLOCK_ENTRIES, build_features
+from rfcond.features import build_features
 from rfcond.io import json_report
 from rfcond.sampling import NoiseModel, split_stream
 from rfcond.solvers import FLAG_SINGULAR_GRAM, FLAG_ZERO_FEASIBLE, CoefficientVector
-from rfcond.spectral import gram_spectrum_via_svd, spectral_density
+from rfcond.spectral import _GRAM_ENTRIES, gram_spectrum_via_svd, spectral_density
 from rfcond.targets import gaussian_bump_target
 from rfcond.theory import check_regime_conditions, hypotheses_by_mode
 
@@ -309,8 +309,8 @@ def test_sweep_argmax_skips_a_cell_that_one_rank_deficient_trial_makes_infinite(
 
 
 def test_spectrum_density_is_worker_independent_across_gram_blocks(monkeypatch):
-    # at m = 60, N = m log^3 m = 4118 sums its Gram over two blocks of at most
-    # _BLOCK_ENTRIES // 60 = 2560 features; trials=1 spreads the three
+    # at m = 60, N = m log^3 m = 4118 sums its Gram over seven blocks of at
+    # most _GRAM_ENTRIES // 60 = 640 features; trials=1 spreads the three
     # scalings over the workers
     pooled = []
 
@@ -325,7 +325,7 @@ def test_spectrum_density_is_worker_independent_across_gram_blocks(monkeypatch):
                     d=5, m=60, n_grid=(60,), trials=trials, seed=2, workers=workers,
                     scalings=("N=m", "N=m log^3 m", "m=N log N")))
                 for workers in (1, 4)]
-        assert runs[0][1].n > _BLOCK_ENTRIES // 60
+        assert runs[0][1].n > _GRAM_ENTRIES // 60
         assert all(np.array_equal(a, b) for a, b in zip(pooled[:3], pooled[3:]))
         for a, b in zip(*runs):
             assert (a.sv_min, a.sv_max, a.curve.bandwidth) == \

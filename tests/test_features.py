@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 
 from rfcond.errors import InvalidArgumentError, NumericalFailureError
-from rfcond.features import (
-    _BLOCK_ENTRIES,
-    FOURIER,
-    RELU,
-    build_features,
-    fourier_features,
-    relu_features,
-)
+from rfcond.features import FOURIER, RELU, build_features, fourier_features, relu_features
 from rfcond.experiments import random_features, random_inputs
 from rfcond.sampling import split_stream
-from rfcond.spectral import gram_spectrum_via_svd, singular_values
+from rfcond.spectral import _GRAM_ENTRIES, gram_spectrum_via_svd, singular_values
 
 
 def test_zero_data_gives_all_ones():
@@ -173,19 +166,20 @@ def test_feature_construction_allocates_one_matrix_beyond_the_phase():
 
 
 def test_spectrum_from_features_holds_a_few_blocks_whatever_n():
-    # singular_values builds one block of _BLOCK_ENTRIES entries (1024
+    # singular_values builds one block of _GRAM_ENTRIES entries (256
     # features at m = 150) at a time: its phase (8 bytes per entry), the
-    # features (16) and the conjugate the Gram product copies (16), so its
-    # peak stays under four complex blocks, not the 16 * m * N bytes of A
-    # (48 MB at N = 20000, 96 MB at N = 40000).
+    # features (16) and the conjugate the Gram product copies (16), beside
+    # the m x m Gram and the block's product (0.6 MB together), so its peak
+    # stays under four complex blocks, not the 16 * m * N bytes of A (45 MB
+    # at the density study's N = 18870, 96 MB at N = 40000).
     m = 150
     peaks = []
-    for n in (20_000, 40_000):
+    for n in (18_870, 20_000, 40_000):
         X, W = random_inputs(5, m, n, 1.0, 1.0, split_stream(8, 0))
         peaks.append(_peak_bytes(
             lambda X, W: singular_values(X, W, FOURIER), X, W))
-    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
-    assert max(peaks) <= 4 * 16 * _BLOCK_ENTRIES
+    assert max(peaks) - min(peaks) <= 0.1 * min(peaks)
+    assert max(peaks) <= 4 * 16 * _GRAM_ENTRIES
 
 
 def test_row_column_gram_symmetry_under_role_swap():

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from math import ceil, comb
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 from rfcond import cli, spectral
 from rfcond.errors import EnumerationBudgetError, InvalidArgumentError, NumericalFailureError
 from rfcond.experiments import random_features, random_inputs
-from rfcond.features import _BLOCK_ENTRIES, FOURIER, RELU, build_features
+from rfcond.features import FOURIER, RELU, build_features
 from rfcond.sampling import split_stream
 from rfcond.spectral import (
+    _GRAM_ENTRIES,
     _STACK,
     _SupportWalk,
     _norm_bound,
@@ -190,12 +192,12 @@ def test_one_block_gram_from_features_is_bitwise_the_gram_of_a(kind, m, n):
     assert np.array_equal(singular_values(X, W, kind), want)
 
 
-# 5120 features (or samples) per block when the shorter side of A is 30
-_BLOCK_AT_30 = _BLOCK_ENTRIES // 30
+# 1280 features (or samples) per block when the shorter side of A is 30
+_BLOCK_AT_30 = _GRAM_ENTRIES // 30
 
 
 @pytest.mark.parametrize("kind", [FOURIER, RELU])
-@pytest.mark.parametrize("m, n", [(30, 2 * _BLOCK_AT_30 + 500), (2 * _BLOCK_AT_30 + 500, 30)])
+@pytest.mark.parametrize("m, n", [(30, 8 * _BLOCK_AT_30 + 500), (8 * _BLOCK_AT_30 + 500, 30)])
 def test_gram_summed_over_blocks_agrees_with_the_svd(kind, m, n, monkeypatch):
     X, W = _feature_inputs(20, m, n, seed=7)
     A = build_features(X, W, kind)
@@ -204,8 +206,8 @@ def test_gram_summed_over_blocks_agrees_with_the_svd(kind, m, n, monkeypatch):
     shapes = _recording_builds(monkeypatch)
     sv = singular_values(X, W, kind)
     assert calls == []  # the summed Gram passed the gate
-    # three blocks along the longer side, never A in full
-    assert [max(shape) for shape in shapes] == [_BLOCK_AT_30, _BLOCK_AT_30, 500]
+    # nine blocks along the longer side, never A in full
+    assert [max(shape) for shape in shapes] == 8 * [_BLOCK_AT_30] + [500]
     assert all(min(shape) == 30 for shape in shapes)
     assert np.all(np.abs(sv - oracle) <= 1e-13 * oracle)
 
@@ -726,6 +728,38 @@ def test_density_single_value_is_symmetric_peak():
     assert abs(peak - 2.0) <= half_step * (1 + 1e-9)
     assert curve.density.max() == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(curve.density, curve.density[::-1], atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 10, 11, 41, 150, 410, 1500, 7520])
+def test_density_equals_the_one_shot_kernel_sum_bitwise(n):
+    # the kernel sums over row blocks of the grid equal the 512 x n formula
+    v = np.random.default_rng(n).gamma(2.0, size=n)
+    curve = spectral_density(v)
+    h = curve.bandwidth
+    grid = np.linspace(v.min() - 3 * h, v.max() + 3 * h, 512)
+    z = (grid[:, None] - v[None, :]) / h
+    dens = np.exp(-0.5 * z**2).sum(axis=1) / (v.size * h * np.sqrt(2 * np.pi))
+    assert np.array_equal(curve.grid, grid)
+    assert np.array_equal(curve.density, dens / dens.max())
+
+
+def test_density_holds_one_block_of_grid_rows():
+    # A one-shot kernel sum holds three 512 x n float temporaries, 12 kB a
+    # value (18.4 MB at 1500 values).  Blocked, it holds one block of at most
+    # _GRAM_ENTRIES entries, or of 8 grid rows when those hold more (from
+    # 4800 values on), so the peak grows by at most 8 rows of 8 bytes a value.
+    gen = np.random.default_rng(3)
+    peaks = []
+    for n in (1500, 15_000):
+        v = gen.gamma(2.0, size=n)
+        tracemalloc.start()
+        try:
+            spectral_density(v)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 2 * 8 * _GRAM_ENTRIES
+    assert peaks[1] - peaks[0] <= 8 * 8 * (15_000 - 1500)
 
 
 def test_density_validation():
