@@ -1,8 +1,10 @@
 """Experiment harness: double-descent sweeps, singular-value density studies,
 interpolation-threshold statistics, risk-bound validation, and the restricted
 isometry study of one instance.  Every protocol samples its instances with
-`random_inputs`; all but the density study build A from them at once
-(`random_features`).
+`random_inputs`.  All but the density study build A from them at once
+(`random_features`); the density study takes W as a `GaussianColumns`
+reader, which draws it in the column blocks its Gram reads, so it holds no
+d x N array when N > m.
 
 Every protocol is a grid of (cell, trial) jobs: a cell is one N, scaling or
 pipeline, and each job is a pure function of (master seed, cell, trial).  One
@@ -32,6 +34,7 @@ from .sampling import (
     TAG_TARGET,
     TAG_TEST,
     TAG_WEIGHTS,
+    GaussianColumns,
     NoiseModel,
     RngStream,
     gaussian_matrix,
@@ -173,13 +176,19 @@ class Risk:
     method: str
 
 
-def random_inputs(d: int, m: int, n: int, gamma: float, sigma: float,
-                  stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
+def random_inputs(d: int, m: int, n: int, gamma: float, sigma: float, stream: RngStream,
+                  weight_blocks: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The instance sampler of every protocol: X ~ N(0, gamma^2 I_d) (d x m) and
     W ~ N(0, sigma^2 I_d) (d x n) from fixed substreams of `stream`, so one
-    stream reproduces the whole instance."""
+    stream reproduces the whole instance.  With `weight_blocks`, W is a
+    `GaussianColumns` reader of the same matrix, drawn in column blocks as
+    they are read."""
+    for name, scale, drawn in (("gamma", gamma, "the data X"), ("sigma", sigma, "the weights W")):
+        if not scale > 0:
+            raise InvalidArgumentError(f"{name} must be positive to draw {drawn}, got {scale}")
     X = gaussian_matrix(d, m, gamma**2, stream.substream(TAG_DATA))
-    W = gaussian_matrix(d, n, sigma**2, stream.substream(TAG_WEIGHTS))
+    draw_weights = GaussianColumns if weight_blocks else gaussian_matrix
+    W = draw_weights(d, n, sigma**2, stream.substream(TAG_WEIGHTS))
     return X, W
 
 
@@ -374,10 +383,11 @@ class DensityStudyEntry:
 def run_spectrum_density(config: ExperimentConfig) -> list[DensityStudyEntry]:
     """Figure-2 protocol: pooled singular values of the normalized Fourier
     feature matrix A / sqrt(max(m, N)) over the trials, smoothed to a max-1
-    density curve per scaling.  Each trial passes its X and W to
-    `singular_values`, which builds A in blocks for its Gram and in full
-    only for the SVD fallback (m = N, or a Gram that fails the gate), and
-    divides them by sqrt(max(m, N)), as `gram_spectrum_via_svd` does.
+    density curve per scaling.  Each trial passes its X and its W, a
+    `GaussianColumns` reader, to `singular_values`, which builds A (and
+    draws W) in blocks for its Gram and in full only for the SVD fallback
+    (m = N, or a Gram that fails the gate), and divides them by
+    sqrt(max(m, N)), as `gram_spectrum_via_svd` does.
 
     Before any draw it refuses ReLU features and a selected label whose N is
     not above m ("N=m log..." labels) or not below m ("m=N log..." labels);
@@ -389,7 +399,8 @@ def run_spectrum_density(config: ExperimentConfig) -> list[DensityStudyEntry]:
     def one_trial(cell: tuple[int, int], t: int) -> np.ndarray:
         idx, n = cell
         stream = split_stream(config.seed, t).substream(_TAG_SCALING, idx)
-        X, W = random_inputs(config.d, m, n, config.gamma, config.sigma, stream)
+        X, W = random_inputs(config.d, m, n, config.gamma, config.sigma, stream,
+                             weight_blocks=True)
         return singular_values(X, W, FOURIER) / np.sqrt(max(m, n))
 
     entries = []

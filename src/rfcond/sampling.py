@@ -25,6 +25,9 @@ TAG_TEST = 4
 TAG_TARGET = 5
 TAG_SUPPORTS = 6
 
+# Entries of scratch that `GaussianColumns` draws a row's words into (32 kB).
+_SCRATCH = 4096
+
 
 def _splitmix64(z: int) -> int:
     """One SplitMix64 step; the standard 64-bit finalizer used to derive keys."""
@@ -101,14 +104,79 @@ class NoiseModel:
 NOISE_NONE = NoiseModel("none", 0.0)
 
 
-def gaussian_matrix(rows: int, cols: int, variance: float, stream: RngStream) -> np.ndarray:
-    """rows x cols matrix of i.i.d. N(0, variance) entries, deterministic per stream."""
+def _check_gaussian(rows: int, cols: int, variance: float) -> None:
     if rows < 1 or cols < 1:
         raise InvalidArgumentError(f"matrix dimensions must be positive, got {rows}x{cols}")
     if variance <= 0:
         raise InvalidArgumentError(f"variance must be positive, got {variance}")
+
+
+def gaussian_matrix(rows: int, cols: int, variance: float, stream: RngStream) -> np.ndarray:
+    """rows x cols matrix of i.i.d. N(0, variance) entries, deterministic per stream."""
+    _check_gaussian(rows, cols, variance)
     gen = stream.generator()
     return gen.normal(0.0, np.sqrt(variance), size=(rows, cols))
+
+
+class GaussianColumns:
+    """`gaussian_matrix(rows, cols, variance, stream)` read in column blocks,
+    bit for bit, without holding it.
+
+    The matrix is drawn row after row from one Philox stream by numpy's
+    ziggurat normal, whose words per draw depend on the draw, so a row's
+    start is known only by drawing the rows before it.  The first block read
+    draws each row once, in pieces of `_SCRATCH` entries, and keeps a
+    generator at each row's start: Philox is counter-based, so its state can
+    be copied and replayed.  Each block `W[:, i:j]` then draws columns [i, j)
+    of every row from that row's generator by the same `normal` call.  So
+    blocks are read in ascending, contiguous order, and a read holds its
+    block and `rows` generators.  `np.asarray(W)` draws the whole matrix
+    anew: it is `gaussian_matrix` itself.
+    """
+
+    ndim = 2
+
+    def __init__(self, rows: int, cols: int, variance: float, stream: RngStream):
+        _check_gaussian(rows, cols, variance)
+        self.shape = (rows, cols)
+        self.variance, self.stream = variance, stream
+        self._rows = None  # a generator per row, at column `_next` of that row
+        self._next = 0
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(gaussian_matrix(*self.shape, self.variance, self.stream), dtype)
+
+    def __getitem__(self, key) -> np.ndarray:
+        if not (isinstance(key, tuple) and len(key) == 2
+                and all(isinstance(k, slice) for k in key)
+                and key[0] == slice(None) and key[1].step in (None, 1)):
+            raise InvalidArgumentError(f"GaussianColumns reads blocks W[:, i:j], not {key!r}")
+        i, j, _ = key[1].indices(self.shape[1])
+        if i != self._next or j <= i:
+            raise InvalidArgumentError(
+                f"column blocks are read in ascending, contiguous order: the next starts "
+                f"at {self._next}, not [{i}, {j})")
+        if self._rows is None:
+            self._rows = self._row_starts()
+        scale = np.sqrt(self.variance)
+        block = np.empty((self.shape[0], j - i))
+        for r, gen in enumerate(self._rows):
+            block[r] = gen.normal(0.0, scale, size=j - i)
+        self._next = j
+        return block
+
+    def _row_starts(self) -> list[np.random.Generator]:
+        gen = self.stream.generator()
+        rows, cols = self.shape
+        scratch = np.empty(min(cols, _SCRATCH))
+        starts = []
+        for _ in range(rows):
+            start = self.stream.generator()
+            start.bit_generator.state = gen.bit_generator.state
+            starts.append(start)
+            for i in range(0, cols, _SCRATCH):  # the words of one row of `normal`
+                gen.standard_normal(out=scratch[:cols - i])
+        return starts
 
 
 def noise_vector(m: int, model: NoiseModel, stream: RngStream) -> np.ndarray:

@@ -18,10 +18,13 @@ Numerical Linear Algebra, Lecture 31), so it keeps them when lambda_min >=
 builds A in full for the SVD.  A square A (N = m, the interpolation
 threshold, where the condition number peaks) goes straight to the SVD: its
 Gram is no smaller than A, so the Gram route would save little when it
-passes the gate and often fail it.  So the density study holds A only at
-m = N or when a Gram fails the gate, and otherwise W and one cache-sized
-block; `spectral_density` sums its kernel over row blocks of its grid by
-the same budget.
+passes the gate and often fail it.  When N > m it reads W only in the
+Gram's column blocks, so W may be a reader that draws them
+(`sampling.GaussianColumns`).  So the density study holds A only at m = N
+or when a Gram fails the gate, W also when N < m, where W is smaller than
+X, and otherwise one cache-sized block and a generator per row of W;
+`spectral_density` sums its kernel over row blocks of its grid by the same
+budget.
 
 Restricted isometry constants are the one place that reads Grams of column
 supports: delta_s is a maximum over column supports S of ||A_S* A_S - I||_2,
@@ -184,9 +187,17 @@ def singular_values(X: np.ndarray, W: np.ndarray, kind: str) -> np.ndarray:
     A itself is not held; with one block the sum is the single product, bit
     for bit.  Otherwise, and always for square A, A is built in full and
     they come from its thin SVD, as in `gram_spectrum_via_svd`.
+
+    W is a d x N array, or a reader of one such as `sampling.GaussianColumns`:
+    an object with `ndim` and `shape` that returns columns [i, j) as
+    `W[:, i:j]`, in ascending order, and all of W as `np.asarray(W)`.  When
+    N > m, W is read only in the Gram's column blocks, and whole only for
+    the SVD fallback, which holds A anyway; when N <= m it is read whole.
     """
     _check_dims(X, W)
     m, n = X.shape[1], W.shape[1]
+    if n <= m:
+        W = np.asarray(W)
     if m != n:
         with np.errstate(all="ignore"):  # an overflowing Gram fails the gate
             G = None
@@ -201,7 +212,7 @@ def singular_values(X: np.ndarray, W: np.ndarray, kind: str) -> np.ndarray:
                 lam = np.array([np.nan])  # fails the gate
         if np.isfinite(lam).all() and lam[0] >= _GRAM_GATE * lam[-1]:
             return np.sqrt(lam)
-    return _svd_values(build_features(X, W, kind))
+    return _svd_values(build_features(X, np.asarray(W), kind))
 
 
 def _norm_bound(G: np.ndarray) -> np.ndarray:

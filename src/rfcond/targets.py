@@ -114,6 +114,8 @@ def sample_target(kind: str, d: int, sigma: float, stream: RngStream,
     if kind == KIND_LINEAR:
         return linear_target(gen.uniform(0.0, 1.0, size=d))
     if kind == KIND_PLANTED:
+        if not sigma > 0:
+            raise InvalidArgumentError(f"sigma must be positive to draw planted W0, got {sigma}")
         W0 = gaussian_matrix(d, planted_s, sigma**2, stream.substream(1))
         if feature_kind == FOURIER:
             c0 = (gen.normal(size=planted_s) + 1j * gen.normal(size=planted_s))

@@ -113,6 +113,12 @@ def test_theory_prints_regime_report(capsys):
             "sample_complexity_simplified", "sample_complexity_tight", "feature_uncertainty"]
 
 
+@pytest.mark.parametrize("scale", ["--gamma", "--sigma"])
+def test_theory_draws_nothing_and_accepts_a_zero_scale(scale, capsys):
+    assert cli.main(["theory", "--m", "100", "--n-grid", "10", scale, "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"][scale[2:]] == 0.0
+
+
 def test_theory_at_m_equal_to_n_names_the_threshold_command(capsys):
     # The conditioning theorem has no hypotheses at m = N: an empty check list
     # would read satisfied.
@@ -352,6 +358,20 @@ _NAMED_REFUSALS = {
         "pipelines repeat a label: ['min_norm', 'min_norm']"),
     "planted-0": (_SMALL_SWEEP + ["--target", "planted:0"],
                   "planted_s must be >= 1, got 0"),
+    # every drawing command draws X and W in random_inputs (a planted target
+    # draws its W0 first); theory draws nothing
+    "spectrum-gamma-0": (["spectrum", "--d", "3", "--m", "10", "--trials", "1", "--gamma", "0"],
+                         "gamma must be positive to draw the data X, got 0.0"),
+    "spectrum-sigma-0": (["spectrum", "--d", "3", "--m", "10", "--trials", "1", "--sigma", "0"],
+                         "sigma must be positive to draw the weights W, got 0.0"),
+    "validate-gamma-0": (
+        ["validate", "--d", "3", "--m", "10", "--n-grid", "5", "--target", "bump:1.5",
+         "--trials", "1", "--gamma", "0"],
+        "gamma must be positive to draw the data X, got 0.0"),
+    "sweep-sigma-0": (_SMALL_SWEEP + ["--sigma", "0"],
+                      "sigma must be positive to draw the weights W, got 0.0"),
+    "planted-sigma-0": (_SMALL_SWEEP + ["--target", "planted:2", "--sigma", "0"],
+                        "sigma must be positive to draw planted W0, got 0.0"),
 }
 
 

@@ -13,10 +13,12 @@ from rfcond import cli, experiments
 from rfcond.errors import InvalidArgumentError, NumericalFailureError
 from rfcond.experiments import (
     _TAG_GRID,
+    _TAG_SCALING,
     SCALING_LABELS,
     ExperimentConfig,
     _solve_scaling,
     random_features,
+    random_inputs,
     run_bound_validation,
     run_double_descent_sweep,
     run_rip_study,
@@ -25,7 +27,7 @@ from rfcond.experiments import (
 )
 from rfcond.features import build_features
 from rfcond.io import json_report
-from rfcond.sampling import NoiseModel, split_stream
+from rfcond.sampling import GaussianColumns, NoiseModel, split_stream
 from rfcond.solvers import FLAG_SINGULAR_GRAM, FLAG_ZERO_FEASIBLE, CoefficientVector
 from rfcond.spectral import _GRAM_ENTRIES, gram_spectrum_via_svd, spectral_density
 from rfcond.targets import gaussian_bump_target
@@ -332,6 +334,31 @@ def test_spectrum_density_is_worker_independent_across_gram_blocks(monkeypatch):
                 (b.sv_min, b.sv_max, b.curve.bandwidth)
             assert np.array_equal(a.curve.grid, b.curve.grid)
             assert np.array_equal(a.curve.density, b.curve.density)
+
+
+def test_spectrum_density_draws_the_instances_of_random_inputs(monkeypatch):
+    # W is a reader drawn in the Gram's column blocks; X, and W read whole,
+    # are random_inputs' X and W bit for bit
+    seen = []
+    real = experiments.singular_values
+
+    def recording(X, W, kind):
+        seen.append((X, W))
+        return real(X, W, kind)
+
+    monkeypatch.setattr(experiments, "singular_values", recording)
+    cfg = ExperimentConfig(d=5, m=60, n_grid=(60,), trials=2, seed=4, gamma=0.7, sigma=1.3,
+                           scalings=("N=m", "N=m log^3 m", "m=N log N"))
+    run_spectrum_density(cfg)
+    jobs = [(idx, t) for idx in range(3) for t in range(2)]
+    assert len(seen) == len(jobs)
+    for (idx, t), (X, W) in zip(jobs, seen):
+        n = _solve_scaling(cfg.scalings[idx], cfg.m)
+        X0, W0 = random_inputs(cfg.d, cfg.m, n, cfg.gamma, cfg.sigma,
+                               split_stream(cfg.seed, t).substream(_TAG_SCALING, idx))
+        assert isinstance(W, GaussianColumns) and W.shape == W0.shape
+        assert np.array_equal(X.view(np.uint64), X0.view(np.uint64))
+        assert np.array_equal(np.asarray(W).view(np.uint64), W0.view(np.uint64))
 
 
 @pytest.mark.parametrize("trials", [1, 2])

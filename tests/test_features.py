@@ -144,10 +144,10 @@ def test_integer_inputs_give_float_features():
     assert _bitwise_equal(fourier_features(X, W), fourier_features(1.0 * X, 1.0 * W))
 
 
-def _peak_bytes(fn, X, W):
+def _peak_bytes(fn, *args):
     tracemalloc.start()
     try:
-        fn(X, W)
+        fn(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -180,6 +180,24 @@ def test_spectrum_from_features_holds_a_few_blocks_whatever_n():
             lambda X, W: singular_values(X, W, FOURIER), X, W))
     assert max(peaks) - min(peaks) <= 0.1 * min(peaks)
     assert max(peaks) <= 4 * 16 * _GRAM_ENTRIES
+
+
+def test_density_trial_holds_a_few_blocks_whatever_n():
+    # One density trial at d = 50, m = 150 draws X and a GaussianColumns
+    # reader of W, as the protocol does, and passes them to singular_values.
+    # Beside the blocks of the test above it holds X, one 50 x 256 block of W
+    # and 50 row generators (about 0.6 kB each traced), not the 8 * d * N
+    # bytes of W (7.5 MB at N = m log^3 m = 18870, 16 MB at N = 40000).
+    d, m = 50, 150
+    random_inputs(1, 1, 1, 1.0, 1.0, split_stream(8, 1), weight_blocks=True)[1][:, 0:1]
+
+    def one_trial(n):
+        X, W = random_inputs(d, m, n, 1.0, 1.0, split_stream(8, 0), weight_blocks=True)
+        singular_values(X, W, FOURIER)
+
+    peaks = [_peak_bytes(one_trial, n) for n in (18_870, 40_000)]
+    assert max(peaks) - min(peaks) <= 0.1 * min(peaks)
+    assert max(peaks) <= 4 * 16 * _GRAM_ENTRIES + 8 * d * (m + _GRAM_ENTRIES // m) + 1024 * d
 
 
 def test_row_column_gram_symmetry_under_role_swap():

@@ -4,14 +4,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rfcond.errors import InvalidArgumentError
+from rfcond.features import block_ranges
 from rfcond.sampling import (
     NOISE_NONE,
+    GaussianColumns,
     NoiseModel,
     RngStream,
     gaussian_matrix,
     noise_vector,
     split_stream,
 )
+from rfcond.spectral import _GRAM_ENTRIES
 
 
 def test_same_stream_replays_identically():
@@ -49,6 +52,65 @@ def test_gaussian_matrix_argument_validation():
         gaussian_matrix(3, -1, 1.0, s)
     with pytest.raises(InvalidArgumentError):
         gaussian_matrix(3, 3, 0.0, s)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("rows, cols, variance, width", [
+    (1, 1, 1.0, 1),
+    (3, 17, 2.5, 5),          # a last block of 2 columns
+    (7, 4097, 1e-4, 1000),    # rows one entry past a piece of scratch; last block 97
+    (50, 9000, 0.1, 4096),
+    (2, 300, 7.0, 300),       # one block
+])
+def test_gaussian_columns_equal_gaussian_matrix_bitwise(rows, cols, variance, width):
+    stream = split_stream(5, 2)
+    full = gaussian_matrix(rows, cols, variance, stream)
+    W = GaussianColumns(rows, cols, variance, stream)
+    assert W.shape == full.shape and W.ndim == 2
+    for i in range(0, cols, width):
+        j = min(i + width, cols)
+        assert np.array_equal(_bits(W[:, i:j]), _bits(full[:, i:j]))
+    assert np.array_equal(_bits(np.asarray(W)), _bits(full))
+
+
+def test_gaussian_columns_in_the_density_studys_blocks():
+    # d = 50, m = 150, N = m log^3 m = 18870: the Gram reads 74 blocks of 256
+    # columns, the last of 182
+    d, m, n = 50, 150, 18_870
+    stream = split_stream(0, 3).substream(2)
+    full = gaussian_matrix(d, n, 1.0, stream)
+    W = GaussianColumns(d, n, 1.0, stream)
+    blocks = block_ranges(n, m, _GRAM_ENTRIES)
+    assert len(blocks) == 74 and blocks[-1] == (18_688, n)
+    read = np.hstack([W[:, i:j] for i, j in blocks])
+    assert np.array_equal(_bits(read), _bits(full))
+
+
+def test_gaussian_columns_refuse_reads_out_of_order():
+    stream = split_stream(9, 1)
+    full = gaussian_matrix(4, 40, 1.0, stream)
+    W = GaussianColumns(4, 40, 1.0, stream)
+    for key in (np.s_[:, 5:10], np.s_[:, 0:0], np.s_[0:2, 0:10], np.s_[:, 0:10:2], 3):
+        with pytest.raises(InvalidArgumentError):
+            W[key]
+    assert np.array_equal(W[:, :10], full[:, :10])
+    for key in (np.s_[:, 5:15], np.s_[:, 0:10], np.s_[:, 12:20], np.s_[:, 10:10]):
+        with pytest.raises(InvalidArgumentError):  # overlapping, repeated, gapped, empty
+            W[key]
+    assert np.array_equal(W[:, 10:], full[:, 10:])
+    with pytest.raises(InvalidArgumentError):
+        W[:, 39:40]
+    assert np.array_equal(np.asarray(W), full)
+
+
+def test_gaussian_columns_argument_validation():
+    s = split_stream(0, 0)
+    for rows, cols, variance in ((0, 3, 1.0), (3, -1, 1.0), (3, 3, 0.0)):
+        with pytest.raises(InvalidArgumentError):
+            GaussianColumns(rows, cols, variance, s)
 
 
 def test_sample_mean_converges_at_root_n():
