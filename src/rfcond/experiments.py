@@ -2,9 +2,9 @@
 interpolation-threshold statistics, risk-bound validation, and the restricted
 isometry study of one instance.  Every protocol samples its instances with
 `random_inputs`.  All but the density study build A from them at once
-(`random_features`); the density study takes W as a `GaussianColumns`
-reader, which draws it in the column blocks its Gram reads, so it holds no
-d x N array when N > m.
+(`random_features`); the density study draws its W feature by feature, as
+a `GaussianColumns` reader whose column blocks are the blocks its Gram
+reads, so it holds no d x N array when N > m.
 
 Every protocol is a grid of (cell, trial) jobs: a cell is one N, scaling or
 pipeline, and each job is a pure function of (master seed, cell, trial).  One
@@ -180,9 +180,10 @@ def random_inputs(d: int, m: int, n: int, gamma: float, sigma: float, stream: Rn
                   weight_blocks: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The instance sampler of every protocol: X ~ N(0, gamma^2 I_d) (d x m) and
     W ~ N(0, sigma^2 I_d) (d x n) from fixed substreams of `stream`, so one
-    stream reproduces the whole instance.  With `weight_blocks`, W is a
-    `GaussianColumns` reader of the same matrix, drawn in column blocks as
-    they are read."""
+    stream reproduces the whole instance.  Both are drawn row after row
+    (`gaussian_matrix`); with `weight_blocks`, which only the density study
+    sets, W is drawn feature by feature instead, as a `GaussianColumns`
+    reader whose column blocks are drawn as they are read."""
     for name, scale, drawn in (("gamma", gamma, "the data X"), ("sigma", sigma, "the weights W")):
         if not scale > 0:
             raise InvalidArgumentError(f"{name} must be positive to draw {drawn}, got {scale}")
@@ -384,10 +385,10 @@ def run_spectrum_density(config: ExperimentConfig) -> list[DensityStudyEntry]:
     """Figure-2 protocol: pooled singular values of the normalized Fourier
     feature matrix A / sqrt(max(m, N)) over the trials, smoothed to a max-1
     density curve per scaling.  Each trial passes its X and its W, a
-    `GaussianColumns` reader, to `singular_values`, which builds A (and
-    draws W) in blocks for its Gram and in full only for the SVD fallback
-    (m = N, or a Gram that fails the gate), and divides them by
-    sqrt(max(m, N)), as `gram_spectrum_via_svd` does.
+    `GaussianColumns` reader drawn feature by feature, to `singular_values`,
+    which builds A (and draws W) in blocks for its Gram and in full only for
+    the SVD fallback (m = N, or a Gram that fails the gate), and divides them
+    by sqrt(max(m, N)), as `gram_spectrum_via_svd` does.
 
     Before any draw it refuses ReLU features and a selected label whose N is
     not above m ("N=m log..." labels) or not below m ("m=N log..." labels);
@@ -579,7 +580,7 @@ def run_rip_study(config: ExperimentConfig, method: str, budget: int,
     n = config.n_grid[0]
     s_max = config.s if config.s is not None else n
     if not 1 <= s_max <= n:
-        raise InvalidArgumentError(f"s must be in [1, {n}]")
+        raise InvalidArgumentError(f"s must be in [1, {n}], got {s_max}")
     stream = split_stream(config.seed, 0)
     _, _, A = random_features(config.d, config.m, n, config.gamma, config.sigma, stream, FOURIER)
     A_norm = A / np.sqrt(config.m)

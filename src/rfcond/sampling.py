@@ -25,9 +25,6 @@ TAG_TEST = 4
 TAG_TARGET = 5
 TAG_SUPPORTS = 6
 
-# Entries of scratch that `GaussianColumns` draws a row's words into (32 kB).
-_SCRATCH = 4096
-
 
 def _splitmix64(z: int) -> int:
     """One SplitMix64 step; the standard 64-bit finalizer used to derive keys."""
@@ -119,19 +116,13 @@ def gaussian_matrix(rows: int, cols: int, variance: float, stream: RngStream) ->
 
 
 class GaussianColumns:
-    """`gaussian_matrix(rows, cols, variance, stream)` read in column blocks,
-    bit for bit, without holding it.
+    """The rows x cols matrix `gaussian_matrix(cols, rows, variance, stream).T`,
+    drawn feature by feature: read in column blocks without holding it.
 
-    The matrix is drawn row after row from one Philox stream by numpy's
-    ziggurat normal, whose words per draw depend on the draw, so a row's
-    start is known only by drawing the rows before it.  The first block read
-    draws each row once, in pieces of `_SCRATCH` entries, and keeps a
-    generator at each row's start: Philox is counter-based, so its state can
-    be copied and replayed.  Each block `W[:, i:j]` then draws columns [i, j)
-    of every row from that row's generator by the same `normal` call.  So
-    blocks are read in ascending, contiguous order, and a read holds its
-    block and `rows` generators.  `np.asarray(W)` draws the whole matrix
-    anew: it is `gaussian_matrix` itself.
+    Each block `W[:, i:j]` is the next (j - i) x rows draw of the stream's
+    one generator, transposed, so blocks are read in ascending, contiguous
+    order and a read holds its block.  `np.asarray(W)` draws the whole
+    matrix anew in one call: the blocks side by side, bit for bit.
     """
 
     ndim = 2
@@ -140,11 +131,12 @@ class GaussianColumns:
         _check_gaussian(rows, cols, variance)
         self.shape = (rows, cols)
         self.variance, self.stream = variance, stream
-        self._rows = None  # a generator per row, at column `_next` of that row
-        self._next = 0
+        self._gen = None  # the stream's generator, made by the first read
+        self._next = 0  # the first column of the next block
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.asarray(gaussian_matrix(*self.shape, self.variance, self.stream), dtype)
+        rows, cols = self.shape
+        return np.asarray(gaussian_matrix(cols, rows, self.variance, self.stream).T, dtype)
 
     def __getitem__(self, key) -> np.ndarray:
         if not (isinstance(key, tuple) and len(key) == 2
@@ -156,27 +148,10 @@ class GaussianColumns:
             raise InvalidArgumentError(
                 f"column blocks are read in ascending, contiguous order: the next starts "
                 f"at {self._next}, not [{i}, {j})")
-        if self._rows is None:
-            self._rows = self._row_starts()
-        scale = np.sqrt(self.variance)
-        block = np.empty((self.shape[0], j - i))
-        for r, gen in enumerate(self._rows):
-            block[r] = gen.normal(0.0, scale, size=j - i)
+        if i == 0:
+            self._gen = self.stream.generator()
         self._next = j
-        return block
-
-    def _row_starts(self) -> list[np.random.Generator]:
-        gen = self.stream.generator()
-        rows, cols = self.shape
-        scratch = np.empty(min(cols, _SCRATCH))
-        starts = []
-        for _ in range(rows):
-            start = self.stream.generator()
-            start.bit_generator.state = gen.bit_generator.state
-            starts.append(start)
-            for i in range(0, cols, _SCRATCH):  # the words of one row of `normal`
-                gen.standard_normal(out=scratch[:cols - i])
-        return starts
+        return self._gen.normal(0.0, np.sqrt(self.variance), size=(j - i, self.shape[0])).T
 
 
 def noise_vector(m: int, model: NoiseModel, stream: RngStream) -> np.ndarray:

@@ -22,9 +22,8 @@ passes the gate and often fail it.  When N > m it reads W only in the
 Gram's column blocks, so W may be a reader that draws them
 (`sampling.GaussianColumns`).  So the density study holds A only at m = N
 or when a Gram fails the gate, W also when N < m, where W is smaller than
-X, and otherwise one cache-sized block and a generator per row of W;
-`spectral_density` sums its kernel over row blocks of its grid by the same
-budget.
+X, and otherwise one cache-sized block; `spectral_density` sums its kernel
+over row blocks of its grid by the same budget.
 
 Restricted isometry constants are the one place that reads Grams of column
 supports: delta_s is a maximum over column supports S of ||A_S* A_S - I||_2,

@@ -372,6 +372,18 @@ _NAMED_REFUSALS = {
                       "sigma must be positive to draw the weights W, got 0.0"),
     "planted-sigma-0": (_SMALL_SWEEP + ["--target", "planted:2", "--sigma", "0"],
                         "sigma must be positive to draw planted W0, got 0.0"),
+    "rip-s-above-n": (_SMALL_RIP + ["--s", "5"], "s must be in [1, 4], got 5"),
+    "n-grid-entry-0": (["sweep", "--n-grid", "0,5", "--trials", "1"],
+                       "n_grid entries must be positive"),
+    "spectrum-unknown-scaling": (
+        ["spectrum", "--d", "3", "--m", "10", "--trials", "1", "--scalings", "N=m;N=2m"],
+        "unknown scalings ['N=2m']"),
+    "validate-unknown-pipeline": (
+        ["validate", "--d", "3", "--m", "10", "--n-grid", "40", "--target", "bump:1.5",
+         "--trials", "1", "--pipelines", "min_norm,lasso"],
+        "unknown pipelines ['lasso']"),
+    "gaussian-without-level": (_SMALL_SWEEP + ["--noise", "gaussian"],
+                               "cannot parse noise spec 'gaussian'"),
 }
 
 

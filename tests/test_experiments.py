@@ -337,8 +337,8 @@ def test_spectrum_density_is_worker_independent_across_gram_blocks(monkeypatch):
 
 
 def test_spectrum_density_draws_the_instances_of_random_inputs(monkeypatch):
-    # W is a reader drawn in the Gram's column blocks; X, and W read whole,
-    # are random_inputs' X and W bit for bit
+    # W is a reader drawn feature by feature in the Gram's column blocks; X is
+    # random_inputs' X, and W read whole its weight_blocks W, bit for bit
     seen = []
     real = experiments.singular_values
 
@@ -354,11 +354,12 @@ def test_spectrum_density_draws_the_instances_of_random_inputs(monkeypatch):
     assert len(seen) == len(jobs)
     for (idx, t), (X, W) in zip(jobs, seen):
         n = _solve_scaling(cfg.scalings[idx], cfg.m)
-        X0, W0 = random_inputs(cfg.d, cfg.m, n, cfg.gamma, cfg.sigma,
-                               split_stream(cfg.seed, t).substream(_TAG_SCALING, idx))
+        stream = split_stream(cfg.seed, t).substream(_TAG_SCALING, idx)
+        X0, _ = random_inputs(cfg.d, cfg.m, n, cfg.gamma, cfg.sigma, stream)
+        _, W0 = random_inputs(cfg.d, cfg.m, n, cfg.gamma, cfg.sigma, stream, weight_blocks=True)
         assert isinstance(W, GaussianColumns) and W.shape == W0.shape
         assert np.array_equal(X.view(np.uint64), X0.view(np.uint64))
-        assert np.array_equal(np.asarray(W).view(np.uint64), W0.view(np.uint64))
+        assert np.array_equal(np.asarray(W).view(np.uint64), np.asarray(W0).view(np.uint64))
 
 
 @pytest.mark.parametrize("trials", [1, 2])

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from rfcond.errors import InvalidArgumentError, NumericalFailureError
-from rfcond.features import FOURIER, RELU, build_features, fourier_features, relu_features
+from rfcond.features import (
+    FOURIER,
+    RELU,
+    block_ranges,
+    build_features,
+    fourier_features,
+    relu_features,
+)
 from rfcond.experiments import random_features, random_inputs
-from rfcond.sampling import split_stream
+from rfcond.sampling import TAG_WEIGHTS, RngStream, split_stream
 from rfcond.spectral import _GRAM_ENTRIES, gram_spectrum_via_svd, singular_values
 
 
@@ -185,9 +192,9 @@ def test_spectrum_from_features_holds_a_few_blocks_whatever_n():
 def test_density_trial_holds_a_few_blocks_whatever_n():
     # One density trial at d = 50, m = 150 draws X and a GaussianColumns
     # reader of W, as the protocol does, and passes them to singular_values.
-    # Beside the blocks of the test above it holds X, one 50 x 256 block of W
-    # and 50 row generators (about 0.6 kB each traced), not the 8 * d * N
-    # bytes of W (7.5 MB at N = m log^3 m = 18870, 16 MB at N = 40000).
+    # Beside the blocks of the test above it holds X and one 50 x 256 block
+    # of W, not the 8 * d * N bytes of W (7.5 MB at N = m log^3 m = 18870,
+    # 16 MB at N = 40000).
     d, m = 50, 150
     random_inputs(1, 1, 1, 1.0, 1.0, split_stream(8, 1), weight_blocks=True)[1][:, 0:1]
 
@@ -197,7 +204,45 @@ def test_density_trial_holds_a_few_blocks_whatever_n():
 
     peaks = [_peak_bytes(one_trial, n) for n in (18_870, 40_000)]
     assert max(peaks) - min(peaks) <= 0.1 * min(peaks)
-    assert max(peaks) <= 4 * 16 * _GRAM_ENTRIES + 8 * d * (m + _GRAM_ENTRIES // m) + 1024 * d
+    assert max(peaks) <= 4 * 16 * _GRAM_ENTRIES + 8 * d * (m + _GRAM_ENTRIES // m)
+
+
+class _CountingGenerator:
+    """A numpy generator that counts the calls of its methods (its draws)."""
+
+    def __init__(self, gen):
+        self._gen, self.draws = gen, 0
+
+    def __getattr__(self, name):
+        attr = getattr(self._gen, name)
+        if not callable(attr):
+            return attr
+
+        def draw(*args, **kwargs):
+            self.draws += 1
+            return attr(*args, **kwargs)
+        return draw
+
+
+def test_density_trial_draws_w_from_one_generator_one_call_per_block(monkeypatch):
+    # One density trial at N = m log^3 m (d = 50, m = 150) draws W from one
+    # generator, one call per Gram block; a replay of a row-major W would make
+    # a generator per row and a call per row and block.
+    made = []
+    real = RngStream.generator
+
+    def counting(stream):
+        made.append((stream, _CountingGenerator(real(stream))))
+        return made[-1][1]
+
+    monkeypatch.setattr(RngStream, "generator", counting)
+    d, m, n = 50, 150, 18_870
+    stream = split_stream(8, 0)
+    X, W = random_inputs(d, m, n, 1.0, 1.0, stream, weight_blocks=True)
+    singular_values(X, W, FOURIER)
+    weights = [gen for s, gen in made if s == stream.substream(TAG_WEIGHTS)]
+    assert len(weights) == 1
+    assert weights[0].draws == len(block_ranges(n, m, _GRAM_ENTRIES)) == 74
 
 
 def test_row_column_gram_symmetry_under_role_swap():

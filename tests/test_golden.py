@@ -39,9 +39,9 @@ GOLDEN = {
         "sweep_summary.json": "915e87fd5acaf666821e7c1bd295be17d1f495d236b2335180b439f46e7b2342",
     },
     "spectrum": {
-        "density.csv": "d3561046fd4336b83aa014d1478f3bb49dfa43b11c69ed4dfe7c242935a3a344",
-        "spectrum.svg": "3d43fcdaaf34ad29101f215fbd98c89759f04b835bafffc1cd76496997f7f73e",
-        "spectrum_summary.json": "cc971f50c9a7a1ddd3977771922e31578c0346abd240602b25cb1cf2e0cf8d8f",
+        "density.csv": "050d82be0e6a04c7928428f7d74081c1e91ebb2c4fcafe6c04e64c3dc836fba8",
+        "spectrum.svg": "54bc83e721cae9959f7030de443b8f1195cf64e74d6d31a8c960f94465fc8a0f",
+        "spectrum_summary.json": "6cee9cddbc016837fd977fcb583bee89eeb3ba3eab67fd24cb7fdb18dfa8c68e",
     },
     "threshold": {
         "threshold.json": "f82e1cf975d0b0369bdc4be0b53bc76999cb399932aba5ca32874b227d8357be",

@@ -58,22 +58,32 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def _feature_major(rows, cols, variance, stream):
+    # cols x rows normals from the stream's generator, transposed: one column
+    # of the rows x cols matrix after another
+    return stream.generator().normal(0.0, np.sqrt(variance), size=(cols, rows)).T
+
+
 @pytest.mark.parametrize("rows, cols, variance, width", [
     (1, 1, 1.0, 1),
     (3, 17, 2.5, 5),          # a last block of 2 columns
-    (7, 4097, 1e-4, 1000),    # rows one entry past a piece of scratch; last block 97
+    (7, 4097, 1e-4, 1000),    # a last block of 97 columns
     (50, 9000, 0.1, 4096),
     (2, 300, 7.0, 300),       # one block
 ])
 def test_gaussian_columns_equal_gaussian_matrix_bitwise(rows, cols, variance, width):
+    # W is gaussian_matrix(cols, rows).T, read block by block or whole
     stream = split_stream(5, 2)
-    full = gaussian_matrix(rows, cols, variance, stream)
+    ref = _feature_major(rows, cols, variance, stream)
+    assert np.array_equal(_bits(ref), _bits(gaussian_matrix(cols, rows, variance, stream).T))
     W = GaussianColumns(rows, cols, variance, stream)
-    assert W.shape == full.shape and W.ndim == 2
+    full = np.asarray(W)
+    assert W.shape == full.shape == (rows, cols) and W.ndim == 2
+    assert np.array_equal(_bits(full), _bits(ref))
     for i in range(0, cols, width):
         j = min(i + width, cols)
-        assert np.array_equal(_bits(W[:, i:j]), _bits(full[:, i:j]))
-    assert np.array_equal(_bits(np.asarray(W)), _bits(full))
+        assert np.array_equal(_bits(W[:, i:j]), _bits(ref[:, i:j]))
+    assert np.array_equal(_bits(np.asarray(W)), _bits(ref))
 
 
 def test_gaussian_columns_in_the_density_studys_blocks():
@@ -81,17 +91,18 @@ def test_gaussian_columns_in_the_density_studys_blocks():
     # columns, the last of 182
     d, m, n = 50, 150, 18_870
     stream = split_stream(0, 3).substream(2)
-    full = gaussian_matrix(d, n, 1.0, stream)
+    ref = _feature_major(d, n, 1.0, stream)
     W = GaussianColumns(d, n, 1.0, stream)
     blocks = block_ranges(n, m, _GRAM_ENTRIES)
     assert len(blocks) == 74 and blocks[-1] == (18_688, n)
     read = np.hstack([W[:, i:j] for i, j in blocks])
-    assert np.array_equal(_bits(read), _bits(full))
+    assert np.array_equal(_bits(read), _bits(ref))
+    assert np.array_equal(_bits(np.asarray(W)), _bits(ref))
 
 
 def test_gaussian_columns_refuse_reads_out_of_order():
     stream = split_stream(9, 1)
-    full = gaussian_matrix(4, 40, 1.0, stream)
+    full = _feature_major(4, 40, 1.0, stream)
     W = GaussianColumns(4, 40, 1.0, stream)
     for key in (np.s_[:, 5:10], np.s_[:, 0:0], np.s_[0:2, 0:10], np.s_[:, 0:10:2], 3):
         with pytest.raises(InvalidArgumentError):

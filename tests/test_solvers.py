@@ -87,6 +87,27 @@ def test_least_squares_rejects_underdetermined():
         least_squares(np.ones((2, 3)), np.ones(2))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: least_squares(np.ones(3), np.ones(3)), "A must be a 2-d array"),
+    (lambda: ridge(np.ones((4, 2)), np.ones(3), 1.0), r"y has length 3, expected 4"),
+    (lambda: min_norm_interpolate(np.ones((4, 2)), np.ones(4)),
+     r"requires m <= N, got 4 > 2"),
+    (lambda: ridge(np.ones((4, 2)), np.ones(4), 0.0), r"requires lam > 0"),
+    (lambda: ridge(np.ones((4, 2)), np.ones(4), -1.0), r"requires lam > 0"),
+    (lambda: bpdn(np.ones((2, 4)), np.ones(2), -0.1), "xi must be non-negative"),
+    (lambda: prune_top_s(np.ones(3), 0), r"s must be in \[1, 3\], got 0"),
+    (lambda: prune_top_s(np.ones(3), 4), r"s must be in \[1, 3\], got 4"),
+    (lambda: best_s_term_error(np.ones(3), 0, 1), r"s must be in \[1, 3\], got 0"),
+    (lambda: best_s_term_error(np.ones(3), 4, 2), r"s must be in \[1, 3\], got 4"),
+    (lambda: best_s_term_error(np.ones(3), 1, 3), "p must be 1 or 2"),
+], ids=["a-1d", "y-length", "min-norm-m-above-n", "ridge-lam-0", "ridge-lam-negative",
+        "bpdn-xi-negative", "prune-s-0", "prune-s-above-n", "best-s-0", "best-s-above-n",
+        "best-p-3"])
+def test_solver_arguments_are_refused(call, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        call()
+
+
 def test_min_norm_square_invertible_inverts():
     gen = np.random.default_rng(2)
     A = _random_complex(gen, 6, 6) + 6 * np.eye(6)

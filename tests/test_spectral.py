@@ -277,6 +277,20 @@ def test_rip_budget_error_advises_randomized():
         rip_constant_exact(A / np.sqrt(10), 15, budget=1000)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda An: rip_constant_exact(An, 0), r"s must be in \[1, 5\], got 0"),
+    (lambda An: rip_constant_exact(An, 6), r"s must be in \[1, 5\], got 6"),
+    (lambda An: rip_constant_lower_mc(An, 0, 5, split_stream(0, 0)),
+     r"s must be in \[1, 5\], got 0"),
+    (lambda An: rip_constant_lower_mc(An, 6, 5, split_stream(0, 0)),
+     r"s must be in \[1, 5\], got 6"),
+    (lambda An: rip_constant_lower_mc(An, 2, 0, split_stream(0, 0)), "trials must be >= 1"),
+], ids=["exact-s-0", "exact-s-above-n", "mc-s-0", "mc-s-above-n", "mc-trials-0"])
+def test_rip_refuses_s_out_of_range_and_no_trials(call, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        call(_random_fourier(2, 12, 5, 11) / np.sqrt(12))
+
+
 def test_rip_mc_is_lower_bound_and_saturates_on_tiny_instances():
     A = _random_fourier(2, 12, 5, 11)
     An = A / np.sqrt(12)
